@@ -320,16 +320,19 @@ def solve_fraction_map(R_plus, R_minus, p: ModelParams,
     converged = False
     for _ in range(100):
         f, df = phi_dphi(x)
+        done = np.abs(f) < 1e-13 * scale
+        if np.all(done):
+            converged = True
+            break
         hi = np.where(f > 0.0, x, hi)
         lo = np.where(f <= 0.0, x, lo)
         with np.errstate(divide="ignore", invalid="ignore"):
             xn = x - f / df
         bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
         xn = np.where(bad, 0.5 * (lo + hi), xn)
-        if np.all(np.abs(f) < 1e-13 * scale):
-            converged = True
-            break
-        x = xn
+        # a converged cell has x on its own bracket end, so its Newton
+        # step would count as bad and be thrown to the bracket midpoint
+        x = np.where(done, x, xn)
     if not converged:
         f, _ = phi_dphi(x)
         if not np.all(np.abs(f) < 1e-10 * scale):

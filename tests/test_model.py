@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from twofluid import model
 from twofluid.model import (
     AdmissibilityError,
     ModelParams,
@@ -173,6 +174,25 @@ class TestFractionMap:
             ref = solve_fraction_map(float(Rp[i]), float(Rm[i]), SYM)
             assert rho_p[i] == pytest.approx(ref[0], rel=1e-12)
             assert C2[i] == pytest.approx(ref[3], rel=1e-12)
+
+    def test_converged_cells_stay_put(self, monkeypatch):
+        # near-equilibrium cells converge at different iterations; one that
+        # has converged must not be thrown back to its bracket midpoint
+        eq = solve_equilibrium(SYM)
+        calls = []
+
+        def counting(rho, A, gamma):
+            calls.append(1)
+            return pressure_law(rho, A, gamma)
+
+        monkeypatch.setattr(model, "pressure_law", counting)
+        rng = np.random.default_rng(0)
+        Rp = 1.0 + 2e-3 * rng.uniform(-1.0, 1.0, 4096)
+        Rm = 1.0 + 2e-3 * rng.uniform(-1.0, 1.0, 4096)
+        rho_p, rho_m, _, _ = solve_fraction_map(Rp, Rm, SYM, eq=eq)
+        # two calls for the bracket, two per Newton iteration
+        assert len(calls) <= 2 + 2 * 6
+        assert np.abs(Rp / rho_p + Rm / rho_m - 1.0).max() < 1e-12
 
 
 class TestCombinationDegeneracy:

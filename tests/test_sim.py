@@ -8,11 +8,197 @@ import numpy as np
 import pytest
 
 from twofluid.model import (AdmissibilityError, ModelParams,
-                            solve_equilibrium)
-from twofluid.spectral import eigen_branches
+                            solve_equilibrium, solve_fraction_map)
+from twofluid.spectral import eigen_branches, semigroup_batch
 from twofluid import sim
 
 EQ = solve_equilibrium(ModelParams())
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the complex-FFT, physical-space-stage stepper the
+# half-grid spectral-resident one replaced, kept verbatim.  The two share
+# every discrete operator, so they agree to round-off.
+
+class _RefGridOps:
+    """Full complex grid (n, n, n) machinery of the reference stepper."""
+
+    def __init__(self, n: int, L: float, eq):
+        self.n, self.L, self.eq = n, L, eq
+        self.dx = 2.0 * L / n
+        idx = np.fft.fftfreq(n, d=1.0 / n).astype(int)    # integer modes
+        ii, jj, kk = np.meshgrid(idx, idx, idx, indexing="ij")
+        self.xi = (math.pi / L) * np.stack([ii, jj, kk]).astype(float)
+        int2 = ii * ii + jj * jj + kk * kk
+        self.uniq_int2, self.inv = np.unique(int2, return_inverse=True)
+        self.k_uniq = (math.pi / L) * np.sqrt(self.uniq_int2.astype(float))
+        k2 = np.sum(self.xi ** 2, axis=0)
+        k = np.sqrt(k2)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self.khat = np.where(k > 0.0, self.xi / np.maximum(k, 1e-300), 0.0)
+        self.k2 = k2
+        cut = (2.0 / 3.0) * (math.pi / self.dx)
+        self.dealias = (np.abs(self.xi) <= cut).all(axis=0)
+
+    def apply_semigroup(self, Y: np.ndarray, t: float) -> np.ndarray:
+        G = semigroup_batch(self.k_uniq, t, self.eq)
+        Gg = G[self.inv.reshape(self.k2.shape)]
+        heat_p = np.exp(-self.eq.nu1_plus * self.k2 * t)
+        heat_m = np.exp(-self.eq.nu1_minus * self.k2 * t)
+        out = np.empty_like(Y)
+        mL_p = np.sum(self.khat * Y[1:4], axis=0)
+        mL_m = np.sum(self.khat * Y[5:8], axis=0)
+        out[1:4] = heat_p * (Y[1:4] - self.khat * mL_p)
+        out[5:8] = heat_m * (Y[5:8] - self.khat * mL_m)
+        Y_long = np.stack([Y[0], 1j * mL_p, Y[4], 1j * mL_m])
+        U = np.einsum("xyzij,jxyz->ixyz", Gg, Y_long)
+        out[0], out[4] = U[0], U[2]
+        out[1:4] += self.khat * (-1j * U[1])
+        out[5:8] += self.khat * (-1j * U[3])
+        return out
+
+
+def _ref_phase_rhs(ops, n, m, rho, rho_bar, mu, lam, sigma):
+    fft, ifft = np.fft.fftn, np.fft.ifftn
+    n_hat = fft(n)
+    R = n + 1.0
+    u = m / R
+    w = n * u
+    # Jacobians J[f]_{d,e} = d_e f_d for u, w, m
+    J = {}
+    for name, field in (("u", u), ("w", w), ("m", m)):
+        fh = [fft(field[d]) for d in range(3)]
+        J[name] = np.stack([[ifft(1j * ops.xi[e] * fh[d]).real
+                             for e in range(3)] for d in range(3)])
+    inv_rho = 1.0 / rho
+    drop = inv_rho - 1.0 / rho_bar
+    visc = (n * inv_rho) * J["u"] - inv_rho * J["w"] + drop * J["m"]
+    grad_n = np.stack([ifft(1j * ops.xi[d] * n_hat).real for d in range(3)])
+    lap_n = ifft(-ops.k2 * n_hat).real
+    # Korteweg form of R grad(Lap R) minus its linear part
+    T = -(m[:, None] * u[None, :])                      # convection
+    T += mu * (visc + np.transpose(visc, (1, 0, 2, 3, 4)))
+    kort = R * lap_n + 0.5 * np.sum(grad_n ** 2, axis=0)
+    tr = visc[0, 0] + visc[1, 1] + visc[2, 2]
+    for d in range(3):
+        T[d, d] += sigma * kort + lam * tr
+    T -= sigma * (grad_n[:, None] * grad_n[None, :])
+    # F_d = d_e T_{d e} - sigma * d_d (Lap n)
+    lap_n_hat = -ops.k2 * n_hat
+    F_hat = np.stack([
+        1j * np.sum(ops.xi * np.stack([fft(T[d, e]) for e in range(3)]),
+                    axis=0)
+        - sigma * 1j * ops.xi[d] * lap_n_hat
+        for d in range(3)])
+    return F_hat
+
+
+def _ref_nonlinear_rhs(state):
+    ops = _RefGridOps(state.n, state.L, state.eq)
+    eq = state.eq
+    p = eq.params
+    rho_p, rho_m, _, C2c = solve_fraction_map(
+        state.n_p + 1.0, state.n_m + 1.0, p, eq=eq)
+
+    F1 = _ref_phase_rhs(ops, state.n_p, state.m_p, rho_p, eq.rho_bar_plus,
+                        p.mu_plus, p.lambda_plus, p.sigma_plus)
+    F2 = _ref_phase_rhs(ops, state.n_m, state.m_m, rho_m, eq.rho_bar_minus,
+                        p.mu_minus, p.lambda_minus, p.sigma_minus)
+
+    fft, ifft = np.fft.fftn, np.fft.ifftn
+    gnp = np.stack([ifft(1j * ops.xi[d] * fft(state.n_p)).real
+                    for d in range(3)])
+    gnm = np.stack([ifft(1j * ops.xi[d] * fft(state.n_m)).real
+                    for d in range(3)])
+    Q1 = (C2c * state.n_p * ((rho_m / rho_p) * gnp + gnm)
+          + (C2c * rho_m / rho_p - eq.beta1) * gnp
+          + (C2c - eq.C2) * gnm)
+    Q2 = (C2c * state.n_m * ((rho_p / rho_m) * gnm + gnp)
+          + (C2c * rho_p / rho_m - eq.beta4) * gnm
+          + (C2c - eq.C2) * gnp)
+    F1 -= np.stack([fft(Q1[d]) for d in range(3)])
+    F2 -= np.stack([fft(Q2[d]) for d in range(3)])
+    F1 *= ops.dealias
+    F2 *= ops.dealias
+    return (np.stack([ifft(F1[d]).real for d in range(3)]),
+            np.stack([ifft(F2[d]).real for d in range(3)]))
+
+
+def _ref_step(state, dt):
+    ops = _RefGridOps(state.n, state.L, state.eq)
+    fields = [state.n_p, *state.m_p, state.n_m, *state.m_m]
+    Y = np.stack([np.fft.fftn(f) for f in fields]) * ops.dealias
+
+    def unstack(Z):
+        real = [np.fft.ifftn(Z[i]).real for i in range(8)]
+        return sim.SimState(state.eq, state.L, state.n, real[0],
+                            np.stack(real[1:4]), real[4],
+                            np.stack(real[5:8]))
+
+    def rhs_hat(Z):
+        F1, F2 = _ref_nonlinear_rhs(unstack(Z))
+        out = np.zeros_like(Z)
+        for d in range(3):
+            out[1 + d] = np.fft.fftn(F1[d])
+            out[5 + d] = np.fft.fftn(F2[d])
+        return out
+
+    E = lambda Z: ops.apply_semigroup(Z, dt)
+    Eh = lambda Z: ops.apply_semigroup(Z, 0.5 * dt)
+    k1 = rhs_hat(Y)
+    EhY = Eh(Y)
+    k2 = rhs_hat(EhY + 0.5 * dt * Eh(k1))
+    k3 = rhs_hat(EhY + 0.5 * dt * k2)
+    k4 = rhs_hat(E(Y) + dt * Eh(k3))
+    Yn = E(Y) + dt / 6.0 * (E(k1) + 2.0 * Eh(k2) + 2.0 * Eh(k3) + k4)
+    return unstack(Yn)
+
+
+# bulk viscosity and unequal phases, which the defaults leave out
+EQ_ASYM = solve_equilibrium(ModelParams(
+    mu_minus=2.0, lambda_plus=0.5, lambda_minus=1.5, sigma_plus=0.02,
+    A_minus=2.0, gamma_minus=1.6))
+
+
+def _oracle_states():
+    for n, L in ((16, 16.0), (24, 32.0)):
+        for kind in ("ring", "mode"):
+            yield sim.make_sim_state(EQ, n=n, L=L, eps=1e-2, kind=kind)
+    # momentum and density together, so the viscous tensor is nonzero
+    st = sim.make_sim_state(EQ_ASYM, n=16, L=16.0, eps=1e-2)
+    st.n_p = sim.make_sim_state(EQ_ASYM, n=16, L=16.0, eps=1e-2,
+                                kind="mode").n_p
+    yield st
+    # broadband data reaches the Nyquist modes, which the smooth states
+    # above leave empty
+    st = sim.make_sim_state(EQ, n=16, L=16.0, eps=1e-2)
+    rng = np.random.default_rng(3)
+    st.n_p = st.n_p + 1e-3 * rng.standard_normal(st.n_p.shape)
+    st.m_m = st.m_m + 1e-3 * rng.standard_normal(st.m_m.shape)
+    yield st
+
+
+class TestReferenceOracle:
+    @pytest.mark.parametrize("idx", range(6))
+    def test_rhs_matches_reference(self, idx):
+        st = list(_oracle_states())[idx]
+        F1, F2 = sim.nonlinear_rhs(st)
+        R1, R2 = _ref_nonlinear_rhs(st)
+        scale = max(np.abs(R1).max(), np.abs(R2).max())
+        assert scale > 0.0
+        assert np.abs(F1 - R1).max() <= 1e-12 * scale
+        assert np.abs(F2 - R2).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("eq, kind", [(EQ, "ring"), (EQ, "mode"),
+                                          (EQ_ASYM, "ring")],
+                             ids=["sym-ring", "sym-mode", "asym-ring"])
+    def test_step_matches_reference(self, eq, kind):
+        st = sim.make_sim_state(eq, n=16, L=16.0, eps=1e-2, kind=kind)
+        a = sim.step(st, 0.3)
+        b = _ref_step(st, 0.3)
+        for name in ("n_p", "m_p", "n_m", "m_m"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
 
 
 class TestLinearPath:
@@ -128,6 +314,27 @@ class TestNonlinearRhs:
         st.n_p[0, 0, 0] = -0.95
         with pytest.raises(AdmissibilityError):
             sim.nonlinear_rhs(st)
+
+    @pytest.mark.parametrize("field", ["n_p", "m_p", "n_m", "m_m"])
+    def test_nonfinite_guard(self, field):
+        st = sim.make_sim_state(EQ, n=8, L=8.0, eps=1e-3)
+        getattr(st, field).flat[5] = np.nan
+        with pytest.raises(RuntimeError, match="non-finite"):
+            sim.nonlinear_rhs(st)
+
+
+class TestGridOpsCache:
+    def test_keyed_by_value(self):
+        eq2 = solve_equilibrium(ModelParams())
+        assert eq2 is not EQ and eq2 == EQ
+        a = sim._GridOps.get(sim.make_sim_state(EQ, n=8, L=8.0, eps=0.0))
+        b = sim._GridOps.get(sim.make_sim_state(eq2, n=8, L=8.0, eps=0.0))
+        assert a is b
+
+    def test_bounded(self):
+        for n in range(4, 16):
+            sim._GridOps.get(sim.make_sim_state(EQ, n=n, L=8.0, eps=0.0))
+        assert len(sim._GridOps._cache) <= sim._GridOps._cache_size
 
 
 class TestStep:
