@@ -34,8 +34,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="key = value parameter file")
     parser.add_argument("--out", metavar="DIR", default=".",
                         help="output directory (default: current)")
-    parser.add_argument("--threads", type=int, default=0, metavar="N",
-                        help="worker threads, 0 = auto")
     parser.add_argument("--tol-scale", type=float, default=1.0,
                         metavar="FLOAT",
                         help="multiply all pass/fail tolerances")
@@ -131,6 +129,10 @@ def _cmd_greens(args) -> int:
         print("error: --entry expects I,J and --t-list floats",
               file=sys.stderr)
         return 2
+    if not (1 <= i <= 4 and 1 <= j <= 4):
+        print(f"error: --entry {i},{j} out of range; I and J run from 1 to 4",
+              file=sys.stderr)
+        return 2
     recon = greens.GreenReconstructor(eq)
     rows = greens.kernel_csv_rows(recon, i, j, t_list,
                                   r_max_factor=args.r_max_factor)
@@ -156,9 +158,10 @@ def _cmd_convolve(args) -> int:
     except ValueError:
         print("error: --t expects comma-separated floats", file=sys.stderr)
         return 2
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    report = waveconv.verify_case(cases[args.case], t_list=t_list,
-                                  threads=threads)
+    if not all(math.isfinite(t) and t > 0.0 for t in t_list):
+        print("error: --t times must be finite and positive", file=sys.stderr)
+        return 2
+    report = waveconv.verify_case(cases[args.case], t_list=t_list)
     payload = report.to_json()
     payload["pass"] = bool(report.trend_ratio <= 2.0 * args.tol_scale)
     _write_json(payload, os.path.join(args.out, "convolve.json"))
@@ -191,8 +194,7 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # reduced certification suite
 
-def _certification_checks(params: ModelParams, threads: int,
-                          tol_scale: float = 1.0):
+def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     """Build the list of {name, pass, metric, tolerance} check records."""
     eq = solve_equilibrium(params)
     checks = []
@@ -274,9 +276,9 @@ def _certification_checks(params: ModelParams, threads: int,
     # convolution suite (fast members)
     cases = waveconv.make_cases(eq.c)
     for name in ("I1", "I2", "K1", "K4"):
-        rep = waveconv.verify_case(cases[name], threads=threads)
+        rep = waveconv.verify_case(cases[name])
         add(f"convolution_{name}", rep.trend_ratio, 2.0)
-    rep = waveconv.verify_case(waveconv.false_case(eq.c), threads=threads)
+    rep = waveconv.verify_case(waveconv.false_case(eq.c))
     add("convolution_false_case_fails", rep.trend_ratio, 2.0, invert=True)
     rs = np.linspace(1e-4, 8.0, 120)
     from scipy.special import erf
@@ -311,9 +313,7 @@ def _certification_checks(params: ModelParams, threads: int,
 
 
 def _cmd_certify_all(args) -> int:
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    checks = _certification_checks(_load(args), threads,
-                                   tol_scale=args.tol_scale)
+    checks = _certification_checks(_load(args), tol_scale=args.tol_scale)
     payload = {
         "schema": 1,
         "checks": checks,

@@ -271,7 +271,7 @@ def solve_fraction_map(R_plus, R_minus, p: ModelParams,
         P_plus(rho+) = P_minus(R- rho+ / (rho+ - R+))
     for rho+ > R+ by Newton with a bisection safeguard.  Accepts scalars or
     broadcastable arrays.  Restricted to |R+- - 1| <= 0.5; outside that box
-    (or at vacuum R <= 0) raises AdmissibilityError.
+    (or at vacuum R <= 0, or for NaN) raises AdmissibilityError.
     """
     Rp = np.asarray(R_plus, dtype=float)
     Rm = np.asarray(R_minus, dtype=float)
@@ -281,9 +281,12 @@ def solve_fraction_map(R_plus, R_minus, p: ModelParams,
     Rm = np.array(Rm, dtype=float)
     if np.any(Rp <= 0.0) or np.any(Rm <= 0.0):
         raise AdmissibilityError("admissibility violated: fraction density <= 0")
-    if np.any(np.abs(Rp - 1.0) > 0.5) or np.any(np.abs(Rm - 1.0) > 0.5):
+    # written so that NaN fails the test as well
+    if not (np.all(np.abs(Rp - 1.0) <= 0.5)
+            and np.all(np.abs(Rm - 1.0) <= 0.5)):
         raise AdmissibilityError(
-            "admissibility violated: |R - 1| > 0.5 outside the certified box")
+            "admissibility violated: |R - 1| > 0.5 or not finite, outside "
+            "the certified box")
 
     if eq is None:
         eq = solve_equilibrium(p)

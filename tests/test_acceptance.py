@@ -5,7 +5,6 @@ the CLI; the unit suites cover the same ground in finer grain."""
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from twofluid import greens, sim, spectral, waveconv
 SYM_EQ = solve_equilibrium(ModelParams())
 ASYM_EQ = solve_equilibrium(
     ModelParams(A_minus=2.0, mu_minus=0.7, sigma_plus=0.02))
-THREADS = os.cpu_count() or 1
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +163,7 @@ def test_convolution_suite_and_log_obstruction():
     cases = waveconv.make_cases(SYM_EQ.c)
     for name in ("I1", "I2", "I3", "K1", "K2", "K3", "K4", "K5", "K6",
                  "K7"):
-        rep = waveconv.verify_case(cases[name], threads=THREADS)
+        rep = waveconv.verify_case(cases[name])
         assert rep.passed, (name, rep.trend_ratio)
         assert all(np.isfinite(v) for v in rep.c_est_by_region.values())
         assert rep.trend_ratio <= 2.0

@@ -53,6 +53,27 @@ class TestUsageErrors:
                      "--entry", "one,two"]) == 2
 
 
+MALFORMED = [
+    ["convolve", "--t", "0"],
+    ["convolve", "--t", "-4"],
+    ["convolve", "--t", "nan"],
+    ["convolve", "--t", "inf"],
+    ["convolve", "--t", "4,0,16"],
+    ["greens", "--entry", "5,1"],
+    ["greens", "--entry", "0,2"],
+    ["greens", "--entry", "1,5"],
+    ["greens", "--entry=-1,2"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_is_a_usage_error(argv, tmp_path, capsys):
+    assert main(["--out", str(tmp_path), *argv]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 class TestEquilibrium:
     def test_default_params(self, tmp_path):
         assert main(["--out", str(tmp_path), "equilibrium"]) == 0

@@ -166,6 +166,22 @@ class TestFractionMap:
         with pytest.raises(AdmissibilityError):
             solve_fraction_map(1.6, 1.0, SYM)
 
+    def test_nan_rejected_before_newton(self, monkeypatch):
+        calls = []
+
+        def counting(rho, A, gamma):
+            calls.append(1)
+            return pressure_law(rho, A, gamma)
+
+        monkeypatch.setattr(model, "pressure_law", counting)
+        Rp = np.ones(8)
+        Rp[3] = np.nan
+        with pytest.raises(AdmissibilityError):
+            solve_fraction_map(Rp, np.ones(8), SYM)
+        with pytest.raises(AdmissibilityError):
+            solve_fraction_map(1.0, np.inf, SYM)
+        assert calls == []
+
     def test_array_matches_scalar(self):
         Rp = np.array([0.95, 1.0, 1.12])
         Rm = np.array([1.05, 1.0, 0.9])

@@ -15,6 +15,123 @@ from twofluid import waveconv as wc
 C_SND = 2.0
 
 
+# ---------------------------------------------------------------------------
+# reference oracle: the depth-first, one-panel-at-a-time quadrature the
+# breadth-first batched engine replaced, kept verbatim.  Both accept the
+# same panels, so they agree to round-off (only the summation order moved).
+
+_GL8 = np.polynomial.legendre.leggauss(8)
+_GL16 = np.polynomial.legendre.leggauss(16)
+
+
+def _panel(f, lo, hi):
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    c8 = half * (_GL8[1] @ f(mid + half * _GL8[0]))
+    c16 = half * (_GL16[1] @ f(mid + half * _GL16[0]))
+    return c16, abs(c16 - c8)
+
+
+def _ref_adaptive_quad(f, a: float, b: float, splits=(), rel_tol: float = 1e-7,
+                       abs_tol: float = 0.0, max_depth: int = 14) -> float:
+    """Adaptive panel quadrature with forced splits at interior points."""
+    pts = sorted({a, b} | {s for s in splits if a < s < b})
+    panels = [(lo, hi, 0) for lo, hi in zip(pts[:-1], pts[1:])]
+    rough = sum(_panel(f, lo, hi)[0] for lo, hi, _ in panels)
+    scale = rel_tol * abs(rough) + abs_tol
+    total = 0.0
+    stack = list(panels)
+    while stack:
+        lo, hi, depth = stack.pop()
+        val, err = _panel(f, lo, hi)
+        if err <= scale * (hi - lo) / (b - a) or depth >= max_depth:
+            total += val
+        else:
+            mid = 0.5 * (lo + hi)
+            stack.append((lo, mid, depth + 1))
+            stack.append((mid, hi, depth + 1))
+    return total
+
+
+def _ref_adaptive_quad_to_inf(f, a: float, U0: float, splits=(),
+                              rel_tol: float = 1e-7, abs_tol: float = 0.0,
+                              max_doublings: int = 48) -> float:
+    total = _ref_adaptive_quad(f, a, U0, splits, rel_tol, abs_tol)
+    lo = U0
+    for _ in range(max_doublings):
+        hi = 2.0 * lo
+        inc = _ref_adaptive_quad(f, lo, hi, (), rel_tol, abs_tol)
+        total += inc
+        if abs(inc) <= 0.5 * (rel_tol * abs(total) + abs_tol):
+            return total
+        lo = hi
+    raise RuntimeError("tail of radial integral did not converge")
+
+
+def _ref_angular_reduce(r: float, F, G, F_prim=None, splits=(),
+                        U0: float = 64.0, rel_tol: float = 1e-7,
+                        abs_tol: float = 1e-13) -> float:
+    if r < 1e-9:
+        integrand = lambda u: 4.0 * math.pi * u * u * F(u) * G(u)
+        return _ref_adaptive_quad_to_inf(integrand, 0.0, U0, splits,
+                                         rel_tol, abs_tol)
+
+    if F_prim is None:
+        zg = np.polynomial.legendre.leggauss(48)
+
+        def inner(u):
+            out = np.empty_like(u)
+            for idx, uu in enumerate(u):
+                lo, hi = abs(r - uu), r + uu
+                half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+                zz = mid + half * zg[0]
+                out[idx] = half * (zg[1] @ (zz * F(zz)))
+            return out
+    else:
+        def inner(u):
+            return F_prim(r + u) - F_prim(np.abs(r - u))
+
+    integrand = lambda u: (2.0 * math.pi / r) * u * G(u) * inner(u)
+    return _ref_adaptive_quad_to_inf(integrand, 0.0, max(U0, 2.0 * r),
+                                     splits, rel_tol, abs_tol)
+
+
+def _ref_eval_spacetime_conv(case, r: float, t: float,
+                             rel_tol: float = 1e-7) -> float:
+    if t <= 0.0:
+        return 0.0
+    g, s = case.green_pattern, case.source_pattern
+    c = case.speed
+    abs_tol = 1e-10 / (1.0 + t)
+
+    def space_value(sg: float, ss: float) -> float:
+        splits = [x for x in (c * ss, abs(r - c * sg), r + c * sg)
+                  if x > 0.0]
+        U0 = max(64.0, r + c * t + 8.0 * math.sqrt(1.0 + t))
+        return _ref_angular_reduce(
+            r, lambda z: g.spatial(z, sg), lambda u: s.spatial(u, ss),
+            F_prim=lambda z: g.z_primitive(z, sg), splits=splits,
+            U0=U0, rel_tol=rel_tol, abs_tol=abs_tol)
+
+    if case.spatial_only:
+        return space_value(t, 0.0)
+
+    def tau_integrand(taus):
+        out = np.empty_like(taus)
+        for idx, tau in enumerate(taus):
+            pref = g.time_factor(t - tau) * s.time_factor(tau)
+            out[idx] = pref * space_value(t - tau, tau)
+        return out
+
+    t_end = case.tau_cap * t
+    splits = {t / 4.0, t / 2.0, 3.0 * t / 4.0}
+    for peak in (r / c, t - r / c):
+        if 0.0 < peak < t_end:
+            splits.add(peak)
+    return _ref_adaptive_quad(tau_integrand, 0.0, t_end,
+                              sorted(x for x in splits if 0.0 < x < t_end),
+                              rel_tol=1e-5, abs_tol=abs_tol, max_depth=8)
+
+
 class TestWavePattern:
     def test_r4_alias(self):
         p = wc.WavePattern("R4")
@@ -185,6 +302,50 @@ class TestSpacetimeConv:
         assert v0 == pytest.approx(v1, rel=1e-6)
 
 
+class TestReferenceOracle:
+    """The batched engine against the depth-first copy above, 1e-12 rel."""
+
+    @pytest.mark.parametrize("t", [4.0, 16.0])
+    def test_k4_points(self, t):
+        case = wc.make_cases(C_SND)["K4"]
+        rs = wc.sample_radii(t, C_SND)
+        assert rs[0] == 0.0
+        got = wc.eval_spacetime_conv(case, rs, t)
+        for r, val in zip(rs, got):
+            assert val == pytest.approx(_ref_eval_spacetime_conv(case, r, t),
+                                        rel=1e-12)
+
+    def test_k3_point_at_depth_cap(self):
+        case = wc.make_cases(C_SND)["K3"]
+        r, t = math.sqrt(65.0), 64.0
+        stats = wc.QuadStats()
+        got = wc.eval_spacetime_conv(case, r, t, stats=stats)
+        assert stats.depth_cap_hits > 0
+        assert got == pytest.approx(_ref_eval_spacetime_conv(case, r, t),
+                                    rel=1e-12)
+
+    def test_spatial_only_case(self):
+        case = wc.make_cases(C_SND)["I1"]
+        rep = wc.verify_case(case)
+        for row in rep.samples:
+            ref = _ref_eval_spacetime_conv(case, row["r"], row["t"])
+            assert row["lhs"] == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [0.0, 0.7, 5.0])
+    def test_angular_reduce_without_primitive(self, r):
+        g = wc.WavePattern("H", a=2.0, p=2.0, speed=C_SND)
+        s = wc.WavePattern("D", a=3.0, p=3.0)
+        F = lambda z: g.spatial(z, 3.0)
+        G = lambda u: s.spatial(u, 1.0)
+        splits = (C_SND * 3.0, abs(r - C_SND * 3.0))
+        got = wc.angular_reduce(r, F, G, splits=splits, abs_tol=1e-12)
+        ref = _ref_angular_reduce(r, F, G, splits=splits, abs_tol=1e-12)
+        assert got == pytest.approx(ref, rel=1e-12)
+        exact = wc.angular_reduce(r, F, G, F_prim=lambda z: g.z_primitive(
+            z, 3.0), splits=splits, abs_tol=1e-12)
+        assert got == pytest.approx(exact, rel=1e-7)
+
+
 class TestVerifyCases:
     @pytest.mark.parametrize("name", ["I1", "I2", "I3", "K1", "K2", "K4"])
     def test_case_passes(self, name):
@@ -197,11 +358,31 @@ class TestVerifyCases:
         assert {"r", "t", "region", "lhs", "bound", "ratio"} \
             == set(js["samples"][0])
 
-    def test_threads_deterministic(self):
-        case = wc.make_cases(C_SND)["I1"]
-        a = wc.verify_case(case, threads=1)
-        b = wc.verify_case(case, threads=4)
+    def test_repeat_calls_bitwise(self):
+        case = wc.make_cases(C_SND)["K4"]
+        a = wc.verify_case(case)
+        b = wc.verify_case(case)
         assert a.samples == b.samples
+        assert a.to_json() == b.to_json()
+
+    def test_batch_matches_single_points(self):
+        case = wc.make_cases(C_SND)["K4"]
+        rep = wc.verify_case(case, t_list=(4.0, 16.0))
+        for row in rep.samples:
+            one = wc.eval_spacetime_conv(case, row["r"], row["t"])
+            assert isinstance(one, float)
+            assert one == pytest.approx(row["lhs"], rel=1e-13)
+
+    def test_quadrature_counters(self):
+        rep = wc.verify_case(wc.make_cases(C_SND)["K4"])
+        quad = rep.to_json()["quadrature"]
+        assert quad["panels"] > 0
+        assert quad["depth_cap_hits"] == 0
+
+    def test_non_finite_point_rejected(self):
+        case = wc.make_cases(C_SND)["K4"]
+        with pytest.raises(ValueError):
+            wc.eval_spacetime_conv(case, 1.0, float("nan"))
 
     def test_false_case_fails(self):
         rep = wc.verify_case(wc.false_case(C_SND))
