@@ -24,6 +24,10 @@ from .model import (ModelParams, ParameterError, equilibrium_report,
 __all__ = ["main"]
 
 
+class UsageError(Exception):
+    """A command-line value the subcommand rejects; main exits 2."""
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twofluid",
@@ -36,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: current)")
     parser.add_argument("--tol-scale", type=float, default=1.0,
                         metavar="FLOAT",
-                        help="multiply all pass/fail tolerances")
+                        help="multiply the upper-bound tolerances of the "
+                             "pass/fail checks")
     sub = parser.add_subparsers(dest="command")
 
     sub.add_parser("equilibrium", help="solve and report the background state")
@@ -99,6 +104,11 @@ def _cmd_equilibrium(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.n_k < 1:
+        raise UsageError("--n-k must be at least 1")
+    if not all(math.isfinite(k) and k > 0.0
+               for k in (args.k_min, args.k_max)):
+        raise UsageError("--k-min and --k-max must be finite and positive")
     eq = solve_equilibrium(_load(args))
     ks = np.logspace(math.log10(args.k_min), math.log10(args.k_max),
                      args.n_k)
@@ -111,13 +121,13 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _default_envelopes(i: int, j: int, eq) -> list[greens.Envelope]:
+def _default_envelopes(i: int, j: int, eq) -> list[waveconv.WavePattern]:
     """Riesz-IV entries get the slow R4 term; the rest the generic pair."""
     slow = {(1, 2), (3, 2), (1, 4), (3, 4)}
-    env_h = greens.Envelope("H", 2.0, 2.0, speed=eq.c)
+    env_h = waveconv.WavePattern("H", a=2.0, p=2.0, speed=eq.c)
     if (i, j) in slow:
-        return [greens.riesz_iv_envelope(), env_h]
-    return [greens.Envelope("D", 1.5, 1.5), env_h]
+        return [waveconv.WavePattern("R4"), env_h]
+    return [waveconv.WavePattern("D", a=1.5, p=1.5), env_h]
 
 
 def _cmd_greens(args) -> int:
@@ -126,13 +136,10 @@ def _cmd_greens(args) -> int:
         i, j = (int(s) for s in args.entry.split(","))
         t_list = [float(s) for s in args.t_list.split(",")]
     except ValueError:
-        print("error: --entry expects I,J and --t-list floats",
-              file=sys.stderr)
-        return 2
+        raise UsageError("--entry expects I,J and --t-list floats") from None
     if not (1 <= i <= 4 and 1 <= j <= 4):
-        print(f"error: --entry {i},{j} out of range; I and J run from 1 to 4",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"--entry {i},{j} out of range; I and J run from "
+                         "1 to 4")
     recon = greens.GreenReconstructor(eq)
     rows = greens.kernel_csv_rows(recon, i, j, t_list,
                                   r_max_factor=args.r_max_factor)
@@ -150,17 +157,16 @@ def _cmd_convolve(args) -> int:
     eq = solve_equilibrium(_load(args))
     cases = waveconv.make_cases(eq.c)
     if args.case not in cases:
-        print(f"error: unknown case {args.case!r}; choose from "
-              f"{sorted(cases)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"unknown case {args.case!r}; choose from "
+                         f"{sorted(cases)}")
     try:
         t_list = tuple(float(s) for s in args.t.split(","))
     except ValueError:
-        print("error: --t expects comma-separated floats", file=sys.stderr)
-        return 2
+        raise UsageError("--t expects comma-separated floats") from None
     if not all(math.isfinite(t) and t > 0.0 for t in t_list):
-        print("error: --t times must be finite and positive", file=sys.stderr)
-        return 2
+        raise UsageError("--t times must be finite and positive")
+    if len(set(t_list)) < 2:
+        raise UsageError("--t needs at least two distinct times")
     report = waveconv.verify_case(cases[args.case], t_list=t_list)
     payload = report.to_json()
     payload["pass"] = bool(report.trend_ratio <= 2.0 * args.tol_scale)
@@ -175,8 +181,7 @@ def _cmd_simulate(args) -> int:
             eq, mode=args.mode, n=args.grid, L=args.box, eps=args.eps,
             t_final=args.t_final)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(str(exc)) from exc
     out_rows = [{
         "t": d.t, "mass_p": d.mass_p, "mass_m": d.mass_m,
         "momentum": d.momentum_norm,
@@ -194,16 +199,30 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # reduced certification suite
 
+def _check_record(name: str, metric: float, tol: float, tol_scale: float,
+                  invert: bool = False) -> dict:
+    """One {name, pass, metric, tolerance} check record.
+
+    A check passes when metric <= tol * tol_scale.  An inverted check is a
+    negative control that must exceed tol; tol_scale does not move its
+    threshold, so loosening the tolerances cannot make it harder to trip.
+    """
+    if invert:
+        ok = metric > tol
+    else:
+        tol = tol * tol_scale
+        ok = metric <= tol
+    return {"name": name, "pass": bool(ok), "metric": float(metric),
+            "tolerance": float(tol)}
+
+
 def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     """Build the list of {name, pass, metric, tolerance} check records."""
     eq = solve_equilibrium(params)
     checks = []
 
     def add(name: str, metric: float, tol: float, invert: bool = False):
-        tol = tol * tol_scale
-        ok = (metric > tol) if invert else (metric <= tol)
-        checks.append({"name": name, "pass": bool(ok),
-                       "metric": float(metric), "tolerance": float(tol)})
+        checks.append(_check_record(name, metric, tol, tol_scale, invert))
 
     # background state
     add("equilibrium_density", abs(eq.rho_bar_plus - 2.0), 1e-10)
@@ -256,14 +275,10 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     recon = greens.GreenReconstructor(eq)
     env_kwargs = dict(n_t=8, nr=128)
     rep = greens.verify_entry_envelope(
-        recon, 1, 2, [greens.riesz_iv_envelope(),
-                      greens.Envelope("H", 2.0, 2.0, speed=eq.c)],
-        **env_kwargs)
+        recon, 1, 2, _default_envelopes(1, 2, eq), **env_kwargs)
     add("envelope_G12_riesz", rep.trend_ratio, 2.0)
     rep = greens.verify_entry_envelope(
-        recon, 2, 2, [greens.Envelope("D", 1.5, 1.5),
-                      greens.Envelope("H", 2.0, 2.0, speed=eq.c)],
-        **env_kwargs)
+        recon, 2, 2, _default_envelopes(2, 2, eq), **env_kwargs)
     add("envelope_G22", rep.trend_ratio, 2.0)
     asym = solve_equilibrium(validate_params(
         ModelParams(A_minus=2.0, mu_minus=0.7, sigma_plus=0.02)))
@@ -343,13 +358,12 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    if args.tol_scale <= 0.0:
-        print("error: --tol-scale must be positive", file=sys.stderr)
-        return 2
-    os.makedirs(args.out, exist_ok=True)
     try:
+        if not (math.isfinite(args.tol_scale) and args.tol_scale > 0.0):
+            raise UsageError("--tol-scale must be finite and positive")
+        os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](args)
-    except (ParameterError, OSError) as exc:
+    except (UsageError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,60 +9,21 @@ the middle band is folded in with the exact semigroup under a smooth
 rolloff.  All physical-space values come from 1-D radial quadratures; a 3-D
 FFT of the same symbol serves as the regression oracle in the test suite.
 
-The module also houses the wave-pattern envelope functions (diffusion,
-Huygens, Riesz-IV) and the envelope-certification drivers.
+The module also houses the envelope-certification drivers; the envelopes
+themselves are waveconv.WavePattern decay patterns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import linear_sum_assignment
 
 from .model import EquilibriumState
 from . import spectral
-
-FloatArray = np.ndarray
-
-TENSOR_KINDS = ("scalar", "riesz_vector", "riesz_vector_t",
-                "riesz_matrix", "complement")
-
-
-# ---------------------------------------------------------------------------
-# envelopes
-
-@dataclass(frozen=True)
-class Envelope:
-    """Pointwise decay envelope.
-
-    D:  (1+t)^-a (1 + r^2/(1+t))^-p          (diffusion wave, also Riesz-IV)
-    H:  (1+t)^-a (1 + (r-ct)^2/(1+t))^-p     (Huygens wave)
-    R4 is the D(1, 1) special case kept as its own kind for reporting.
-    """
-
-    kind: str
-    time_exp: float
-    space_exp: float
-    speed: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("D", "H", "R4"):
-            raise ValueError(f"unknown envelope kind {self.kind!r}")
-
-
-def riesz_iv_envelope() -> Envelope:
-    return Envelope("R4", 1.0, 1.0)
-
-
-def envelope_value(env: Envelope, r, t):
-    r = np.asarray(r, dtype=float)
-    shift = env.speed * t if env.kind == "H" else 0.0
-    u = (r - shift) ** 2 / (1.0 + t)
-    return (1.0 + t) ** (-env.time_exp) * (1.0 + u) ** (-env.space_exp)
+from .waveconv import WavePattern, core_front_masks
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +52,6 @@ def chi_low(k, eta1: float = 0.1):
 
 # ---------------------------------------------------------------------------
 # symbol decomposition
-
-@dataclass(frozen=True)
-class RadialSymbol:
-    """One (profile x tensor factor) term of a Green-entry symbol."""
-
-    factor: str
-    profile: Callable[[np.ndarray, float], np.ndarray]
-    singular: bool = False   # profile carries a 1/k pole
-    cutoff: bool = True      # restrict to the low band via chi_low
-    label: str = ""
-
 
 @dataclass(frozen=True)
 class RadialKernel:
@@ -176,66 +126,12 @@ def tensor_kind(i: int, j: int) -> str:
 def branch_lambdas(ks: np.ndarray, eq: EquilibriumState) -> np.ndarray:
     """Labeled eigenvalue branches on a k-grid, shape (nk, 4)."""
     ks = np.asarray(ks, dtype=float)
-    raw = spectral._batched_eigenvalues(ks, eq)
+    raw = np.linalg.eigvals(spectral.symbol(ks, eq))
     ref = spectral.low_freq_expansion(ks, eq)
     out = np.empty_like(raw)
     for i in range(len(ks)):
-        cost = np.abs(raw[i][None, :] - ref[i][:, None])
-        _, cols = linear_sum_assignment(cost)
-        out[i] = raw[i][cols]
+        out[i] = spectral._assign(raw[i], ref[i])
     return out
-
-
-def entry_symbol(i: int, j: int, eq: EquilibriumState,
-                 eta1: float = 0.1) -> list[RadialSymbol]:
-    """Low-band symbol decomposition of Green entry (i, j), 1-based indices."""
-    if not (1 <= i <= 4 and 1 <= j <= 4):
-        raise ValueError("entry indices must be in 1..4")
-    MP, MM, M3r, M3s, M4r, M4s = coefficient_matrices(eq)
-    a, b = i - 1, j - 1
-    kind = tensor_kind(i, j)
-    syms: list[RadialSymbol] = []
-
-    def osc_profile(coef: float, part: str):
-        def profile(k, t, _c=coef, _p=part):
-            lam = branch_lambdas(np.asarray(k, dtype=float), eq)[:, 0]
-            mag = np.exp(lam.real * t)
-            phase = lam.imag * t
-            osc = np.cos(phase) if _p == "cos" else np.sin(phase)
-            return _c * mag * osc
-        return profile
-
-    def diff_profile(coef: float, branch: int, singular: bool):
-        def profile(k, t, _c=coef, _b=branch, _s=singular):
-            k = np.asarray(k, dtype=float)
-            lam = branch_lambdas(k, eq)[:, _b]
-            vals = _c * np.exp(lam * t).real
-            if _s:
-                vals = vals / k
-            return vals
-        return profile
-
-    if MP[a, b] != 0.0:
-        syms.append(RadialSymbol(kind, osc_profile(MP[a, b], "cos"),
-                                 label="sound_cos"))
-    if MM[a, b] != 0.0:
-        syms.append(RadialSymbol(kind, osc_profile(MM[a, b], "sin"),
-                                 label="sound_sin"))
-    for reg, sing, branch, name in ((M3r, M3s, 2, "diff3"), (M4r, M4s, 3,
-                                                             "diff4")):
-        if reg[a, b] != 0.0:
-            syms.append(RadialSymbol(kind, diff_profile(reg[a, b], branch,
-                                                        False), label=name))
-        if sing[a, b] != 0.0:
-            syms.append(RadialSymbol(kind, diff_profile(sing[a, b], branch,
-                                                        True),
-                                     singular=True, label=name + "_sing"))
-    if i == j and i in (2, 4):
-        nu1 = eq.nu1_plus if i == 2 else eq.nu1_minus
-        syms.append(RadialSymbol(
-            "complement", lambda k, t, _n=nu1: np.exp(-_n * k * k * t),
-            label="heat_shear"))
-    return syms
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +149,7 @@ def composite_gl(a: float, b: float, n_panels: int, n_nodes: int):
 
 
 def _scalar_values(k, w, p, rs):
-    kr = np.outer(k, rs)
-    M = np.sinc(kr / np.pi)
+    M = np.sinc(np.outer(k, rs) / np.pi)
     return (w * k * k * p) @ M / (2.0 * math.pi ** 2)
 
 
@@ -282,9 +177,11 @@ def _matrix_values(k, w, p, rs):
     pos = rs > 0.0
     r = rs[pos]
     kr = np.outer(k, r)
-    sin_k = (w * p * k) @ np.sin(kr)     # int p k sin(kr)
+    sin_kr = np.sin(kr)
+    sin_k = (w * p * k) @ sin_kr         # int p k sin(kr)
+    sin_m = (w * p / k) @ sin_kr         # int (p/k) sin(kr)
+    del sin_kr
     cos_0 = (w * p) @ np.cos(kr)         # int p cos(kr)
-    sin_m = (w * p / k) @ np.sin(kr)     # int (p/k) sin(kr)
     Gp = (cos_0 / r - sin_m / r ** 2) / (2.0 * math.pi ** 2)
     Gpp = (-sin_k / r - 2.0 * cos_0 / r ** 2 + 2.0 * sin_m / r ** 3) \
         / (2.0 * math.pi ** 2)
@@ -293,40 +190,47 @@ def _matrix_values(k, w, p, rs):
     return long, trans
 
 
-def radial_inverse(sym: RadialSymbol, r, t: float,
-                   eta1: float = 0.1, k_max: float = 12.0,
-                   n_panels: int = 96, n_nodes: int = 32) -> RadialKernel:
-    """3-D inverse Fourier transform of one RadialSymbol at radius grid r.
+def _transform(factor: str, k, w, p, rs) -> dict:
+    """Radial inverse transform of profile p times one tensor factor.
 
-    With sym.cutoff the quadrature lives on [0, eta1]; otherwise on
-    [0, k_max] (the caller picks k_max large enough for the profile decay).
+    Scalar and Riesz-vector factors give one amplitude "amp"; the Riesz
+    matrix and its complement give the "long" and "trans" amplitudes.
     """
-    rs = np.atleast_1d(np.asarray(r, dtype=float))
-    if sym.cutoff:
-        k, w = composite_gl(0.0, eta1, max(n_panels, 48), n_nodes)
-        p = sym.profile(k, t) * chi_low(k, eta1)
-    else:
-        k, w = composite_gl(1e-12, k_max, n_panels, n_nodes)
-        p = sym.profile(k, t)
-
-    values: dict[str, np.ndarray] = {}
-    if sym.factor == "scalar":
-        values["amp"] = _scalar_values(k, w, p, rs)
-    elif sym.factor in ("riesz_vector", "riesz_vector_t"):
-        values["amp"] = _vector_values(k, w, p, rs)
-    elif sym.factor == "riesz_matrix":
+    if factor == "scalar":
+        return {"amp": _scalar_values(k, w, p, rs)}
+    if factor in ("riesz_vector", "riesz_vector_t"):
+        return {"amp": _vector_values(k, w, p, rs)}
+    if factor == "riesz_matrix":
         lo, tr = _matrix_values(k, w, p, rs)
-        values["long"], values["trans"] = lo, tr
-    elif sym.factor == "complement":
+        return {"long": lo, "trans": tr}
+    if factor == "complement":
         s = _scalar_values(k, w, p, rs)
         lo, tr = _matrix_values(k, w, p, rs)
-        values["long"], values["trans"] = s - lo, s - tr
+        return {"long": s - lo, "trans": s - tr}
+    raise ValueError(f"unknown factor {factor!r}")
+
+
+def radial_inverse(factor: str, profile, r, t: float, cutoff: bool = True,
+                   eta1: float = 0.1, k_max: float = 12.0,
+                   n_panels: int = 96, n_nodes: int = 32) -> RadialKernel:
+    """3-D inverse Fourier transform of profile(k, t) times a tensor factor.
+
+    With cutoff the quadrature lives on [0, eta1] under chi_low; otherwise
+    on [0, k_max] (the caller picks k_max large enough for the profile
+    decay).  This is the closed-form oracle hook for the transforms that
+    GreenReconstructor.entry_values applies.
+    """
+    rs = np.atleast_1d(np.asarray(r, dtype=float))
+    if cutoff:
+        k, w = composite_gl(0.0, eta1, max(n_panels, 48), n_nodes)
+        p = profile(k, t) * chi_low(k, eta1)
     else:
-        raise ValueError(f"unknown factor {sym.factor!r}")
+        k, w = composite_gl(1e-12, k_max, n_panels, n_nodes)
+        p = profile(k, t)
 
     imag = 0.0
     out = {}
-    for name, arr in values.items():
+    for name, arr in _transform(factor, k, w, p, rs).items():
         if np.iscomplexobj(arr):
             mag = np.abs(arr).max() + 1e-300
             imag = max(imag, float(np.abs(arr.imag).max() / mag))
@@ -399,28 +303,42 @@ class GreenReconstructor:
         self.km, self.wm = composite_gl(0.5 * eta1, 1.2 * K_cut,
                                         mid_panels, mid_nodes)
         self.chi_l = chi_low(self.kl, eta1)
-        self.mu_m = smooth_bump(self.km, K_cut, 1.2 * K_cut) \
-            - chi_low(self.km, eta1)
+        self.mu_m = self._mid_window(self.km)
         self.lam_l = branch_lambdas(self.kl, eq)
+        # the low and middle grids as one quadrature, with their windows
+        self.k_all = np.concatenate([self.kl, self.km])
+        self.w_all = np.concatenate([self.wl, self.wm])
+        self.window = np.concatenate([self.chi_l, self.mu_m])
         (self.MP, self.MM, self.M3r, self.M3s,
          self.M4r, self.M4s) = coefficient_matrices(eq)
         self._mid_cache: dict[float, np.ndarray] = {}
 
     # -- profiles ----------------------------------------------------------
 
+    def _mid_window(self, k):
+        """Middle-band rolloff: the high cutoff minus the low-band cutoff."""
+        return smooth_bump(k, self.K_cut, 1.2 * self.K_cut) \
+            - chi_low(k, self.eta1)
+
+    def _leading_profile(self, i: int, j: int, k, lam, t: float):
+        """Leading-order compressible profile of entry (i, j) at k.
+
+        lam holds the labeled branch eigenvalues at k, shape (nk, 4).
+        """
+        a, b = i - 1, j - 1
+        damp = np.exp(lam[:, 0].real * t)
+        oscP = damp * np.cos(lam[:, 0].imag * t)
+        oscM = damp * np.sin(lam[:, 0].imag * t)
+        e3 = np.exp(lam[:, 2] * t).real
+        e4 = np.exp(lam[:, 3] * t).real
+        return (self.MP[a, b] * oscP + self.MM[a, b] * oscM
+                + (self.M3r[a, b] + self.M3s[a, b] / k) * e3
+                + (self.M4r[a, b] + self.M4s[a, b] / k) * e4)
+
     def low_profile(self, i: int, j: int, t: float) -> np.ndarray:
         """Leading-order compressible profile on the low grid (chi included)."""
-        a, b = i - 1, j - 1
-        lam1 = self.lam_l[:, 0]
-        damp = np.exp(lam1.real * t)
-        oscP = damp * np.cos(lam1.imag * t)
-        oscM = damp * np.sin(lam1.imag * t)
-        e3 = np.exp(self.lam_l[:, 2] * t).real
-        e4 = np.exp(self.lam_l[:, 3] * t).real
-        p = (self.MP[a, b] * oscP + self.MM[a, b] * oscM
-             + (self.M3r[a, b] + self.M3s[a, b] / self.kl) * e3
-             + (self.M4r[a, b] + self.M4s[a, b] / self.kl) * e4)
-        return p * self.chi_l
+        return self._leading_profile(i, j, self.kl, self.lam_l, t) \
+            * self.chi_l
 
     def mid_semigroup(self, t: float) -> np.ndarray:
         S = self._mid_cache.get(t)
@@ -439,64 +357,45 @@ class GreenReconstructor:
         k = np.asarray(k, dtype=float)
         flat = k.ravel()
         out = np.zeros(flat.shape)
-        a, b = i - 1, j - 1
 
         low = flat <= self.eta1
         if low.any():
             kl = np.maximum(flat[low], 1e-10)
             lam = branch_lambdas(kl, self.eq)
-            damp = np.exp(lam[:, 0].real * t)
-            oscP = damp * np.cos(lam[:, 0].imag * t)
-            oscM = damp * np.sin(lam[:, 0].imag * t)
-            e3 = np.exp(lam[:, 2] * t).real
-            e4 = np.exp(lam[:, 3] * t).real
-            p = (self.MP[a, b] * oscP + self.MM[a, b] * oscM
-                 + (self.M3r[a, b] + self.M3s[a, b] / kl) * e3
-                 + (self.M4r[a, b] + self.M4s[a, b] / kl) * e4)
-            out[low] += p * chi_low(kl, self.eta1)
+            out[low] += self._leading_profile(i, j, kl, lam, t) \
+                * chi_low(kl, self.eta1)
 
         mid = (flat > 0.5 * self.eta1) & (flat < 1.2 * self.K_cut)
         if mid.any():
             km = flat[mid]
             S = spectral.semigroup_batch(km, t, self.eq).real
-            mu = smooth_bump(km, self.K_cut, 1.2 * self.K_cut) \
-                - chi_low(km, self.eta1)
-            out[mid] += S[:, a, b] * mu
+            out[mid] += S[:, i - 1, j - 1] * self._mid_window(km)
         return out.reshape(k.shape)
 
     # -- physical space ----------------------------------------------------
 
     def entry_values(self, i: int, j: int, rs, t: float) -> RadialKernel:
-        """Band-limited entry (i, j) amplitudes at radii rs, time t."""
+        """Band-limited entry (i, j) amplitudes at radii rs, time t.
+
+        The shear entries (2,2) and (4,4) add the windowed heat profile h
+        under the complement factor.  The transforms are linear in the
+        profile, so riesz_matrix(p) + complement(h) is computed as
+        riesz_matrix(p - h) + scalar(h).
+        """
         rs = np.atleast_1d(np.asarray(rs, dtype=float))
         kind = tensor_kind(i, j)
-        a, b = i - 1, j - 1
-        p_low = self.low_profile(i, j, t)
-        p_mid = self.mid_semigroup(t)[:, a, b] * self.mu_m
-
-        if kind == "scalar":
-            amp = _scalar_values(self.kl, self.wl, p_low, rs) \
-                + _scalar_values(self.km, self.wm, p_mid, rs)
-            values = {"amp": amp}
-        elif kind in ("riesz_vector", "riesz_vector_t"):
-            amp = _vector_values(self.kl, self.wl, p_low, rs) \
-                + _vector_values(self.km, self.wm, p_mid, rs)
-            values = {"amp": amp}
+        k, w = self.k_all, self.w_all
+        p = np.concatenate([self.low_profile(i, j, t),
+                            self.mid_semigroup(t)[:, i - 1, j - 1]
+                            * self.mu_m])
+        if kind == "riesz_matrix" and i == j:
+            nu1 = self.eq.nu1_plus if i == 2 else self.eq.nu1_minus
+            h = np.exp(-nu1 * k ** 2 * t) * self.window
+            s = _scalar_values(k, w, h, rs)
+            values = {name: v + s for name, v in
+                      _transform(kind, k, w, p - h, rs).items()}
         else:
-            lo1, tr1 = _matrix_values(self.kl, self.wl, p_low, rs)
-            lo2, tr2 = _matrix_values(self.km, self.wm, p_mid, rs)
-            lo, tr = lo1 + lo2, tr1 + tr2
-            if i == j:
-                nu1 = self.eq.nu1_plus if i == 2 else self.eq.nu1_minus
-                hl = np.exp(-nu1 * self.kl ** 2 * t) * self.chi_l
-                hm = np.exp(-nu1 * self.km ** 2 * t) * self.mu_m
-                s = _scalar_values(self.kl, self.wl, hl, rs) \
-                    + _scalar_values(self.km, self.wm, hm, rs)
-                clo1, ctr1 = _matrix_values(self.kl, self.wl, hl, rs)
-                clo2, ctr2 = _matrix_values(self.km, self.wm, hm, rs)
-                lo = lo + (s - clo1 - clo2)
-                tr = tr + (s - ctr1 - ctr2)
-            values = {"long": lo, "trans": tr}
+            values = _transform(kind, k, w, p, rs)
         return RadialKernel(r_grid=rs, t=t, values=values, imag_residue=0.0)
 
     def entry_magnitude(self, i: int, j: int, rs, t: float) -> np.ndarray:
@@ -518,8 +417,6 @@ class EnvelopeReport:
     trend_ratio: float
     passed: bool
     growth_slope: float
-    t_slices: list = field(default_factory=list)
-    C_slices: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -533,16 +430,7 @@ class EnvelopeReport:
         }
 
 
-def region_of(r: float, t: float, c: float) -> str:
-    w = math.sqrt(1.0 + t)
-    if r <= w:
-        return "core"
-    if abs(r - c * t) <= w:
-        return "front"
-    return "elsewhere"
-
-
-def _certify(name: str, magnitude, envelopes: list[Envelope], c: float,
+def _certify(name: str, magnitude, envelopes: list[WavePattern], c: float,
              t_lo: float = 1.0, t_hi: float = 100.0, n_t: int = 16,
              nr: int = 256, r_max_factor: float = 4.0) -> EnvelopeReport:
     """Shared driver: max |magnitude| / sum of envelopes over an (r,t) grid."""
@@ -551,15 +439,10 @@ def _certify(name: str, magnitude, envelopes: list[Envelope], c: float,
     C_slices = []
     for t in ts:
         rs = np.linspace(0.0, r_max_factor * c * t, nr)
-        vals = magnitude(rs, t)
-        bound = np.zeros_like(rs)
-        for env in envelopes:
-            bound += envelope_value(env, rs, t)
-        ratio = vals / bound
+        ratio = magnitude(rs, t) / sum(env.value(rs, t) for env in envelopes)
         C_slices.append(float(ratio.max()))
-        w = math.sqrt(1.0 + t)
-        core = rs <= w
-        front = np.abs(rs - c * t) <= w
+        # a point in both the core and the front counts in both
+        core, front = core_front_masks(rs, t, c)
         other = ~(core | front)
         for mask, nm in ((core, "core"), (front, "front"),
                          (other, "elsewhere")):
@@ -578,13 +461,11 @@ def _certify(name: str, magnitude, envelopes: list[Envelope], c: float,
         trend_ratio=trend,
         passed=trend <= 2.0,
         growth_slope=slope,
-        t_slices=[float(t) for t in ts],
-        C_slices=[float(v) for v in C_slices],
     )
 
 
 def verify_entry_envelope(recon: GreenReconstructor, i: int, j: int,
-                          envelopes: list[Envelope],
+                          envelopes: list[WavePattern],
                           **grid_kwargs) -> EnvelopeReport:
     """Certify |G_ij| against a sum of envelopes on the standard grid."""
     return _certify(
@@ -593,9 +474,7 @@ def verify_entry_envelope(recon: GreenReconstructor, i: int, j: int,
         envelopes, recon.eq.c, **grid_kwargs)
 
 
-def verify_cancellation(recon: GreenReconstructor,
-                        envelopes: list[Envelope] | None = None,
-                        swap_weights: bool = False,
+def verify_cancellation(recon: GreenReconstructor, swap_weights: bool = False,
                         **grid_kwargs) -> EnvelopeReport:
     """Certify the weighted combination of the two Riesz-IV entries.
 
@@ -608,9 +487,8 @@ def verify_cancellation(recon: GreenReconstructor,
     w12, w32 = eq.rho_bar_minus, eq.rho_bar_plus
     if swap_weights:
         w12, w32 = w32, w12
-    if envelopes is None:
-        envelopes = [Envelope("D", 1.5, 1.5),
-                     Envelope("H", 2.0, 2.0, speed=eq.c)]
+    envelopes = [WavePattern("D", a=1.5, p=1.5),
+                 WavePattern("H", a=2.0, p=2.0, speed=eq.c)]
 
     def magnitude(rs, t):
         a12 = recon.entry_values(1, 2, rs, t).values["amp"]

@@ -21,9 +21,8 @@ Functions:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -417,9 +416,3 @@ def equilibrium_report(eq: EquilibriumState) -> dict:
         else:
             out[key] = val
     return out
-
-
-def dump_equilibrium_json(eq: EquilibriumState, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(equilibrium_report(eq), fh, indent=2, sort_keys=True)
-        fh.write("\n")

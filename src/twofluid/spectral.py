@@ -15,7 +15,7 @@ with Im lambda1 >= 0 at small k), lambda3/lambda4 the diffusive pair with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -34,7 +34,6 @@ class BandPartition:
 
     eta1: float = 0.1
     K_cut: float = 10.0
-    b_mid: float = float("nan")
 
     def __post_init__(self):
         if not 0.0 < self.eta1 < self.K_cut:
@@ -52,12 +51,6 @@ DEFAULT_PARTITION = BandPartition()
 
 
 @dataclass(frozen=True)
-class CompressibleSymbol:
-    k: float
-    entries: np.ndarray  # real 4x4
-
-
-@dataclass(frozen=True)
 class SpectralPoint:
     k: float
     lambdas: ComplexArray          # shape (4,), branch-labeled
@@ -66,19 +59,20 @@ class SpectralPoint:
     band: str
 
 
-def symbol_at(k: float, eq: EquilibriumState) -> CompressibleSymbol:
-    """The 4x4 compressible symbol A(k)."""
+def symbol(k, eq: EquilibriumState) -> np.ndarray:
+    """The real 4x4 compressible symbol A(k), shape k.shape + (4, 4)."""
     p = eq.params
-    k = float(k)
-    A = np.array([
-        [0.0, -k, 0.0, 0.0],
-        [eq.beta1 * k + p.sigma_plus * k ** 3, -eq.nu_plus * k ** 2,
-         eq.beta2 * k, 0.0],
-        [0.0, 0.0, 0.0, -k],
-        [eq.beta3 * k, 0.0, eq.beta4 * k + p.sigma_minus * k ** 3,
-         -eq.nu_minus * k ** 2],
-    ])
-    return CompressibleSymbol(k=k, entries=A)
+    k = np.asarray(k, dtype=float)
+    A = np.zeros(k.shape + (4, 4))
+    A[..., 0, 1] = -k
+    A[..., 1, 0] = eq.beta1 * k + p.sigma_plus * k ** 3
+    A[..., 1, 1] = -eq.nu_plus * k ** 2
+    A[..., 1, 2] = eq.beta2 * k
+    A[..., 2, 3] = -k
+    A[..., 3, 0] = eq.beta3 * k
+    A[..., 3, 2] = eq.beta4 * k + p.sigma_minus * k ** 3
+    A[..., 3, 3] = -eq.nu_minus * k ** 2
+    return A
 
 
 def char_poly_coeffs(k: float, eq: EquilibriumState):
@@ -225,7 +219,7 @@ def eigen_branches(k: float, eq: EquilibriumState,
 
     projectors = None
     if not degenerate or (force_projectors and gaps.min() > 0.0):
-        A = symbol_at(k, eq).entries.astype(complex)
+        A = symbol(k, eq).astype(complex)
         I = np.eye(4, dtype=complex)
         projectors = np.empty((4, 4, 4), dtype=complex)
         for i in range(4):
@@ -282,45 +276,19 @@ def mid_band_gap(eq: EquilibriumState,
     Samples max Re lambda on a uniform k-grid over [eta1, K] and refines
     locally around the grid maximum; returns b_mid = -max > 0 or raises.
     """
-    def worst(ks: np.ndarray) -> np.ndarray:
-        lams = _batched_eigenvalues(ks, eq)
-        return lams.real.max(axis=1)
-
-    ks = np.linspace(part.eta1, part.K_cut, n_grid)
-    vals = worst(ks)
-    idx = int(np.argmax(vals))
-    lo = ks[max(idx - 1, 0)]
-    hi = ks[min(idx + 1, len(ks) - 1)]
-    best = vals[idx]
-    for _ in range(refine_rounds):
-        ks_f = np.linspace(lo, hi, 64)
-        vals_f = worst(ks_f)
-        j = int(np.argmax(vals_f))
-        best = max(best, vals_f[j])
-        lo = ks_f[max(j - 1, 0)]
-        hi = ks_f[min(j + 1, len(ks_f) - 1)]
+    lo, hi, n = part.eta1, part.K_cut, n_grid
+    best = -np.inf
+    for _ in range(refine_rounds + 1):
+        ks = np.linspace(lo, hi, n)
+        vals = np.linalg.eigvals(symbol(ks, eq)).real.max(axis=1)
+        j = int(np.argmax(vals))
+        best = max(best, vals[j])
+        # refine on the two grid cells around the maximum
+        lo, hi, n = ks[max(j - 1, 0)], ks[min(j + 1, n - 1)], 64
     b_mid = -float(best)
     if b_mid <= 0.0:
         raise RuntimeError("middle-band spectral gap is not positive")
     return b_mid
-
-
-def _batched_eigenvalues(ks: np.ndarray, eq: EquilibriumState) -> ComplexArray:
-    """Eigenvalues of A(k) for a whole k-grid at once (unlabeled)."""
-    p = eq.params
-    ks = np.asarray(ks, dtype=float)
-    n = ks.size
-    A = np.zeros((n, 4, 4))
-    k = ks.ravel()
-    A[:, 0, 1] = -k
-    A[:, 1, 0] = eq.beta1 * k + p.sigma_plus * k ** 3
-    A[:, 1, 1] = -eq.nu_plus * k ** 2
-    A[:, 1, 2] = eq.beta2 * k
-    A[:, 2, 3] = -k
-    A[:, 3, 0] = eq.beta3 * k
-    A[:, 3, 2] = eq.beta4 * k + p.sigma_minus * k ** 3
-    A[:, 3, 3] = -eq.nu_minus * k ** 2
-    return np.linalg.eigvals(A)
 
 
 def semigroup(k: float, t: float, eq: EquilibriumState,
@@ -328,7 +296,7 @@ def semigroup(k: float, t: float, eq: EquilibriumState,
     """e^{t A(k)} by the spectral sum, or scaling-and-squaring near degeneracy."""
     sp = eigen_branches(k, eq, part=part)
     if sp.degenerate_flag:
-        return scipy.linalg.expm(t * symbol_at(k, eq).entries).astype(complex)
+        return scipy.linalg.expm(t * symbol(k, eq)).astype(complex)
     out = np.zeros((4, 4), dtype=complex)
     for i in range(4):
         out += np.exp(sp.lambdas[i] * t) * sp.projectors[i]
@@ -342,19 +310,8 @@ def semigroup_batch(ks: np.ndarray, t: float,
     Batched eigendecomposition route; modes whose eigenvector matrix is badly
     conditioned fall back to scaling-and-squaring individually.
     """
-    p = eq.params
     ks = np.asarray(ks, dtype=float)
-    n = ks.size
-    A = np.zeros((n, 4, 4))
-    A[:, 0, 1] = -ks
-    A[:, 1, 0] = eq.beta1 * ks + p.sigma_plus * ks ** 3
-    A[:, 1, 1] = -eq.nu_plus * ks ** 2
-    A[:, 1, 2] = eq.beta2 * ks
-    A[:, 2, 3] = -ks
-    A[:, 3, 0] = eq.beta3 * ks
-    A[:, 3, 2] = eq.beta4 * ks + p.sigma_minus * ks ** 3
-    A[:, 3, 3] = -eq.nu_minus * ks ** 2
-
+    A = symbol(ks, eq)
     lam, V = np.linalg.eig(A)
     expL = np.exp(lam * t)
     out = np.einsum("nij,nj->nij", V, expL)
@@ -380,14 +337,10 @@ def spectrum_rows(eq: EquilibriumState,
         if not sp.degenerate_flag:
             prev = sp
         if sp.band == "low":
-            ref = low_freq_expansion(k, eq)
-            errs = np.abs(sp.lambdas - ref)
+            errs = np.abs(sp.lambdas - low_freq_expansion(k, eq))
         elif sp.band == "high":
-            ref = high_freq_expansion(k, eq)
-            cost = np.abs(sp.lambdas[:, None] - ref[None, :])
-            r, c = linear_sum_assignment(cost)
-            errs = np.full(4, np.nan)
-            errs[r] = cost[r, c]
+            ref = _assign(high_freq_expansion(k, eq), sp.lambdas)
+            errs = np.abs(sp.lambdas - ref)
         else:
             errs = np.full(4, np.nan)
         row = {"k": float(k), "band": sp.band,

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 __all__ = [
-    "WavePattern", "ConvCase", "ConvReport", "QuadStats", "region_tag",
-    "make_cases", "angular_reduce", "eval_spacetime_conv", "verify_case",
-    "log_obstruction", "riesz_gradient", "riesz_potential_check",
-    "double_riesz_apply", "double_riesz_check",
+    "WavePattern", "ConvCase", "ConvReport", "QuadStats", "core_front_masks",
+    "region_tag", "make_cases", "angular_reduce", "eval_spacetime_conv",
+    "verify_case", "log_obstruction", "riesz_gradient",
+    "riesz_potential_check", "double_riesz_apply", "double_riesz_check",
 ]
 
 
@@ -44,7 +44,6 @@ class WavePattern:
     kind: str
     a: float = 0.0
     p: float = 0.0
-    N: float = 8.0
     r_alg: float = 0.0
     speed: float = 0.0
 
@@ -111,13 +110,25 @@ def _even_primitive(w, q: float):
 # ---------------------------------------------------------------------------
 # regions
 
+def core_front_masks(r, t: float, c: float):
+    """Masks of the core r <= sqrt(1+t) and the front |r - ct| <= sqrt(1+t).
+
+    The two may overlap; callers decide whether an overlap point counts in
+    both or in the first.
+    """
+    r = np.asarray(r, dtype=float)
+    w = math.sqrt(1.0 + t)
+    return r <= w, np.abs(r - c * t) <= w
+
+
 def region_tag(r: float, t: float, c: float) -> str:
     """Appendix region of a space-time point (first match wins on overlap)."""
-    w = math.sqrt(1.0 + t)
-    if r <= w:
+    core, front = core_front_masks(r, t, c)
+    if core:
         return "D1"
-    if abs(r - c * t) <= w:
+    if front:
         return "D2"
+    w = math.sqrt(1.0 + t)
     if r >= c * t + w:
         return "D3"
     if 0.5 * c * t >= w:
@@ -430,7 +441,14 @@ def sample_radii(t: float, c: float) -> list[float]:
 
 
 def verify_case(case: ConvCase, t_list=(4.0, 16.0, 64.0)) -> ConvReport:
-    """Certify one convolution estimate over the standard sample set."""
+    """Certify one convolution estimate over the standard sample set.
+
+    The certificate is a growth ratio between sample times, so t_list needs
+    at least two distinct times.
+    """
+    t_arr = np.array(sorted(set(t_list)))
+    if t_arr.size < 2:
+        raise ValueError("need at least two distinct sample times")
     points = [(r, t) for t in t_list for r in sample_radii(t, case.speed)]
     stats = QuadStats()
     lhs = eval_spacetime_conv(case, [r for r, _ in points],
@@ -447,7 +465,6 @@ def verify_case(case: ConvCase, t_list=(4.0, 16.0, 64.0)) -> ConvReport:
     for row in samples:
         by_region[row["region"]] = max(by_region.get(row["region"], 0.0),
                                        row["ratio"])
-    t_arr = np.array(sorted(set(t_list)))
     max_per_t = np.array([max(row["ratio"] for row in samples
                               if row["t"] == t) for t in t_arr])
     # growth over the final sampled decade; the earliest times serve as
@@ -455,8 +472,7 @@ def verify_case(case: ConvCase, t_list=(4.0, 16.0, 64.0)) -> ConvReport:
     in_decade = t_arr >= t_arr[-1] / 10.0
     base = max_per_t[in_decade][0] if in_decade[:-1].any() else max_per_t[0]
     trend = float(max_per_t[-1] / base)
-    slope = float(np.polyfit(np.log(1.0 + t_arr), np.log(max_per_t), 1)[0]) \
-        if len(t_arr) > 1 else 0.0
+    slope = float(np.polyfit(np.log(1.0 + t_arr), np.log(max_per_t), 1)[0])
     finite = all(np.isfinite(row["ratio"]) for row in samples)
     return ConvReport(case=case.name, samples=samples,
                       c_est_by_region=by_region, trend_ratio=trend,
@@ -532,6 +548,13 @@ def riesz_gradient(f, rs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _constants_report(t_list, Cs: list) -> dict:
+    """Per-time constants C(t), their maximum, and whether they stay
+    within a factor 2 of each other."""
+    return {"t_list": [float(t) for t in t_list], "C_by_t": Cs,
+            "C_est": float(max(Cs)), "stable": bool(max(Cs) / min(Cs) <= 2.0)}
+
+
 def riesz_potential_check(f_pattern: WavePattern, t_list,
                           nr: int = 400) -> dict:
     """Certify |grad (-Delta)^{-1} f| <= C (1+t)^{1/2} (1+r^2/(1+t))^{-1}."""
@@ -544,14 +567,7 @@ def riesz_potential_check(f_pattern: WavePattern, t_list,
         bound = math.sqrt(1.0 + t) * (1.0 + rs ** 2 / (1.0 + t)) ** -1.0
         Cs.append(float((g / bound).max()))
         sups.append(float(g.max()))
-    Cs_arr = np.array(Cs)
-    return {
-        "t_list": [float(t) for t in t_list],
-        "C_by_t": Cs,
-        "sup_by_t": sups,
-        "C_est": float(Cs_arr.max()),
-        "stable": bool(Cs_arr.max() / Cs_arr.min() <= 2.0),
-    }
+    return {**_constants_report(t_list, Cs), "sup_by_t": sups}
 
 
 def double_riesz_apply(fhat, rs: np.ndarray, k_max: float = 40.0,
@@ -580,10 +596,4 @@ def double_riesz_check(t_list, k_max: float = 40.0) -> dict:
         amp = np.maximum(np.abs(lo), np.abs(tr))
         bound = b ** -1.5 * (1.0 + rs ** 2 / b) ** -1.5
         Cs.append(float((amp / bound).max()))
-    Cs_arr = np.array(Cs)
-    return {
-        "t_list": [float(t) for t in t_list],
-        "C_by_t": Cs,
-        "C_est": float(Cs_arr.max()),
-        "stable": bool(Cs_arr.max() / Cs_arr.min() <= 2.0),
-    }
+    return _constants_report(t_list, Cs)

@@ -79,7 +79,7 @@ def test_projector_algebra_across_bands():
             continue
         P = pt.projectors
         assert np.abs(P.sum(axis=0) - np.eye(4)).max() < 1e-8
-        A = spectral.symbol_at(float(k), SYM_EQ).entries
+        A = spectral.symbol(float(k), SYM_EQ)
         rec = np.einsum("i,ijk->jk", pt.lambdas, P)
         assert np.abs(rec - A).max() < 1e-8 * max(1.0, np.abs(A).max())
         for i in range(4):
@@ -107,7 +107,7 @@ def test_semigroup_dual_path_agreement():
         k = float(rng.uniform(1e-6, 20.0))
         t = float(rng.uniform(1e-6, 10.0))
         a = spectral.semigroup(k, t, SYM_EQ)
-        b = scipy.linalg.expm(t * spectral.symbol_at(k, SYM_EQ).entries)
+        b = scipy.linalg.expm(t * spectral.symbol(k, SYM_EQ))
         assert np.abs(a - b).max() < 1e-8
 
 
@@ -115,10 +115,9 @@ def test_radial_transform_regression(sym_recon):
     # scalar route against the closed-form heat kernel
     t = 1.7
     rs = np.linspace(0.0, 8.0, 40)
-    sym = greens.RadialSymbol("scalar", lambda k, tt: np.exp(-k * k * tt),
-                              cutoff=False)
-    kern = greens.radial_inverse(sym, rs, t, k_max=40.0, n_panels=200,
-                                 n_nodes=32)
+    kern = greens.radial_inverse("scalar", lambda k, tt: np.exp(-k * k * tt),
+                                 rs, t, cutoff=False, k_max=40.0,
+                                 n_panels=200, n_nodes=32)
     exact = (4 * math.pi * t) ** -1.5 * np.exp(-rs ** 2 / (4 * t))
     assert np.abs(kern.values["amp"] - exact).max() < 1e-6
     # full reconstruction against an independent 3-D FFT
@@ -137,10 +136,10 @@ def test_radial_transform_regression(sym_recon):
 
 
 def test_green_function_envelopes(sym_recon):
-    env_h = greens.Envelope("H", 2.0, 2.0, speed=SYM_EQ.c)
-    env_d = greens.Envelope("D", 1.5, 1.5)
+    env_h = waveconv.WavePattern("H", a=2.0, p=2.0, speed=SYM_EQ.c)
+    env_d = waveconv.WavePattern("D", a=1.5, p=1.5)
     rep = greens.verify_entry_envelope(
-        sym_recon, 1, 2, [greens.riesz_iv_envelope(), env_h])
+        sym_recon, 1, 2, [waveconv.WavePattern("R4"), env_h])
     assert rep.passed
     rep = greens.verify_entry_envelope(sym_recon, 2, 2, [env_d, env_h])
     assert rep.passed

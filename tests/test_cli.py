@@ -9,7 +9,7 @@ import math
 import pytest
 
 from twofluid import sim
-from twofluid.cli import main
+from twofluid.cli import _check_record, main
 from twofluid.model import ModelParams, solve_equilibrium
 
 
@@ -59,6 +59,17 @@ MALFORMED = [
     ["convolve", "--t", "nan"],
     ["convolve", "--t", "inf"],
     ["convolve", "--t", "4,0,16"],
+    ["convolve", "--case", "K4", "--t", "64"],
+    ["convolve", "--case", "K4", "--t", "64,64"],
+    ["spectrum", "--n-k", "0"],
+    ["spectrum", "--n-k", "-3"],
+    ["spectrum", "--k-min", "0"],
+    ["spectrum", "--k-min", "-1"],
+    ["spectrum", "--k-min", "nan"],
+    ["spectrum", "--k-max", "inf"],
+    ["spectrum", "--k-max", "-5"],
+    ["--tol-scale", "nan", "equilibrium"],
+    ["--tol-scale", "inf", "equilibrium"],
     ["greens", "--entry", "5,1"],
     ["greens", "--entry", "0,2"],
     ["greens", "--entry", "1,5"],
@@ -155,6 +166,23 @@ class TestSimulate:
     def test_horizon_rejected(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "simulate", "--grid", "8",
                      "--box", "16", "--t-final", "100"]) == 2
+
+
+class TestCheckRecord:
+    def test_tol_scale_loosens_upper_bounds(self):
+        rec = _check_record("bound", 1.5, 1.0, tol_scale=2.0)
+        assert rec == {"name": "bound", "pass": True, "metric": 1.5,
+                       "tolerance": 2.0}
+        assert not _check_record("bound", 1.5, 1.0, tol_scale=1.0)["pass"]
+
+    def test_tol_scale_leaves_inverted_threshold(self):
+        # a negative control must exceed its base threshold whatever the
+        # scale; scaling it would make loosening harder to pass
+        rec = _check_record("must_fail", 5.0, 2.0, tol_scale=10.0,
+                            invert=True)
+        assert rec["tolerance"] == 2.0 and rec["pass"] is True
+        assert not _check_record("must_fail", 1.5, 2.0, tol_scale=0.1,
+                                 invert=True)["pass"]
 
 
 class TestCertifyAll:

@@ -11,6 +11,7 @@ from scipy.special import erf
 
 from twofluid.model import ModelParams, solve_equilibrium
 from twofluid import greens, spectral
+from twofluid.waveconv import WavePattern
 
 SYM_EQ = solve_equilibrium(ModelParams())
 ASYM_EQ = solve_equilibrium(ModelParams(A_minus=2.0, mu_minus=0.7,
@@ -51,34 +52,47 @@ class TestCutoffs:
 
 class TestEnvelopes:
     def test_diffusion_closed_form(self):
-        env = greens.Envelope("D", 1.5, 1.5)
+        env = WavePattern("D", a=1.5, p=1.5)
         assert envclose(env, 0.0, 3.0, 4.0 ** -1.5)
         assert envclose(env, 2.0, 3.0, 4.0 ** -1.5 * 2.0 ** -1.5)
 
     def test_huygens_peaks_on_front(self):
-        env = greens.Envelope("H", 2.0, 2.0, speed=2.0)
+        env = WavePattern("H", a=2.0, p=2.0, speed=2.0)
         t = 9.0
         rs = np.linspace(0.0, 50.0, 501)
-        vals = greens.envelope_value(env, rs, t)
+        vals = env.value(rs, t)
         assert rs[np.argmax(vals)] == pytest.approx(2.0 * t, abs=0.1)
 
     def test_riesz_iv_is_d11(self):
-        env = greens.riesz_iv_envelope()
-        assert greens.envelope_value(env, 3.0, 4.0) == \
+        env = WavePattern("R4")
+        assert env.value(3.0, 4.0) == \
             pytest.approx(1.0 / (5.0 * (1.0 + 9.0 / 5.0)))
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
-            greens.Envelope("X", 1.0, 1.0)
+            WavePattern("X", a=1.0, p=1.0)
 
-    def test_region_partition(self):
-        assert greens.region_of(1.0, 8.0, 2.0) == "core"
-        assert greens.region_of(16.5, 8.0, 2.0) == "front"
-        assert greens.region_of(8.0, 8.0, 2.0) == "elsewhere"
+    def test_core_front_overlap_counts_in_both(self):
+        # at t = 1, c = 2 the core r <= sqrt 2 and the front |r - 2| <= sqrt 2
+        # overlap on [2 - sqrt 2, sqrt 2]; the report counts such a point in
+        # both regions (a first-match split would leave it out of "front")
+        c, t0 = 2.0, 1.0
+        env = [WavePattern("D", a=1.5, p=1.5)]
+
+        def magnitude(rs, t):
+            w = math.sqrt(1.0 + t)
+            overlap = (t == t0) & (rs <= w) & (np.abs(rs - c * t) <= w)
+            return env[0].value(rs, t) * np.where(overlap, 10.0, 1.0)
+
+        rep = greens._certify("overlap", magnitude, env, c, t_lo=t0,
+                              t_hi=4.0, n_t=2, nr=64)
+        assert rep.C_by_region["core"] == pytest.approx(10.0, rel=1e-12)
+        assert rep.C_by_region["front"] == pytest.approx(10.0, rel=1e-12)
+        assert rep.C_by_region["elsewhere"] == pytest.approx(1.0, rel=1e-12)
 
 
 def envclose(env, r, t, val):
-    return greens.envelope_value(env, r, t) == pytest.approx(val, rel=1e-12)
+    return env.value(r, t) == pytest.approx(val, rel=1e-12)
 
 
 class TestRadialTransforms:
@@ -87,8 +101,8 @@ class TestRadialTransforms:
     rs = np.linspace(0.0, 10.0, 41)
 
     def _kern(self, factor, profile, t):
-        sym = greens.RadialSymbol(factor, profile, cutoff=False)
-        return greens.radial_inverse(sym, self.rs, t, k_max=40.0,
+        return greens.radial_inverse(factor, profile, self.rs, t,
+                                     cutoff=False, k_max=40.0,
                                      n_panels=200, n_nodes=32)
 
     def test_scalar_heat_kernel(self):
@@ -167,17 +181,12 @@ class TestCoefficientMatrices:
             assert np.abs(P3 - (M3r + M3s / k)).max() < 5e-3 / k * 1e-2
             assert np.abs(P4 - (M4r + M4s / k)).max() < 5e-3 / k * 1e-2
 
-    def test_entry_symbol_structure(self):
-        s11 = greens.entry_symbol(1, 1, SYM_EQ)
-        assert all(s.factor == "scalar" for s in s11)
-        s12 = greens.entry_symbol(1, 2, SYM_EQ)
-        assert all(s.factor == "riesz_vector_t" for s in s12)
-        assert any(s.singular for s in s12)
-        s22 = greens.entry_symbol(2, 2, SYM_EQ)
-        assert any(s.factor == "complement" for s in s22)
-        assert all(s.factor in ("riesz_matrix", "complement") for s in s22)
-        with pytest.raises(ValueError):
-            greens.entry_symbol(0, 5, SYM_EQ)
+    def test_entry_structure(self):
+        assert greens.tensor_kind(1, 1) == "scalar"
+        assert greens.tensor_kind(1, 2) == "riesz_vector_t"
+        _, _, _, M3s, _, M4s = greens.coefficient_matrices(SYM_EQ)
+        assert M3s[0, 1] != 0.0 and M4s[0, 1] != 0.0    # 1/k singular part
+        assert greens.tensor_kind(2, 2) == "riesz_matrix"
 
 
 class TestReconstruction:
@@ -200,6 +209,36 @@ class TestReconstruction:
             peak = np.abs(fvals).max()
             sel = np.abs(fvals) > 0.3 * peak
             assert np.abs(fvals - rvals)[sel].max() / peak < 1e-6
+
+    @pytest.mark.parametrize("recon", ["sym_recon", "asym_recon"])
+    @pytest.mark.parametrize("i,j", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2),
+                                     (4, 4), (2, 4)])
+    def test_single_pass_matches_banded_sum(self, recon, i, j, request):
+        # reference: each band transformed on its own grid, the shear
+        # entries adding the windowed heat profile under the complement
+        rec = request.getfixturevalue(recon)
+        kind = greens.tensor_kind(i, j)
+        rs = np.linspace(0.0, 800.0, 64)
+        for t in (1.0, 10.0, 100.0):
+            bands = ((rec.kl, rec.wl, rec.low_profile(i, j, t), rec.chi_l),
+                     (rec.km, rec.wm,
+                      rec.mid_semigroup(t)[:, i - 1, j - 1] * rec.mu_m,
+                      rec.mu_m))
+            want: dict = {}
+            for k, w, p, window in bands:
+                terms = [greens._transform(kind, k, w, p, rs)]
+                if kind == "riesz_matrix" and i == j:
+                    nu1 = rec.eq.nu1_plus if i == 2 else rec.eq.nu1_minus
+                    h = np.exp(-nu1 * k ** 2 * t) * window
+                    terms.append(greens._transform("complement", k, w, h, rs))
+                for term in terms:
+                    for name, v in term.items():
+                        want[name] = want.get(name, 0.0) + v
+            got = rec.entry_values(i, j, rs, t).values
+            assert set(got) == set(want)
+            scale = max(np.abs(v).max() for v in want.values())
+            for name in want:
+                assert np.abs(got[name] - want[name]).max() <= 1e-11 * scale
 
     def test_realness(self, sym_recon):
         rs = np.linspace(0.0, 50.0, 64)
@@ -225,8 +264,8 @@ class TestReconstruction:
         eq = SYM_EQ
         K = sym_recon.K_cut
         ks = np.linspace(K, 1.2 * K, 64)
-        b_hf = np.abs(spectral._batched_eigenvalues(
-            np.array([K]), eq).real).min()
+        b_hf = np.abs(np.linalg.eigvals(
+            spectral.symbol(np.array([K]), eq)).real).min()
         ts = np.linspace(0.5, 2.0, 7)
         mass = []
         for t in ts:
@@ -292,14 +331,13 @@ class TestWavePatterns:
             return (M3s[0, 1] * np.exp(lam[:, 2] * t).real
                     + M4s[0, 1] * np.exp(lam[:, 3] * t).real) / k
 
-        sym = greens.RadialSymbol("riesz_vector", prof, singular=True)
         # the power law needs the slow diffusive mode localized inside the
         # band, i.e. t well beyond 1/(|lam3_tilde| eta1^2) ~ 1e4
         ts = np.array([3e4, 6e4, 1.2e5, 2.4e5, 4.8e5])
         peaks = []
         for t in ts:
             rs = np.linspace(0.0, 25 * math.sqrt(1 + t), 600)
-            kern = greens.radial_inverse(sym, rs, t)
+            kern = greens.radial_inverse("riesz_vector", prof, rs, t)
             peaks.append(np.abs(kern.values["amp"]).max())
         slope = -np.polyfit(np.log(1 + ts), np.log(peaks), 1)[0]
         assert 0.85 <= slope <= 1.1
@@ -332,8 +370,8 @@ class TestEnvelopeCertification:
     def test_riesz_iv_entry_passes(self, sym_recon):
         rep = greens.verify_entry_envelope(
             sym_recon, 1, 2,
-            [greens.riesz_iv_envelope(),
-             greens.Envelope("H", 2.0, 2.0, speed=SYM_EQ.c)])
+            [WavePattern("R4"),
+             WavePattern("H", a=2.0, p=2.0, speed=SYM_EQ.c)])
         assert rep.passed
         assert rep.trend_ratio <= 2.0
         assert set(rep.C_by_region) == {"core", "front", "elsewhere"}
@@ -342,8 +380,8 @@ class TestEnvelopeCertification:
     def test_velocity_entry_passes(self, sym_recon):
         rep = greens.verify_entry_envelope(
             sym_recon, 2, 2,
-            [greens.Envelope("D", 1.5, 1.5),
-             greens.Envelope("H", 2.0, 2.0, speed=SYM_EQ.c)])
+            [WavePattern("D", a=1.5, p=1.5),
+             WavePattern("H", a=2.0, p=2.0, speed=SYM_EQ.c)])
         assert rep.passed
 
     def test_too_strong_envelope_fails(self, sym_recon):
@@ -352,8 +390,8 @@ class TestEnvelopeCertification:
         # the Riesz-IV part
         rep = greens.verify_entry_envelope(
             sym_recon, 1, 2,
-            [greens.Envelope("D", 1.5, 1.5),
-             greens.Envelope("H", 2.0, 2.0, speed=SYM_EQ.c)])
+            [WavePattern("D", a=1.5, p=1.5),
+             WavePattern("H", a=2.0, p=2.0, speed=SYM_EQ.c)])
         assert not rep.passed
         assert 0.3 <= rep.growth_slope <= 0.65
 

@@ -21,10 +21,10 @@ ASYM_EQ = solve_equilibrium(
 
 class TestSymbol:
     def test_zero_wavenumber(self):
-        assert np.all(sp.symbol_at(0.0, SYM_EQ).entries == 0.0)
+        assert np.all(sp.symbol(0.0, SYM_EQ) == 0.0)
 
     def test_symmetric_entries_at_unit_k(self):
-        A = sp.symbol_at(1.0, SYM_EQ).entries
+        A = sp.symbol(1.0, SYM_EQ)
         assert A[1, 0] == pytest.approx(2.01, abs=1e-11)
         assert A[1, 1] == pytest.approx(-1.0, abs=1e-12)
         assert A[0, 1] == -1.0
@@ -32,9 +32,16 @@ class TestSymbol:
 
     def test_trace(self):
         for k in (0.3, 2.0, 17.0):
-            A = sp.symbol_at(k, ASYM_EQ).entries
+            A = sp.symbol(k, ASYM_EQ)
             expected = -(ASYM_EQ.nu_plus + ASYM_EQ.nu_minus) * k * k
             assert np.trace(A) == pytest.approx(expected, rel=1e-13)
+
+    def test_batch_matches_scalar(self):
+        ks = np.array([[0.0, 0.3, 2.0], [5.0, 17.0, 40.0]])
+        A = sp.symbol(ks, ASYM_EQ)
+        assert A.shape == (2, 3, 4, 4)
+        for idx in np.ndindex(ks.shape):
+            assert np.array_equal(A[idx], sp.symbol(float(ks[idx]), ASYM_EQ))
 
 
 class TestCharPoly:
@@ -51,7 +58,7 @@ class TestCharPoly:
         rng = np.random.default_rng(7)
         for eq in (SYM_EQ, ASYM_EQ):
             for k in rng.uniform(1e-3, 20.0, size=20):
-                coeffs = np.poly(sp.symbol_at(k, eq).entries)  # oracle
+                coeffs = np.poly(sp.symbol(k, eq))  # oracle
                 mine = (1.0,) + sp.char_poly_coeffs(k, eq)
                 scale = np.abs(coeffs) + 1e-30
                 assert np.all(np.abs(np.array(mine) - coeffs) / scale < 1e-11)
@@ -165,7 +172,7 @@ class TestProjectors:
                 P = pt.projectors
                 I = np.eye(4)
                 assert np.abs(P.sum(axis=0) - I).max() < 1e-8
-                A = sp.symbol_at(float(k), eq).entries
+                A = sp.symbol(float(k), eq)
                 rec = np.einsum("i,ijk->jk", pt.lambdas, P)
                 assert np.abs(rec - A).max() < 1e-8 * max(1.0, np.abs(A).max())
                 for i in range(4):
@@ -227,7 +234,7 @@ class TestSemigroup:
                 k = rng.uniform(1e-3, 20.0)
                 t = rng.uniform(1e-3, 10.0)
                 S1 = sp.semigroup(k, t, eq)
-                S2 = scipy.linalg.expm(t * sp.symbol_at(k, eq).entries)
+                S2 = scipy.linalg.expm(t * sp.symbol(k, eq))
                 assert np.abs(S1 - S2).max() < 1e-8
 
     def test_low_band_decay_rate(self):
@@ -247,7 +254,7 @@ class TestSemigroup:
         ks = np.array([0.02, 0.4, 3.0, 15.0])
         B = sp.semigroup_batch(ks, 1.7, ASYM_EQ)
         for i, k in enumerate(ks):
-            S = scipy.linalg.expm(1.7 * sp.symbol_at(k, ASYM_EQ).entries)
+            S = scipy.linalg.expm(1.7 * sp.symbol(k, ASYM_EQ))
             assert np.abs(B[i] - S).max() < 1e-9
 
     def test_entry_boundedness(self):

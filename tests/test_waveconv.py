@@ -230,6 +230,13 @@ class TestRegions:
         assert wc.region_tag(5.0, 8.0, C_SND) == "D4"
         assert wc.region_tag(12.0, 8.0, C_SND) == "D5"
 
+    def test_overlap_is_first_match(self):
+        # at t = 1 the core and the front overlap on [2 - sqrt 2, sqrt 2]
+        assert wc.region_tag(1.0, 1.0, C_SND) == "D1"
+        core, front = wc.core_front_masks(np.array([1.0, 2.0]), 1.0, C_SND)
+        assert core.tolist() == [True, False]
+        assert front.tolist() == [True, True]
+
     def test_boundaries_deterministic(self):
         t = 8.0
         w = math.sqrt(1.0 + t)
@@ -383,6 +390,12 @@ class TestVerifyCases:
         case = wc.make_cases(C_SND)["K4"]
         with pytest.raises(ValueError):
             wc.eval_spacetime_conv(case, 1.0, float("nan"))
+
+    @pytest.mark.parametrize("t_list", [(64.0,), (64.0, 64.0), ()])
+    def test_single_time_rejected(self, t_list):
+        # one time gives a growth ratio of 1 by construction
+        with pytest.raises(ValueError):
+            wc.verify_case(wc.false_case(C_SND), t_list=t_list)
 
     def test_false_case_fails(self):
         rep = wc.verify_case(wc.false_case(C_SND))
