@@ -148,66 +148,57 @@ def composite_gl(a: float, b: float, n_panels: int, n_nodes: int):
     return nodes, weights
 
 
-def _scalar_values(k, w, p, rs):
-    M = np.sinc(np.outer(k, rs) / np.pi)
-    return (w * k * k * p) @ M / (2.0 * math.pi ** 2)
-
-
-def _vector_values(k, w, p, rs):
-    rs = np.asarray(rs, dtype=float)
-    out = np.zeros(rs.shape, dtype=np.result_type(p, float))
-    pos = rs > 0.0
-    r = rs[pos]
-    kr = np.outer(k, r)
-    cos_t = (w * p * k) @ np.cos(kr)
-    sin_t = (w * p) @ np.sin(kr)
-    out[pos] = (cos_t / r - sin_t / r ** 2) / (2.0 * math.pi ** 2)
-    return out
-
-
-def _matrix_values(k, w, p, rs):
-    """Longitudinal and transverse amplitudes of the xi xi^T/|xi|^2 factor."""
-    rs = np.asarray(rs, dtype=float)
-    dtype = np.result_type(p, float)
-    long = np.zeros(rs.shape, dtype=dtype)
-    trans = np.zeros(rs.shape, dtype=dtype)
-    at0 = (w * k * k * p).sum() / (6.0 * math.pi ** 2)
-    long[~(rs > 0.0)] = at0
-    trans[~(rs > 0.0)] = at0
-    pos = rs > 0.0
-    r = rs[pos]
-    kr = np.outer(k, r)
-    sin_kr = np.sin(kr)
-    sin_k = (w * p * k) @ sin_kr         # int p k sin(kr)
-    sin_m = (w * p / k) @ sin_kr         # int (p/k) sin(kr)
-    del sin_kr
-    cos_0 = (w * p) @ np.cos(kr)         # int p cos(kr)
-    Gp = (cos_0 / r - sin_m / r ** 2) / (2.0 * math.pi ** 2)
-    Gpp = (-sin_k / r - 2.0 * cos_0 / r ** 2 + 2.0 * sin_m / r ** 3) \
-        / (2.0 * math.pi ** 2)
-    long[pos] = -Gpp
-    trans[pos] = -Gp / r
-    return long, trans
-
-
-def _transform(factor: str, k, w, p, rs) -> dict:
+def _transform(factor: str, k, w, p, rs, heat=None) -> dict:
     """Radial inverse transform of profile p times one tensor factor.
 
     Scalar and Riesz-vector factors give one amplitude "amp"; the Riesz
-    matrix and its complement give the "long" and "trans" amplitudes.
+    matrix and its complement give the "long" and "trans" amplitudes.  A
+    heat profile joins a riesz_matrix transform under the complement factor,
+    as riesz_matrix(p - heat) + scalar(heat).  Every profile row goes
+    through one product with sin(kr) and one with cos(kr), each table built
+    once; radii r <= 0 take the r = 0 limit.
     """
+    if factor not in ("scalar", "riesz_vector", "riesz_vector_t",
+                      "riesz_matrix", "complement"):
+        raise ValueError(f"unknown factor {factor!r}")
+    rs = np.asarray(rs, dtype=float)
+    q = p if heat is None else p - heat
     if factor == "scalar":
-        return {"amp": _scalar_values(k, w, p, rs)}
-    if factor in ("riesz_vector", "riesz_vector_t"):
-        return {"amp": _vector_values(k, w, p, rs)}
-    if factor == "riesz_matrix":
-        lo, tr = _matrix_values(k, w, p, rs)
-        return {"long": lo, "trans": tr}
+        sin_rows, cos_rows = [q * k], []
+    elif factor.startswith("riesz_vector"):
+        sin_rows, cos_rows = [q], [q * k]
+    else:
+        sin_rows, cos_rows = [q * k, q / k], [q]
+    if heat is not None:
+        sin_rows.append(heat * k)
+    pos = rs > 0.0
+    r = rs[pos]
+    kr = np.outer(k, r)
+    C = (w * np.array(cos_rows)) @ np.cos(kr) if cos_rows else None
+    S = (w * np.array(sin_rows)) @ np.sin(kr, out=kr)
+    del kr
+    scale = 1.0 / (2.0 * math.pi ** 2)
+
+    def radial(at_pos, at0):
+        out = np.full(rs.shape, at0, dtype=np.result_type(q, float))
+        out[pos] = scale * at_pos
+        return out
+
+    m2 = (w * k * k * q).sum()           # r -> 0 limit of int q k sin(kr)/r
+    if factor == "scalar":
+        return {"amp": radial(S[0] / r, scale * m2)}
+    if factor.startswith("riesz_vector"):
+        return {"amp": radial(C[0] / r - S[0] / r ** 2, 0.0)}
+    s = radial(S[0] / r, scale * m2)
+    long = radial(S[0] / r + 2.0 * C[0] / r ** 2 - 2.0 * S[1] / r ** 3,
+                  scale * m2 / 3.0)
+    trans = radial(S[1] / r ** 3 - C[0] / r ** 2, scale * m2 / 3.0)
     if factor == "complement":
-        s = _scalar_values(k, w, p, rs)
-        lo, tr = _matrix_values(k, w, p, rs)
-        return {"long": s - lo, "trans": s - tr}
-    raise ValueError(f"unknown factor {factor!r}")
+        long, trans = s - long, s - trans
+    if heat is not None:
+        h = radial(S[2] / r, scale * (w * k * k * heat).sum())
+        long, trans = long + h, trans + h
+    return {"long": long, "trans": trans}
 
 
 def radial_inverse(factor: str, profile, r, t: float, cutoff: bool = True,
@@ -287,9 +278,9 @@ def wave_split(pair: str, eq: EquilibriumState):
 class GreenReconstructor:
     """Evaluates band-limited Green entries on radial grids.
 
-    Shares precomputed quadrature grids, branch eigenvalues, and per-time
-    middle-band semigroups across entries; all methods are read-only after
-    construction.
+    Shares precomputed quadrature grids, branch eigenvalues, and the
+    middle-band eigendecomposition across entries and times; all methods are
+    read-only after construction, so no per-time state accumulates.
     """
 
     def __init__(self, eq: EquilibriumState, eta1: float = 0.1,
@@ -311,7 +302,7 @@ class GreenReconstructor:
         self.window = np.concatenate([self.chi_l, self.mu_m])
         (self.MP, self.MM, self.M3r, self.M3s,
          self.M4r, self.M4s) = coefficient_matrices(eq)
-        self._mid_cache: dict[float, np.ndarray] = {}
+        self.mid = spectral.decompose_symbol(self.km, eq)
 
     # -- profiles ----------------------------------------------------------
 
@@ -341,11 +332,8 @@ class GreenReconstructor:
             * self.chi_l
 
     def mid_semigroup(self, t: float) -> np.ndarray:
-        S = self._mid_cache.get(t)
-        if S is None:
-            S = spectral.semigroup_batch(self.km, t, self.eq).real
-            self._mid_cache[t] = S
-        return S
+        """Exact semigroup on the middle grid at time t, shape (nk, 4, 4)."""
+        return self.mid.semigroup(t).real
 
     def full_profile(self, i: int, j: int, k, t: float) -> np.ndarray:
         """Band-limited compressible profile at arbitrary k (oracle hook).
@@ -378,24 +366,19 @@ class GreenReconstructor:
         """Band-limited entry (i, j) amplitudes at radii rs, time t.
 
         The shear entries (2,2) and (4,4) add the windowed heat profile h
-        under the complement factor.  The transforms are linear in the
-        profile, so riesz_matrix(p) + complement(h) is computed as
-        riesz_matrix(p - h) + scalar(h).
+        under the complement factor, in the same transform pass.
         """
         rs = np.atleast_1d(np.asarray(rs, dtype=float))
         kind = tensor_kind(i, j)
-        k, w = self.k_all, self.w_all
+        k = self.k_all
         p = np.concatenate([self.low_profile(i, j, t),
                             self.mid_semigroup(t)[:, i - 1, j - 1]
                             * self.mu_m])
+        h = None
         if kind == "riesz_matrix" and i == j:
             nu1 = self.eq.nu1_plus if i == 2 else self.eq.nu1_minus
             h = np.exp(-nu1 * k ** 2 * t) * self.window
-            s = _scalar_values(k, w, h, rs)
-            values = {name: v + s for name, v in
-                      _transform(kind, k, w, p - h, rs).items()}
-        else:
-            values = _transform(kind, k, w, p, rs)
+        values = _transform(kind, k, self.w_all, p, rs, heat=h)
         return RadialKernel(r_grid=rs, t=t, values=values, imag_residue=0.0)
 
     def entry_magnitude(self, i: int, j: int, rs, t: float) -> np.ndarray:

@@ -17,6 +17,7 @@ spectral multiply: 82 real 3-D transforms per stage, 344 per step with the
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -503,15 +504,24 @@ def dump_state(state: SimState, path: str) -> None:
 
 
 def load_state(path: str, eq: EquilibriumState) -> SimState:
+    """Read a dump_state file; ValueError if its header or length is off."""
     with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
+        head = fh.read(32)
+        if len(head) < 32 or head[:8] != _MAGIC:
             raise ValueError("not a simulator state dump")
-        n_f, L, t = struct.unpack("<3d", fh.read(24))
+        n_f, L, t = struct.unpack("<3d", head[8:])
+        if not (math.isfinite(n_f) and n_f >= 1 and n_f == int(n_f)):
+            raise ValueError(f"state dump grid size {n_f} is not a positive "
+                             "integer")
+        if not (math.isfinite(L) and math.isfinite(t)):
+            raise ValueError("state dump box size or time is not finite")
         n = int(n_f)
-        fields = [np.frombuffer(fh.read(8 * n ** 3), dtype="<f8")
-                  .reshape(n, n, n).copy() for _ in range(8)]
-    return SimState(eq, L, n, fields[0], np.stack(fields[1:4]),
-                    fields[4], np.stack(fields[5:8]), t)
+        size = os.fstat(fh.fileno()).st_size
+        if size != 32 + 64 * n ** 3:
+            raise ValueError(f"state dump holds {size} bytes; n = {n} needs "
+                             f"{32 + 64 * n ** 3}")
+        f = np.frombuffer(fh.read(), dtype="<f8").reshape(8, n, n, n).copy()
+    return SimState(eq, L, n, f[0], f[1:4], f[4], f[5:8], t)
 
 
 def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",

@@ -6,7 +6,8 @@ where phi is the scalar potential amplitude of the compressible momentum.
 This module builds A(k), its characteristic quartic, exact eigenvalue
 branches with spectral projectors, and the closed-form low- and
 high-frequency expansions, plus the certified middle-band decay gap and the
-dual-path semigroup.
+dual-path semigroup (a per-k spectral sum, and a batched eigendecomposition
+computed once per k-grid and applied per t).
 
 The branch convention: lambda1/lambda2 are the sound pair (complex conjugate
 with Im lambda1 >= 0 at small k), lambda3/lambda4 the diffusive pair with
@@ -303,27 +304,50 @@ def semigroup(k: float, t: float, eq: EquilibriumState,
     return out
 
 
+@dataclass(frozen=True)
+class SymbolDecomposition:
+    """The t-independent part of e^{t A(k)} on a k-grid.
+
+    A = V diag(lam) V^-1 except on the modes in bad (k = 0, or an
+    eigenvector matrix whose 1-norm condition number exceeds 1e8); those
+    keep their symbols A_bad for scaling-and-squaring.
+    """
+
+    lam: ComplexArray        # (nk, 4)
+    V: ComplexArray          # (nk, 4, 4)
+    V_inv: ComplexArray      # (nk, 4, 4)
+    bad: np.ndarray          # indices of the expm modes
+    A_bad: np.ndarray        # (len(bad), 4, 4)
+
+    def semigroup(self, t: float) -> ComplexArray:
+        """e^{t A(k)} on the grid, shape (nk, 4, 4)."""
+        out = (self.V * np.exp(self.lam * t)[:, None, :]) @ self.V_inv
+        for idx, A in zip(self.bad, self.A_bad):
+            out[idx] = scipy.linalg.expm(t * A)
+        return out
+
+
+def decompose_symbol(ks: np.ndarray,
+                     eq: EquilibriumState) -> SymbolDecomposition:
+    """Batched eigendecomposition of A(k) and its conditioning test."""
+    ks = np.asarray(ks, dtype=float)
+    A = symbol(ks, eq)
+    lam, V = np.linalg.eig(A)
+    V_inv = np.linalg.inv(V)
+    # within a factor 4 of the 2-norm condition number for 4x4 matrices
+    cond = np.abs(V).sum(axis=1).max(axis=1) \
+        * np.abs(V_inv).sum(axis=1).max(axis=1)
+    bad = np.nonzero(~np.isfinite(cond) | (cond > 1e8) | (ks == 0.0))[0]
+    return SymbolDecomposition(lam, V, V_inv, bad, A[bad])
+
+
 def semigroup_batch(ks: np.ndarray, t: float,
                     eq: EquilibriumState) -> ComplexArray:
     """e^{t A(k)} for a grid of k at once, shape (nk, 4, 4).
 
-    Batched eigendecomposition route; modes whose eigenvector matrix is badly
-    conditioned fall back to scaling-and-squaring individually.
+    Callers that need many times on one grid keep decompose_symbol's result.
     """
-    ks = np.asarray(ks, dtype=float)
-    A = symbol(ks, eq)
-    lam, V = np.linalg.eig(A)
-    expL = np.exp(lam * t)
-    out = np.einsum("nij,nj->nij", V, expL)
-    out = np.linalg.solve(np.transpose(V, (0, 2, 1)),
-                          np.transpose(out, (0, 2, 1)))
-    out = np.transpose(out, (0, 2, 1))
-
-    cond = np.linalg.cond(V)
-    bad = ~np.isfinite(cond) | (cond > 1e8) | (ks == 0.0)
-    for idx in np.nonzero(bad)[0]:
-        out[idx] = scipy.linalg.expm(t * A[idx])
-    return out
+    return decompose_symbol(ks, eq).semigroup(t)
 
 
 def spectrum_rows(eq: EquilibriumState,

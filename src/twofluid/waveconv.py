@@ -579,7 +579,8 @@ def double_riesz_apply(fhat, rs: np.ndarray, k_max: float = 40.0,
     """
     from . import greens
     k, w = greens.composite_gl(1e-12, k_max, n_panels, 32)
-    return greens._matrix_values(k, w, fhat(k), rs)
+    vals = greens._transform("riesz_matrix", k, w, fhat(k), rs)
+    return vals["long"], vals["trans"]
 
 
 def double_riesz_check(t_list, k_max: float = 40.0) -> dict:

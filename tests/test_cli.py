@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
 from twofluid import sim
-from twofluid.cli import _check_record, main
+from twofluid.cli import _check_record, _equilibrium_metrics, main
 from twofluid.model import ModelParams, solve_equilibrium
 
 
@@ -74,6 +75,11 @@ MALFORMED = [
     ["greens", "--entry", "0,2"],
     ["greens", "--entry", "1,5"],
     ["greens", "--entry=-1,2"],
+    ["greens", "--t-list", "-2"],
+    ["greens", "--t-list", "0"],
+    ["greens", "--t-list", "nan"],
+    ["greens", "--t-list", "inf"],
+    ["greens", "--t-list=2,-10,50"],
 ]
 
 
@@ -183,6 +189,26 @@ class TestCheckRecord:
         assert rec["tolerance"] == 2.0 and rec["pass"] is True
         assert not _check_record("must_fail", 1.5, 2.0, tol_scale=0.1,
                                  invert=True)["pass"]
+
+
+class TestEquilibriumMetrics:
+    @pytest.mark.parametrize("params", [ModelParams(),
+                                        ModelParams(A_minus=2.0)],
+                             ids=["default", "a_minus_2"])
+    def test_pass_for_any_parameters(self, params):
+        eq = solve_equilibrium(params)
+        metrics = _equilibrium_metrics(eq)
+        assert set(metrics) == {"equilibrium_density",
+                                "equilibrium_sound_speed"}
+        for name, metric in metrics.items():
+            assert _check_record(name, metric, 1e-10, 1.0)["pass"], name
+
+    def test_perturbed_state_fails(self):
+        eq = solve_equilibrium(ModelParams(A_minus=2.0))
+        off = dataclasses.replace(eq, rho_bar_plus=eq.rho_bar_plus * 1.001)
+        assert _equilibrium_metrics(off)["equilibrium_density"] > 1e-4
+        slow = dataclasses.replace(eq, c=eq.c * (1.0 - 1e-6))
+        assert _equilibrium_metrics(slow)["equilibrium_sound_speed"] > 1e-7
 
 
 class TestCertifyAll:

@@ -156,6 +156,121 @@ class TestRadialTransforms:
         assert np.abs(m.values["trans"] + c.values["trans"] - s).max() < 1e-13
 
 
+# ---------------------------------------------------------------------------
+# reference oracle: the per-factor radial transforms the one-pass _transform
+# replaced, kept verbatim (one sinc, sin or cos table per moment).
+
+def _scalar_values(k, w, p, rs):
+    M = np.sinc(np.outer(k, rs) / np.pi)
+    return (w * k * k * p) @ M / (2.0 * math.pi ** 2)
+
+
+def _vector_values(k, w, p, rs):
+    rs = np.asarray(rs, dtype=float)
+    out = np.zeros(rs.shape, dtype=np.result_type(p, float))
+    pos = rs > 0.0
+    r = rs[pos]
+    kr = np.outer(k, r)
+    cos_t = (w * p * k) @ np.cos(kr)
+    sin_t = (w * p) @ np.sin(kr)
+    out[pos] = (cos_t / r - sin_t / r ** 2) / (2.0 * math.pi ** 2)
+    return out
+
+
+def _matrix_values(k, w, p, rs):
+    """Longitudinal and transverse amplitudes of the xi xi^T/|xi|^2 factor."""
+    rs = np.asarray(rs, dtype=float)
+    dtype = np.result_type(p, float)
+    long = np.zeros(rs.shape, dtype=dtype)
+    trans = np.zeros(rs.shape, dtype=dtype)
+    at0 = (w * k * k * p).sum() / (6.0 * math.pi ** 2)
+    long[~(rs > 0.0)] = at0
+    trans[~(rs > 0.0)] = at0
+    pos = rs > 0.0
+    r = rs[pos]
+    kr = np.outer(k, r)
+    sin_kr = np.sin(kr)
+    sin_k = (w * p * k) @ sin_kr         # int p k sin(kr)
+    sin_m = (w * p / k) @ sin_kr         # int (p/k) sin(kr)
+    del sin_kr
+    cos_0 = (w * p) @ np.cos(kr)         # int p cos(kr)
+    Gp = (cos_0 / r - sin_m / r ** 2) / (2.0 * math.pi ** 2)
+    Gpp = (-sin_k / r - 2.0 * cos_0 / r ** 2 + 2.0 * sin_m / r ** 3) \
+        / (2.0 * math.pi ** 2)
+    long[pos] = -Gpp
+    trans[pos] = -Gp / r
+    return long, trans
+
+
+def _reference_transform(factor, k, w, p, rs):
+    if factor == "scalar":
+        return {"amp": _scalar_values(k, w, p, rs)}
+    if factor in ("riesz_vector", "riesz_vector_t"):
+        return {"amp": _vector_values(k, w, p, rs)}
+    lo, tr = _matrix_values(k, w, p, rs)
+    if factor == "riesz_matrix":
+        return {"long": lo, "trans": tr}
+    s = _scalar_values(k, w, p, rs)
+    return {"long": s - lo, "trans": s - tr}
+
+
+FACTORS = ("scalar", "riesz_vector", "riesz_vector_t", "riesz_matrix",
+           "complement")
+
+
+class TestOnePassTransform:
+    """The one-pass _transform against the per-factor reference."""
+
+    @staticmethod
+    def _close(got, want):
+        assert set(got) == set(want)
+        for name in want:
+            scale = np.abs(want[name]).max()
+            assert np.abs(got[name] - want[name]).max() <= 1e-11 * scale
+
+    @pytest.mark.parametrize("factor", FACTORS)
+    @pytest.mark.parametrize("t", [1.0, 10.0, 100.0])
+    def test_every_factor_on_the_green_grid(self, sym_recon, factor, t):
+        rec = sym_recon
+        k, w = rec.k_all, rec.w_all
+        p = np.concatenate([rec.low_profile(1, 2, t),
+                            rec.mid_semigroup(t)[:, 0, 1] * rec.mu_m])
+        rs = np.linspace(0.0, 4.0 * rec.eq.c * t, 96)
+        self._close(greens._transform(factor, k, w, p, rs),
+                    _reference_transform(factor, k, w, p, rs))
+
+    @pytest.mark.parametrize("factor", FACTORS)
+    def test_complex_profile(self, factor):
+        k, w = greens.composite_gl(1e-6, 8.0, 40, 16)
+        p = np.exp(-(0.3 + 1.0j) * k * k) * (1.0 + 0.5j * k)
+        rs = np.linspace(0.0, 12.0, 50)
+        got = greens._transform(factor, k, w, p, rs)
+        assert all(np.iscomplexobj(v) for v in got.values())
+        self._close(got, _reference_transform(factor, k, w, p, rs))
+
+    @pytest.mark.parametrize("i", [2, 4])
+    def test_heat_joins_the_matrix_pass(self, asym_recon, i):
+        # riesz_matrix(p) + complement(h), each transformed on its own
+        rec = asym_recon
+        k, w, t = rec.k_all, rec.w_all, 20.0
+        p = np.concatenate([rec.low_profile(i, i, t),
+                            rec.mid_semigroup(t)[:, i - 1, i - 1] * rec.mu_m])
+        nu1 = rec.eq.nu1_plus if i == 2 else rec.eq.nu1_minus
+        h = np.exp(-nu1 * k ** 2 * t) * rec.window
+        rs = np.linspace(0.0, 4.0 * rec.eq.c * t, 80)
+        m = _reference_transform("riesz_matrix", k, w, p, rs)
+        c = _reference_transform("complement", k, w, h, rs)
+        want = {name: m[name] + c[name] for name in m}
+        self._close(greens._transform("riesz_matrix", k, w, p, rs, heat=h),
+                    want)
+        self._close(rec.entry_values(i, i, rs, t).values, want)
+
+    def test_unknown_factor_rejected(self):
+        k, w = greens.composite_gl(0.1, 1.0, 2, 4)
+        with pytest.raises(ValueError):
+            greens._transform("tensor", k, w, np.ones_like(k), [1.0])
+
+
 class TestCoefficientMatrices:
     def test_time_zero_identity(self):
         for eq in (SYM_EQ, ASYM_EQ):
@@ -239,6 +354,28 @@ class TestReconstruction:
             scale = max(np.abs(v).max() for v in want.values())
             for name in want:
                 assert np.abs(got[name] - want[name]).max() <= 1e-11 * scale
+
+    @pytest.mark.parametrize("recon", ["sym_recon", "asym_recon"])
+    def test_mid_semigroup_matches_fresh_batch(self, recon, request):
+        rec = request.getfixturevalue(recon)
+        for t in (0.5, 7.0, 100.0):
+            want = spectral.semigroup_batch(rec.km, t, rec.eq).real
+            got = rec.mid_semigroup(t)
+            assert got.shape == (len(rec.km), 4, 4)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_no_per_time_state(self):
+        rec = greens.GreenReconstructor(SYM_EQ, low_panels=8, mid_panels=16)
+        before = {name: (id(v), getattr(v, "nbytes", None))
+                  for name, v in vars(rec).items()}
+        rs = np.linspace(0.0, 40.0, 16)
+        for t in (1.0, 2.5, 10.0, 10.0 + 1e-9, 33.0):
+            rec.entry_values(2, 2, rs, t)
+            rec.mid_semigroup(t)
+        after = {name: (id(v), getattr(v, "nbytes", None))
+                 for name, v in vars(rec).items()}
+        assert after == before
+        assert not any(isinstance(v, dict) for v in vars(rec).values())
 
     def test_realness(self, sym_recon):
         rs = np.linspace(0.0, 50.0, 64)
@@ -353,7 +490,8 @@ class TestWavePatterns:
                  + MM[0, 1] * damp * np.sin(rec.lam_l[:, 0].imag * t)) \
                 * rec.chi_l
             rs = np.linspace(0.5, 2.5 * eq.c * t, 3000)
-            vals = np.abs(greens._vector_values(rec.kl, rec.wl, p, rs))
+            vals = np.abs(greens._transform("riesz_vector", rec.kl, rec.wl,
+                                            p, rs)["amp"])
             return rs[np.argmax(vals)]
 
         ts = np.array([200.0, 400.0, 800.0, 1600.0])

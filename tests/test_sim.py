@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -424,4 +425,39 @@ class TestStateDump:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a dump at all")
         with pytest.raises(ValueError):
+            sim.load_state(str(path), EQ)
+
+    def _dump(self, tmp_path):
+        st = sim.make_sim_state(EQ, n=8, L=8.0, eps=1e-2)
+        path = tmp_path / "state.bin"
+        sim.dump_state(st, str(path))
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("cut", [1, 8, 64 * 8 ** 3])
+    def test_rejects_truncated(self, tmp_path, cut):
+        path, raw = self._dump(tmp_path)
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(ValueError, match="bytes"):
+            sim.load_state(str(path), EQ)
+
+    def test_rejects_padded(self, tmp_path):
+        path, raw = self._dump(tmp_path)
+        path.write_bytes(raw + bytes(8))
+        with pytest.raises(ValueError, match="bytes"):
+            sim.load_state(str(path), EQ)
+
+    @pytest.mark.parametrize("n_f", [8.5, 0.0, -8.0, math.nan, math.inf])
+    def test_rejects_bad_grid_size(self, tmp_path, n_f):
+        path, raw = self._dump(tmp_path)
+        path.write_bytes(raw[:8] + struct.pack("<d", n_f) + raw[16:])
+        with pytest.raises(ValueError, match="grid size"):
+            sim.load_state(str(path), EQ)
+
+    @pytest.mark.parametrize("field", [1, 2])
+    def test_rejects_non_finite_box_or_time(self, tmp_path, field):
+        path, raw = self._dump(tmp_path)
+        at = 8 + 8 * field
+        path.write_bytes(raw[:at] + struct.pack("<d", math.nan)
+                         + raw[at + 8:])
+        with pytest.raises(ValueError, match="not finite"):
             sim.load_state(str(path), EQ)

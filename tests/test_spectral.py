@@ -257,6 +257,31 @@ class TestSemigroup:
             S = scipy.linalg.expm(1.7 * sp.symbol(k, ASYM_EQ))
             assert np.abs(B[i] - S).max() < 1e-9
 
+    @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ], ids=["sym", "asym"])
+    def test_decomposition_matches_expm(self, eq):
+        ks = np.concatenate([[0.0], np.logspace(-3, 1.3, 23)])
+        dec = sp.decompose_symbol(ks, eq)
+        assert list(dec.bad) == [0]          # k = 0 takes the expm route
+        assert dec.A_bad.shape == (1, 4, 4)
+        for t in (0.0, 0.3, 2.0, 25.0):
+            B = dec.semigroup(t)
+            assert np.array_equal(B, sp.semigroup_batch(ks, t, eq))
+            for i, k in enumerate(ks):
+                S = scipy.linalg.expm(t * sp.symbol(k, eq))
+                scale = max(1.0, np.abs(S).max())
+                assert np.abs(B[i] - S).max() < 1e-9 * scale
+
+    def test_ill_conditioned_modes_fall_back(self):
+        # the diffusive pair merges as k -> 0, so the eigenvector matrix at
+        # k = 1e-10 has condition number above 1e8 and takes the expm route
+        ks = np.array([1e-10, 0.5])
+        dec = sp.decompose_symbol(ks, SYM_EQ)
+        assert np.linalg.cond(dec.V[0]) > 1e8
+        assert list(dec.bad) == [0]
+        for t in (1.0, 100.0):
+            S = scipy.linalg.expm(t * sp.symbol(ks[0], SYM_EQ))
+            assert np.abs(dec.semigroup(t)[0] - S).max() < 1e-14
+
     def test_entry_boundedness(self):
         # no entry blow-up on a broad (k, t) sweep
         for k in (0.01, 0.1, 1.0, 10.0):
