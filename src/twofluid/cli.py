@@ -140,8 +140,9 @@ def _cmd_greens(args) -> int:
     if not (1 <= i <= 4 and 1 <= j <= 4):
         raise UsageError(f"--entry {i},{j} out of range; I and J run from "
                          "1 to 4")
-    if not all(math.isfinite(t) and t > 0.0 for t in t_list):
-        raise UsageError("--t-list times must be finite and positive")
+    # NaN fails the comparison too
+    if not all(0.0 < t <= greens.T_MAX for t in t_list):
+        raise UsageError(f"--t-list times must lie in (0, {greens.T_MAX:g}]")
     recon = greens.GreenReconstructor(eq)
     rows = greens.kernel_csv_rows(recon, i, j, t_list,
                                   r_max_factor=args.r_max_factor)

@@ -134,8 +134,7 @@ def validate_params(p: ModelParams) -> ModelParams:
     return p
 
 
-def _equilibrium_root(p: ModelParams, tol: float = 1e-13,
-                      max_iter: int = 200) -> float:
+def _equilibrium_root(p: ModelParams) -> float:
     """Root of phi(rho) = P_plus(rho) - P_minus(rho/(rho-1)) on (1, inf).
 
     phi is strictly increasing (P_plus grows, the partner density
@@ -168,7 +167,7 @@ def _equilibrium_root(p: ModelParams, tol: float = 1e-13,
 
     x = 0.5 * (lo + hi)
     scale = abs(pressure_law(2.0, p.A_plus, p.gamma_plus)) + 1.0
-    for _ in range(max_iter):
+    for _ in range(200):
         f = phi(x)
         if f > 0.0:
             hi = x
@@ -179,7 +178,8 @@ def _equilibrium_root(p: ModelParams, tol: float = 1e-13,
         xn = x - step
         if not (lo < xn < hi):
             xn = 0.5 * (lo + hi)  # bisection safeguard
-        if abs(f) < tol * scale and abs(xn - x) < 4.0 * np.finfo(float).eps * x:
+        if abs(f) < 1e-13 * scale \
+                and abs(xn - x) < 4.0 * np.finfo(float).eps * x:
             return xn
         x = xn
     if abs(phi(x)) < 1e-10 * scale:
@@ -195,10 +195,10 @@ def _common_c2(rho_p: float, rho_m: float, alpha_p: float, alpha_m: float,
     return s2p * s2m / (alpha_m * rho_p * s2p + alpha_p * rho_m * s2m)
 
 
-def solve_equilibrium(p: ModelParams, tol: float = 1e-13) -> EquilibriumState:
+def solve_equilibrium(p: ModelParams) -> EquilibriumState:
     """Solve the equal-pressure background and fill every derived field."""
     validate_params(p)
-    rho_p = _equilibrium_root(p, tol=tol)
+    rho_p = _equilibrium_root(p)
     rho_m = rho_p / (rho_p - 1.0)
     alpha_p = 1.0 / rho_p
     alpha_m = 1.0 / rho_m
@@ -262,7 +262,6 @@ def wave_speed_alt(eq: EquilibriumState) -> float:
 
 
 def solve_fraction_map(R_plus, R_minus, p: ModelParams,
-                       guess: float | None = None,
                        eq: EquilibriumState | None = None):
     """Invert the fraction densities: (R+, R-) -> (rho+, rho-, alpha+, C2).
 
@@ -289,10 +288,7 @@ def solve_fraction_map(R_plus, R_minus, p: ModelParams,
 
     if eq is None:
         eq = solve_equilibrium(p)
-    if guess is None:
-        x = np.full(Rp.shape, eq.rho_bar_plus * 1.0)
-    else:
-        x = np.broadcast_to(np.asarray(guess, dtype=float), Rp.shape).copy()
+    x = np.full(Rp.shape, eq.rho_bar_plus * 1.0)
     # partner density rho- = R- x / (x - R+) needs x > R+ throughout
     lo = Rp * (1.0 + 1e-12) + 1e-12
     hi = np.maximum(x * 4.0, Rp * 8.0)

@@ -30,7 +30,7 @@ __all__ = [
     "LinearRadialState", "SimState", "Diagnostics",
     "default_linear_state", "linear_evolve", "l2_norms", "fit_decay_slope",
     "decay_slope_table",
-    "make_sim_state", "nonlinear_rhs", "apply_linear", "step",
+    "make_sim_state", "nonlinear_rhs", "step",
     "diagnostics", "shell_profile", "dump_state", "load_state",
     "run_simulation",
 ]
@@ -414,13 +414,6 @@ def default_dt(state: SimState) -> float:
     """Half the smallest retained wavelength over the sound speed."""
     lam_min = 3.0 * 2.0 * state.L / state.n
     return 0.5 * lam_min / state.eq.c
-
-
-def apply_linear(state: SimState, t: float) -> SimState:
-    """Exact linear flow on the grid (no nonlinear increments)."""
-    ops = _GridOps.get(state)
-    Y = ops.apply_semigroup(_stack_hat(state), t)
-    return _unstack(state, Y, state.t + t)
 
 
 def step(state: SimState, dt: float, nonlinear: bool = True) -> SimState:

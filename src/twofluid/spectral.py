@@ -29,26 +29,17 @@ ComplexArray = np.ndarray
 DEGENERACY_REL = 1e-6
 
 
-@dataclass(frozen=True)
-class BandPartition:
-    """Low/middle/high frequency split (0, eta1], (eta1, K), [K, inf)."""
-
-    eta1: float = 0.1
-    K_cut: float = 10.0
-
-    def __post_init__(self):
-        if not 0.0 < self.eta1 < self.K_cut:
-            raise ValueError("need 0 < eta1 < K_cut")
-
-    def band_of(self, k: float) -> str:
-        if k <= self.eta1:
-            return "low"
-        if k >= self.K_cut:
-            return "high"
-        return "middle"
+# the low/middle/high frequency split (0, ETA1], (ETA1, K_CUT), [K_CUT, inf)
+ETA1 = 0.1
+K_CUT = 10.0
 
 
-DEFAULT_PARTITION = BandPartition()
+def band_of(k: float) -> str:
+    if k <= ETA1:
+        return "low"
+    if k >= K_CUT:
+        return "high"
+    return "middle"
 
 
 @dataclass(frozen=True)
@@ -187,7 +178,6 @@ def _heuristic_label(roots: ComplexArray) -> ComplexArray:
 
 def eigen_branches(k: float, eq: EquilibriumState,
                    prev: SpectralPoint | None = None,
-                   part: BandPartition = DEFAULT_PARTITION,
                    force_projectors: bool = False) -> SpectralPoint:
     """Exact eigenvalues, branch labels, and spectral projectors at one k.
 
@@ -197,7 +187,7 @@ def eigen_branches(k: float, eq: EquilibriumState,
     small k where the diffusive pair gap closes like k^2.
     """
     k = float(k)
-    band = part.band_of(k)
+    band = band_of(k)
     if k == 0.0:
         lams = np.zeros(4, dtype=complex)
         return SpectralPoint(k=k, lambdas=lams, projectors=None,
@@ -269,17 +259,15 @@ def singular_combination_residual(eq: EquilibriumState, k: float) -> float:
     return worst
 
 
-def mid_band_gap(eq: EquilibriumState,
-                 part: BandPartition = DEFAULT_PARTITION,
-                 n_grid: int = 2000, refine_rounds: int = 3) -> float:
+def mid_band_gap(eq: EquilibriumState, n_grid: int = 2000) -> float:
     """Certified uniform decay rate on the middle band.
 
-    Samples max Re lambda on a uniform k-grid over [eta1, K] and refines
-    locally around the grid maximum; returns b_mid = -max > 0 or raises.
+    Samples max Re lambda on a uniform k-grid over [ETA1, K_CUT] and refines
+    three times around the grid maximum; returns b_mid = -max > 0 or raises.
     """
-    lo, hi, n = part.eta1, part.K_cut, n_grid
+    lo, hi, n = ETA1, K_CUT, n_grid
     best = -np.inf
-    for _ in range(refine_rounds + 1):
+    for _ in range(4):
         ks = np.linspace(lo, hi, n)
         vals = np.linalg.eigvals(symbol(ks, eq)).real.max(axis=1)
         j = int(np.argmax(vals))
@@ -292,10 +280,9 @@ def mid_band_gap(eq: EquilibriumState,
     return b_mid
 
 
-def semigroup(k: float, t: float, eq: EquilibriumState,
-              part: BandPartition = DEFAULT_PARTITION) -> ComplexArray:
+def semigroup(k: float, t: float, eq: EquilibriumState) -> ComplexArray:
     """e^{t A(k)} by the spectral sum, or scaling-and-squaring near degeneracy."""
-    sp = eigen_branches(k, eq, part=part)
+    sp = eigen_branches(k, eq)
     if sp.degenerate_flag:
         return scipy.linalg.expm(t * symbol(k, eq)).astype(complex)
     out = np.zeros((4, 4), dtype=complex)
@@ -350,14 +337,12 @@ def semigroup_batch(ks: np.ndarray, t: float,
     return decompose_symbol(ks, eq).semigroup(t)
 
 
-def spectrum_rows(eq: EquilibriumState,
-                  k_grid: np.ndarray,
-                  part: BandPartition = DEFAULT_PARTITION) -> list[dict]:
+def spectrum_rows(eq: EquilibriumState, k_grid: np.ndarray) -> list[dict]:
     """Continuity-chained sweep producing one report row per k."""
     rows = []
     prev = None
     for k in k_grid:
-        sp = eigen_branches(float(k), eq, prev=prev, part=part)
+        sp = eigen_branches(float(k), eq, prev=prev)
         if not sp.degenerate_flag:
             prev = sp
         if sp.band == "low":

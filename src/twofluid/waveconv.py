@@ -223,14 +223,13 @@ def _quad(f, a, b, splits, rel_tol, abs_tol, max_depth, stats):
     return total
 
 
-def _quad_to_inf(f, a, U0, splits, rel_tol, abs_tol, stats,
-                 max_doublings: int = 48):
-    """_quad over [a, U0], then doubling tail panels [U, 2U] until the
-    last one adds at most half the tolerance."""
+def _quad_to_inf(f, a, U0, splits, rel_tol, abs_tol, stats):
+    """_quad over [a, U0], then at most 48 doubling tail panels [U, 2U]
+    until the last one adds at most half the tolerance."""
     total = _quad(f, a, U0, splits, rel_tol, abs_tol, 14, stats)
     lo = U0.copy()
     live = np.arange(a.size)
-    for _ in range(max_doublings):
+    for _ in range(48):
         hi = 2.0 * lo[live]
         inc = _quad(lambda x, j, ids=live: f(x, ids[j]), lo[live], hi,
                     np.empty((live.size, 0)), rel_tol, abs_tol[live], 14,

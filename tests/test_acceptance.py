@@ -130,7 +130,7 @@ def test_radial_transform_regression(sym_recon):
     P = sym_recon.full_profile(1, 1, K, tt).astype(complex)
     kern3 = np.fft.ifftn(P) / dx ** 3
     fvals = kern3[spot_idx, 0, 0].real
-    rvals = sym_recon.entry_values(1, 1, rs, tt).values["amp"]
+    rvals = sym_recon.entry_values(1, 1, rs, tt)["amp"]
     peak = np.abs(kern3[1:41, 0, 0].real).max()
     assert np.abs(fvals - rvals).max() < 0.01 * peak
 

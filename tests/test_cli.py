@@ -80,6 +80,9 @@ MALFORMED = [
     ["greens", "--t-list", "nan"],
     ["greens", "--t-list", "inf"],
     ["greens", "--t-list=2,-10,50"],
+    ["greens", "--t-list", "301"],
+    ["greens", "--t-list", "1000"],
+    ["greens", "--t-list", "2,1e6"],
 ]
 
 

@@ -29,15 +29,32 @@ def asym_recon():
 
 
 class TestCutoffs:
+    def test_shared_band_edges(self, sym_recon):
+        # spectral owns the edges; the reconstructor's grids follow them
+        assert spectral.band_of(spectral.ETA1) == "low"
+        assert spectral.band_of(spectral.K_CUT) == "high"
+        assert spectral.band_of(0.5 * (spectral.ETA1 + spectral.K_CUT)) \
+            == "middle"
+        # the low grid covers [1e-10, ETA1]
+        assert sym_recon.kl[-1] < spectral.ETA1
+        assert sym_recon.wl.sum() == pytest.approx(spectral.ETA1 - 1e-10,
+                                                   rel=1e-14)
+        k = np.linspace(0.0, 2.0 * spectral.K_CUT, 4001)
+        mu = sym_recon._mid_window(k)
+        outside = (k <= 0.5 * spectral.ETA1) | (k >= 1.2 * spectral.K_CUT)
+        assert np.all(mu[outside] == 0.0)
+        inside = (k >= spectral.ETA1) & (k <= spectral.K_CUT)
+        assert np.all(mu[inside] == 1.0)
+
     def test_plateaus(self):
         k = np.array([0.0, 0.04, 0.05, 0.1, 0.2])
-        chi = greens.chi_low(k, 0.1)
+        chi = greens.chi_low(k)
         assert chi[0] == 1.0 and chi[1] == 1.0 and chi[2] == 1.0
         assert chi[3] == 0.0 and chi[4] == 0.0
 
     def test_range_and_interior(self):
         k = np.linspace(0.0, 0.2, 401)
-        chi = greens.chi_low(k, 0.1)
+        chi = greens.chi_low(k)
         assert np.all((chi >= 0.0) & (chi <= 1.0))
         mid = (k >= 0.06) & (k <= 0.09)
         assert np.all((chi[mid] > 0.0) & (chi[mid] < 1.0))
@@ -263,7 +280,7 @@ class TestOnePassTransform:
         want = {name: m[name] + c[name] for name in m}
         self._close(greens._transform("riesz_matrix", k, w, p, rs, heat=h),
                     want)
-        self._close(rec.entry_values(i, i, rs, t).values, want)
+        self._close(rec.entry_values(i, i, rs, t), want)
 
     def test_unknown_factor_rejected(self):
         k, w = greens.composite_gl(0.1, 1.0, 2, 4)
@@ -320,7 +337,7 @@ class TestReconstruction:
             kern3 = np.fft.ifftn(P) / dx ** 3
             assert np.abs(kern3.imag).max() < 1e-12
             fvals = kern3[1:41, 0, 0].real
-            rvals = sym_recon.entry_values(i, j, rs, t).values["amp"]
+            rvals = sym_recon.entry_values(i, j, rs, t)["amp"]
             peak = np.abs(fvals).max()
             sel = np.abs(fvals) > 0.3 * peak
             assert np.abs(fvals - rvals)[sel].max() / peak < 1e-6
@@ -349,7 +366,7 @@ class TestReconstruction:
                 for term in terms:
                     for name, v in term.items():
                         want[name] = want.get(name, 0.0) + v
-            got = rec.entry_values(i, j, rs, t).values
+            got = rec.entry_values(i, j, rs, t)
             assert set(got) == set(want)
             scale = max(np.abs(v).max() for v in want.values())
             for name in want:
@@ -380,9 +397,7 @@ class TestReconstruction:
     def test_realness(self, sym_recon):
         rs = np.linspace(0.0, 50.0, 64)
         for (i, j) in ((1, 1), (1, 2), (2, 2), (3, 2)):
-            kern = sym_recon.entry_values(i, j, rs, 5.0)
-            assert kern.imag_residue < 1e-9
-            for arr in kern.values.values():
+            for arr in sym_recon.entry_values(i, j, rs, 5.0).values():
                 assert not np.iscomplexobj(arr)
                 assert np.all(np.isfinite(arr))
 
@@ -399,7 +414,7 @@ class TestReconstruction:
         # L^2 mass of the symbol above the cutoff dies at the slow
         # viscous-capillary rate of the band edge
         eq = SYM_EQ
-        K = sym_recon.K_cut
+        K = spectral.K_CUT
         ks = np.linspace(K, 1.2 * K, 64)
         b_hf = np.abs(np.linalg.eigvals(
             spectral.symbol(np.array([K]), eq)).real).min()
@@ -410,51 +425,6 @@ class TestReconstruction:
             mass.append(np.trapezoid(ks ** 2 * S[:, 0, 0] ** 2, ks))
         rate = -np.polyfit(ts, np.log(mass), 1)[0]
         assert rate >= 1.7 * b_hf
-
-
-class TestWaveSplit:
-    @pytest.mark.parametrize("pair", ["minus", "plus"])
-    @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ], ids=["sym", "asym"])
-    def test_reconstruction_identity(self, pair, eq):
-        ks = np.linspace(1e-4, 0.1, 200)
-        t = 3.0
-        lam = greens.branch_lambdas(ks, eq)[:, 0]
-        exact = np.exp(lam.real * t) * (
-            np.sin(lam.imag * t) if pair == "minus" else np.cos(lam.imag * t))
-        sp = greens.wave_split(pair, eq)
-        total = sp["w_part"](ks, t) + sp["wt_part"](ks, t) \
-            + sp["remainder"](ks, t)
-        assert np.abs(total - exact).max() < 1e-10
-
-    def test_time_zero(self):
-        ks = np.linspace(1e-3, 0.09, 20)
-        spm = greens.wave_split("minus", SYM_EQ)
-        spp = greens.wave_split("plus", SYM_EQ)
-        for f in spm.values():
-            assert np.abs(f(ks, 0.0)).max() < 1e-14
-        assert np.abs(spp["wt_part"](ks, 0.0) - 1.0).max() < 1e-14
-        assert np.abs(spp["w_part"](ks, 0.0)).max() < 1e-14
-        assert np.abs(spp["remainder"](ks, 0.0)).max() < 1e-14
-
-    def test_symmetric_remainder_vanishes(self):
-        # equal-phase parameters put the sound damping exactly at -b1 k^2
-        sp = greens.wave_split("minus", SYM_EQ)
-        ks = np.linspace(1e-3, 0.09, 50)
-        assert np.abs(sp["remainder"](ks, 5.0)).max() < 1e-13
-
-    def test_remainder_small_k_order(self):
-        # remainder = (e^{at} - e^{-b1 k^2 t}) x {sin, cos}(bt):
-        # the bracket is O(k^4), the sine adds one more power
-        ks = np.array([0.01, 0.02, 0.04, 0.08])
-        for pair, expect in (("minus", 5.0), ("plus", 4.0)):
-            sp = greens.wave_split(pair, ASYM_EQ)
-            rem = np.abs(sp["remainder"](ks, 5.0))
-            slope = np.polyfit(np.log(ks), np.log(rem), 1)[0]
-            assert slope == pytest.approx(expect, abs=0.4)
-
-    def test_bad_pair_rejected(self):
-        with pytest.raises(ValueError):
-            greens.wave_split("both", SYM_EQ)
 
 
 class TestWavePatterns:
