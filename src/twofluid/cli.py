@@ -54,7 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("greens", help="kernel values and envelope report")
     p.add_argument("--entry", default="1,2", metavar="I,J")
     p.add_argument("--t-list", default="2,10,50", metavar="T1,T2,...")
-    p.add_argument("--r-max-factor", type=float, default=4.0)
+    p.add_argument("--r-max-factor", type=float,
+                   default=greens.R_MAX_FACTOR, metavar="F",
+                   help="radii up to F c t, 0 < F <= "
+                        f"{greens.R_MAX_FACTOR:g}")
 
     p = sub.add_parser("convolve", help="certify one convolution case")
     p.add_argument("--case", default="K4",
@@ -143,6 +146,9 @@ def _cmd_greens(args) -> int:
     # NaN fails the comparison too
     if not all(0.0 < t <= greens.T_MAX for t in t_list):
         raise UsageError(f"--t-list times must lie in (0, {greens.T_MAX:g}]")
+    if not 0.0 < args.r_max_factor <= greens.R_MAX_FACTOR:
+        raise UsageError("--r-max-factor must lie in "
+                         f"(0, {greens.R_MAX_FACTOR:g}]")
     recon = greens.GreenReconstructor(eq)
     rows = greens.kernel_csv_rows(recon, i, j, t_list,
                                   r_max_factor=args.r_max_factor)

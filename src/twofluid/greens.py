@@ -130,46 +130,90 @@ def branch_lambdas(ks: np.ndarray, eq: EquilibriumState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # radial inverse transforms
 
-def composite_gl(a: float, b: float, n_panels: int, n_nodes: int):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
+@dataclass(frozen=True)
+class PanelRule:
+    """Composite Gauss-Legendre rule with equal panels.
+
+    Node (p, j) is mid[p] + half * x[j]: the panel midpoint plus the common
+    half-width times a reference node on [-1, 1].  nodes and weights hold
+    the rule as built from the panel edges, which differ from that sum by
+    at most one unit in the last place of the interval end.
+    """
+    nodes: np.ndarray     # (P*J,), panel-major
+    weights: np.ndarray   # (P*J,)
+    mid: np.ndarray       # (P,)
+    half: float
+    x: np.ndarray         # (J,)
+
+
+def composite_gl(a: float, b: float, n_panels: int,
+                 n_nodes: int) -> PanelRule:
+    """Composite Gauss-Legendre rule on [a, b] with its panel structure."""
     x, w = leggauss(n_nodes)
     edges = np.linspace(a, b, n_panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return PanelRule(nodes, weights, mid, 0.5 * (b - a) / n_panels, x)
 
 
-def _transform(factor: str, k, w, p, rs, heat=None) -> dict:
+def _trig_sums(rules, rows, r):
+    """Quadrature sums of rows against sin(kr) and cos(kr), each (R, nr).
+
+    rows (R, nk) hold weighted profiles over the nodes of rules, block
+    after block.  With k = m + h x, angle addition gives
+        sin(kr) = sin(mr) cos(hxr) + cos(mr) sin(hxr),
+        cos(kr) = cos(mr) cos(hxr) - sin(mr) sin(hxr),
+    so each block builds only its (P, nr) midpoint and (J, nr) reference
+    tables: one product contracts over the reference nodes, one
+    multiply-and-sum over the panels.
+    """
+    S = C = 0.0
+    start = 0
+    for g in rules:
+        P, J = g.mid.size, g.x.size
+        a = rows[:, start:start + P * J].reshape(-1, J)
+        start += P * J
+        xr = np.outer(g.half * g.x, r)
+        A = (a @ np.concatenate([np.cos(xr), np.sin(xr)], axis=1))
+        A = A.reshape(len(rows), P, 2, r.size)
+        mr = np.outer(g.mid, r)
+        sm, cm = np.sin(mr), np.cos(mr)
+        S = S + (sm * A[:, :, 0] + cm * A[:, :, 1]).sum(axis=1)
+        C = C + (cm * A[:, :, 0] - sm * A[:, :, 1]).sum(axis=1)
+    return S, C
+
+
+def _transform(factor: str, rules, p, rs, heat=None) -> dict:
     """Radial inverse transform of profile p times one tensor factor.
 
-    Scalar and Riesz-vector factors give one amplitude "amp"; the Riesz
-    matrix and its complement give the "long" and "trans" amplitudes.  A
-    heat profile joins a riesz_matrix transform under the complement factor,
-    as riesz_matrix(p - heat) + scalar(heat).  Every profile row goes
-    through one product with sin(kr) and one with cos(kr), each table built
-    once; radii r <= 0 take the r = 0 limit.
+    p (and heat) live on the nodes of the PanelRules in rules, block after
+    block.  Scalar and Riesz-vector factors give one amplitude "amp"; the
+    Riesz matrix and its complement give the "long" and "trans"
+    amplitudes.  A heat profile joins a riesz_matrix transform under the
+    complement factor, as riesz_matrix(p - heat) + scalar(heat).  All
+    profile rows share one pass of _trig_sums; radii r <= 0 take the r = 0
+    limit.
     """
     if factor not in ("scalar", "riesz_vector", "riesz_vector_t",
                       "riesz_matrix", "complement"):
         raise ValueError(f"unknown factor {factor!r}")
     rs = np.asarray(rs, dtype=float)
+    k = np.concatenate([g.nodes for g in rules])
+    w = np.concatenate([g.weights for g in rules])
     q = p if heat is None else p - heat
     if factor == "scalar":
-        sin_rows, cos_rows = [q * k], []
+        rows = [q * k]
     elif factor.startswith("riesz_vector"):
-        sin_rows, cos_rows = [q], [q * k]
+        rows = [q, q * k]
     else:
-        sin_rows, cos_rows = [q * k, q / k], [q]
+        rows = [q * k, q / k, q]
     if heat is not None:
-        sin_rows.append(heat * k)
+        rows.append(heat * k)
     pos = rs > 0.0
     r = rs[pos]
-    kr = np.outer(k, r)
-    C = (w * np.array(cos_rows)) @ np.cos(kr) if cos_rows else None
-    S = (w * np.array(sin_rows)) @ np.sin(kr, out=kr)
-    del kr
+    S, C = _trig_sums(rules, w * np.array(rows), r)
     scale = 1.0 / (2.0 * math.pi ** 2)
 
     def radial(at_pos, at0):
@@ -181,15 +225,15 @@ def _transform(factor: str, k, w, p, rs, heat=None) -> dict:
     if factor == "scalar":
         return {"amp": radial(S[0] / r, scale * m2)}
     if factor.startswith("riesz_vector"):
-        return {"amp": radial(C[0] / r - S[0] / r ** 2, 0.0)}
+        return {"amp": radial(C[1] / r - S[0] / r ** 2, 0.0)}
     s = radial(S[0] / r, scale * m2)
-    long = radial(S[0] / r + 2.0 * C[0] / r ** 2 - 2.0 * S[1] / r ** 3,
+    long = radial(S[0] / r + 2.0 * C[2] / r ** 2 - 2.0 * S[1] / r ** 3,
                   scale * m2 / 3.0)
-    trans = radial(S[1] / r ** 3 - C[0] / r ** 2, scale * m2 / 3.0)
+    trans = radial(S[1] / r ** 3 - C[2] / r ** 2, scale * m2 / 3.0)
     if factor == "complement":
         long, trans = s - long, s - trans
     if heat is not None:
-        h = radial(S[2] / r, scale * (w * k * k * heat).sum())
+        h = radial(S[3] / r, scale * (w * k * k * heat).sum())
         long, trans = long + h, trans + h
     return {"long": long, "trans": trans}
 
@@ -214,15 +258,15 @@ def radial_inverse(factor: str, profile, r, t: float, cutoff: bool = True,
     """
     rs = np.atleast_1d(np.asarray(r, dtype=float))
     if cutoff:
-        k, w = composite_gl(0.0, ETA1, max(n_panels, 48), n_nodes)
-        p = profile(k, t) * chi_low(k)
+        rule = composite_gl(0.0, ETA1, max(n_panels, 48), n_nodes)
+        p = profile(rule.nodes, t) * chi_low(rule.nodes)
     else:
-        k, w = composite_gl(1e-12, k_max, n_panels, n_nodes)
-        p = profile(k, t)
+        rule = composite_gl(1e-12, k_max, n_panels, n_nodes)
+        p = profile(rule.nodes, t)
 
     imag = 0.0
     out = {}
-    for name, arr in _transform(factor, k, w, p, rs).items():
+    for name, arr in _transform(factor, (rule,), p, rs).items():
         if np.iscomplexobj(arr):
             mag = np.abs(arr).max() + 1e-300
             imag = max(imag, float(np.abs(arr.imag).max() / mag))
@@ -234,9 +278,11 @@ def radial_inverse(factor: str, profile, r, t: float, cutoff: bool = True,
 # ---------------------------------------------------------------------------
 # full-entry reconstruction (low band + exact middle band)
 
-# the default grids give kernels exact to round-off up to this time (radii
-# up to 4ct); at t = 1000 they are off by 5.6e-5 of the maximum
+# the default grids give kernels exact to round-off up to this time at
+# radii up to R_MAX_FACTOR c t; at t = 1000 they are off by 5.6e-5 of the
+# maximum
 T_MAX = 300.0
+R_MAX_FACTOR = 4.0
 
 
 class GreenReconstructor:
@@ -251,15 +297,16 @@ class GreenReconstructor:
                  low_panels: int = 64, low_nodes: int = 32,
                  mid_panels: int = 256, mid_nodes: int = 64):
         self.eq = eq
-        self.kl, self.wl = composite_gl(1e-10, ETA1, low_panels, low_nodes)
-        self.km, self.wm = composite_gl(0.5 * ETA1, 1.2 * K_CUT,
-                                        mid_panels, mid_nodes)
+        # the low and middle grids as one quadrature of two blocks (their
+        # half-widths differ), with their windows
+        low = composite_gl(1e-10, ETA1, low_panels, low_nodes)
+        mid = composite_gl(0.5 * ETA1, 1.2 * K_CUT, mid_panels, mid_nodes)
+        self.rules = (low, mid)
+        self.kl, self.km = low.nodes, mid.nodes
         self.chi_l = chi_low(self.kl)
         self.mu_m = self._mid_window(self.km)
         self.lam_l = branch_lambdas(self.kl, eq)
-        # the low and middle grids as one quadrature, with their windows
         self.k_all = np.concatenate([self.kl, self.km])
-        self.w_all = np.concatenate([self.wl, self.wm])
         self.window = np.concatenate([self.chi_l, self.mu_m])
         (self.MP, self.MM, self.M3r, self.M3s,
          self.M4r, self.M4s) = coefficient_matrices(eq)
@@ -291,9 +338,9 @@ class GreenReconstructor:
         return self._leading_profile(i, j, self.kl, self.lam_l, t) \
             * self.chi_l
 
-    def mid_semigroup(self, t: float) -> np.ndarray:
-        """Exact semigroup on the middle grid at time t, shape (nk, 4, 4)."""
-        return self.mid.semigroup(t).real
+    def mid_semigroup(self, i: int, j: int, t: float) -> np.ndarray:
+        """Entry (i, j) of the exact semigroup on the middle grid at time t."""
+        return self.mid.entry(i - 1, j - 1, t).real
 
     def full_profile(self, i: int, j: int, k, t: float) -> np.ndarray:
         """Band-limited compressible profile at arbitrary k (oracle hook).
@@ -322,23 +369,27 @@ class GreenReconstructor:
 
     # -- physical space ----------------------------------------------------
 
+    def entry_profile(self, i: int, j: int, t: float):
+        """(p, h): the windowed low+middle profile of entry (i, j) on k_all,
+        and the windowed heat profile of the shear entries (2,2) and (4,4)
+        (None for the others)."""
+        p = np.concatenate([self.low_profile(i, j, t),
+                            self.mid_semigroup(i, j, t) * self.mu_m])
+        h = None
+        if tensor_kind(i, j) == "riesz_matrix" and i == j:
+            nu1 = self.eq.nu1_plus if i == 2 else self.eq.nu1_minus
+            h = np.exp(-nu1 * self.k_all ** 2 * t) * self.window
+        return p, h
+
     def entry_values(self, i: int, j: int, rs, t: float) -> dict:
         """Band-limited entry (i, j) amplitudes at radii rs, time t.
 
-        The shear entries (2,2) and (4,4) add the windowed heat profile h
-        under the complement factor, in the same transform pass.
+        The shear entries add their heat profile under the complement
+        factor, in the same transform pass.
         """
         rs = np.atleast_1d(np.asarray(rs, dtype=float))
-        kind = tensor_kind(i, j)
-        k = self.k_all
-        p = np.concatenate([self.low_profile(i, j, t),
-                            self.mid_semigroup(t)[:, i - 1, j - 1]
-                            * self.mu_m])
-        h = None
-        if kind == "riesz_matrix" and i == j:
-            nu1 = self.eq.nu1_plus if i == 2 else self.eq.nu1_minus
-            h = np.exp(-nu1 * k ** 2 * t) * self.window
-        return _transform(kind, k, self.w_all, p, rs, heat=h)
+        p, h = self.entry_profile(i, j, t)
+        return _transform(tensor_kind(i, j), self.rules, p, rs, heat=h)
 
     def entry_magnitude(self, i: int, j: int, rs, t: float) -> np.ndarray:
         vals = self.entry_values(i, j, rs, t)
@@ -373,13 +424,13 @@ class EnvelopeReport:
 
 def _certify(name: str, magnitude, envelopes: list[WavePattern], c: float,
              t_lo: float = 1.0, t_hi: float = 100.0, n_t: int = 16,
-             nr: int = 256, r_max_factor: float = 4.0) -> EnvelopeReport:
+             nr: int = 256) -> EnvelopeReport:
     """Shared driver: max |magnitude| / sum of envelopes over an (r,t) grid."""
     ts = np.logspace(math.log10(t_lo), math.log10(t_hi), n_t)
     C_by_region = {"core": 0.0, "front": 0.0, "elsewhere": 0.0}
     C_slices = []
     for t in ts:
-        rs = np.linspace(0.0, r_max_factor * c * t, nr)
+        rs = np.linspace(0.0, R_MAX_FACTOR * c * t, nr)
         ratio = magnitude(rs, t) / sum(env.value(rs, t) for env in envelopes)
         C_slices.append(float(ratio.max()))
         # a point in both the core and the front counts in both
@@ -432,16 +483,17 @@ def verify_cancellation(recon: GreenReconstructor, swap_weights: bool = False,
                  WavePattern("H", a=2.0, p=2.0, speed=eq.c)]
 
     def magnitude(rs, t):
-        a12 = recon.entry_values(1, 2, rs, t)["amp"]
-        a32 = recon.entry_values(3, 2, rs, t)["amp"]
-        return np.abs(w12 * a12 + w32 * a32)
+        # G12 and G32 carry the same factor: combine the profiles in k
+        p = w12 * recon.entry_profile(1, 2, t)[0] \
+            + w32 * recon.entry_profile(3, 2, t)[0]
+        return np.abs(_transform(tensor_kind(1, 2), recon.rules, p, rs)["amp"])
 
     name = "combo_swapped" if swap_weights else "combo"
     return _certify(name, magnitude, envelopes, eq.c, **grid_kwargs)
 
 
 def kernel_csv_rows(recon: GreenReconstructor, i: int, j: int,
-                    t_list, r_max_factor: float = 4.0,
+                    t_list, r_max_factor: float = R_MAX_FACTOR,
                     nr: int = 256) -> list[dict]:
     rows = []
     for t in t_list:

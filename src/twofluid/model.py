@@ -346,8 +346,7 @@ def solve_fraction_map(R_plus, R_minus, p: ModelParams,
     return rho_p, rho_m, alpha_p, C2
 
 
-def check_combination_degeneracy(eq: EquilibriumState,
-                                 tol: float = 1e-12) -> dict:
+def check_combination_degeneracy(eq: EquilibriumState) -> dict:
     """Report on the second candidate combination weight a2.
 
     The alternative symbol combination would need weight
@@ -370,7 +369,7 @@ def check_combination_degeneracy(eq: EquilibriumState,
         "a2": a2,
         "beta1_over_beta2": ref,
         "abs_diff": abs(a2 - ref),
-        "degenerate": resid < tol * eq.beta2 ** 2,
+        "degenerate": resid < 1e-12 * eq.beta2 ** 2,
     }
 
 

@@ -44,7 +44,6 @@ def band_of(k: float) -> str:
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    k: float
     lambdas: ComplexArray          # shape (4,), branch-labeled
     projectors: ComplexArray | None  # shape (4,4,4) or None when degenerate
     degenerate_flag: bool
@@ -190,7 +189,7 @@ def eigen_branches(k: float, eq: EquilibriumState,
     band = band_of(k)
     if k == 0.0:
         lams = np.zeros(4, dtype=complex)
-        return SpectralPoint(k=k, lambdas=lams, projectors=None,
+        return SpectralPoint(lambdas=lams, projectors=None,
                              degenerate_flag=True, band=band)
 
     roots = _quartic_roots(k, eq)
@@ -220,7 +219,7 @@ def eigen_branches(k: float, eq: EquilibriumState,
                     continue
                 P = P @ (A - lams[j] * I) / (lams[i] - lams[j])
             projectors[i] = P
-    return SpectralPoint(k=k, lambdas=lams, projectors=projectors,
+    return SpectralPoint(lambdas=lams, projectors=projectors,
                          degenerate_flag=bool(degenerate), band=band)
 
 
@@ -311,6 +310,15 @@ class SymbolDecomposition:
         out = (self.V * np.exp(self.lam * t)[:, None, :]) @ self.V_inv
         for idx, A in zip(self.bad, self.A_bad):
             out[idx] = scipy.linalg.expm(t * A)
+        return out
+
+    def entry(self, i: int, j: int, t: float) -> ComplexArray:
+        """Entry (i, j) of e^{t A(k)} on the grid, shape (nk,), without the
+        full product."""
+        out = (self.V[:, i, :] * np.exp(self.lam * t)
+               * self.V_inv[:, :, j]).sum(axis=1)
+        for idx, A in zip(self.bad, self.A_bad):
+            out[idx] = scipy.linalg.expm(t * A)[i, j]
         return out
 
 

@@ -352,7 +352,7 @@ def bound_value(case: ConvCase, r: float, t: float) -> float:
     return float(sum(p.value(r, t) for p in case.claimed_bound))
 
 
-def eval_spacetime_conv(case: ConvCase, r, t, rel_tol: float = 1e-7,
+def eval_spacetime_conv(case: ConvCase, r, t,
                         stats: QuadStats | None = None):
     """LHS of a convolution case at the space-time points (r, t).
 
@@ -380,7 +380,7 @@ def eval_spacetime_conv(case: ConvCase, r, t, rel_tol: float = 1e-7,
         return _angular_batch(
             rk, lambda z, j: g.spatial(z, sg[j]),
             lambda u, j: s.spatial(u, ss[j]),
-            lambda z, j: g.z_primitive(z, sg[j]), splits, U0[k], rel_tol,
+            lambda z, j: g.z_primitive(z, sg[j]), splits, U0[k], 1e-7,
             abs_tol[k], stats)
 
     def tau_integrand(taus, j):
@@ -577,8 +577,8 @@ def double_riesz_apply(fhat, rs: np.ndarray, k_max: float = 40.0,
     longitudinal/transverse pair of the Riesz-matrix tensor factor.
     """
     from . import greens
-    k, w = greens.composite_gl(1e-12, k_max, n_panels, 32)
-    vals = greens._transform("riesz_matrix", k, w, fhat(k), rs)
+    rule = greens.composite_gl(1e-12, k_max, n_panels, 32)
+    vals = greens._transform("riesz_matrix", (rule,), fhat(rule.nodes), rs)
     return vals["long"], vals["trans"]
 
 

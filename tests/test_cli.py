@@ -83,6 +83,11 @@ MALFORMED = [
     ["greens", "--t-list", "301"],
     ["greens", "--t-list", "1000"],
     ["greens", "--t-list", "2,1e6"],
+    ["greens", "--r-max-factor", "nan"],
+    ["greens", "--r-max-factor=-3"],
+    ["greens", "--r-max-factor", "0"],
+    ["greens", "--r-max-factor", "inf"],
+    ["greens", "--r-max-factor", "4.5"],
 ]
 
 

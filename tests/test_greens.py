@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
@@ -37,8 +38,8 @@ class TestCutoffs:
             == "middle"
         # the low grid covers [1e-10, ETA1]
         assert sym_recon.kl[-1] < spectral.ETA1
-        assert sym_recon.wl.sum() == pytest.approx(spectral.ETA1 - 1e-10,
-                                                   rel=1e-14)
+        assert sym_recon.rules[0].weights.sum() == pytest.approx(
+            spectral.ETA1 - 1e-10, rel=1e-14)
         k = np.linspace(0.0, 2.0 * spectral.K_CUT, 4001)
         mu = sym_recon._mid_window(k)
         outside = (k <= 0.5 * spectral.ETA1) | (k >= 1.2 * spectral.K_CUT)
@@ -162,6 +163,21 @@ class TestRadialTransforms:
         assert kern.values["long"][0] == pytest.approx(at0, rel=1e-10)
         assert kern.values["trans"][0] == pytest.approx(at0, rel=1e-10)
 
+    def test_cutoff_grid_heat_kernel(self):
+        # at t = 2e4 the heat profile is down to e^-50 where chi_low leaves
+        # 1, so the low-band transform meets the same closed forms
+        t = 2.0e4
+        rs = np.linspace(0.0, 6.0 * math.sqrt(t), 41)
+        heat = (4 * math.pi * t) ** -1.5 * np.exp(-rs ** 2 / (4 * t))
+        kern = greens.radial_inverse(
+            "scalar", lambda k, tt: np.exp(-k * k * tt), rs, t)
+        assert np.abs(kern.values["amp"] - heat).max() < 1e-12 * heat.max()
+        kern = greens.radial_inverse(
+            "riesz_vector", lambda k, tt: k * np.exp(-k * k * tt), rs, t)
+        grad = -(rs / (2 * t)) * heat
+        assert np.abs(kern.values["amp"] - grad).max() \
+            < 1e-12 * np.abs(grad).max()
+
     def test_complement_sums_with_riesz(self):
         # complement + riesz_matrix = scalar, componentwise
         t = 0.7
@@ -246,22 +262,25 @@ class TestOnePassTransform:
             assert np.abs(got[name] - want[name]).max() <= 1e-11 * scale
 
     @pytest.mark.parametrize("factor", FACTORS)
-    @pytest.mark.parametrize("t", [1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("t", [1.0, 10.0, 100.0, greens.T_MAX])
     def test_every_factor_on_the_green_grid(self, sym_recon, factor, t):
+        # t = T_MAX reaches the widest oscillation the grids are kept for
         rec = sym_recon
-        k, w = rec.k_all, rec.w_all
+        k = rec.k_all
+        w = np.concatenate([rule.weights for rule in rec.rules])
         p = np.concatenate([rec.low_profile(1, 2, t),
-                            rec.mid_semigroup(t)[:, 0, 1] * rec.mu_m])
+                            rec.mid_semigroup(1, 2, t) * rec.mu_m])
         rs = np.linspace(0.0, 4.0 * rec.eq.c * t, 96)
-        self._close(greens._transform(factor, k, w, p, rs),
+        self._close(greens._transform(factor, rec.rules, p, rs),
                     _reference_transform(factor, k, w, p, rs))
 
     @pytest.mark.parametrize("factor", FACTORS)
     def test_complex_profile(self, factor):
-        k, w = greens.composite_gl(1e-6, 8.0, 40, 16)
+        rule = greens.composite_gl(1e-6, 8.0, 40, 16)
+        k, w = rule.nodes, rule.weights
         p = np.exp(-(0.3 + 1.0j) * k * k) * (1.0 + 0.5j * k)
         rs = np.linspace(0.0, 12.0, 50)
-        got = greens._transform(factor, k, w, p, rs)
+        got = greens._transform(factor, (rule,), p, rs)
         assert all(np.iscomplexobj(v) for v in got.values())
         self._close(got, _reference_transform(factor, k, w, p, rs))
 
@@ -269,23 +288,75 @@ class TestOnePassTransform:
     def test_heat_joins_the_matrix_pass(self, asym_recon, i):
         # riesz_matrix(p) + complement(h), each transformed on its own
         rec = asym_recon
-        k, w, t = rec.k_all, rec.w_all, 20.0
+        k, t = rec.k_all, 20.0
+        w = np.concatenate([rule.weights for rule in rec.rules])
         p = np.concatenate([rec.low_profile(i, i, t),
-                            rec.mid_semigroup(t)[:, i - 1, i - 1] * rec.mu_m])
+                            rec.mid_semigroup(i, i, t) * rec.mu_m])
         nu1 = rec.eq.nu1_plus if i == 2 else rec.eq.nu1_minus
         h = np.exp(-nu1 * k ** 2 * t) * rec.window
         rs = np.linspace(0.0, 4.0 * rec.eq.c * t, 80)
         m = _reference_transform("riesz_matrix", k, w, p, rs)
         c = _reference_transform("complement", k, w, h, rs)
         want = {name: m[name] + c[name] for name in m}
-        self._close(greens._transform("riesz_matrix", k, w, p, rs, heat=h),
-                    want)
+        self._close(greens._transform("riesz_matrix", rec.rules, p, rs,
+                                      heat=h), want)
         self._close(rec.entry_values(i, i, rs, t), want)
 
     def test_unknown_factor_rejected(self):
-        k, w = greens.composite_gl(0.1, 1.0, 2, 4)
+        rule = greens.composite_gl(0.1, 1.0, 2, 4)
         with pytest.raises(ValueError):
-            greens._transform("tensor", k, w, np.ones_like(k), [1.0])
+            greens._transform("tensor", (rule,), np.ones_like(rule.nodes),
+                              [1.0])
+
+    def test_one_transform_path(self, sym_recon, monkeypatch):
+        # radial_inverse and entry_values both reach the panel sums
+        calls = []
+        panel_sums = greens._trig_sums
+
+        def counted(rules, rows, r):
+            calls.append(sum(g.nodes.size for g in rules))
+            return panel_sums(rules, rows, r)
+
+        monkeypatch.setattr(greens, "_trig_sums", counted)
+        rs = np.linspace(0.0, 20.0, 9)
+        greens.radial_inverse("scalar", lambda k, t: np.exp(-k * k * t), rs,
+                              1.0)
+        sym_recon.entry_values(2, 2, rs, 1.0)
+        assert calls == [96 * 32, sym_recon.k_all.size]
+
+
+def _composite_gl_nodes_weights(a, b, n_panels, n_nodes):
+    """composite_gl's nodes and weights before it exposed its panels."""
+    x, w = leggauss(n_nodes)
+    edges = np.linspace(a, b, n_panels + 1)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
+@pytest.mark.parametrize("a,b,n_panels,n_nodes", [
+    (1e-10, spectral.ETA1, 64, 32),
+    (0.5 * spectral.ETA1, 1.2 * spectral.K_CUT, 256, 64),
+    (1e-12, 40.0, 200, 32),
+    (1e-6, 8.0, 40, 16),
+    (0.1, 1.0, 2, 4),
+])
+def test_composite_gl_panel_structure(a, b, n_panels, n_nodes):
+    rule = greens.composite_gl(a, b, n_panels, n_nodes)
+    nodes, weights = _composite_gl_nodes_weights(a, b, n_panels, n_nodes)
+    assert np.array_equal(rule.nodes, nodes)
+    assert np.array_equal(rule.weights, weights)
+    # node (p, j) = mid[p] + half x[j], up to the rounding of the panel
+    # edges: within one unit in the last place of the interval end
+    x, w = leggauss(n_nodes)
+    assert np.array_equal(rule.x, x)
+    assert rule.mid.shape == (n_panels,)
+    rebuilt = (rule.mid[:, None] + rule.half * x[None, :]).ravel()
+    assert np.abs(rebuilt - nodes).max() <= np.spacing(max(abs(a), abs(b)))
+    assert np.abs(np.tile(rule.half * w, n_panels) - weights).max() \
+        <= 1e-13 * weights.max()
 
 
 class TestCoefficientMatrices:
@@ -352,17 +423,17 @@ class TestReconstruction:
         kind = greens.tensor_kind(i, j)
         rs = np.linspace(0.0, 800.0, 64)
         for t in (1.0, 10.0, 100.0):
-            bands = ((rec.kl, rec.wl, rec.low_profile(i, j, t), rec.chi_l),
-                     (rec.km, rec.wm,
-                      rec.mid_semigroup(t)[:, i - 1, j - 1] * rec.mu_m,
-                      rec.mu_m))
+            low, mid = rec.rules
+            bands = ((low, rec.low_profile(i, j, t), rec.chi_l),
+                     (mid, rec.mid_semigroup(i, j, t) * rec.mu_m, rec.mu_m))
             want: dict = {}
-            for k, w, p, window in bands:
-                terms = [greens._transform(kind, k, w, p, rs)]
+            for rule, p, window in bands:
+                terms = [greens._transform(kind, (rule,), p, rs)]
                 if kind == "riesz_matrix" and i == j:
                     nu1 = rec.eq.nu1_plus if i == 2 else rec.eq.nu1_minus
-                    h = np.exp(-nu1 * k ** 2 * t) * window
-                    terms.append(greens._transform("complement", k, w, h, rs))
+                    h = np.exp(-nu1 * rule.nodes ** 2 * t) * window
+                    terms.append(greens._transform("complement", (rule,), h,
+                                                   rs))
                 for term in terms:
                     for name, v in term.items():
                         want[name] = want.get(name, 0.0) + v
@@ -377,9 +448,12 @@ class TestReconstruction:
         rec = request.getfixturevalue(recon)
         for t in (0.5, 7.0, 100.0):
             want = spectral.semigroup_batch(rec.km, t, rec.eq).real
-            got = rec.mid_semigroup(t)
-            assert got.shape == (len(rec.km), 4, 4)
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            for i in range(1, 5):
+                for j in range(1, 5):
+                    got = rec.mid_semigroup(i, j, t)
+                    assert got.shape == (len(rec.km),)
+                    assert np.abs(got - want[:, i - 1, j - 1]).max() \
+                        <= 1e-12 * np.abs(want).max()
 
     def test_no_per_time_state(self):
         rec = greens.GreenReconstructor(SYM_EQ, low_panels=8, mid_panels=16)
@@ -388,7 +462,7 @@ class TestReconstruction:
         rs = np.linspace(0.0, 40.0, 16)
         for t in (1.0, 2.5, 10.0, 10.0 + 1e-9, 33.0):
             rec.entry_values(2, 2, rs, t)
-            rec.mid_semigroup(t)
+            rec.mid_semigroup(2, 2, t)
         after = {name: (id(v), getattr(v, "nbytes", None))
                  for name, v in vars(rec).items()}
         assert after == before
@@ -460,7 +534,7 @@ class TestWavePatterns:
                  + MM[0, 1] * damp * np.sin(rec.lam_l[:, 0].imag * t)) \
                 * rec.chi_l
             rs = np.linspace(0.5, 2.5 * eq.c * t, 3000)
-            vals = np.abs(greens._transform("riesz_vector", rec.kl, rec.wl,
+            vals = np.abs(greens._transform("riesz_vector", rec.rules[:1],
                                             p, rs)["amp"])
             return rs[np.argmax(vals)]
 

@@ -271,6 +271,22 @@ class TestSemigroup:
                 scale = max(1.0, np.abs(S).max())
                 assert np.abs(B[i] - S).max() < 1e-9 * scale
 
+    @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ], ids=["sym", "asym"])
+    def test_entry_matches_semigroup(self, eq):
+        # one entry without the full product, the k = 0 mode through expm
+        ks = np.concatenate([[0.0], np.linspace(0.05, 12.0, 97)])
+        dec = sp.decompose_symbol(ks, eq)
+        assert list(dec.bad) == [0]
+        for t in (0.0, 0.3, 7.0, 100.0):
+            S = dec.semigroup(t)
+            scale = np.abs(S).max()
+            for i in range(4):
+                for j in range(4):
+                    got = dec.entry(i, j, t)
+                    assert got.shape == ks.shape
+                    assert got[0] == S[0, i, j]
+                    assert np.abs(got - S[:, i, j]).max() <= 1e-14 * scale
+
     def test_ill_conditioned_modes_fall_back(self):
         # the diffusive pair merges as k -> 0, so the eigenvector matrix at
         # k = 1e-10 has condition number above 1e8 and takes the expm route
