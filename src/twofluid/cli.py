@@ -172,8 +172,9 @@ def _cmd_convolve(args) -> int:
         t_list = tuple(float(s) for s in args.t.split(","))
     except ValueError:
         raise UsageError("--t expects comma-separated floats") from None
-    if not all(math.isfinite(t) and t > 0.0 for t in t_list):
-        raise UsageError("--t times must be finite and positive")
+    # NaN fails the comparison too
+    if not all(0.0 < t <= waveconv.T_MAX for t in t_list):
+        raise UsageError(f"--t times must lie in (0, {waveconv.T_MAX:g}]")
     if len(set(t_list)) < 2:
         raise UsageError("--t needs at least two distinct times")
     report = waveconv.verify_case(cases[args.case], t_list=t_list)

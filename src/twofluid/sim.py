@@ -10,8 +10,10 @@ nonlinear increments are advanced with classical RK4.
 The RK4 stage state stays in Fourier space on the real-FFT half grid
 (n, n, n//2+1).  Each stage transforms to real space only what its
 products need, forms every product there and every derivative as one
-spectral multiply: 82 real 3-D transforms per stage, 344 per step with the
+spectral multiply: 52 real 3-D transforms per stage, 224 per step with the
 8 + 8 that enter and leave Fourier space (see _GridOps for the count).
+The full-step propagator is applied as two half steps, so a step makes 4
+half-step propagations and caches one gathered propagator.
 """
 
 from __future__ import annotations
@@ -174,14 +176,14 @@ class _GridOps:
     zero, which makes an odd derivative of a real field real, as taking
     the real part of a full complex transform did; ``k2`` keeps them.
 
-    One RHS stage costs 82 transforms: 8 inverse for n and m of both
-    phases, then per phase 6 forward for u and w, 18 inverse for the
-    symmetric gradients of u, w and m (6 pairs d <= e each), 4 inverse
-    for grad n and Lap n, and 6 forward for the symmetric flux T; 6 forward
-    for the pressure terms.  Fewer would need a different discretisation,
-    e.g. J[n u] by the product rule n J[u] + u (x) grad n: at 3 cells per
-    bump radius its aliasing error differs from the present one by far
-    more than round-off.
+    One RHS stage costs 52 transforms: 8 inverse for n and m of both
+    phases, then per phase 19 -- 3 forward for w = n u, 6 inverse for the
+    symmetric gradients of u (pairs d <= e), 4 inverse for grad n and
+    Lap n, and 6 forward for the symmetric flux T -- and 6 forward for the
+    pressure terms.  u needs no transform of its own: m = R u = u + w
+    pointwise, so u_hat = m_hat - w_hat, and the viscous terms in S[w] and
+    S[m] have constant coefficients once rewritten through S[u] (see
+    _phase_rhs), so they stay in Fourier space.
     """
 
     _cache: dict[tuple, "_GridOps"] = {}    # oldest first
@@ -201,6 +203,7 @@ class _GridOps:
         self.k2 = np.sum(xi ** 2, axis=0)
         k = np.sqrt(self.k2)
         self.xi = np.where(2 * np.abs(idx) == n, 0.0, xi)
+        self.xi2 = np.sum(self.xi ** 2, axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             self.khat = np.where(k > 0.0, self.xi / np.maximum(k, 1e-300), 0.0)
         cut = (2.0 / 3.0) * (math.pi / self.dx)
@@ -315,18 +318,19 @@ def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, rho, rho_bar, mu, lam,
     R = n + 1.0
     u = m / R
     w = n * u
-    inv_rho = 1.0 / rho
     # the viscous tensor visc = (n/rho) J[u] - J[w]/rho + drop J[m], with
-    # J[f]_{d,e} = d_e f_d, enters only as visc + visc^T and tr visc, so
-    # only the symmetric gradients S[f]_{de} = d_e f_d + d_d f_e are formed
-    coef = (n * inv_rho, -inv_rho, inv_rho - 1.0 / rho_bar)
-    hats = (np.stack([ops.forward(u[d]) for d in range(3)]),
-            np.stack([ops.forward(w[d]) for d in range(3)]), m_hat)
+    # J[f]_{d,e} = d_e f_d and drop = 1/rho - 1/rho_bar, enters only as
+    # visc + visc^T and tr visc, i.e. through the symmetric gradients
+    # S[f]_{de} = d_e f_d + d_d f_e.  Since m = u + w and S is linear,
+    # visc + visc^T = c S[u] - S[w]/rho_bar with c = R/rho - 1/rho_bar;
+    # both terms are O(eps^2), and the constant-coefficient one never
+    # leaves Fourier space
+    c = R / rho - 1.0 / rho_bar
+    w_hat = np.stack([ops.forward(w[d]) for d in range(3)])
+    u_hat = m_hat - w_hat
     xi = ops.xi
-    sym = {}
-    for d, e in _PAIRS:
-        sym[d, e] = sum(c * ops.inverse(1j * (xi[e] * fh[d] + xi[d] * fh[e]))
-                        for c, fh in zip(coef, hats))
+    sym = {(d, e): c * ops.inverse(1j * (xi[e] * u_hat[d] + xi[d] * u_hat[e]))
+           for d, e in _PAIRS}
     tr = 0.5 * (sym[0, 0] + sym[1, 1] + sym[2, 2])
     grad_n = np.stack([ops.inverse(1j * xi[d] * n_hat) for d in range(3)])
     lap_n_hat = -ops.k2 * n_hat
@@ -339,10 +343,15 @@ def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, rho, rho_bar, mu, lam,
         if d == e:
             T += diag
         T_hat[d, e] = T_hat[e, d] = ops.forward(T)
-    # F_d = d_e T_{d e} - sigma * d_d (Lap n)
+    # F_d = d_e T_{d e} - sigma * d_d (Lap n); the w part of T,
+    # -(mu/rho_bar) S[w] - delta (lam/rho_bar) div w, differentiates to
+    # (mu/rho_bar)(|xi|^2 w_d + xi_d xi.w) + (lam/rho_bar) xi_d xi.w
+    div_w_hat = np.sum(xi * w_hat, axis=0)
     F_hat = np.stack([
         1j * sum(xi[e] * T_hat[d, e] for e in range(3))
         - sigma * 1j * xi[d] * lap_n_hat
+        + (mu / rho_bar) * ops.xi2 * w_hat[d]
+        + ((mu + lam) / rho_bar) * xi[d] * div_w_hat
         for d in range(3)])
     return F_hat, grad_n
 
@@ -420,21 +429,24 @@ def step(state: SimState, dt: float, nonlinear: bool = True) -> SimState:
     """One integrating-factor RK4 step of length dt.
 
     The stage state stays in Fourier space; each stage transforms to real
-    space only what its products need (see _GridOps).
+    space only what its products need (see _GridOps): 224 transforms per
+    step.  The flow is linear and E(dt) = E(dt/2) E(dt/2), so the stage-4
+    input E Y + dt E(dt/2) k3 is E(dt/2)(E(dt/2) Y + dt k3) and the update
+    is folded the same way: 4 half-step propagations, and no full-step
+    propagator is built.
     """
     ops = _GridOps.get(state)
     Y = _stack_hat(state)
     if not nonlinear:
         return _unstack(state, ops.apply_semigroup(Y, dt), state.t + dt)
-    E = lambda Z: ops.apply_semigroup(Z, dt)
     Eh = lambda Z: ops.apply_semigroup(Z, 0.5 * dt)
     k1 = _rhs_hat(ops, Y)
-    EhY = Eh(Y)
-    k2 = _rhs_hat(ops, EhY + 0.5 * dt * Eh(k1))
+    EhY, Ehk1 = Eh(Y), Eh(k1)
+    k2 = _rhs_hat(ops, EhY + 0.5 * dt * Ehk1)
     k3 = _rhs_hat(ops, EhY + 0.5 * dt * k2)
-    EY, Ehk3 = E(Y), Eh(k3)
-    k4 = _rhs_hat(ops, EY + dt * Ehk3)
-    Yn = EY + dt / 6.0 * (E(k1) + 2.0 * Eh(k2) + 2.0 * Ehk3 + k4)
+    k4 = _rhs_hat(ops, Eh(EhY + dt * k3))
+    Yn = (Eh(EhY + dt / 6.0 * Ehk1 + dt / 3.0 * (k2 + k3))
+          + dt / 6.0 * k4)
     if not np.all(np.isfinite(Yn)):
         raise RuntimeError("non-finite update: instability detected")
     return _unstack(state, Yn, state.t + dt)
@@ -524,11 +536,21 @@ def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
     """Time loop with per-step diagnostics; returns (rows, final_state).
 
     The box only represents free space until the fastest front wraps;
-    t_final beyond the pre-wrap horizon (L - r_support) / c is rejected.
+    t_final beyond the pre-wrap horizon (L - r_support) / c is rejected,
+    and so are n < 4, a box size L that is not finite and positive, a
+    non-finite eps and a t_final that is not finite and positive.
     """
-    state = make_sim_state(eq, n=n, L=L, eps=eps, kind=kind)
+    if n < 4:
+        raise ValueError(f"grid size {n} must be at least 4")
+    if not (math.isfinite(L) and L > 0.0):
+        raise ValueError(f"box size {L} must be finite and positive")
+    if not math.isfinite(eps):
+        raise ValueError(f"amplitude eps {eps} must be finite")
     if t_final is None:
         t_final = L / (2.0 * eq.c)
+    if not (math.isfinite(t_final) and t_final > 0.0):
+        raise ValueError(f"t_final {t_final} must be finite and positive")
+    state = make_sim_state(eq, n=n, L=L, eps=eps, kind=kind)
     horizon = (L - 8.0) / eq.c
     if t_final > horizon + 1e-9:
         raise ValueError(f"t_final {t_final} beyond pre-wrap horizon "

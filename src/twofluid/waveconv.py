@@ -439,6 +439,12 @@ def sample_radii(t: float, c: float) -> list[float]:
     return out
 
 
+# the largest decade of sample times at which K4 and I1 accept no panel at
+# a depth cap (K4 at t = 1e4 accepts 33,867 of 295,838 there); far beyond
+# it the pattern formulas overflow
+T_MAX = 1e3
+
+
 def verify_case(case: ConvCase, t_list=(4.0, 16.0, 64.0)) -> ConvReport:
     """Certify one convolution estimate over the standard sample set.
 

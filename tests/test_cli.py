@@ -62,6 +62,8 @@ MALFORMED = [
     ["convolve", "--t", "4,0,16"],
     ["convolve", "--case", "K4", "--t", "64"],
     ["convolve", "--case", "K4", "--t", "64,64"],
+    ["convolve", "--t", "4,1e300"],
+    ["convolve", "--t", "4,1e4"],
     ["spectrum", "--n-k", "0"],
     ["spectrum", "--n-k", "-3"],
     ["spectrum", "--k-min", "0"],
@@ -88,6 +90,16 @@ MALFORMED = [
     ["greens", "--r-max-factor", "0"],
     ["greens", "--r-max-factor", "inf"],
     ["greens", "--r-max-factor", "4.5"],
+    ["simulate", "--grid", "0", "--box", "16"],
+    ["simulate", "--grid", "3", "--box", "16"],
+    ["simulate", "--grid", "8", "--box", "nan"],
+    ["simulate", "--grid", "8", "--box", "inf"],
+    ["simulate", "--grid", "8", "--box", "-16"],
+    ["simulate", "--grid", "8", "--box", "16", "--eps", "nan"],
+    ["simulate", "--grid", "8", "--box", "16", "--eps", "inf"],
+    ["simulate", "--grid", "8", "--box", "16", "--t-final", "-1"],
+    ["simulate", "--grid", "8", "--box", "16", "--t-final", "0"],
+    ["simulate", "--grid", "8", "--box", "16", "--t-final", "nan"],
 ]
 
 

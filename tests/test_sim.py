@@ -338,7 +338,62 @@ class TestGridOpsCache:
         assert len(sim._GridOps._cache) <= sim._GridOps._cache_size
 
 
+class _Counter:
+    """Counts the calls of one bound method it wraps."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+class TestStepCost:
+    """The work of one RHS stage and one step, pinned exactly."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        # a fresh cache, so the grid machinery and its propagators are new
+        monkeypatch.setattr(sim._GridOps, "_cache", {})
+        st = sim.make_sim_state(EQ_ASYM, n=16, L=16.0, eps=1e-2)
+        ops = sim._GridOps.get(st)
+        counters = {}
+        for name in ("forward", "inverse", "apply_semigroup"):
+            counters[name] = _Counter(getattr(ops, name))
+            monkeypatch.setattr(ops, name, counters[name])
+        return st, ops, counters
+
+    def test_transforms_per_stage(self, counted):
+        st, ops, counters = counted
+        Y = sim._stack_hat(st)
+        for counter in counters.values():
+            counter.calls = 0
+        sim._rhs_hat(ops, Y)
+        assert counters["forward"].calls + counters["inverse"].calls == 52
+
+    def test_transforms_and_propagations_per_step(self, counted):
+        st, ops, counters = counted
+        sim.step(st, 0.3)
+        assert counters["forward"].calls + counters["inverse"].calls == 224
+        assert counters["apply_semigroup"].calls == 4
+        # only the half-step propagator is built and cached
+        assert list(ops._props) == [0.15]
+
+
 class TestStep:
+    def test_half_step_composition(self):
+        # the step applies E(dt) as E(dt/2) twice; check the identity on
+        # the dealiased broadband state (both phases, longitudinal and
+        # transverse momentum)
+        st = list(_oracle_states())[5]
+        ops = sim._GridOps.get(st)
+        Y = sim._stack_hat(st)
+        for tau in (0.05, 0.3, 3.0):
+            twice = ops.apply_semigroup(ops.apply_semigroup(Y, tau), tau)
+            once = ops.apply_semigroup(Y, 2.0 * tau)
+            assert np.abs(twice - once).max() <= 1e-13 * np.abs(once).max()
+
     def test_linear_step_matches_exact_flow(self):
         # the reference complex-grid semigroup on the same dealiased state
         st = sim.make_sim_state(EQ, n=16, L=16.0, eps=1e-2)
