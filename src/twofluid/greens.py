@@ -120,11 +120,7 @@ def branch_lambdas(ks: np.ndarray, eq: EquilibriumState) -> np.ndarray:
     """Labeled eigenvalue branches on a k-grid, shape (nk, 4)."""
     ks = np.asarray(ks, dtype=float)
     raw = np.linalg.eigvals(spectral.symbol(ks, eq))
-    ref = spectral.low_freq_expansion(ks, eq)
-    out = np.empty_like(raw)
-    for i in range(len(ks)):
-        out[i] = spectral._assign(raw[i], ref[i])
-    return out
+    return spectral._assign(raw, spectral.low_freq_expansion(ks, eq))
 
 
 # ---------------------------------------------------------------------------

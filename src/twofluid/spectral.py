@@ -9,6 +9,14 @@ high-frequency expansions, plus the certified middle-band decay gap and the
 dual-path semigroup (a per-k spectral sum, and a batched eigendecomposition
 computed once per k-grid and applied per t).
 
+Roots are labelled against a reference (the previous k of a sweep, or a
+closed-form expansion) by the minimum-cost assignment of an L1 distance.
+The assignment is a port of scipy's rectangular_lsap, Crouse's shortest
+augmenting path (D. F. Crouse, IEEE TAES 52(4), 2016), so ties resolve as
+scipy.optimize.linear_sum_assignment resolves them; the common case, where
+every reference label has a distinct nearest root, skips it.  scipy is
+imported only for expm on ill-conditioned modes.
+
 The branch convention: lambda1/lambda2 are the sound pair (complex conjugate
 with Im lambda1 >= 0 at small k), lambda3/lambda4 the diffusive pair with
 |lambda3| <= |lambda4|.
@@ -16,11 +24,10 @@ with Im lambda1 >= 0 at small k), lambda3/lambda4 the diffusive pair with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .model import EquilibriumState
 
@@ -148,11 +155,96 @@ def _quartic_roots(k: float, eq: EquilibriumState) -> ComplexArray:
     return roots
 
 
+def _lsap(cost: list[list[float]]) -> list[int]:
+    """Column of each row in the minimum-cost assignment of a square cost.
+
+    scipy's rectangular_lsap step for step (the reversed remaining order
+    with swap-removal, the tie rule that prefers an unassigned column, the
+    dual updates in the same order), so the result is the column vector
+    linear_sum_assignment returns.
+    """
+    n = len(cost)
+    u = [0.0] * n
+    v = [0.0] * n
+    path = [-1] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for cur in range(n):
+        # shortest augmenting path from row cur
+        min_val = 0.0
+        # reversed, so that a constant cost gives the identity
+        remaining = list(range(n - 1, -1, -1))
+        in_sr = [False] * n
+        in_sc = [False] * n
+        dist = [math.inf] * n
+        i = cur
+        sink = -1
+        while sink == -1:
+            index = -1
+            lowest = math.inf
+            in_sr[i] = True
+            for it, j in enumerate(remaining):
+                r = min_val + cost[i][j] - u[i] - v[j]
+                if r < dist[j]:
+                    path[j] = i
+                    dist[j] = r
+                if dist[j] < lowest or (dist[j] == lowest
+                                        and row4col[j] == -1):
+                    lowest = dist[j]
+                    index = it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            in_sc[j] = True
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        # dual variables
+        u[cur] += min_val
+        for i in range(n):
+            if in_sr[i] and i != cur:
+                u[i] += min_val - dist[col4row[i]]
+        for j in range(n):
+            if in_sc[j]:
+                v[j] -= min_val - dist[j]
+        # augment along the path
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def _assign(roots: ComplexArray, reference: ComplexArray) -> ComplexArray:
-    """Permute roots to minimize total distance to the reference labels."""
-    cost = np.abs(roots[None, :] - reference[:, None])
-    _, cols = linear_sum_assignment(cost)
-    return roots[cols]
+    """Permute roots to minimize total distance to the reference labels.
+
+    roots and reference have shape (..., 4); each (4,) row is labelled on
+    its own.  Where every reference label has a strict unique nearest root
+    and those roots are distinct, the shortest augmenting path finds each
+    sink at once and leaves the column duals at exactly 0, so it returns
+    the row argmins; only the other rows run _lsap.
+    """
+    cost = np.abs(roots[..., None, :] - reference[..., :, None])
+    flat = cost.reshape(-1, 4, 4)
+    ranked = np.sort(flat, axis=-1)
+    if np.isnan(ranked[..., -1]).any():   # sort puts NaN last
+        raise ValueError("cost matrix contains invalid numeric entries")
+    cols = flat.argmin(axis=-1)
+    # a row sets bit cols only if its minimum is strict; the four bits add
+    # up to 0b1111 only if every row sets one and no two share a column
+    direct = ((ranked[..., 0] < ranked[..., 1]) << cols).sum(axis=-1) \
+        == 0b1111
+    if not direct.all():
+        for b in np.flatnonzero(~direct):
+            cols[b] = _lsap(flat[b].tolist())
+    return np.take_along_axis(roots, cols.reshape(roots.shape), axis=-1)
 
 
 def _heuristic_label(roots: ComplexArray) -> ComplexArray:
@@ -175,6 +267,34 @@ def _heuristic_label(roots: ComplexArray) -> ComplexArray:
     return roots[np.argsort(np.abs(roots))]
 
 
+def _labelled_roots(k: float, eq: EquilibriumState,
+                    prev: ComplexArray | None):
+    """Branch-labelled roots at k, their smallest gap and the degenerate flag.
+
+    prev holds the labels at the previous k of a sweep, or None to label
+    against the band's closed-form expansion (by a heuristic in the middle
+    band).
+    """
+    if k == 0.0:
+        return np.zeros(4, dtype=complex), 0.0, True
+    roots = _quartic_roots(k, eq)
+    band = band_of(k)
+    if prev is not None:
+        lams = _assign(roots, prev)
+    elif band == "low":
+        lams = _assign(roots, low_freq_expansion(k, eq))
+    elif band == "high":
+        lams = _assign(roots, high_freq_expansion(k, eq))
+    else:
+        lams = _heuristic_label(roots)
+
+    max_abs = np.abs(lams).max()
+    gaps = np.abs(lams[:, None] - lams[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    gap = gaps.min()
+    return lams, gap, bool(gap < DEGENERACY_REL * (1.0 + max_abs))
+
+
 def eigen_branches(k: float, eq: EquilibriumState,
                    prev: SpectralPoint | None = None,
                    force_projectors: bool = False) -> SpectralPoint:
@@ -186,29 +306,11 @@ def eigen_branches(k: float, eq: EquilibriumState,
     small k where the diffusive pair gap closes like k^2.
     """
     k = float(k)
-    band = band_of(k)
-    if k == 0.0:
-        lams = np.zeros(4, dtype=complex)
-        return SpectralPoint(lambdas=lams, projectors=None,
-                             degenerate_flag=True, band=band)
-
-    roots = _quartic_roots(k, eq)
-    if prev is not None:
-        lams = _assign(roots, prev.lambdas)
-    elif band == "low":
-        lams = _assign(roots, low_freq_expansion(k, eq))
-    elif band == "high":
-        lams = _assign(roots, high_freq_expansion(k, eq))
-    else:
-        lams = _heuristic_label(roots)
-
-    max_abs = np.abs(lams).max()
-    gaps = np.abs(lams[:, None] - lams[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    degenerate = gaps.min() < DEGENERACY_REL * (1.0 + max_abs)
+    lams, gap, degenerate = _labelled_roots(
+        k, eq, None if prev is None else prev.lambdas)
 
     projectors = None
-    if not degenerate or (force_projectors and gaps.min() > 0.0):
+    if not degenerate or (force_projectors and gap > 0.0):
         A = symbol(k, eq).astype(complex)
         I = np.eye(4, dtype=complex)
         projectors = np.empty((4, 4, 4), dtype=complex)
@@ -220,7 +322,7 @@ def eigen_branches(k: float, eq: EquilibriumState,
                 P = P @ (A - lams[j] * I) / (lams[i] - lams[j])
             projectors[i] = P
     return SpectralPoint(lambdas=lams, projectors=projectors,
-                         degenerate_flag=bool(degenerate), band=band)
+                         degenerate_flag=degenerate, band=band_of(k))
 
 
 def singular_projector_coeffs(eq: EquilibriumState, k: float):
@@ -279,11 +381,22 @@ def mid_band_gap(eq: EquilibriumState, n_grid: int = 2000) -> float:
     return b_mid
 
 
+def _expm(M: np.ndarray) -> np.ndarray:
+    """scipy's scaling-and-squaring e^M, imported on first use only."""
+    from scipy.linalg import expm
+    return expm(M)
+
+
 def semigroup(k: float, t: float, eq: EquilibriumState) -> ComplexArray:
-    """e^{t A(k)} by the spectral sum, or scaling-and-squaring near degeneracy."""
+    """e^{t A(k)} by the spectral sum, or scaling-and-squaring near degeneracy.
+
+    A(0) is the zero matrix, so k = 0 gives the identity exactly.
+    """
+    if k == 0.0:
+        return np.eye(4, dtype=complex)
     sp = eigen_branches(k, eq)
     if sp.degenerate_flag:
-        return scipy.linalg.expm(t * symbol(k, eq)).astype(complex)
+        return _expm(t * symbol(k, eq)).astype(complex)
     out = np.zeros((4, 4), dtype=complex)
     for i in range(4):
         out += np.exp(sp.lambdas[i] * t) * sp.projectors[i]
@@ -294,9 +407,9 @@ def semigroup(k: float, t: float, eq: EquilibriumState) -> ComplexArray:
 class SymbolDecomposition:
     """The t-independent part of e^{t A(k)} on a k-grid.
 
-    A = V diag(lam) V^-1 except on the modes in bad (k = 0, or an
-    eigenvector matrix whose 1-norm condition number exceeds 1e8); those
-    keep their symbols A_bad for scaling-and-squaring.
+    A = V diag(lam) V^-1 except on the modes in bad (an eigenvector matrix
+    whose 1-norm condition number exceeds 1e8); those keep their symbols
+    A_bad for scaling-and-squaring.  k = 0 has A = 0: lam = 0 and V = I.
     """
 
     lam: ComplexArray        # (nk, 4)
@@ -309,7 +422,7 @@ class SymbolDecomposition:
         """e^{t A(k)} on the grid, shape (nk, 4, 4)."""
         out = (self.V * np.exp(self.lam * t)[:, None, :]) @ self.V_inv
         for idx, A in zip(self.bad, self.A_bad):
-            out[idx] = scipy.linalg.expm(t * A)
+            out[idx] = _expm(t * A)
         return out
 
     def entry(self, i: int, j: int, t: float) -> ComplexArray:
@@ -318,7 +431,7 @@ class SymbolDecomposition:
         out = (self.V[:, i, :] * np.exp(self.lam * t)
                * self.V_inv[:, :, j]).sum(axis=1)
         for idx, A in zip(self.bad, self.A_bad):
-            out[idx] = scipy.linalg.expm(t * A)[i, j]
+            out[idx] = _expm(t * A)[i, j]
         return out
 
 
@@ -328,11 +441,15 @@ def decompose_symbol(ks: np.ndarray,
     ks = np.asarray(ks, dtype=float)
     A = symbol(ks, eq)
     lam, V = np.linalg.eig(A)
+    zero = ks == 0.0
+    lam[zero] = 0.0
+    V[zero] = np.eye(4)
     V_inv = np.linalg.inv(V)
+    V_inv[zero] = np.eye(4)
     # within a factor 4 of the 2-norm condition number for 4x4 matrices
     cond = np.abs(V).sum(axis=1).max(axis=1) \
         * np.abs(V_inv).sum(axis=1).max(axis=1)
-    bad = np.nonzero(~np.isfinite(cond) | (cond > 1e8) | (ks == 0.0))[0]
+    bad = np.nonzero(~np.isfinite(cond) | (cond > 1e8))[0]
     return SymbolDecomposition(lam, V, V_inv, bad, A[bad])
 
 
@@ -346,25 +463,29 @@ def semigroup_batch(ks: np.ndarray, t: float,
 
 
 def spectrum_rows(eq: EquilibriumState, k_grid: np.ndarray) -> list[dict]:
-    """Continuity-chained sweep producing one report row per k."""
+    """Continuity-chained sweep producing one report row per k.
+
+    The rows need only the labelled roots, so the projectors
+    eigen_branches would build are skipped.
+    """
     rows = []
     prev = None
     for k in k_grid:
-        sp = eigen_branches(float(k), eq, prev=prev)
-        if not sp.degenerate_flag:
-            prev = sp
-        if sp.band == "low":
-            errs = np.abs(sp.lambdas - low_freq_expansion(k, eq))
-        elif sp.band == "high":
-            ref = _assign(high_freq_expansion(k, eq), sp.lambdas)
-            errs = np.abs(sp.lambdas - ref)
+        band = band_of(float(k))
+        lams, _, degenerate = _labelled_roots(float(k), eq, prev)
+        if not degenerate:
+            prev = lams
+        if band == "low":
+            errs = np.abs(lams - low_freq_expansion(k, eq))
+        elif band == "high":
+            ref = _assign(high_freq_expansion(k, eq), lams)
+            errs = np.abs(lams - ref)
         else:
             errs = np.full(4, np.nan)
-        row = {"k": float(k), "band": sp.band,
-               "degenerate": int(sp.degenerate_flag)}
+        row = {"k": float(k), "band": band, "degenerate": int(degenerate)}
         for i in range(4):
-            row[f"re_lambda{i+1}"] = float(sp.lambdas[i].real)
-            row[f"im_lambda{i+1}"] = float(sp.lambdas[i].imag)
+            row[f"re_lambda{i+1}"] = float(lams[i].real)
+            row[f"im_lambda{i+1}"] = float(lams[i].imag)
         for i in range(4):
             row[f"expansion_err{i+1}"] = float(errs[i])
         rows.append(row)

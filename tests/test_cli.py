@@ -6,9 +6,13 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import twofluid
 from twofluid import sim
 from twofluid.cli import _check_record, _equilibrium_metrics, main
 from twofluid.model import ModelParams, solve_equilibrium
@@ -22,6 +26,34 @@ def read_json(path):
 def read_csv(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+SCIPY_PROBE = """
+import json, sys
+import twofluid.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for argv in (["spectrum", "--n-k", "50"], ["convolve", "--case", "K4"],
+             ["simulate", "--grid", "8"]):
+    rc = twofluid.cli.main(["--out", sys.argv[1]] + argv)
+    loaded[argv[0]] = scipy_modules() if rc == 0 else f"exit {rc}"
+print(json.dumps(loaded))
+"""
+
+
+def test_cli_path_loads_no_scipy(tmp_path):
+    # importing scipy costs a CLI process about 0.7 s of CPU; only expm on
+    # ill-conditioned modes loads it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twofluid.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "spectrum": [], "convolve": [],
+                      "simulate": []}
 
 
 class TestUsageErrors:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.special import erf
 
 from twofluid.model import ModelParams, solve_equilibrium
@@ -442,6 +443,20 @@ class TestReconstruction:
             scale = max(np.abs(v).max() for v in want.values())
             for name in want:
                 assert np.abs(got[name] - want[name]).max() <= 1e-11 * scale
+
+    @pytest.mark.parametrize("recon", ["sym_recon", "asym_recon"])
+    def test_batched_labels_match_per_node_loop(self, recon, request):
+        # branch_lambdas as it was: one linear_sum_assignment per node
+        rec = request.getfixturevalue(recon)
+        raw = np.linalg.eigvals(spectral.symbol(rec.kl, rec.eq))
+        ref = spectral.low_freq_expansion(rec.kl, rec.eq)
+        want = np.empty_like(raw)
+        for i in range(len(rec.kl)):
+            cost = np.abs(raw[i][None, :] - ref[i][:, None])
+            _, cols = linear_sum_assignment(cost)
+            want[i] = raw[i][cols]
+        assert np.array_equal(greens.branch_lambdas(rec.kl, rec.eq), want)
+        assert np.array_equal(rec.lam_l, want)
 
     @pytest.mark.parametrize("recon", ["sym_recon", "asym_recon"])
     def test_mid_semigroup_matches_fresh_batch(self, recon, request):

@@ -1,8 +1,9 @@
 """Spectral certification tests for the compressible 4x4 symbol.
 
 Oracles: numpy's own characteristic polynomial of the assembled matrix
-(np.poly), batched eigensolves, and scipy's scaling-and-squaring matrix
-exponential as the independent semigroup route.
+(np.poly), batched eigensolves, scipy's scaling-and-squaring matrix
+exponential as the independent semigroup route, and scipy's
+linear_sum_assignment for the root labelling.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from twofluid.model import ModelParams, solve_equilibrium
 from twofluid import spectral as sp
@@ -42,6 +45,79 @@ class TestSymbol:
         assert A.shape == (2, 3, 4, 4)
         for idx in np.ndindex(ks.shape):
             assert np.array_equal(A[idx], sp.symbol(float(ks[idx]), ASYM_EQ))
+
+
+def scipy_assign(roots, reference):
+    """Root labelling by scipy, one (4,) row at a time."""
+    cost = np.abs(roots[None, :] - reference[:, None])
+    _, cols = linear_sum_assignment(cost)
+    return roots[cols]
+
+
+@st.composite
+def tie_heavy_costs(draw):
+    """4x4 costs with many ties: small integers, or one zero entry."""
+    if draw(st.booleans()):
+        vals = draw(st.lists(st.integers(0, 3), min_size=16, max_size=16))
+        return np.array(vals, dtype=float).reshape(4, 4)
+    vals = draw(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16))
+    cost = np.array(vals).reshape(4, 4)
+    cost[draw(st.integers(0, 3)), draw(st.integers(0, 3))] = 0.0
+    return cost
+
+
+class TestAssignment:
+    @settings(max_examples=400, deadline=None)
+    @given(tie_heavy_costs())
+    def test_port_matches_scipy(self, cost):
+        _, cols = linear_sum_assignment(cost)
+        assert sp._lsap(cost.tolist()) == list(cols)
+
+    def test_constant_cost_gives_identity(self):
+        assert sp._lsap([[1.0] * 4] * 4) == [0, 1, 2, 3]
+
+    def test_early_exit_and_port(self, monkeypatch):
+        calls = []
+        port = sp._lsap
+        monkeypatch.setattr(sp, "_lsap",
+                            lambda cost: calls.append(cost) or port(cost))
+        roots = np.array([3.0, 1j, -1j, -2.0])
+        # every label has its own strict nearest root: the row argmins
+        ref = np.array([1j, -1.9, 2.9, -1j])
+        assert np.array_equal(sp._assign(roots, ref), roots[[1, 3, 0, 2]])
+        assert calls == []
+        # two labels share a nearest root: the shortest augmenting path
+        ref = np.array([2.9, 3.1, 0.0, -2.0])
+        got = sp._assign(roots, ref)
+        assert len(calls) == 1
+        assert np.array_equal(got, scipy_assign(roots, ref))
+        # a tied row takes the port too, and a batch sends only that row
+        ref = np.array([0.0, 1j, -1j, -2.0])
+        batch = sp._assign(np.stack([roots, roots]),
+                           np.stack([ref, roots + 0.1]))
+        assert len(calls) == 2
+        assert np.array_equal(batch[0], scipy_assign(roots, ref))
+        assert np.array_equal(batch[1], roots)
+
+    def test_nan_rejected(self):
+        roots = np.array([np.nan, 1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            sp._assign(roots, roots)
+
+    @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ], ids=["sym", "asym"])
+    def test_spectrum_sweep_labels_match_scipy(self, eq, monkeypatch):
+        # the chained sweep of the spectrum subcommand's default grid, where
+        # a changed label carries into every later row; repr round-trips
+        # floats exactly and lets the middle band's NaN errors compare equal
+        ks = np.logspace(-3, 2, 400)
+        calls = []
+        port = sp._lsap
+        monkeypatch.setattr(sp, "_lsap",
+                            lambda cost: calls.append(cost) or port(cost))
+        rows = sp.spectrum_rows(eq, ks)
+        assert len(calls) > 0     # some labels need the augmenting path
+        monkeypatch.setattr(sp, "_assign", scipy_assign)
+        assert repr(rows) == repr(sp.spectrum_rows(eq, ks))
 
 
 class TestCharPoly:
@@ -261,10 +337,11 @@ class TestSemigroup:
     def test_decomposition_matches_expm(self, eq):
         ks = np.concatenate([[0.0], np.logspace(-3, 1.3, 23)])
         dec = sp.decompose_symbol(ks, eq)
-        assert list(dec.bad) == [0]          # k = 0 takes the expm route
-        assert dec.A_bad.shape == (1, 4, 4)
+        assert len(dec.bad) == 0             # A(0) = 0 needs no expm
+        assert dec.A_bad.shape == (0, 4, 4)
         for t in (0.0, 0.3, 2.0, 25.0):
             B = dec.semigroup(t)
+            assert np.array_equal(B[0], np.eye(4))
             assert np.array_equal(B, sp.semigroup_batch(ks, t, eq))
             for i, k in enumerate(ks):
                 S = scipy.linalg.expm(t * sp.symbol(k, eq))
@@ -273,12 +350,13 @@ class TestSemigroup:
 
     @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ], ids=["sym", "asym"])
     def test_entry_matches_semigroup(self, eq):
-        # one entry without the full product, the k = 0 mode through expm
+        # one entry without the full product, the k = 0 mode exactly I
         ks = np.concatenate([[0.0], np.linspace(0.05, 12.0, 97)])
         dec = sp.decompose_symbol(ks, eq)
-        assert list(dec.bad) == [0]
+        assert len(dec.bad) == 0
         for t in (0.0, 0.3, 7.0, 100.0):
             S = dec.semigroup(t)
+            assert np.array_equal(S[0], np.eye(4))
             scale = np.abs(S).max()
             for i in range(4):
                 for j in range(4):
@@ -298,6 +376,12 @@ class TestSemigroup:
             S = scipy.linalg.expm(t * sp.symbol(ks[0], SYM_EQ))
             assert np.abs(dec.semigroup(t)[0] - S).max() < 1e-14
 
+    def test_scalar_identity_at_k_zero(self):
+        for t in (0.0, 1.0, 1e3):
+            S = sp.semigroup(0.0, t, SYM_EQ)
+            assert S.dtype == complex
+            assert np.array_equal(S, np.eye(4))
+
     def test_entry_boundedness(self):
         # no entry blow-up on a broad (k, t) sweep
         for k in (0.01, 0.1, 1.0, 10.0):
@@ -315,3 +399,19 @@ class TestSpectrumRows:
         assert bands == {"low", "middle", "high"}
         low = [r for r in rows if r["band"] == "low"]
         assert all(np.isfinite(r["expansion_err1"]) for r in low)
+
+    @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ], ids=["sym", "asym"])
+    def test_rows_follow_the_eigen_branches_chain(self, eq):
+        # the sweep labels without building projectors; its labels and
+        # flags are those of eigen_branches chained the same way
+        ks = np.logspace(-3, 2, 120)
+        prev = None
+        for k, row in zip(ks, sp.spectrum_rows(eq, ks)):
+            pt = sp.eigen_branches(k, eq, prev=prev)
+            if not pt.degenerate_flag:
+                prev = pt
+            assert (row["band"], row["degenerate"]) \
+                == (pt.band, int(pt.degenerate_flag))
+            lams = [complex(row[f"re_lambda{i}"], row[f"im_lambda{i}"])
+                    for i in range(1, 5)]
+            assert np.array_equal(lams, pt.lambdas)
