@@ -7,13 +7,13 @@ periodic box: the stiff linear part (sound waves, viscosity, capillarity) is
 absorbed by an exact integrating factor per wave vector, and only the
 nonlinear increments are advanced with classical RK4.
 
-The RK4 stage state stays in Fourier space on the real-FFT half grid
-(n, n, n//2+1).  Each stage transforms to real space only what its
-products need, forms every product there and every derivative as one
-spectral multiply: 52 real 3-D transforms per stage, 224 per step with the
-8 + 8 that enter and leave Fourier space (see _GridOps for the count).
-The full-step propagator is applied as two half steps, so a step makes 4
-half-step propagations and caches one gathered propagator.
+The RK4 stage state stays in Fourier space on the band of the real-FFT
+half grid that the 2/3 rule (Orszag 1971) retains.  Each stage transforms
+to real space only what its products need, forms every product there and
+every derivative as one spectral multiply: 52 real 3-D transforms per
+stage, 34 pruned to the band, 224 per step with the 8 + 8 that enter and
+leave Fourier space (see _GridOps).  The full-step propagator is applied
+as two half steps: 4 half-step propagations, one cached band propagator.
 """
 
 from __future__ import annotations
@@ -170,11 +170,15 @@ class Diagnostics:
 class _GridOps:
     """Cached spectral machinery for one (n, L, eq) combination.
 
-    Every array lives on the real-FFT half grid (n, n, n//2+1): the fields
-    are real, so the other half of each transform is its conjugate mirror.
-    ``xi`` is the derivative wavenumber with the Nyquist entries set to
-    zero, which makes an odd derivative of a real field real, as taking
-    the real part of a full complex transform did; ``k2`` keeps them.
+    Real fields transform onto the half grid (n, n, n//2+1).  The 2/3
+    rule's test |xi_d| <= (2/3) pi/dx keeps a box of it, the band: rows
+    ``rows`` (0..lo-1, n-nb..n-1) of the full axes and columns 0..h-1 of
+    the half axis, (33, 33, 17) at n = 48, indexed by ``band``.  The state,
+    ``xi``, ``k2``, ``khat``, the unique-|k| index ``inv`` and the
+    propagators are band-shaped; the band holds no Nyquist mode.
+    forward_band and inverse_band are rfftn and irfftn pruned to the band
+    (Markel 1971): each 1-D pass they keep sees exactly its input inside
+    rfftn or irfftn, so their results are bitwise equal.
 
     One RHS stage costs 52 transforms: 8 inverse for n and m of both
     phases, then per phase 19 -- 3 forward for w = n u, 6 inverse for the
@@ -183,7 +187,10 @@ class _GridOps:
     pressure terms.  u needs no transform of its own: m = R u = u + w
     pointwise, so u_hat = m_hat - w_hat, and the viscous terms in S[w] and
     S[m] have constant coefficients once rewritten through S[u] (see
-    _phase_rhs), so they stay in Fourier space.
+    _phase_rhs), so they stay in Fourier space.  w = n u has full
+    support, so the 18 transforms of w and S[u] take the whole half grid
+    and ``xi_full`` (zero at Nyquist: odd derivatives of real fields stay
+    real); the other 34 are pruned to the band.
     """
 
     _cache: dict[tuple, "_GridOps"] = {}    # oldest first
@@ -197,17 +204,19 @@ class _GridOps:
         half = np.arange(n // 2 + 1)
         idx = np.stack(np.meshgrid(full, full, half, indexing="ij"))
         xi = (math.pi / L) * idx.astype(float)
+        self.xi_full = np.where(2 * np.abs(idx) == n, 0.0, xi)
+        cut = (2.0 / 3.0) * (math.pi / self.dx)
+        self.rows = np.flatnonzero(np.abs(xi[0, :, 0, 0]) <= cut)
+        self.h = int(np.count_nonzero(np.abs(xi[2, 0, 0]) <= cut))
+        self.band = (...,) + np.ix_(self.rows, self.rows, np.arange(self.h))
+        idx, self.xi = idx[self.band], xi[self.band]
         int2 = np.sum(idx * idx, axis=0)
         self.uniq_int2, self.inv = np.unique(int2, return_inverse=True)
         self.k_uniq = (math.pi / L) * np.sqrt(self.uniq_int2.astype(float))
-        self.k2 = np.sum(xi ** 2, axis=0)
+        self.k2 = np.sum(self.xi ** 2, axis=0)
         k = np.sqrt(self.k2)
-        self.xi = np.where(2 * np.abs(idx) == n, 0.0, xi)
-        self.xi2 = np.sum(self.xi ** 2, axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             self.khat = np.where(k > 0.0, self.xi / np.maximum(k, 1e-300), 0.0)
-        cut = (2.0 / 3.0) * (math.pi / self.dx)
-        self.dealias = (np.abs(xi) <= cut).all(axis=0)
         self._props: dict[float, tuple] = {}
 
     @classmethod
@@ -221,10 +230,10 @@ class _GridOps:
         return ops
 
     def propagator(self, t: float):
-        """(G_gathered, heat factors) for duration t, cached."""
+        """(G_gathered, heat factors) on the band for duration t, cached."""
         if t not in self._props:
             G = semigroup_batch(self.k_uniq, t, self.eq)     # (nu, 4, 4)
-            Gg = G[self.inv.reshape(self.k2.shape)]          # grid-shaped
+            Gg = G[self.inv.reshape(self.k2.shape)]          # band-shaped
             heat_p = np.exp(-self.eq.nu1_plus * self.k2 * t)
             heat_m = np.exp(-self.eq.nu1_minus * self.k2 * t)
             if len(self._props) > 16:
@@ -232,16 +241,32 @@ class _GridOps:
             self._props[t] = (Gg, heat_p, heat_m)
         return self._props[t]
 
-    # transforms between real fields and half-grid coefficients ------------
+    # transforms between real fields and half-grid or band coefficients ----
     def forward(self, f: np.ndarray) -> np.ndarray:
         return np.fft.rfftn(f, axes=(0, 1, 2))
 
     def inverse(self, f_hat: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(f_hat, s=self.shape, axes=(0, 1, 2))
 
+    def forward_band(self, f: np.ndarray) -> np.ndarray:
+        """rfftn(f) on the band: rfft along axis 2, then fft along axes 1
+        and 0, each pass run only on the lines the band keeps."""
+        a = np.fft.rfft(f, axis=2)[:, :, :self.h]
+        a = np.fft.fft(a, axis=1)[:, self.rows]
+        return np.fft.fft(a, axis=0)[self.rows]
+
+    def inverse_band(self, f_hat: np.ndarray) -> np.ndarray:
+        """irfftn of the half grid zero-filled from the band: ifft along
+        axes 0 and 1, then irfft along axis 2, each on nonzero lines only."""
+        a = np.zeros((self.n,) + f_hat.shape[1:], dtype=complex)
+        a[self.rows] = f_hat
+        b = np.zeros((self.n, self.n, self.h), dtype=complex)
+        b[:, self.rows] = np.fft.ifft(a, axis=0)
+        return np.fft.irfft(np.fft.ifft(b, axis=1), n=self.n, axis=2)
+
     def apply_semigroup(self, Y: np.ndarray, t: float) -> np.ndarray:
-        """Advance stacked half-grid transforms (8, n, n, n//2+1) by the
-        exact linear flow."""
+        """Advance stacked band transforms (8, *band shape) by the exact
+        linear flow."""
         Gg, heat_p, heat_m = self.propagator(t)
         out = np.empty_like(Y)
         mL_p = np.sum(self.khat * Y[1:4], axis=0)
@@ -257,16 +282,16 @@ class _GridOps:
 
 
 def _stack_hat(state: SimState) -> np.ndarray:
-    # the retained-band projection keeps the state free of Nyquist content,
-    # where the direction field khat cannot respect conjugate symmetry
+    # the band holds no Nyquist mode, where the direction field khat could
+    # not respect conjugate symmetry
     ops = _GridOps.get(state)
     fields = [state.n_p, *state.m_p, state.n_m, *state.m_m]
-    return np.stack([ops.forward(f) for f in fields]) * ops.dealias
+    return np.stack([ops.forward_band(f) for f in fields])
 
 
 def _unstack(state: SimState, Y: np.ndarray, t: float) -> SimState:
     ops = _GridOps.get(state)
-    real = [ops.inverse(Y[i]) for i in range(8)]
+    real = [ops.inverse_band(Y[i]) for i in range(8)]
     return replace(state, n_p=real[0], m_p=np.stack(real[1:4]),
                    n_m=real[4], m_m=np.stack(real[5:8]), t=t)
 
@@ -311,8 +336,8 @@ def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, rho, rho_bar, mu, lam,
                sigma):
     """Divergence-form momentum increments of one phase (without Q).
 
-    Takes the phase's real fields and their half-grid transforms; returns
-    the transformed increments F_hat (3, n, n, n//2+1) and grad n, which
+    Takes the phase's real fields and their band transforms; returns the
+    band-transformed increments F_hat (3, *band shape) and grad n, which
     the pressure terms reuse.
     """
     R = n + 1.0
@@ -327,14 +352,17 @@ def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, rho, rho_bar, mu, lam,
     # leaves Fourier space
     c = R / rho - 1.0 / rho_bar
     w_hat = np.stack([ops.forward(w[d]) for d in range(3)])
-    u_hat = m_hat - w_hat
-    xi = ops.xi
-    sym = {(d, e): c * ops.inverse(1j * (xi[e] * u_hat[d] + xi[d] * u_hat[e]))
+    u_hat = -w_hat
+    u_hat[ops.band] += m_hat
+    xf = ops.xi_full
+    sym = {(d, e): c * ops.inverse(1j * (xf[e] * u_hat[d] + xf[d] * u_hat[e]))
            for d, e in _PAIRS}
     tr = 0.5 * (sym[0, 0] + sym[1, 1] + sym[2, 2])
-    grad_n = np.stack([ops.inverse(1j * xi[d] * n_hat) for d in range(3)])
+    w_hat = w_hat[ops.band]
+    xi = ops.xi
+    grad_n = np.stack([ops.inverse_band(1j * x * n_hat) for x in xi])
     lap_n_hat = -ops.k2 * n_hat
-    lap_n = ops.inverse(lap_n_hat)
+    lap_n = ops.inverse_band(lap_n_hat)
     # Korteweg form of R grad(Lap R) minus its linear part
     diag = sigma * (R * lap_n + 0.5 * np.sum(grad_n ** 2, axis=0)) + lam * tr
     T_hat = {}
@@ -342,7 +370,7 @@ def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, rho, rho_bar, mu, lam,
         T = -(m[d] * u[e]) + mu * sym[d, e] - sigma * (grad_n[d] * grad_n[e])
         if d == e:
             T += diag
-        T_hat[d, e] = T_hat[e, d] = ops.forward(T)
+        T_hat[d, e] = T_hat[e, d] = ops.forward_band(T)
     # F_d = d_e T_{d e} - sigma * d_d (Lap n); the w part of T,
     # -(mu/rho_bar) S[w] - delta (lam/rho_bar) div w, differentiates to
     # (mu/rho_bar)(|xi|^2 w_d + xi_d xi.w) + (lam/rho_bar) xi_d xi.w
@@ -350,31 +378,48 @@ def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, rho, rho_bar, mu, lam,
     F_hat = np.stack([
         1j * sum(xi[e] * T_hat[d, e] for e in range(3))
         - sigma * 1j * xi[d] * lap_n_hat
-        + (mu / rho_bar) * ops.xi2 * w_hat[d]
+        + (mu / rho_bar) * ops.k2 * w_hat[d]
         + ((mu + lam) / rho_bar) * xi[d] * div_w_hat
         for d in range(3)])
     return F_hat, grad_n
 
 
-def _rhs_core(ops: _GridOps, fields, hats):
-    """Dealiased transformed momentum increments (F1_hat, F2_hat).
-
-    fields = (n+, m+, n-, m-) in real space, hats = their half-grid
-    transforms.  The guards see the real fields exactly as given.
-    """
-    n_p, m_p, n_m, m_m = fields
-    eq = ops.eq
+def _check_fields(n_p, m_p, n_m, m_m) -> None:
     if np.min(n_p) <= -0.9 or np.min(n_m) <= -0.9:
         raise AdmissibilityError("fraction density too close to vacuum")
-    if not all(np.isfinite(f).all() for f in fields):
+    if not all(np.isfinite(f).all() for f in (n_p, m_p, n_m, m_m)):
         raise RuntimeError("non-finite fields: instability detected")
+
+
+def nonlinear_rhs(state: SimState):
+    """Momentum increments (F1, F2) of the full system, dealiased.
+
+    The continuity equations have no nonlinear part.  The pressure terms
+    are products of the perturbations with the exact per-cell density
+    map, which vanish identically at equilibrium.  The guards see the
+    fields as given; the increments are those of their band projection.
+    """
+    _check_fields(state.n_p, state.m_p, state.n_m, state.m_m)
+    ops = _GridOps.get(state)
+    F = _rhs_hat(ops, _stack_hat(state))
+    return (np.stack([ops.inverse_band(F[i]) for i in range(1, 4)]),
+            np.stack([ops.inverse_band(F[i]) for i in range(5, 8)]))
+
+
+def _rhs_hat(ops: _GridOps, Y: np.ndarray) -> np.ndarray:
+    """Stacked band RHS: zero continuity rows, dealiased momentum."""
+    real = [ops.inverse_band(Y[i]) for i in range(8)]
+    n_p, m_p, n_m, m_m = (real[0], np.stack(real[1:4]), real[4],
+                          np.stack(real[5:8]))
+    _check_fields(n_p, m_p, n_m, m_m)
+    eq = ops.eq
     p = eq.params
     rho_p, rho_m, _, C2c = solve_fraction_map(n_p + 1.0, n_m + 1.0, p, eq=eq)
 
-    F1, gnp = _phase_rhs(ops, n_p, m_p, hats[0], hats[1], rho_p,
+    F1, gnp = _phase_rhs(ops, n_p, m_p, Y[0], Y[1:4], rho_p,
                          eq.rho_bar_plus, p.mu_plus, p.lambda_plus,
                          p.sigma_plus)
-    F2, gnm = _phase_rhs(ops, n_m, m_m, hats[2], hats[3], rho_m,
+    F2, gnm = _phase_rhs(ops, n_m, m_m, Y[4], Y[5:8], rho_m,
                          eq.rho_bar_minus, p.mu_minus, p.lambda_minus,
                          p.sigma_minus)
     Q1 = (C2c * n_p * ((rho_m / rho_p) * gnp + gnm)
@@ -383,39 +428,9 @@ def _rhs_core(ops: _GridOps, fields, hats):
     Q2 = (C2c * n_m * ((rho_p / rho_m) * gnm + gnp)
           + (C2c * rho_p / rho_m - eq.beta4) * gnm
           + (C2c - eq.C2) * gnp)
-    F1 -= np.stack([ops.forward(Q1[d]) for d in range(3)])
-    F2 -= np.stack([ops.forward(Q2[d]) for d in range(3)])
-    F1 *= ops.dealias
-    F2 *= ops.dealias
-    return F1, F2
-
-
-def nonlinear_rhs(state: SimState):
-    """Momentum increments (F1, F2) of the full system, dealiased.
-
-    The continuity equations have no nonlinear part.  The pressure
-    contributions are evaluated in the factored form: products of the
-    perturbations with the exact per-cell density map, which vanish
-    identically at equilibrium.
-    """
-    ops = _GridOps.get(state)
-    fields = (state.n_p, state.m_p, state.n_m, state.m_m)
-    hats = (ops.forward(state.n_p),
-            np.stack([ops.forward(f) for f in state.m_p]),
-            ops.forward(state.n_m),
-            np.stack([ops.forward(f) for f in state.m_m]))
-    F1, F2 = _rhs_core(ops, fields, hats)
-    return (np.stack([ops.inverse(F1[d]) for d in range(3)]),
-            np.stack([ops.inverse(F2[d]) for d in range(3)]))
-
-
-def _rhs_hat(ops: _GridOps, Y: np.ndarray) -> np.ndarray:
-    """Stacked-transform RHS: zero continuity rows, dealiased momentum."""
-    real = [ops.inverse(Y[i]) for i in range(8)]
-    fields = (real[0], np.stack(real[1:4]), real[4], np.stack(real[5:8]))
-    hats = (Y[0], Y[1:4], Y[4], Y[5:8])
     out = np.zeros_like(Y)
-    out[1:4], out[5:8] = _rhs_core(ops, fields, hats)
+    out[1:4] = F1 - np.stack([ops.forward_band(Q1[d]) for d in range(3)])
+    out[5:8] = F2 - np.stack([ops.forward_band(Q2[d]) for d in range(3)])
     return out
 
 
@@ -428,12 +443,13 @@ def default_dt(state: SimState) -> float:
 def step(state: SimState, dt: float, nonlinear: bool = True) -> SimState:
     """One integrating-factor RK4 step of length dt.
 
-    The stage state stays in Fourier space; each stage transforms to real
-    space only what its products need (see _GridOps): 224 transforms per
-    step.  The flow is linear and E(dt) = E(dt/2) E(dt/2), so the stage-4
-    input E Y + dt E(dt/2) k3 is E(dt/2)(E(dt/2) Y + dt k3) and the update
-    is folded the same way: 4 half-step propagations, and no full-step
-    propagator is built.
+    The stage state stays in Fourier space on the band; each stage
+    transforms to real space only what its products need (see _GridOps):
+    224 transforms per step, 152 pruned to the band.  The flow is linear
+    and E(dt) = E(dt/2) E(dt/2), so the stage-4 input E Y + dt E(dt/2) k3
+    is E(dt/2)(E(dt/2) Y + dt k3) and the update is folded the same way: 4
+    half-step propagations of the band, with one cached band-sized
+    propagator, (33, 33, 17, 4, 4) at n = 48, and no full-step one.
     """
     ops = _GridOps.get(state)
     Y = _stack_hat(state)

@@ -184,7 +184,10 @@ class TestReferenceOracle:
     def test_rhs_matches_reference(self, idx):
         st = list(_oracle_states())[idx]
         F1, F2 = sim.nonlinear_rhs(st)
-        R1, R2 = _ref_nonlinear_rhs(st)
+        # nonlinear_rhs evaluates the band projection of the state, as the
+        # stepper does; the reference sees the same projected fields
+        R1, R2 = _ref_nonlinear_rhs(sim._unstack(st, sim._stack_hat(st),
+                                                 st.t))
         scale = max(np.abs(R1).max(), np.abs(R2).max())
         assert scale > 0.0
         assert np.abs(F1 - R1).max() <= 1e-12 * scale
@@ -359,10 +362,18 @@ class TestStepCost:
         st = sim.make_sim_state(EQ_ASYM, n=16, L=16.0, eps=1e-2)
         ops = sim._GridOps.get(st)
         counters = {}
-        for name in ("forward", "inverse", "apply_semigroup"):
+        for name in ("forward", "inverse", "forward_band", "inverse_band",
+                     "apply_semigroup"):
             counters[name] = _Counter(getattr(ops, name))
             monkeypatch.setattr(ops, name, counters[name])
         return st, ops, counters
+
+    @staticmethod
+    def transforms(counters):
+        """(band, full) transform counts."""
+        return (counters["forward_band"].calls
+                + counters["inverse_band"].calls,
+                counters["forward"].calls + counters["inverse"].calls)
 
     def test_transforms_per_stage(self, counted):
         st, ops, counters = counted
@@ -370,15 +381,47 @@ class TestStepCost:
         for counter in counters.values():
             counter.calls = 0
         sim._rhs_hat(ops, Y)
-        assert counters["forward"].calls + counters["inverse"].calls == 52
+        assert self.transforms(counters) == (34, 18)
 
     def test_transforms_and_propagations_per_step(self, counted):
         st, ops, counters = counted
         sim.step(st, 0.3)
-        assert counters["forward"].calls + counters["inverse"].calls == 224
+        assert self.transforms(counters) == (152, 72)
         assert counters["apply_semigroup"].calls == 4
-        # only the half-step propagator is built and cached
+        # only the half-step propagator is built and cached, band-shaped
         assert list(ops._props) == [0.15]
+        band = (ops.rows.size, ops.rows.size, ops.h)
+        assert band == (11, 11, 6)
+        Gg, heat_p, heat_m = ops._props[0.15]
+        assert Gg.shape == band + (4, 4)
+        assert heat_p.shape == heat_m.shape == band
+
+
+class TestBandTransforms:
+    """The pruned transforms equal the full ones bitwise."""
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 16, 24, 48])
+    def test_bitwise_equal_to_full_transforms(self, n):
+        L = 8.0 + n
+        ops = sim._GridOps(n, L, EQ)
+        # the band box is exactly the old dealiasing mask
+        modes = np.fft.fftfreq(n, d=1.0 / n).astype(int)
+        idx = np.stack(np.meshgrid(modes, modes, np.arange(n // 2 + 1),
+                                   indexing="ij"))
+        xi = (math.pi / L) * idx.astype(float)
+        mask = (np.abs(xi) <= (2.0 / 3.0) * (math.pi / ops.dx)).all(axis=0)
+        box = np.zeros_like(mask)
+        box[ops.band] = True
+        for a, b in zip(np.nonzero(box), np.nonzero(mask)):
+            assert np.array_equal(a, b)
+        f = np.random.default_rng(n).standard_normal((n, n, n))
+        f_hat = ops.forward_band(f)
+        assert np.array_equal(f_hat, (np.fft.rfftn(f) * mask)[ops.band])
+        filled = np.zeros(mask.shape, dtype=complex)
+        filled[ops.band] = f_hat
+        assert np.array_equal(ops.inverse_band(f_hat),
+                              np.fft.irfftn(filled, s=f.shape,
+                                            axes=(0, 1, 2)))
 
 
 class TestStep:
