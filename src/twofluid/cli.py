@@ -2,7 +2,7 @@
 
 Subcommands: equilibrium, spectrum, greens, convolve, simulate, certify-all.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage or
-configuration error.
+configuration error, or a result that is not finite (nothing is written).
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ __all__ = ["main"]
 
 
 class UsageError(Exception):
-    """A command-line value the subcommand rejects; main exits 2."""
+    """A command-line value the subcommand rejects, or a result that is not
+    finite and so has no strict JSON form; main exits 2."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,9 +84,14 @@ def _load(args) -> ModelParams:
 
 
 def _write_json(payload: dict, path: str) -> None:
+    """Write payload as strict JSON; a NaN or infinite value writes nothing."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise UsageError(f"{path}: a computed value is not finite; "
+                         "nothing written") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_csv(rows: list[dict], header: list[str], path: str) -> None:
@@ -175,9 +181,10 @@ def _cmd_convolve(args) -> int:
     # NaN fails the comparison too
     if not all(0.0 < t <= waveconv.T_MAX for t in t_list):
         raise UsageError(f"--t times must lie in (0, {waveconv.T_MAX:g}]")
-    if len(set(t_list)) < 2:
-        raise UsageError("--t needs at least two distinct times")
-    report = waveconv.verify_case(cases[args.case], t_list=t_list)
+    try:
+        report = waveconv.verify_case(cases[args.case], t_list=t_list)
+    except ValueError as exc:
+        raise UsageError(f"--t: {exc}") from None
     payload = report.to_json()
     payload["pass"] = bool(report.trend_ratio <= 2.0 * args.tol_scale)
     _write_json(payload, os.path.join(args.out, "convolve.json"))
@@ -326,7 +333,7 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     exact = (math.sqrt(math.pi) / 4.0 * erf
              - 0.5 * rs * np.exp(-rs ** 2)) / rs ** 2
     add("riesz_gradient_gaussian", float(np.abs(got - exact).max()), 1e-8)
-    dr = waveconv.double_riesz_check([1.0, 10.0, 100.0])
+    dr = greens.double_riesz_check([1.0, 10.0, 100.0])
     add("double_riesz_stable",
         float(np.max(dr["C_by_t"]) / np.min(dr["C_by_t"])), 2.0)
 

@@ -9,8 +9,9 @@ the middle band is folded in with the exact semigroup under a smooth
 rolloff.  All physical-space values come from 1-D radial quadratures; a 3-D
 FFT of the same symbol serves as the regression oracle in the test suite.
 
-The module also houses the envelope-certification drivers; the envelopes
-themselves are waveconv.WavePattern decay patterns.
+The module also houses the envelope-certification drivers (the envelopes
+themselves are waveconv.WavePattern decay patterns) and the double-Riesz
+certificate, which all go through the one radial transform, _transform.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from numpy.polynomial.legendre import leggauss
 from .model import EquilibriumState
 from . import spectral
 from .spectral import ETA1, K_CUT
-from .waveconv import WavePattern, core_front_masks
+from .waveconv import WavePattern, _constants_report, core_front_masks
 
 
 # ---------------------------------------------------------------------------
@@ -234,41 +235,16 @@ def _transform(factor: str, rules, p, rs, heat=None) -> dict:
     return {"long": long, "trans": trans}
 
 
-@dataclass(frozen=True)
-class RadialKernel:
-    r_grid: np.ndarray
-    t: float
-    values: dict
-    imag_residue: float
+def radial_inverse(factor: str, fhat, rs, k_max: float = 40.0,
+                   n_panels: int = 200) -> dict:
+    """3-D inverse Fourier transform of fhat(|xi|) times one tensor factor.
 
-
-def radial_inverse(factor: str, profile, r, t: float, cutoff: bool = True,
-                   k_max: float = 12.0,
-                   n_panels: int = 96, n_nodes: int = 32) -> RadialKernel:
-    """3-D inverse Fourier transform of profile(k, t) times a tensor factor.
-
-    With cutoff the quadrature lives on [0, ETA1] under chi_low; otherwise
-    on [0, k_max] (the caller picks k_max large enough for the profile
-    decay).  This is the closed-form oracle hook for the transforms that
-    GreenReconstructor.entry_values applies.
+    The amplitude dict of _transform at radii rs, on the 32-node composite
+    Gauss-Legendre rule with n_panels equal panels on [1e-12, k_max]; the
+    caller picks k_max large enough for the decay of fhat.
     """
-    rs = np.atleast_1d(np.asarray(r, dtype=float))
-    if cutoff:
-        rule = composite_gl(0.0, ETA1, max(n_panels, 48), n_nodes)
-        p = profile(rule.nodes, t) * chi_low(rule.nodes)
-    else:
-        rule = composite_gl(1e-12, k_max, n_panels, n_nodes)
-        p = profile(rule.nodes, t)
-
-    imag = 0.0
-    out = {}
-    for name, arr in _transform(factor, (rule,), p, rs).items():
-        if np.iscomplexobj(arr):
-            mag = np.abs(arr).max() + 1e-300
-            imag = max(imag, float(np.abs(arr.imag).max() / mag))
-            arr = arr.real
-        out[name] = arr
-    return RadialKernel(r_grid=rs, t=t, values=out, imag_residue=imag)
+    rule = composite_gl(1e-12, k_max, n_panels, 32)
+    return _transform(factor, (rule,), fhat(rule.nodes), rs)
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +305,6 @@ class GreenReconstructor:
                 + (self.M3r[a, b] + self.M3s[a, b] / k) * e3
                 + (self.M4r[a, b] + self.M4s[a, b] / k) * e4)
 
-    def low_profile(self, i: int, j: int, t: float) -> np.ndarray:
-        """Leading-order compressible profile on the low grid (chi included)."""
-        return self._leading_profile(i, j, self.kl, self.lam_l, t) \
-            * self.chi_l
-
-    def mid_semigroup(self, i: int, j: int, t: float) -> np.ndarray:
-        """Entry (i, j) of the exact semigroup on the middle grid at time t."""
-        return self.mid.entry(i - 1, j - 1, t).real
-
     def full_profile(self, i: int, j: int, k, t: float) -> np.ndarray:
         """Band-limited compressible profile at arbitrary k (oracle hook).
 
@@ -368,9 +335,11 @@ class GreenReconstructor:
     def entry_profile(self, i: int, j: int, t: float):
         """(p, h): the windowed low+middle profile of entry (i, j) on k_all,
         and the windowed heat profile of the shear entries (2,2) and (4,4)
-        (None for the others)."""
-        p = np.concatenate([self.low_profile(i, j, t),
-                            self.mid_semigroup(i, j, t) * self.mu_m])
+        (None for the others).  The low part is the leading-order
+        decomposition, the middle part entry (i, j) of the exact semigroup."""
+        low = self._leading_profile(i, j, self.kl, self.lam_l, t) * self.chi_l
+        mid = self.mid.entry(i - 1, j - 1, t).real * self.mu_m
+        p = np.concatenate([low, mid])
         h = None
         if tensor_kind(i, j) == "riesz_matrix" and i == j:
             nu1 = self.eq.nu1_plus if i == 2 else self.eq.nu1_minus
@@ -498,3 +467,23 @@ def kernel_csv_rows(recon: GreenReconstructor, i: int, j: int,
         for r, v in zip(rs, vals):
             rows.append({"r": float(r), "t": float(t), "value": float(v)})
     return rows
+
+
+def double_riesz_check(t_list) -> dict:
+    """Certify the double-Riesz bound on the heat-kernel family.
+
+    grad div (-Delta)^{-1} f is the Riesz-matrix factor xi xi^T/|xi|^2
+    applied to f-hat.  f with f-hat = e^{-k^2 (1+t)} satisfies the premise
+    profile bounds; the output must stay under
+    C (1+t)^{-3/2} (1+r^2/(1+t))^{-3/2}.
+    """
+    Cs = []
+    for t in t_list:
+        b = 1.0 + t
+        rs = np.linspace(0.0, 30.0 * math.sqrt(b), 400)
+        vals = radial_inverse("riesz_matrix", lambda k: np.exp(-k * k * b),
+                              rs)
+        amp = np.maximum(np.abs(vals["long"]), np.abs(vals["trans"]))
+        bound = b ** -1.5 * (1.0 + rs ** 2 / b) ** -1.5
+        Cs.append(float((amp / bound).max()))
+    return _constants_report(t_list, Cs)

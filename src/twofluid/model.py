@@ -15,8 +15,8 @@ Classes:
     EquilibriumState  -- background state plus all derived linear coefficients.
 
 Functions:
-    validate_params, solve_equilibrium, solve_fraction_map,
-    check_combination_degeneracy, load_params, equilibrium_report.
+    validate_params, solve_equilibrium, wave_speed_alt, solve_fraction_map,
+    load_params, equilibrium_report.
 """
 
 from __future__ import annotations
@@ -346,33 +346,6 @@ def solve_fraction_map(R_plus, R_minus, p: ModelParams,
     return rho_p, rho_m, alpha_p, C2
 
 
-def check_combination_degeneracy(eq: EquilibriumState) -> dict:
-    """Report on the second candidate combination weight a2.
-
-    The alternative symbol combination would need weight
-    a2 = (beta1 - beta2)/(beta2 - beta4); the identity beta1 beta4 = beta2^2
-    forces a2 = beta1/beta2, i.e. the candidate collapses onto the original
-    combination and carries no new cancellation.
-    """
-    # near-symmetric states make the quotient ill-conditioned; report n/a
-    if abs(eq.beta2 - eq.beta4) < 1e-6 * max(abs(eq.beta2), abs(eq.beta4)):
-        return {"applicable": False, "reason": "not applicable: beta2=beta4"}
-    if abs(eq.beta1 - eq.beta2) < 1e-6 * max(abs(eq.beta1), abs(eq.beta2)):
-        return {"applicable": False, "reason": "not applicable: beta1=beta2"}
-    a2 = (eq.beta1 - eq.beta2) / (eq.beta2 - eq.beta4)
-    ref = eq.beta1 / eq.beta2
-    # cross-multiplied residual avoids the ill-conditioned quotient:
-    # (beta1-beta2) beta2 - (beta2-beta4) beta1 = beta1 beta4 - beta2^2
-    resid = abs(eq.beta1 * eq.beta4 - eq.beta2 ** 2)
-    return {
-        "applicable": True,
-        "a2": a2,
-        "beta1_over_beta2": ref,
-        "abs_diff": abs(a2 - ref),
-        "degenerate": resid < 1e-12 * eq.beta2 ** 2,
-    }
-
-
 def load_params(path: str) -> ModelParams:
     """Read ModelParams from a plain-text config of `key = value` lines."""
     values: dict[str, float] = {}
@@ -400,10 +373,15 @@ def load_params(path: str) -> ModelParams:
 
 
 def equilibrium_report(eq: EquilibriumState) -> dict:
-    """Flat JSON-ready dict of the EquilibriumState fields."""
+    """Flat JSON-ready dict of the EquilibriumState fields.
+
+    R_disc is None when disc < 0 (the diffusive pair is then complex).
+    """
     out = {"schema": 1}
     for key, val in asdict(eq).items():
-        if key == "params":
+        if key == "R_disc" and eq.disc < 0.0:
+            out[key] = None
+        elif key == "params":
             for pk, pv in val.items():
                 out[f"param_{pk}"] = pv
         elif isinstance(val, complex):

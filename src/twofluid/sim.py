@@ -32,7 +32,7 @@ __all__ = [
     "LinearRadialState", "SimState", "Diagnostics",
     "default_linear_state", "linear_evolve", "l2_norms", "fit_decay_slope",
     "decay_slope_table",
-    "make_sim_state", "nonlinear_rhs", "step",
+    "make_sim_state", "step",
     "diagnostics", "shell_profile", "dump_state", "load_state",
     "run_simulation",
 ]
@@ -297,22 +297,15 @@ def _unstack(state: SimState, Y: np.ndarray, t: float) -> SimState:
 
 
 def make_sim_state(eq: EquilibriumState, n: int = 48, L: float = 64.0,
-                   eps: float = 1e-3, kind: str = "ring") -> SimState:
-    """Compactly supported initial perturbation on the box.
-
-    "ring": radial momentum pulse in both phases (launches a Huygens ring);
-    "mode": single-mode density perturbation n+ = eps cos(pi x / L).
-    """
+                   eps: float = 1e-3) -> SimState:
+    """Compactly supported initial perturbation on the box: a radial
+    momentum pulse of radius 8 in both phases, which launches a Huygens
+    ring."""
     x1 = -L + (2.0 * L / n) * np.arange(n)
     X, Yc, Z = np.meshgrid(x1, x1, x1, indexing="ij")
     zeros = np.zeros((n, n, n))
     state = SimState(eq, L, n, zeros.copy(), np.zeros((3, n, n, n)),
                      zeros.copy(), np.zeros((3, n, n, n)))
-    if kind == "mode":
-        state.n_p = eps * np.cos(math.pi * X / L)
-        return state
-    if kind != "ring":
-        raise ValueError(f"unknown initial condition {kind!r}")
     r = np.sqrt(X ** 2 + Yc ** 2 + Z ** 2)
     r0 = 8.0
     with np.errstate(divide="ignore", over="ignore"):
@@ -389,21 +382,6 @@ def _check_fields(n_p, m_p, n_m, m_m) -> None:
         raise AdmissibilityError("fraction density too close to vacuum")
     if not all(np.isfinite(f).all() for f in (n_p, m_p, n_m, m_m)):
         raise RuntimeError("non-finite fields: instability detected")
-
-
-def nonlinear_rhs(state: SimState):
-    """Momentum increments (F1, F2) of the full system, dealiased.
-
-    The continuity equations have no nonlinear part.  The pressure terms
-    are products of the perturbations with the exact per-cell density
-    map, which vanish identically at equilibrium.  The guards see the
-    fields as given; the increments are those of their band projection.
-    """
-    _check_fields(state.n_p, state.m_p, state.n_m, state.m_m)
-    ops = _GridOps.get(state)
-    F = _rhs_hat(ops, _stack_hat(state))
-    return (np.stack([ops.inverse_band(F[i]) for i in range(1, 4)]),
-            np.stack([ops.inverse_band(F[i]) for i in range(5, 8)]))
 
 
 def _rhs_hat(ops: _GridOps, Y: np.ndarray) -> np.ndarray:
@@ -547,8 +525,7 @@ def load_state(path: str, eq: EquilibriumState) -> SimState:
 
 def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
                    n: int = 48, L: float = 64.0, eps: float = 1e-3,
-                   t_final: float | None = None, dt: float | None = None,
-                   kind: str = "ring"):
+                   t_final: float | None = None):
     """Time loop with per-step diagnostics; returns (rows, final_state).
 
     The box only represents free space until the fastest front wraps;
@@ -566,15 +543,13 @@ def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
         t_final = L / (2.0 * eq.c)
     if not (math.isfinite(t_final) and t_final > 0.0):
         raise ValueError(f"t_final {t_final} must be finite and positive")
-    state = make_sim_state(eq, n=n, L=L, eps=eps, kind=kind)
+    state = make_sim_state(eq, n=n, L=L, eps=eps)
     horizon = (L - 8.0) / eq.c
     if t_final > horizon + 1e-9:
         raise ValueError(f"t_final {t_final} beyond pre-wrap horizon "
                          f"{horizon:.3g}")
-    if dt is None:
-        dt = default_dt(state)
     rows = [diagnostics(state)]
-    n_steps = max(1, int(round(t_final / dt)))
+    n_steps = max(1, int(round(t_final / default_dt(state))))
     dt = t_final / n_steps
     for _ in range(n_steps):
         state = step(state, dt, nonlinear=(mode == "nonlinear"))

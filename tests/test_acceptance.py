@@ -115,11 +115,9 @@ def test_radial_transform_regression(sym_recon):
     # scalar route against the closed-form heat kernel
     t = 1.7
     rs = np.linspace(0.0, 8.0, 40)
-    kern = greens.radial_inverse("scalar", lambda k, tt: np.exp(-k * k * tt),
-                                 rs, t, cutoff=False, k_max=40.0,
-                                 n_panels=200, n_nodes=32)
+    kern = greens.radial_inverse("scalar", lambda k: np.exp(-k * k * t), rs)
     exact = (4 * math.pi * t) ** -1.5 * np.exp(-rs ** 2 / (4 * t))
-    assert np.abs(kern.values["amp"] - exact).max() < 1e-6
+    assert np.abs(kern["amp"] - exact).max() < 1e-6
     # full reconstruction against an independent 3-D FFT
     n, dx, tt = 128, 0.25, 2.0
     fx = 2 * math.pi * np.fft.fftfreq(n, d=dx)
@@ -190,8 +188,9 @@ def test_riesz_potential_lemmas():
     t = 4.0
     b = 1.0 + t
     rr = np.linspace(0.0, 30.0 * math.sqrt(b), 600)
-    lo, tr = waveconv.double_riesz_apply(lambda k: np.exp(-k * k * b), rr)
-    amp = np.maximum(np.abs(lo), np.abs(tr))
+    vals = greens.radial_inverse("riesz_matrix", lambda k: np.exp(-k * k * b),
+                                 rr)
+    amp = np.maximum(np.abs(vals["long"]), np.abs(vals["trans"]))
     u = 1.0 + rr ** 2 / b
     sel = (u > 20.0) & (amp > 0.0)
     prof_slope = np.polyfit(np.log(u[sel]), np.log(amp[sel]), 1)[0]

@@ -23,6 +23,15 @@ def read_json(path):
         return json.load(fh)
 
 
+def read_strict_json(path):
+    """read_json that refuses the bare NaN and Infinity of lax JSON."""
+    def refuse(name):
+        raise ValueError(f"{path} holds a bare {name}")
+
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
 def read_csv(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
@@ -96,6 +105,8 @@ MALFORMED = [
     ["convolve", "--case", "K4", "--t", "64,64"],
     ["convolve", "--t", "4,1e300"],
     ["convolve", "--t", "4,1e4"],
+    # only one time in the final decade [t_max/10, t_max]
+    ["convolve", "--case", "K4", "--t", "4,1e3"],
     ["spectrum", "--n-k", "0"],
     ["spectrum", "--n-k", "-3"],
     ["spectrum", "--k-min", "0"],
@@ -132,18 +143,49 @@ MALFORMED = [
     ["simulate", "--grid", "8", "--box", "16", "--t-final", "-1"],
     ["simulate", "--grid", "8", "--box", "16", "--t-final", "0"],
     ["simulate", "--grid", "8", "--box", "16", "--t-final", "nan"],
+    # disc < 0: the complex diffusive pair gives non-finite metrics, which
+    # have no strict JSON form
+    ["--params", "@complex-pair", "greens", "--entry", "1,2"],
+    ["--params", "@complex-pair", "certify-all"],
 ]
+
+# sigma_plus = sigma_minus = 1 makes the diffusive-pair discriminant negative
+COMPLEX_PAIR = "sigma_plus = 1.0\nsigma_minus = 1.0\n"
 
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
 def test_malformed_input_is_a_usage_error(argv, tmp_path, capsys):
+    cfg = tmp_path / "complex_pair.cfg"
+    cfg.write_text(COMPLEX_PAIR)
+    argv = [str(cfg) if a == "@complex-pair" else a for a in argv]
     assert main(["--out", str(tmp_path), *argv]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    for path in tmp_path.glob("*.json"):
+        read_strict_json(path)
+
+
+def test_default_json_outputs_are_strict(tmp_path):
+    for argv in (["equilibrium"], ["spectrum"], ["greens"], ["convolve"],
+                 ["simulate"], ["certify-all"]):
+        assert main(["--out", str(tmp_path), *argv]) == 0
+    written = sorted(tmp_path.glob("*.json"))
+    assert [p.name for p in written] == [
+        "certify.json", "convolve.json", "envelope.json", "equilibrium.json"]
+    for path in written:
+        read_strict_json(path)
 
 
 class TestEquilibrium:
+    def test_complex_pair_writes_null(self, tmp_path):
+        cfg = tmp_path / "complex_pair.cfg"
+        cfg.write_text(COMPLEX_PAIR)
+        assert main(["--params", str(cfg), "--out", str(tmp_path),
+                     "equilibrium"]) == 0
+        rep = read_strict_json(tmp_path / "equilibrium.json")
+        assert rep["disc"] < 0.0 and rep["R_disc"] is None
+
     def test_default_params(self, tmp_path):
         assert main(["--out", str(tmp_path), "equilibrium"]) == 0
         rep = read_json(tmp_path / "equilibrium.json")

@@ -110,6 +110,13 @@ class TestEnvelopes:
         assert rep.C_by_region["elsewhere"] == pytest.approx(1.0, rel=1e-12)
 
 
+def _low_band(factor, fhat, rs):
+    """radial_inverse of fhat under chi_low, on 96 panels up to ETA1."""
+    return greens.radial_inverse(
+        factor, lambda k: fhat(k) * greens.chi_low(k), rs,
+        k_max=spectral.ETA1, n_panels=96)
+
+
 def envclose(env, r, t, val):
     return env.value(r, t) == pytest.approx(val, rel=1e-12)
 
@@ -120,19 +127,17 @@ class TestRadialTransforms:
     rs = np.linspace(0.0, 10.0, 41)
 
     def _kern(self, factor, profile, t):
-        return greens.radial_inverse(factor, profile, self.rs, t,
-                                     cutoff=False, k_max=40.0,
-                                     n_panels=200, n_nodes=32)
+        return greens.radial_inverse(factor, lambda k: profile(k, t), self.rs)
 
     def test_scalar_heat_kernel(self):
         for t in (0.5, 1.0, 10.0):
             kern = self._kern("scalar", lambda k, tt: np.exp(-k * k * tt), t)
             exact = (4 * math.pi * t) ** -1.5 * np.exp(-self.rs ** 2 / (4 * t))
-            assert np.abs(kern.values["amp"] - exact).max() < 1e-12
+            assert np.abs(kern["amp"] - exact).max() < 1e-12
 
     def test_scalar_origin_value(self):
         kern = self._kern("scalar", lambda k, tt: np.exp(-k * k * tt), 1.0)
-        assert kern.values["amp"][0] == pytest.approx(
+        assert kern["amp"][0] == pytest.approx(
             (4 * math.pi) ** -1.5, rel=1e-12)
 
     def test_vector_gradient_of_heat(self):
@@ -142,8 +147,8 @@ class TestRadialTransforms:
                               lambda k, tt: k * np.exp(-k * k * tt), t)
             exact = -(self.rs / (2 * t)) * (4 * math.pi * t) ** -1.5 \
                 * np.exp(-self.rs ** 2 / (4 * t))
-            assert np.abs(kern.values["amp"] - exact).max() < 1e-12
-            assert kern.values["amp"][0] == 0.0
+            assert np.abs(kern["amp"] - exact).max() < 1e-12
+            assert kern["amp"][0] == 0.0
 
     def test_matrix_heat_riesz(self):
         # xi xi^T/|xi|^2 e^{-|xi|^2 t}: potential is erf(r/2 sqrt t)/(4 pi r)
@@ -158,11 +163,11 @@ class TestRadialTransforms:
         Gp = g / (4 * math.pi * r) - erf(a * r) / (4 * math.pi * r ** 2)
         Gpp = gp / (4 * math.pi * r) - 2 * g / (4 * math.pi * r ** 2) \
             + 2 * erf(a * r) / (4 * math.pi * r ** 3)
-        assert np.abs(kern.values["long"][1:] + Gpp).max() < 1e-12
-        assert np.abs(kern.values["trans"][1:] + Gp / r).max() < 1e-12
+        assert np.abs(kern["long"][1:] + Gpp).max() < 1e-12
+        assert np.abs(kern["trans"][1:] + Gp / r).max() < 1e-12
         at0 = (math.sqrt(math.pi) / 4) * t ** -1.5 / (6 * math.pi ** 2)
-        assert kern.values["long"][0] == pytest.approx(at0, rel=1e-10)
-        assert kern.values["trans"][0] == pytest.approx(at0, rel=1e-10)
+        assert kern["long"][0] == pytest.approx(at0, rel=1e-10)
+        assert kern["trans"][0] == pytest.approx(at0, rel=1e-10)
 
     def test_cutoff_grid_heat_kernel(self):
         # at t = 2e4 the heat profile is down to e^-50 where chi_low leaves
@@ -170,24 +175,22 @@ class TestRadialTransforms:
         t = 2.0e4
         rs = np.linspace(0.0, 6.0 * math.sqrt(t), 41)
         heat = (4 * math.pi * t) ** -1.5 * np.exp(-rs ** 2 / (4 * t))
-        kern = greens.radial_inverse(
-            "scalar", lambda k, tt: np.exp(-k * k * tt), rs, t)
-        assert np.abs(kern.values["amp"] - heat).max() < 1e-12 * heat.max()
-        kern = greens.radial_inverse(
-            "riesz_vector", lambda k, tt: k * np.exp(-k * k * tt), rs, t)
+        kern = _low_band("scalar", lambda k: np.exp(-k * k * t), rs)
+        assert np.abs(kern["amp"] - heat).max() < 1e-12 * heat.max()
+        kern = _low_band("riesz_vector", lambda k: k * np.exp(-k * k * t), rs)
         grad = -(rs / (2 * t)) * heat
-        assert np.abs(kern.values["amp"] - grad).max() \
+        assert np.abs(kern["amp"] - grad).max() \
             < 1e-12 * np.abs(grad).max()
 
     def test_complement_sums_with_riesz(self):
         # complement + riesz_matrix = scalar, componentwise
         t = 0.7
         prof = lambda k, tt: np.exp(-k * k * tt) * (1 + k * k)
-        s = self._kern("scalar", prof, t).values["amp"]
+        s = self._kern("scalar", prof, t)["amp"]
         m = self._kern("riesz_matrix", prof, t)
         c = self._kern("complement", prof, t)
-        assert np.abs(m.values["long"] + c.values["long"] - s).max() < 1e-13
-        assert np.abs(m.values["trans"] + c.values["trans"] - s).max() < 1e-13
+        assert np.abs(m["long"] + c["long"] - s).max() < 1e-13
+        assert np.abs(m["trans"] + c["trans"] - s).max() < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +272,7 @@ class TestOnePassTransform:
         rec = sym_recon
         k = rec.k_all
         w = np.concatenate([rule.weights for rule in rec.rules])
-        p = np.concatenate([rec.low_profile(1, 2, t),
-                            rec.mid_semigroup(1, 2, t) * rec.mu_m])
+        p = rec.entry_profile(1, 2, t)[0]
         rs = np.linspace(0.0, 4.0 * rec.eq.c * t, 96)
         self._close(greens._transform(factor, rec.rules, p, rs),
                     _reference_transform(factor, k, w, p, rs))
@@ -291,8 +293,7 @@ class TestOnePassTransform:
         rec = asym_recon
         k, t = rec.k_all, 20.0
         w = np.concatenate([rule.weights for rule in rec.rules])
-        p = np.concatenate([rec.low_profile(i, i, t),
-                            rec.mid_semigroup(i, i, t) * rec.mu_m])
+        p = rec.entry_profile(i, i, t)[0]
         nu1 = rec.eq.nu1_plus if i == 2 else rec.eq.nu1_minus
         h = np.exp(-nu1 * k ** 2 * t) * rec.window
         rs = np.linspace(0.0, 4.0 * rec.eq.c * t, 80)
@@ -320,8 +321,7 @@ class TestOnePassTransform:
 
         monkeypatch.setattr(greens, "_trig_sums", counted)
         rs = np.linspace(0.0, 20.0, 9)
-        greens.radial_inverse("scalar", lambda k, t: np.exp(-k * k * t), rs,
-                              1.0)
+        _low_band("scalar", lambda k: np.exp(-k * k), rs)
         sym_recon.entry_values(2, 2, rs, 1.0)
         assert calls == [96 * 32, sym_recon.k_all.size]
 
@@ -425,8 +425,9 @@ class TestReconstruction:
         rs = np.linspace(0.0, 800.0, 64)
         for t in (1.0, 10.0, 100.0):
             low, mid = rec.rules
-            bands = ((low, rec.low_profile(i, j, t), rec.chi_l),
-                     (mid, rec.mid_semigroup(i, j, t) * rec.mu_m, rec.mu_m))
+            p = rec.entry_profile(i, j, t)[0]
+            bands = ((low, p[:low.nodes.size], rec.chi_l),
+                     (mid, p[low.nodes.size:], rec.mu_m))
             want: dict = {}
             for rule, p, window in bands:
                 terms = [greens._transform(kind, (rule,), p, rs)]
@@ -465,7 +466,7 @@ class TestReconstruction:
             want = spectral.semigroup_batch(rec.km, t, rec.eq).real
             for i in range(1, 5):
                 for j in range(1, 5):
-                    got = rec.mid_semigroup(i, j, t)
+                    got = rec.mid.entry(i - 1, j - 1, t).real
                     assert got.shape == (len(rec.km),)
                     assert np.abs(got - want[:, i - 1, j - 1]).max() \
                         <= 1e-12 * np.abs(want).max()
@@ -477,7 +478,7 @@ class TestReconstruction:
         rs = np.linspace(0.0, 40.0, 16)
         for t in (1.0, 2.5, 10.0, 10.0 + 1e-9, 33.0):
             rec.entry_values(2, 2, rs, t)
-            rec.mid_semigroup(2, 2, t)
+            rec.entry_profile(2, 2, t)
         after = {name: (id(v), getattr(v, "nbytes", None))
                  for name, v in vars(rec).items()}
         assert after == before
@@ -533,8 +534,8 @@ class TestWavePatterns:
         peaks = []
         for t in ts:
             rs = np.linspace(0.0, 25 * math.sqrt(1 + t), 600)
-            kern = greens.radial_inverse("riesz_vector", prof, rs, t)
-            peaks.append(np.abs(kern.values["amp"]).max())
+            kern = _low_band("riesz_vector", lambda k: prof(k, t), rs)
+            peaks.append(np.abs(kern["amp"]).max())
         slope = -np.polyfit(np.log(1 + ts), np.log(peaks), 1)[0]
         assert 0.85 <= slope <= 1.1
 

@@ -18,7 +18,6 @@ from twofluid.model import (
     AdmissibilityError,
     ModelParams,
     ParameterError,
-    check_combination_degeneracy,
     equilibrium_report,
     load_params,
     pressure_law,
@@ -209,26 +208,6 @@ class TestFractionMap:
         # two calls for the bracket, two per Newton iteration
         assert len(calls) <= 2 + 2 * 6
         assert np.abs(Rp / rho_p + Rm / rho_m - 1.0).max() < 1e-12
-
-
-class TestCombinationDegeneracy:
-    def test_symmetric_not_applicable(self):
-        report = check_combination_degeneracy(solve_equilibrium(SYM))
-        assert report["applicable"] is False
-
-    def test_asymmetric_degenerates(self):
-        eq = solve_equilibrium(ModelParams(A_minus=2.0))
-        report = check_combination_degeneracy(eq)
-        assert report["applicable"] is True
-        assert report["abs_diff"] < 1e-12
-        assert report["degenerate"]
-
-    @settings(max_examples=100, deadline=None)
-    @given(valid_params_strategy())
-    def test_degeneracy_property_sweep(self, p):
-        report = check_combination_degeneracy(solve_equilibrium(p))
-        if report["applicable"]:
-            assert report["degenerate"]
 
 
 class TestConfigAndReport:

@@ -155,6 +155,24 @@ def _ref_step(state, dt):
     return unstack(Yn)
 
 
+def _mode_state(eq, n=16, L=16.0, eps=1e-2):
+    """Single-mode density perturbation n+ = eps cos(pi x / L), at rest."""
+    st = sim.make_sim_state(eq, n=n, L=L, eps=0.0)
+    x1 = -L + (2.0 * L / n) * np.arange(n)
+    X = np.meshgrid(x1, x1, x1, indexing="ij")[0]
+    st.n_p = eps * np.cos(math.pi * X / L)
+    return st
+
+
+def _rhs(st):
+    """Momentum increments (F1, F2) of the band projection of st, in real
+    space: the stage RHS of the stepper."""
+    ops = sim._GridOps.get(st)
+    F = sim._rhs_hat(ops, sim._stack_hat(st))
+    return (np.stack([ops.inverse_band(F[i]) for i in range(1, 4)]),
+            np.stack([ops.inverse_band(F[i]) for i in range(5, 8)]))
+
+
 # bulk viscosity and unequal phases, which the defaults leave out
 EQ_ASYM = solve_equilibrium(ModelParams(
     mu_minus=2.0, lambda_plus=0.5, lambda_minus=1.5, sigma_plus=0.02,
@@ -163,12 +181,11 @@ EQ_ASYM = solve_equilibrium(ModelParams(
 
 def _oracle_states():
     for n, L in ((16, 16.0), (24, 32.0)):
-        for kind in ("ring", "mode"):
-            yield sim.make_sim_state(EQ, n=n, L=L, eps=1e-2, kind=kind)
+        yield sim.make_sim_state(EQ, n=n, L=L, eps=1e-2)
+        yield _mode_state(EQ, n=n, L=L)
     # momentum and density together, so the viscous tensor is nonzero
     st = sim.make_sim_state(EQ_ASYM, n=16, L=16.0, eps=1e-2)
-    st.n_p = sim.make_sim_state(EQ_ASYM, n=16, L=16.0, eps=1e-2,
-                                kind="mode").n_p
+    st.n_p = _mode_state(EQ_ASYM).n_p
     yield st
     # broadband data reaches the Nyquist modes, which the smooth states
     # above leave empty
@@ -183,9 +200,9 @@ class TestReferenceOracle:
     @pytest.mark.parametrize("idx", range(6))
     def test_rhs_matches_reference(self, idx):
         st = list(_oracle_states())[idx]
-        F1, F2 = sim.nonlinear_rhs(st)
-        # nonlinear_rhs evaluates the band projection of the state, as the
-        # stepper does; the reference sees the same projected fields
+        F1, F2 = _rhs(st)
+        # _rhs evaluates the band projection of the state, as the stepper
+        # does; the reference sees the same projected fields
         R1, R2 = _ref_nonlinear_rhs(sim._unstack(st, sim._stack_hat(st),
                                                  st.t))
         scale = max(np.abs(R1).max(), np.abs(R2).max())
@@ -193,11 +210,12 @@ class TestReferenceOracle:
         assert np.abs(F1 - R1).max() <= 1e-12 * scale
         assert np.abs(F2 - R2).max() <= 1e-12 * scale
 
-    @pytest.mark.parametrize("eq, kind", [(EQ, "ring"), (EQ, "mode"),
-                                          (EQ_ASYM, "ring")],
+    @pytest.mark.parametrize("make, eq", [(sim.make_sim_state, EQ),
+                                          (_mode_state, EQ),
+                                          (sim.make_sim_state, EQ_ASYM)],
                              ids=["sym-ring", "sym-mode", "asym-ring"])
-    def test_step_matches_reference(self, eq, kind):
-        st = sim.make_sim_state(eq, n=16, L=16.0, eps=1e-2, kind=kind)
+    def test_step_matches_reference(self, make, eq):
+        st = make(eq, n=16, L=16.0, eps=1e-2)
         a = sim.step(st, 0.3)
         b = _ref_step(st, 0.3)
         for name in ("n_p", "m_p", "n_m", "m_m"):
@@ -293,15 +311,14 @@ class TestDecaySlopes:
 class TestNonlinearRhs:
     def test_equilibrium_fixed_point(self):
         st = sim.make_sim_state(EQ, n=16, L=16.0, eps=0.0)
-        F1, F2 = sim.nonlinear_rhs(st)
+        F1, F2 = _rhs(st)
         assert np.abs(F1).max() == 0.0
         assert np.abs(F2).max() == 0.0
 
     def test_pressure_term_quadratic_order(self):
         vals = []
         for eps in (4e-3, 2e-3, 1e-3):
-            st = sim.make_sim_state(EQ, n=16, L=16.0, eps=eps, kind="mode")
-            F1, _ = sim.nonlinear_rhs(st)
+            F1, _ = _rhs(_mode_state(EQ, eps=eps))
             vals.append(np.abs(F1).max())
         orders = np.log2(np.array(vals[:-1]) / np.array(vals[1:]))
         assert np.all(np.abs(orders - 2.0) < 0.1)
@@ -309,7 +326,7 @@ class TestNonlinearRhs:
     def test_total_force_zero_mean(self):
         # Q1 + Q2 is a pure gradient; everything else is a divergence
         st = sim.make_sim_state(EQ, n=16, L=16.0, eps=1e-2)
-        F1, F2 = sim.nonlinear_rhs(st)
+        F1, F2 = _rhs(st)
         tot = (F1 + F2).mean(axis=(1, 2, 3))
         assert np.abs(tot).max() < 1e-14
 
@@ -317,14 +334,14 @@ class TestNonlinearRhs:
         st = sim.make_sim_state(EQ, n=8, L=8.0, eps=0.0)
         st.n_p[0, 0, 0] = -0.95
         with pytest.raises(AdmissibilityError):
-            sim.nonlinear_rhs(st)
+            sim._check_fields(st.n_p, st.m_p, st.n_m, st.m_m)
 
     @pytest.mark.parametrize("field", ["n_p", "m_p", "n_m", "m_m"])
     def test_nonfinite_guard(self, field):
         st = sim.make_sim_state(EQ, n=8, L=8.0, eps=1e-3)
         getattr(st, field).flat[5] = np.nan
         with pytest.raises(RuntimeError, match="non-finite"):
-            sim.nonlinear_rhs(st)
+            sim._check_fields(st.n_p, st.m_p, st.n_m, st.m_m)
 
 
 class TestGridOpsCache:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erf
 
-from twofluid import waveconv as wc
+from twofluid import greens, waveconv as wc
 
 C_SND = 2.0
 
@@ -473,9 +475,26 @@ class TestRieszPotential:
             wc.riesz_potential_check(wc.WavePattern("D", a=0.0, p=1.0), [1.0])
 
 
+def test_waveconv_imports_nothing_from_greens():
+    # greens builds on the waveconv patterns, never the other way round
+    tree = ast.parse(pathlib.Path(wc.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(n.split(".")[-1] == "greens" for n in names), \
+            ast.dump(node)
+
+
 class TestDoubleRiesz:
+    """The double-Riesz bound, certified in greens through its one radial
+    transform."""
+
     def test_heat_family_stable(self):
-        rep = wc.double_riesz_check([1.0, 4.0, 16.0, 64.0, 100.0])
+        rep = greens.double_riesz_check([1.0, 4.0, 16.0, 64.0, 100.0])
         assert rep["stable"]
         assert np.isfinite(rep["C_est"])
 
@@ -483,19 +502,19 @@ class TestDoubleRiesz:
         t = 4.0
         b = 1.0 + t
         rs = np.linspace(0.0, 30.0 * math.sqrt(b), 600)
-        lo, tr = wc.double_riesz_apply(lambda k: np.exp(-k * k * b), rs)
-        amp = np.maximum(np.abs(lo), np.abs(tr))
+        vals = greens.radial_inverse("riesz_matrix",
+                                     lambda k: np.exp(-k * k * b), rs)
+        amp = np.maximum(np.abs(vals["long"]), np.abs(vals["trans"]))
         u = 1.0 + rs ** 2 / b
         sel = (u > 20.0) & (amp > 0.0)
         slope = np.polyfit(np.log(u[sel]), np.log(amp[sel]), 1)[0]
         assert slope == pytest.approx(-1.5, abs=0.1)
 
     def test_band_limited_input(self):
-        from twofluid import greens
         fhat = lambda k: greens.smooth_bump(k, 0.3, 0.5) \
             * (1.0 - greens.smooth_bump(k, 0.1, 0.2))
         rs = np.linspace(0.0, 40.0, 100)
-        lo1, tr1 = wc.double_riesz_apply(fhat, rs, k_max=1.0)
-        lo2, tr2 = wc.double_riesz_apply(fhat, rs, k_max=40.0)
-        assert np.abs(lo1 - lo2).max() < 1e-10
-        assert np.abs(tr1 - tr2).max() < 1e-10
+        a = greens.radial_inverse("riesz_matrix", fhat, rs, k_max=1.0)
+        b = greens.radial_inverse("riesz_matrix", fhat, rs, k_max=40.0)
+        assert np.abs(a["long"] - b["long"]).max() < 1e-10
+        assert np.abs(a["trans"] - b["trans"]).max() < 1e-10
