@@ -158,8 +158,11 @@ def _cmd_greens(args) -> int:
     recon = greens.GreenReconstructor(eq)
     rows = greens.kernel_csv_rows(recon, i, j, t_list,
                                   r_max_factor=args.r_max_factor)
-    _write_csv(rows, ["r", "t", "value"],
-               os.path.join(args.out, "kernel.csv"))
+    path = os.path.join(args.out, "kernel.csv")
+    if not all(math.isfinite(r["value"]) for r in rows):
+        raise UsageError(f"{path}: a computed value is not finite; "
+                         "nothing written")
+    _write_csv(rows, ["r", "t", "value"], path)
     report = greens.verify_entry_envelope(
         recon, i, j, _default_envelopes(i, j, eq), n_t=8, nr=128)
     payload = report.to_json()
@@ -274,9 +277,15 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
         e = solve_equilibrium(p)
         worst = max(worst, abs(e.beta1 * e.beta4 - e.beta2 ** 2))
     add("beta_product_identity", worst, 1e-13)
-    rp, rm, _, _ = solve_fraction_map(1.0, 1.0, params, eq=eq)
+    # an off-equilibrium admissible state, so Newton has to move
+    rho_p = 1.1 * eq.rho_bar_plus
+    rho_m = (pressure_law(rho_p, params.A_plus, params.gamma_plus)
+             / params.A_minus) ** (1.0 / params.gamma_minus)
+    alpha_p = 1.04 * eq.alpha_bar_plus
+    rp, rm, _, _ = solve_fraction_map(alpha_p * rho_p,
+                                      (1.0 - alpha_p) * rho_m, params, eq=eq)
     add("fraction_map_roundtrip",
-        abs(rp - eq.rho_bar_plus) + abs(rm - eq.rho_bar_minus), 1e-10)
+        max(abs(rp - rho_p) / rho_p, abs(rm - rho_m) / rho_m), 1e-10)
 
     # spectrum
     lam = spectral.eigen_branches(1e-3, eq).lambdas

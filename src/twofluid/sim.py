@@ -7,13 +7,14 @@ periodic box: the stiff linear part (sound waves, viscosity, capillarity) is
 absorbed by an exact integrating factor per wave vector, and only the
 nonlinear increments are advanced with classical RK4.
 
-The RK4 stage state stays in Fourier space on the band of the real-FFT
-half grid that the 2/3 rule (Orszag 1971) retains.  Each stage transforms
-to real space only what its products need, forms every product there and
-every derivative as one spectral multiply: 52 real 3-D transforms per
-stage, 34 pruned to the band, 224 per step with the 8 + 8 that enter and
-leave Fourier space (see _GridOps).  The full-step propagator is applied
-as two half steps: 4 half-step propagations, one cached band propagator.
+The time loop keeps the state in Fourier space, on the band of the
+real-FFT half grid that the 2/3 rule (Orszag 1971) retains: it enters once
+per run and leaves once per diagnostics row (8 transforms each).  Each RK4
+stage transforms to real space only what its products need, forms every
+product there and every derivative as one spectral multiply: 52 real 3-D
+transforms per stage, 34 pruned to the band, 208 per step (see _GridOps).
+The full-step propagator is applied as two half steps: 4 half-step
+propagations of one band propagator, built once per step.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
     "LinearRadialState", "SimState", "Diagnostics",
     "default_linear_state", "linear_evolve", "l2_norms", "fit_decay_slope",
     "decay_slope_table",
-    "make_sim_state", "step",
+    "make_sim_state",
     "diagnostics", "shell_profile", "dump_state", "load_state",
     "run_simulation",
 ]
@@ -168,7 +169,7 @@ class Diagnostics:
 
 
 class _GridOps:
-    """Cached spectral machinery for one (n, L, eq) combination.
+    """Spectral machinery of one (n, L, eq) grid; run_simulation owns one.
 
     Real fields transform onto the half grid (n, n, n//2+1).  The 2/3
     rule's test |xi_d| <= (2/3) pi/dx keeps a box of it, the band: rows
@@ -193,9 +194,6 @@ class _GridOps:
     real); the other 34 are pruned to the band.
     """
 
-    _cache: dict[tuple, "_GridOps"] = {}    # oldest first
-    _cache_size = 4
-
     def __init__(self, n: int, L: float, eq: EquilibriumState):
         self.n, self.L, self.eq = n, L, eq
         self.dx = 2.0 * L / n
@@ -217,29 +215,14 @@ class _GridOps:
         k = np.sqrt(self.k2)
         with np.errstate(invalid="ignore", divide="ignore"):
             self.khat = np.where(k > 0.0, self.xi / np.maximum(k, 1e-300), 0.0)
-        self._props: dict[float, tuple] = {}
-
-    @classmethod
-    def get(cls, state: SimState) -> "_GridOps":
-        key = (state.n, state.L, state.eq)
-        ops = cls._cache.get(key)
-        if ops is None:
-            if len(cls._cache) >= cls._cache_size:
-                del cls._cache[next(iter(cls._cache))]
-            ops = cls._cache[key] = cls(state.n, state.L, state.eq)
-        return ops
 
     def propagator(self, t: float):
-        """(G_gathered, heat factors) on the band for duration t, cached."""
-        if t not in self._props:
-            G = semigroup_batch(self.k_uniq, t, self.eq)     # (nu, 4, 4)
-            Gg = G[self.inv.reshape(self.k2.shape)]          # band-shaped
-            heat_p = np.exp(-self.eq.nu1_plus * self.k2 * t)
-            heat_m = np.exp(-self.eq.nu1_minus * self.k2 * t)
-            if len(self._props) > 16:
-                self._props.clear()
-            self._props[t] = (Gg, heat_p, heat_m)
-        return self._props[t]
+        """(G_gathered, heat factors) on the band for duration t."""
+        G = semigroup_batch(self.k_uniq, t, self.eq)         # (nu, 4, 4)
+        Gg = G[self.inv.reshape(self.k2.shape)]              # band-shaped
+        heat_p = np.exp(-self.eq.nu1_plus * self.k2 * t)
+        heat_m = np.exp(-self.eq.nu1_minus * self.k2 * t)
+        return Gg, heat_p, heat_m
 
     # transforms between real fields and half-grid or band coefficients ----
     def forward(self, f: np.ndarray) -> np.ndarray:
@@ -264,10 +247,10 @@ class _GridOps:
         b[:, self.rows] = np.fft.ifft(a, axis=0)
         return np.fft.irfft(np.fft.ifft(b, axis=1), n=self.n, axis=2)
 
-    def apply_semigroup(self, Y: np.ndarray, t: float) -> np.ndarray:
+    def apply_semigroup(self, Y: np.ndarray, prop) -> np.ndarray:
         """Advance stacked band transforms (8, *band shape) by the exact
-        linear flow."""
-        Gg, heat_p, heat_m = self.propagator(t)
+        linear flow of a propagator(t)."""
+        Gg, heat_p, heat_m = prop
         out = np.empty_like(Y)
         mL_p = np.sum(self.khat * Y[1:4], axis=0)
         mL_m = np.sum(self.khat * Y[5:8], axis=0)
@@ -281,16 +264,15 @@ class _GridOps:
         return out
 
 
-def _stack_hat(state: SimState) -> np.ndarray:
+def _stack_hat(ops: _GridOps, state: SimState) -> np.ndarray:
     # the band holds no Nyquist mode, where the direction field khat could
     # not respect conjugate symmetry
-    ops = _GridOps.get(state)
     fields = [state.n_p, *state.m_p, state.n_m, *state.m_m]
     return np.stack([ops.forward_band(f) for f in fields])
 
 
-def _unstack(state: SimState, Y: np.ndarray, t: float) -> SimState:
-    ops = _GridOps.get(state)
+def _unstack(ops: _GridOps, state: SimState, Y: np.ndarray,
+             t: float) -> SimState:
     real = [ops.inverse_band(Y[i]) for i in range(8)]
     return replace(state, n_p=real[0], m_p=np.stack(real[1:4]),
                    n_m=real[4], m_m=np.stack(real[5:8]), t=t)
@@ -418,22 +400,21 @@ def default_dt(state: SimState) -> float:
     return 0.5 * lam_min / state.eq.c
 
 
-def step(state: SimState, dt: float, nonlinear: bool = True) -> SimState:
-    """One integrating-factor RK4 step of length dt.
+def step(ops: _GridOps, Y: np.ndarray, dt: float,
+         nonlinear: bool = True) -> np.ndarray:
+    """One integrating-factor RK4 step of length dt of the band state Y.
 
-    The stage state stays in Fourier space on the band; each stage
-    transforms to real space only what its products need (see _GridOps):
-    224 transforms per step, 152 pruned to the band.  The flow is linear
-    and E(dt) = E(dt/2) E(dt/2), so the stage-4 input E Y + dt E(dt/2) k3
-    is E(dt/2)(E(dt/2) Y + dt k3) and the update is folded the same way: 4
-    half-step propagations of the band, with one cached band-sized
-    propagator, (33, 33, 17, 4, 4) at n = 48, and no full-step one.
+    Each stage transforms to real space only what its products need (see
+    _GridOps): 208 transforms per step, 136 pruned to the band.  The flow
+    is linear and E(dt) = E(dt/2) E(dt/2), so the stage-4 input
+    E Y + dt E(dt/2) k3 is E(dt/2)(E(dt/2) Y + dt k3) and the update is
+    folded the same way: 4 half-step propagations with one band-sized
+    propagator, (33, 33, 17, 4, 4) at n = 48, built once per step.
     """
-    ops = _GridOps.get(state)
-    Y = _stack_hat(state)
     if not nonlinear:
-        return _unstack(state, ops.apply_semigroup(Y, dt), state.t + dt)
-    Eh = lambda Z: ops.apply_semigroup(Z, 0.5 * dt)
+        return ops.apply_semigroup(Y, ops.propagator(dt))
+    half = ops.propagator(0.5 * dt)
+    Eh = lambda Z: ops.apply_semigroup(Z, half)
     k1 = _rhs_hat(ops, Y)
     EhY, Ehk1 = Eh(Y), Eh(k1)
     k2 = _rhs_hat(ops, EhY + 0.5 * dt * Ehk1)
@@ -443,7 +424,7 @@ def step(state: SimState, dt: float, nonlinear: bool = True) -> SimState:
           + dt / 6.0 * k4)
     if not np.all(np.isfinite(Yn)):
         raise RuntimeError("non-finite update: instability detected")
-    return _unstack(state, Yn, state.t + dt)
+    return Yn
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +509,9 @@ def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
                    t_final: float | None = None):
     """Time loop with per-step diagnostics; returns (rows, final_state).
 
+    The state enters the band once and stays there; each step's
+    diagnostics row and the final state are read from its real fields.
+
     The box only represents free space until the fastest front wraps;
     t_final beyond the pre-wrap horizon (L - r_support) / c is rejected,
     and so are n < 4, a box size L that is not finite and positive, a
@@ -551,7 +535,10 @@ def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
     rows = [diagnostics(state)]
     n_steps = max(1, int(round(t_final / default_dt(state))))
     dt = t_final / n_steps
+    ops = _GridOps(n, L, eq)
+    Y = _stack_hat(ops, state)
     for _ in range(n_steps):
-        state = step(state, dt, nonlinear=(mode == "nonlinear"))
+        Y = step(ops, Y, dt, nonlinear=(mode == "nonlinear"))
+        state = _unstack(ops, state, Y, state.t + dt)
         rows.append(diagnostics(state))
     return rows, state

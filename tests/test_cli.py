@@ -143,9 +143,10 @@ MALFORMED = [
     ["simulate", "--grid", "8", "--box", "16", "--t-final", "-1"],
     ["simulate", "--grid", "8", "--box", "16", "--t-final", "0"],
     ["simulate", "--grid", "8", "--box", "16", "--t-final", "nan"],
-    # disc < 0: the complex diffusive pair gives non-finite metrics, which
-    # have no strict JSON form
+    # disc < 0: the complex diffusive pair gives non-finite metrics and
+    # kernel values, which have no strict JSON form and are not written
     ["--params", "@complex-pair", "greens", "--entry", "1,2"],
+    ["--params", "@complex-pair", "greens", "--entry", "2,2"],
     ["--params", "@complex-pair", "certify-all"],
 ]
 
@@ -162,6 +163,7 @@ def test_malformed_input_is_a_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "kernel.csv").exists()
     for path in tmp_path.glob("*.json"):
         read_strict_json(path)
 

@@ -164,11 +164,26 @@ def _mode_state(eq, n=16, L=16.0, eps=1e-2):
     return st
 
 
+def _ops(st):
+    return sim._GridOps(st.n, st.L, st.eq)
+
+
+def _advance(st, dt, T, nonlinear=True):
+    """st advanced by round(T / dt) steps of the band state, as
+    run_simulation does."""
+    ops = _ops(st)
+    Y = sim._stack_hat(ops, st)
+    steps = int(round(T / dt))
+    for _ in range(steps):
+        Y = sim.step(ops, Y, dt, nonlinear)
+    return sim._unstack(ops, st, Y, st.t + steps * dt)
+
+
 def _rhs(st):
     """Momentum increments (F1, F2) of the band projection of st, in real
     space: the stage RHS of the stepper."""
-    ops = sim._GridOps.get(st)
-    F = sim._rhs_hat(ops, sim._stack_hat(st))
+    ops = _ops(st)
+    F = sim._rhs_hat(ops, sim._stack_hat(ops, st))
     return (np.stack([ops.inverse_band(F[i]) for i in range(1, 4)]),
             np.stack([ops.inverse_band(F[i]) for i in range(5, 8)]))
 
@@ -203,7 +218,9 @@ class TestReferenceOracle:
         F1, F2 = _rhs(st)
         # _rhs evaluates the band projection of the state, as the stepper
         # does; the reference sees the same projected fields
-        R1, R2 = _ref_nonlinear_rhs(sim._unstack(st, sim._stack_hat(st),
+        ops = _ops(st)
+        R1, R2 = _ref_nonlinear_rhs(sim._unstack(ops, st,
+                                                 sim._stack_hat(ops, st),
                                                  st.t))
         scale = max(np.abs(R1).max(), np.abs(R2).max())
         assert scale > 0.0
@@ -216,7 +233,7 @@ class TestReferenceOracle:
                              ids=["sym-ring", "sym-mode", "asym-ring"])
     def test_step_matches_reference(self, make, eq):
         st = make(eq, n=16, L=16.0, eps=1e-2)
-        a = sim.step(st, 0.3)
+        a = _advance(st, 0.3, 0.3)
         b = _ref_step(st, 0.3)
         for name in ("n_p", "m_p", "n_m", "m_m"):
             x, y = getattr(a, name), getattr(b, name)
@@ -344,46 +361,36 @@ class TestNonlinearRhs:
             sim._check_fields(st.n_p, st.m_p, st.n_m, st.m_m)
 
 
-class TestGridOpsCache:
-    def test_keyed_by_value(self):
-        eq2 = solve_equilibrium(ModelParams())
-        assert eq2 is not EQ and eq2 == EQ
-        a = sim._GridOps.get(sim.make_sim_state(EQ, n=8, L=8.0, eps=0.0))
-        b = sim._GridOps.get(sim.make_sim_state(eq2, n=8, L=8.0, eps=0.0))
-        assert a is b
-
-    def test_bounded(self):
-        for n in range(4, 16):
-            sim._GridOps.get(sim.make_sim_state(EQ, n=n, L=8.0, eps=0.0))
-        assert len(sim._GridOps._cache) <= sim._GridOps._cache_size
-
-
 class _Counter:
-    """Counts the calls of one bound method it wraps."""
+    """Counts the calls of one bound method it wraps, and keeps their
+    arguments."""
 
     def __init__(self, fn):
-        self.fn, self.calls = fn, 0
+        self.fn, self.args = fn, []
 
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        return self.fn(*args, **kwargs)
+    @property
+    def calls(self):
+        return len(self.args)
+
+    def __call__(self, *args):
+        self.args.append(args)
+        return self.fn(*args)
 
 
 class TestStepCost:
-    """The work of one RHS stage and one step, pinned exactly."""
+    """The work of one RHS stage, one step and one run, pinned exactly."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        # a fresh cache, so the grid machinery and its propagators are new
-        monkeypatch.setattr(sim._GridOps, "_cache", {})
         st = sim.make_sim_state(EQ_ASYM, n=16, L=16.0, eps=1e-2)
-        ops = sim._GridOps.get(st)
+        ops = _ops(st)
+        Y = sim._stack_hat(ops, st)
         counters = {}
         for name in ("forward", "inverse", "forward_band", "inverse_band",
-                     "apply_semigroup"):
+                     "apply_semigroup", "propagator"):
             counters[name] = _Counter(getattr(ops, name))
             monkeypatch.setattr(ops, name, counters[name])
-        return st, ops, counters
+        return Y, ops, counters
 
     @staticmethod
     def transforms(counters):
@@ -393,25 +400,55 @@ class TestStepCost:
                 counters["forward"].calls + counters["inverse"].calls)
 
     def test_transforms_per_stage(self, counted):
-        st, ops, counters = counted
-        Y = sim._stack_hat(st)
-        for counter in counters.values():
-            counter.calls = 0
+        Y, ops, counters = counted
         sim._rhs_hat(ops, Y)
         assert self.transforms(counters) == (34, 18)
 
     def test_transforms_and_propagations_per_step(self, counted):
-        st, ops, counters = counted
-        sim.step(st, 0.3)
-        assert self.transforms(counters) == (152, 72)
+        Y, ops, counters = counted
+        sim.step(ops, Y, 0.3)
+        assert self.transforms(counters) == (136, 72)
         assert counters["apply_semigroup"].calls == 4
-        # only the half-step propagator is built and cached, band-shaped
-        assert list(ops._props) == [0.15]
+        # one half-step propagator, band-shaped, and no full-step one
+        assert counters["propagator"].args == [(0.15,)]
         band = (ops.rows.size, ops.rows.size, ops.h)
         assert band == (11, 11, 6)
-        Gg, heat_p, heat_m = ops._props[0.15]
+        Gg, heat_p, heat_m = ops.propagator(0.15)
         assert Gg.shape == band + (4, 4)
         assert heat_p.shape == heat_m.shape == band
+
+    @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+    def test_band_transforms_outside_step(self, monkeypatch, mode):
+        # the state enters the band once per run and leaves it once per
+        # diagnostics row after the first
+        calls = {"forward_band": 0, "inverse_band": 0}
+        inside = dict(calls)
+
+        def counting(name):
+            fn = getattr(sim._GridOps, name)
+
+            def wrapper(self, f):
+                calls[name] += 1
+                return fn(self, f)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(sim._GridOps, name, counting(name))
+        step = sim.step
+
+        def counted_step(*args, **kwargs):
+            before = dict(calls)
+            out = step(*args, **kwargs)
+            for name in calls:
+                inside[name] += calls[name] - before[name]
+            return out
+
+        monkeypatch.setattr(sim, "step", counted_step)
+        rows, _ = sim.run_simulation(EQ, mode=mode, n=16, L=16.0,
+                                     t_final=3.0)
+        assert len(rows) == 3
+        assert calls["forward_band"] - inside["forward_band"] == 8
+        assert calls["inverse_band"] - inside["inverse_band"] == 8 * 2
 
 
 class TestBandTransforms:
@@ -447,17 +484,18 @@ class TestStep:
         # the dealiased broadband state (both phases, longitudinal and
         # transverse momentum)
         st = list(_oracle_states())[5]
-        ops = sim._GridOps.get(st)
-        Y = sim._stack_hat(st)
+        ops = _ops(st)
+        Y = sim._stack_hat(ops, st)
         for tau in (0.05, 0.3, 3.0):
-            twice = ops.apply_semigroup(ops.apply_semigroup(Y, tau), tau)
-            once = ops.apply_semigroup(Y, 2.0 * tau)
+            half = ops.propagator(tau)
+            twice = ops.apply_semigroup(ops.apply_semigroup(Y, half), half)
+            once = ops.apply_semigroup(Y, ops.propagator(2.0 * tau))
             assert np.abs(twice - once).max() <= 1e-13 * np.abs(once).max()
 
     def test_linear_step_matches_exact_flow(self):
         # the reference complex-grid semigroup on the same dealiased state
         st = sim.make_sim_state(EQ, n=16, L=16.0, eps=1e-2)
-        a = sim.step(st, 0.5, nonlinear=False)
+        a = _advance(st, 0.5, 0.5, nonlinear=False)
         ops = _RefGridOps(st.n, st.L, st.eq)
         fields = [st.n_p, *st.m_p, st.n_m, *st.m_m]
         Y = np.stack([np.fft.fftn(f) for f in fields]) * ops.dealias
@@ -468,17 +506,12 @@ class TestStep:
         assert np.abs(a.m_m - np.stack(b[5:8])).max() < 1e-10
 
     def test_rk_order(self):
-        def advance(st, dt, T):
-            for _ in range(int(round(T / dt))):
-                st = sim.step(st, dt)
-            return st
-
         st0 = sim.make_sim_state(EQ, n=24, L=32.0, eps=1e-2)
         T = 1.0
-        ref = advance(st0, T / 32, T)
+        ref = _advance(st0, T / 32, T)
         errs = []
         for m in (4, 8):
-            s = advance(st0, T / m, T)
+            s = _advance(st0, T / m, T)
             errs.append(np.abs(s.m_p - ref.m_p).max()
                         + np.abs(s.n_p - ref.n_p).max())
         order = math.log2(errs[0] / errs[1])
