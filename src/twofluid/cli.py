@@ -2,7 +2,9 @@
 
 Subcommands: equilibrium, spectrum, greens, convolve, simulate, certify-all.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage or
-configuration error, or a result that is not finite (nothing is written).
+configuration error, a state outside the model's admissible range or a
+solve that did not converge, or a result that is not finite (nothing is
+written).
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import sys
 import numpy as np
 
 from . import greens, sim, spectral, waveconv
-from .model import (ModelParams, ParameterError, equilibrium_report,
-                    load_params, pressure_law, solve_equilibrium,
-                    solve_fraction_map, validate_params, wave_speed_alt)
+from .model import (AdmissibilityError, ConvergenceError, ModelParams,
+                    ParameterError, equilibrium_report, load_params,
+                    pressure_law, solve_equilibrium, solve_fraction_map,
+                    validate_params, wave_speed_alt)
 
 __all__ = ["main"]
 
@@ -251,6 +254,28 @@ def _equilibrium_metrics(eq) -> dict:
             "equilibrium_sound_speed": abs(eq.c - wave_speed_alt(eq)) / eq.c}
 
 
+def _fraction_map_roundtrip(eq) -> float:
+    """Relative error of solve_fraction_map at an off-equilibrium admissible
+    state, so Newton has to move.
+
+    The state has rho+ = 1.1^e rho_bar+ with e = min(1, gamma-/gamma+), its
+    pressure partner rho- <= 1.1 rho_bar-, and alpha+ shifted by a share of
+    the smaller fraction.  Both fractions stay positive and R+- inside
+    |R - 1| <= 0.5 for every admissible parameter file; at equal gammas
+    rho+- = 1.1 rho_bar+-.
+    """
+    params = eq.params
+    rho_p = 1.1 ** min(1.0, params.gamma_minus / params.gamma_plus) \
+        * eq.rho_bar_plus
+    rho_m = (pressure_law(rho_p, params.A_plus, params.gamma_plus)
+             / params.A_minus) ** (1.0 / params.gamma_minus)
+    alpha_p = eq.alpha_bar_plus + 0.04 * min(eq.alpha_bar_plus,
+                                             eq.alpha_bar_minus)
+    rp, rm, _, _ = solve_fraction_map(alpha_p * rho_p,
+                                      (1.0 - alpha_p) * rho_m, params, eq=eq)
+    return max(abs(rp - rho_p) / rho_p, abs(rm - rho_m) / rho_m)
+
+
 def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     """Build the list of {name, pass, metric, tolerance} check records."""
     eq = solve_equilibrium(params)
@@ -277,15 +302,7 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
         e = solve_equilibrium(p)
         worst = max(worst, abs(e.beta1 * e.beta4 - e.beta2 ** 2))
     add("beta_product_identity", worst, 1e-13)
-    # an off-equilibrium admissible state, so Newton has to move
-    rho_p = 1.1 * eq.rho_bar_plus
-    rho_m = (pressure_law(rho_p, params.A_plus, params.gamma_plus)
-             / params.A_minus) ** (1.0 / params.gamma_minus)
-    alpha_p = 1.04 * eq.alpha_bar_plus
-    rp, rm, _, _ = solve_fraction_map(alpha_p * rho_p,
-                                      (1.0 - alpha_p) * rho_m, params, eq=eq)
-    add("fraction_map_roundtrip",
-        max(abs(rp - rho_p) / rho_p, abs(rm - rho_m) / rho_m), 1e-10)
+    add("fraction_map_roundtrip", _fraction_map_roundtrip(eq), 1e-10)
 
     # spectrum
     lam = spectral.eigen_branches(1e-3, eq).lambdas
@@ -404,7 +421,8 @@ def main(argv=None) -> int:
             raise UsageError("--tol-scale must be finite and positive")
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](args)
-    except (UsageError, ParameterError, OSError) as exc:
+    except (UsageError, ParameterError, AdmissibilityError,
+            ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

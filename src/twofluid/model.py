@@ -266,17 +266,28 @@ def solve_fraction_map(R_plus, R_minus, p: ModelParams,
     """Invert the fraction densities: (R+, R-) -> (rho+, rho-, alpha+, C2).
 
     Solves the pressure-matching scalar equation
-        P_plus(rho+) = P_minus(R- rho+ / (rho+ - R+))
-    for rho+ > R+ by Newton with a bisection safeguard.  Accepts scalars or
-    broadcastable arrays.  Restricted to |R+- - 1| <= 0.5; outside that box
-    (or at vacuum R <= 0, or for NaN) raises AdmissibilityError.
+        phi(x) = P_plus(x) - P_minus(R- x / (x - R+)) = 0
+    for rho+ = x > R+.  Accepts scalars or broadcastable arrays.
+    Restricted to |R+- - 1| <= 0.5; outside that box (or at vacuum R <= 0,
+    or for NaN) raises AdmissibilityError.
+
+    Newton starts from the map's linearisation at the equilibrium,
+    rho+ ~ rho_bar+ + a (R+ - 1) + b (R- - 1), with a and b from the
+    implicit-function derivatives of phi.  With gamma+ = gamma- the map is
+    affine, rho+ = R+ + (A-/A+)^(1/gamma) R-, so the start is the root and
+    the solve is one residual evaluation.  Newton runs on
+    log P_plus(x) - log P_minus(rho-), which has the same root and no pole
+    at x = R+, until |phi| < 1e-13 (P + 1); the residual that meets the
+    tolerance still gives one last step.  phi increases in x, so every
+    residual's sign bounds the root; a Newton step that is not finite or
+    leaves those bounds is replaced by bisection, and only then is the
+    upper end of the bracket sought by doubling.  Besides its four outputs
+    the solve keeps at most about six arrays of the input's size alive.
     """
     Rp = np.asarray(R_plus, dtype=float)
     Rm = np.asarray(R_minus, dtype=float)
     scalar = (Rp.ndim == 0 and Rm.ndim == 0)
-    Rp, Rm = np.broadcast_arrays(Rp, Rm)
-    Rp = np.array(Rp, dtype=float)
-    Rm = np.array(Rm, dtype=float)
+    Rp, Rm = np.broadcast_arrays(np.atleast_1d(Rp), np.atleast_1d(Rm))
     if np.any(Rp <= 0.0) or np.any(Rm <= 0.0):
         raise AdmissibilityError("admissibility violated: fraction density <= 0")
     # written so that NaN fails the test as well
@@ -288,62 +299,95 @@ def solve_fraction_map(R_plus, R_minus, p: ModelParams,
 
     if eq is None:
         eq = solve_equilibrium(p)
-    x = np.full(Rp.shape, eq.rho_bar_plus * 1.0)
+    rbp, rbm = eq.rho_bar_plus, eq.rho_bar_minus
+    # d rho+ / d R+- at the equilibrium, from phi_x dx + phi_R+- dR+- = 0
+    den = eq.s2_plus * rbp ** 2 + eq.s2_minus * rbm ** 2
+    x = Rp - 1.0
+    x *= eq.s2_minus * rbm ** 2 * rbp / den
+    x += (eq.s2_minus * rbm * rbp ** 2 / den) * (Rm - 1.0)
+    x += rbp
     # partner density rho- = R- x / (x - R+) needs x > R+ throughout
-    lo = Rp * (1.0 + 1e-12) + 1e-12
-    hi = np.maximum(x * 4.0, Rp * 8.0)
-    x = np.clip(x, lo * 1.0 + 1e-9, hi)
+    lo = Rp * (1.0 + 1e-12)
+    lo += 1e-12
+    np.maximum(x, lo + 1e-9, out=x)
+    hi = None
 
-    def phi_dphi(x):
-        partner = Rm * x / (x - Rp)
-        dpartner = -Rm * Rp / (x - Rp) ** 2
-        f = (pressure_law(x, p.A_plus, p.gamma_plus)
-             - pressure_law(partner, p.A_minus, p.gamma_minus))
-        df = (pressure_law_prime(x, p.A_plus, p.gamma_plus)
-              - pressure_law_prime(partner, p.A_minus, p.gamma_minus)
-              * dpartner)
-        return f, df
+    def partner(x):
+        rho_m = Rm * x
+        rho_m /= x - Rp
+        return rho_m
 
-    # expand hi until phi(hi) > 0 everywhere (phi is increasing in x)
-    for _ in range(80):
-        f_hi, _ = phi_dphi(hi)
-        bad = f_hi <= 0.0
-        if not np.any(bad):
-            break
-        hi = np.where(bad, hi * 2.0, hi)
-    else:
-        raise ConvergenceError("fraction map: bracket failure")
+    def newton(x, rho_m):
+        """(Newton iterate, phi) at x; the log form's slope is
+        gamma+ / x + gamma- R+ / (x (x - R+))."""
+        xn = pressure_law(rho_m, p.A_minus, p.gamma_minus)
+        f = pressure_law(x, p.A_plus, p.gamma_plus)
+        f -= xn
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log1p(np.divide(f, xn, out=xn), out=xn)
+            slope = x - Rp
+            slope *= x
+            np.divide(p.gamma_minus * Rp, slope, out=slope)
+            slope += p.gamma_plus / x
+            xn /= slope
+        return np.subtract(x, xn, out=xn), f
 
     scale = abs(eq.pressure) + 1.0
-    converged = False
     for _ in range(100):
-        f, df = phi_dphi(x)
-        done = np.abs(f) < 1e-13 * scale
-        if np.all(done):
-            converged = True
+        xn, f = newton(x, partner(x))
+        active = ~(np.abs(f) < 1e-13 * scale)
+        if not np.any(active):
+            # one more step from the residual in hand takes every cell from
+            # the 1e-13 tolerance to round-off
+            x = xn
             break
-        hi = np.where(f > 0.0, x, hi)
-        lo = np.where(f <= 0.0, x, lo)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - f / df
-        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
-        # a converged cell has x on its own bracket end, so its Newton
-        # step would count as bad and be thrown to the bracket midpoint
-        x = np.where(done, x, xn)
-    if not converged:
-        f, _ = phi_dphi(x)
+        if hi is None:
+            hi = np.full(x.shape, np.inf)
+        np.copyto(hi, x, where=f > 0.0)
+        np.copyto(lo, x, where=f <= 0.0)
+        del f
+        bad = ~np.isfinite(xn)
+        bad |= xn <= lo
+        bad |= xn >= hi
+        bad &= active
+        if np.any(bad):
+            top = bad & np.isinf(hi)
+            if np.any(top):
+                hi[top] = _bracket_top(x[top], Rp[top], Rm[top], p)
+            np.copyto(xn, 0.5 * (lo + hi), where=bad)
+        # a converged cell keeps its x: its Newton step would sit on its
+        # own bracket end and be thrown to the midpoint
+        np.copyto(x, xn, where=active)
+        del xn, bad, active
+    else:
+        f = (pressure_law(x, p.A_plus, p.gamma_plus)
+             - pressure_law(partner(x), p.A_minus, p.gamma_minus))
         if not np.all(np.abs(f) < 1e-10 * scale):
             raise ConvergenceError("fraction map Newton did not converge")
+    del lo, hi, f
 
     rho_p = x
-    rho_m = Rm * rho_p / (rho_p - Rp)
+    rho_m = partner(x)
     alpha_p = Rp / rho_p
-    alpha_m = Rm / rho_m
-    C2 = _common_c2(rho_p, rho_m, alpha_p, alpha_m, p)
+    C2 = _common_c2(rho_p, rho_m, alpha_p, Rm / rho_m, p)
     if scalar:
-        return (float(rho_p), float(rho_m), float(alpha_p), float(C2))
+        return (float(rho_p[0]), float(rho_m[0]), float(alpha_p[0]),
+                float(C2[0]))
     return rho_p, rho_m, alpha_p, C2
+
+
+def _bracket_top(x, Rp, Rm, p: ModelParams):
+    """Upper ends of fraction-map brackets: from max(4 x, 8 R+), doubled
+    until phi > 0 (phi increases in x)."""
+    hi = np.maximum(4.0 * x, 8.0 * Rp)
+    for _ in range(80):
+        f = (pressure_law(hi, p.A_plus, p.gamma_plus)
+             - pressure_law(Rm * hi / (hi - Rp), p.A_minus, p.gamma_minus))
+        bad = f <= 0.0
+        if not np.any(bad):
+            return hi
+        hi[bad] *= 2.0
+    raise ConvergenceError("fraction map: bracket failure")
 
 
 def load_params(path: str) -> ModelParams:

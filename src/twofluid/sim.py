@@ -14,7 +14,13 @@ stage transforms to real space only what its products need, forms every
 product there and every derivative as one spectral multiply: 52 real 3-D
 transforms per stage, 34 pruned to the band, 208 per step (see _GridOps).
 The full-step propagator is applied as two half steps: 4 half-step
-propagations of one band propagator, built once per step.
+propagations of one real (float64) band propagator, built once per step.
+
+The stages run in one workspace that the run's _GridOps owns and builds on
+the first nonlinear stage: every transform writes through ``out=`` into
+persistent scratch and every real-space product runs in place, so a stage
+allocates only its band-sized output and arithmetic and the fraction map's
+solve.  The diagnostics rows read the same buffers.
 """
 
 from __future__ import annotations
@@ -169,7 +175,8 @@ class Diagnostics:
 
 
 class _GridOps:
-    """Spectral machinery of one (n, L, eq) grid; run_simulation owns one.
+    """Spectral machinery and workspace of one (n, L, eq) grid;
+    run_simulation owns one per run.
 
     Real fields transform onto the half grid (n, n, n//2+1).  The 2/3
     rule's test |xi_d| <= (2/3) pi/dx keeps a box of it, the band: rows
@@ -179,7 +186,8 @@ class _GridOps:
     propagators are band-shaped; the band holds no Nyquist mode.
     forward_band and inverse_band are rfftn and irfftn pruned to the band
     (Markel 1971): each 1-D pass they keep sees exactly its input inside
-    rfftn or irfftn, so their results are bitwise equal.
+    rfftn or irfftn, so their results are bitwise equal.  forward and
+    inverse run rfftn and irfftn pass by pass.
 
     One RHS stage costs 52 transforms: 8 inverse for n and m of both
     phases, then per phase 19 -- 3 forward for w = n u, 6 inverse for the
@@ -190,8 +198,25 @@ class _GridOps:
     S[m] have constant coefficients once rewritten through S[u] (see
     _phase_rhs), so they stay in Fourier space.  w = n u has full
     support, so the 18 transforms of w and S[u] take the whole half grid
-    and ``xi_full`` (zero at Nyquist: odd derivatives of real fields stay
+    and the derivative vectors ``xf`` (three 1-D wavenumber vectors that
+    broadcast over it, zero at Nyquist: odd derivatives of real fields stay
     real); the other 34 are pruned to the band.
+
+    The grid owns every buffer its transforms and stages write, and every
+    transform writes through ``out=``.  Sizes scale with n^3:
+    - transform scratch, built here: two half-grid arrays and four
+      band-row and band-column arrays, about 2.2 n^3 complex numbers
+      (3.8 MiB at n = 48).  The two zero-padded inputs of the inverse band
+      passes are zeroed once, here; only their band rows and columns are
+      ever written;
+    - ``real``, the 8 real fields of a band state (n+, m+, n-, m-), 64 n^3
+      bytes (6.8 MiB at n = 48), built on the first to_real; each stage
+      and each diagnostics row of run_simulation overwrite it;
+    - the stage workspace (_StageWork), 19 real fields and 5 half-grid
+      arrays, about 190 n^3 bytes (20.7 MiB at n = 48), built on the first
+      nonlinear stage, so linear runs never allocate it.
+    Once a nonlinear stage has run, the grid holds 31 MiB at n = 48 and
+    248 MiB at n = 96.
     """
 
     def __init__(self, n: int, L: float, eq: EquilibriumState):
@@ -200,14 +225,19 @@ class _GridOps:
         self.shape = (n, n, n)
         full = np.fft.fftfreq(n, d=1.0 / n).astype(int)   # integer modes
         half = np.arange(n // 2 + 1)
-        idx = np.stack(np.meshgrid(full, full, half, indexing="ij"))
-        xi = (math.pi / L) * idx.astype(float)
-        self.xi_full = np.where(2 * np.abs(idx) == n, 0.0, xi)
+        scale = math.pi / L
         cut = (2.0 / 3.0) * (math.pi / self.dx)
-        self.rows = np.flatnonzero(np.abs(xi[0, :, 0, 0]) <= cut)
-        self.h = int(np.count_nonzero(np.abs(xi[2, 0, 0]) <= cut))
+        self.rows = np.flatnonzero(np.abs(scale * full) <= cut)
+        self.h = int(np.count_nonzero(np.abs(scale * half) <= cut))
+        self.xf = tuple(
+            np.where(2 * np.abs(v) == n, 0.0, scale * v).reshape(s)
+            for v, s in ((full, (n, 1, 1)), (full, (1, n, 1)),
+                         (half, (1, 1, half.size))))
         self.band = (...,) + np.ix_(self.rows, self.rows, np.arange(self.h))
-        idx, self.xi = idx[self.band], xi[self.band]
+        idx = np.stack(np.meshgrid(full[self.rows], full[self.rows],
+                                   half[:self.h], indexing="ij"))
+        self.xi = scale * idx.astype(float)
+        self.band_shape = self.xi.shape[1:]
         int2 = np.sum(idx * idx, axis=0)
         self.uniq_int2, self.inv = np.unique(int2, return_inverse=True)
         self.k_uniq = (math.pi / L) * np.sqrt(self.uniq_int2.astype(float))
@@ -215,37 +245,80 @@ class _GridOps:
         k = np.sqrt(self.k2)
         with np.errstate(invalid="ignore", divide="ignore"):
             self.khat = np.where(k > 0.0, self.xi / np.maximum(k, 1e-300), 0.0)
+        nb = self.rows.size
+        self._half = np.empty((2, n, n, half.size), dtype=complex)
+        self._cols = np.empty((n, n, self.h), dtype=complex)
+        self._rows = np.empty((n, nb, self.h), dtype=complex)
+        self._pad_rows = np.zeros((n, nb, self.h), dtype=complex)
+        self._pad_cols = np.zeros((n, n, self.h), dtype=complex)
+        self.real = None
+        self._work = None
 
     def propagator(self, t: float):
-        """(G_gathered, heat factors) on the band for duration t."""
+        """(G_gathered, heat factors) on the band for duration t.
+
+        e^{tA} of the real symbol is real, so G_gathered is float64; an
+        imaginary part above 1e-12 of the largest entry raises RuntimeError.
+        """
         G = semigroup_batch(self.k_uniq, t, self.eq)         # (nu, 4, 4)
-        Gg = G[self.inv.reshape(self.k2.shape)]              # band-shaped
+        residue = np.abs(G.imag).max()
+        if residue > 1e-12 * np.abs(G).max():
+            raise RuntimeError(f"propagator imaginary residue {residue:.3g} "
+                               "too large for a real propagator")
+        Gg = G.real[self.inv.reshape(self.k2.shape)]         # band-shaped
         heat_p = np.exp(-self.eq.nu1_plus * self.k2 * t)
         heat_m = np.exp(-self.eq.nu1_minus * self.k2 * t)
         return Gg, heat_p, heat_m
 
     # transforms between real fields and half-grid or band coefficients ----
-    def forward(self, f: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(f, axes=(0, 1, 2))
+    def forward(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """rfftn(f): rfft along axis 2, then fft along axes 1 and 0."""
+        a, b = self._half
+        np.fft.rfft(f, axis=2, out=a)
+        np.fft.fft(a, axis=1, out=b)
+        return np.fft.fft(b, axis=0, out=out)
 
-    def inverse(self, f_hat: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(f_hat, s=self.shape, axes=(0, 1, 2))
+    def inverse(self, f_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """irfftn(f_hat): ifft along axes 0 and 1, then irfft along axis 2."""
+        a, b = self._half
+        np.fft.ifft(f_hat, axis=0, out=a)
+        np.fft.ifft(a, axis=1, out=b)
+        return np.fft.irfft(b, n=self.n, axis=2, out=out)
 
-    def forward_band(self, f: np.ndarray) -> np.ndarray:
+    def forward_band(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         """rfftn(f) on the band: rfft along axis 2, then fft along axes 1
         and 0, each pass run only on the lines the band keeps."""
-        a = np.fft.rfft(f, axis=2)[:, :, :self.h]
-        a = np.fft.fft(a, axis=1)[:, self.rows]
-        return np.fft.fft(a, axis=0)[self.rows]
+        nb = self.rows.size
+        np.fft.rfft(f, axis=2, out=self._half[0])
+        np.fft.fft(self._half[0, :, :, :self.h], axis=1, out=self._cols)
+        np.take(self._cols, self.rows, axis=1, out=self._rows, mode="clip")
+        np.fft.fft(self._rows, axis=0, out=self._cols[:, :nb])
+        return np.take(self._cols[:, :nb], self.rows, axis=0, out=out,
+                       mode="clip")
 
-    def inverse_band(self, f_hat: np.ndarray) -> np.ndarray:
+    def inverse_band(self, f_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """irfftn of the half grid zero-filled from the band: ifft along
         axes 0 and 1, then irfft along axis 2, each on nonzero lines only."""
-        a = np.zeros((self.n,) + f_hat.shape[1:], dtype=complex)
-        a[self.rows] = f_hat
-        b = np.zeros((self.n, self.n, self.h), dtype=complex)
-        b[:, self.rows] = np.fft.ifft(a, axis=0)
-        return np.fft.irfft(np.fft.ifft(b, axis=1), n=self.n, axis=2)
+        self._pad_rows[self.rows] = f_hat
+        np.fft.ifft(self._pad_rows, axis=0, out=self._rows)
+        self._pad_cols[:, self.rows] = self._rows
+        np.fft.ifft(self._pad_cols, axis=1, out=self._cols)
+        return np.fft.irfft(self._cols, n=self.n, axis=2, out=out)
+
+    def to_real(self, Y: np.ndarray) -> np.ndarray:
+        """The 8 real fields of band state Y, in the grid's ``real``
+        buffer: valid until the next to_real or RHS stage."""
+        if self.real is None:
+            self.real = np.empty((8,) + self.shape)
+        for i in range(8):
+            self.inverse_band(Y[i], out=self.real[i])
+        return self.real
+
+    def work(self) -> "_StageWork":
+        """The stage workspace, built on the first call."""
+        if self._work is None:
+            self._work = _StageWork(self)
+        return self._work
 
     def apply_semigroup(self, Y: np.ndarray, prop) -> np.ndarray:
         """Advance stacked band transforms (8, *band shape) by the exact
@@ -264,18 +337,40 @@ class _GridOps:
         return out
 
 
+class _StageWork:
+    """Real-space and half-grid buffers of the nonlinear RHS stages.
+
+    Both phases use them in turn, except R = n + 1 and grad n, which the
+    pressure terms need for both phases; the pressure terms then reuse the
+    per-phase buffers for their coefficient fields.
+    """
+
+    def __init__(self, ops: _GridOps):
+        shape = ops.shape
+        self.R = np.empty((2,) + shape)         # n + 1 of both phases
+        self.grad = np.empty((2, 3) + shape)    # grad n of both phases
+        self.u = np.empty((3,) + shape)
+        self.sym = np.empty((3,) + shape)       # c S[u]_dd, d = 0, 1, 2
+        self.c = np.empty(shape)
+        self.tmp = np.empty((4,) + shape)
+        self.w_hat = np.empty((3,) + ops._half.shape[1:], dtype=complex)
+        self.spec = np.empty_like(ops._half)
+        self.T_hat = np.empty(ops.band_shape, dtype=complex)
+
+
+def _fields_state(ops: _GridOps, f: np.ndarray, t: float) -> SimState:
+    """SimState whose fields are views of the (8, n, n, n) array f."""
+    return SimState(ops.eq, ops.L, ops.n, f[0], f[1:4], f[4], f[5:8], t)
+
+
 def _stack_hat(ops: _GridOps, state: SimState) -> np.ndarray:
     # the band holds no Nyquist mode, where the direction field khat could
     # not respect conjugate symmetry
     fields = [state.n_p, *state.m_p, state.n_m, *state.m_m]
-    return np.stack([ops.forward_band(f) for f in fields])
-
-
-def _unstack(ops: _GridOps, state: SimState, Y: np.ndarray,
-             t: float) -> SimState:
-    real = [ops.inverse_band(Y[i]) for i in range(8)]
-    return replace(state, n_p=real[0], m_p=np.stack(real[1:4]),
-                   n_m=real[4], m_m=np.stack(real[5:8]), t=t)
+    Y = np.empty((8,) + ops.band_shape, dtype=complex)
+    for i, f in enumerate(fields):
+        ops.forward_band(f, out=Y[i])
+    return Y
 
 
 def make_sim_state(eq: EquilibriumState, n: int = 48, L: float = 64.0,
@@ -307,56 +402,84 @@ def make_sim_state(eq: EquilibriumState, n: int = 48, L: float = 64.0,
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, rho, rho_bar, mu, lam,
-               sigma):
+def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, R, rho, rho_bar, mu, lam,
+               sigma, grad_n, F):
     """Divergence-form momentum increments of one phase (without Q).
 
-    Takes the phase's real fields and their band transforms; returns the
-    band-transformed increments F_hat (3, *band shape) and grad n, which
-    the pressure terms reuse.
+    Takes the phase's real fields, R = n + 1 and their band transforms;
+    writes the band-transformed increments into F (3, *band shape), zero on
+    entry, and grad n into grad_n (3, n, n, n), which the pressure terms
+    reuse.  Every real-space product runs in place in the stage workspace.
     """
-    R = n + 1.0
-    u = m / R
-    w = n * u
+    W = ops.work()
+    u, sym, c = W.u, W.sym, W.c
+    t0, t1, t2, t3 = W.tmp
+    np.divide(m, R, out=u)
     # the viscous tensor visc = (n/rho) J[u] - J[w]/rho + drop J[m], with
-    # J[f]_{d,e} = d_e f_d and drop = 1/rho - 1/rho_bar, enters only as
-    # visc + visc^T and tr visc, i.e. through the symmetric gradients
-    # S[f]_{de} = d_e f_d + d_d f_e.  Since m = u + w and S is linear,
-    # visc + visc^T = c S[u] - S[w]/rho_bar with c = R/rho - 1/rho_bar;
-    # both terms are O(eps^2), and the constant-coefficient one never
-    # leaves Fourier space
-    c = R / rho - 1.0 / rho_bar
-    w_hat = np.stack([ops.forward(w[d]) for d in range(3)])
-    u_hat = -w_hat
+    # J[f]_{d,e} = d_e f_d, w = n u and drop = 1/rho - 1/rho_bar, enters
+    # only as visc + visc^T and tr visc, i.e. through the symmetric
+    # gradients S[f]_{de} = d_e f_d + d_d f_e.  Since m = u + w and S is
+    # linear, visc + visc^T = c S[u] - S[w]/rho_bar with
+    # c = R/rho - 1/rho_bar; both terms are O(eps^2), and the
+    # constant-coefficient one never leaves Fourier space
+    np.divide(R, rho, out=c)
+    c -= 1.0 / rho_bar
+    w_hat = W.w_hat
+    for d in range(3):
+        ops.forward(np.multiply(n, u[d], out=t0), out=w_hat[d])
+    w_band = w_hat[ops.band]
+    u_hat = np.negative(w_hat, out=w_hat)
     u_hat[ops.band] += m_hat
-    xf = ops.xi_full
-    sym = {(d, e): c * ops.inverse(1j * (xf[e] * u_hat[d] + xf[d] * u_hat[e]))
-           for d, e in _PAIRS}
-    tr = 0.5 * (sym[0, 0] + sym[1, 1] + sym[2, 2])
-    w_hat = w_hat[ops.band]
+    xf = ops.xf
+    s, s2 = W.spec
+
+    def sym_grad(d, e, out):
+        np.multiply(xf[e], u_hat[d], out=s)
+        np.add(s, np.multiply(xf[d], u_hat[e], out=s2), out=s)
+        np.multiply(s, 1j, out=s)
+        return np.multiply(c, ops.inverse(s, out=out), out=out)
+
+    for d in range(3):
+        sym_grad(d, d, sym[d])
+    tr = np.add(sym[0], sym[1], out=t0)
+    tr += sym[2]
+    tr *= 0.5
     xi = ops.xi
-    grad_n = np.stack([ops.inverse_band(1j * x * n_hat) for x in xi])
+    for d in range(3):
+        ops.inverse_band(1j * xi[d] * n_hat, out=grad_n[d])
     lap_n_hat = -ops.k2 * n_hat
-    lap_n = ops.inverse_band(lap_n_hat)
+    lap_n = ops.inverse_band(lap_n_hat, out=t1)
     # Korteweg form of R grad(Lap R) minus its linear part
-    diag = sigma * (R * lap_n + 0.5 * np.sum(grad_n ** 2, axis=0)) + lam * tr
-    T_hat = {}
+    diag = np.multiply(grad_n[0], grad_n[0], out=t2)
+    for g in grad_n[1:]:
+        diag += np.multiply(g, g, out=t3)
+    diag *= 0.5
+    diag += np.multiply(R, lap_n, out=t3)
+    diag *= sigma
+    diag += np.multiply(lam, tr, out=t3)
+    # F_d = d_e T_{d e}, summed as the pairs' transforms arrive
+    T, sym_de, T_hat = t0, t1, W.T_hat
     for d, e in _PAIRS:
-        T = -(m[d] * u[e]) + mu * sym[d, e] - sigma * (grad_n[d] * grad_n[e])
+        np.negative(np.multiply(m[d], u[e], out=T), out=T)
+        T += np.multiply(mu, sym[d] if d == e else sym_grad(d, e, sym_de),
+                         out=t3)
+        T -= np.multiply(sigma, np.multiply(grad_n[d], grad_n[e], out=t3),
+                         out=t3)
         if d == e:
             T += diag
-        T_hat[d, e] = T_hat[e, d] = ops.forward_band(T)
-    # F_d = d_e T_{d e} - sigma * d_d (Lap n); the w part of T,
+        ops.forward_band(T, out=T_hat)
+        F[d] += xi[e] * T_hat
+        if d != e:
+            F[e] += xi[d] * T_hat
+    # then F_d -= sigma d_d (Lap n); the w part of T,
     # -(mu/rho_bar) S[w] - delta (lam/rho_bar) div w, differentiates to
     # (mu/rho_bar)(|xi|^2 w_d + xi_d xi.w) + (lam/rho_bar) xi_d xi.w
-    div_w_hat = np.sum(xi * w_hat, axis=0)
-    F_hat = np.stack([
-        1j * sum(xi[e] * T_hat[d, e] for e in range(3))
-        - sigma * 1j * xi[d] * lap_n_hat
-        + (mu / rho_bar) * ops.k2 * w_hat[d]
-        + ((mu + lam) / rho_bar) * xi[d] * div_w_hat
-        for d in range(3)])
-    return F_hat, grad_n
+    div_w_hat = np.sum(xi * w_band, axis=0)
+    for d in range(3):
+        F[d] *= 1j
+        F[d] -= sigma * 1j * xi[d] * lap_n_hat
+        F[d] += (mu / rho_bar) * ops.k2 * w_band[d]
+        F[d] += ((mu + lam) / rho_bar) * xi[d] * div_w_hat
 
 
 def _check_fields(n_p, m_p, n_m, m_m) -> None:
@@ -367,30 +490,52 @@ def _check_fields(n_p, m_p, n_m, m_m) -> None:
 
 
 def _rhs_hat(ops: _GridOps, Y: np.ndarray) -> np.ndarray:
-    """Stacked band RHS: zero continuity rows, dealiased momentum."""
-    real = [ops.inverse_band(Y[i]) for i in range(8)]
-    n_p, m_p, n_m, m_m = (real[0], np.stack(real[1:4]), real[4],
-                          np.stack(real[5:8]))
+    """Stacked band RHS: zero continuity rows, dealiased momentum.
+
+    The real fields go to the grid's ``real`` buffer and every other
+    real-space or half-grid intermediate to its stage workspace; what the
+    stage allocates is its output, band-sized arithmetic and the fraction
+    map's solve.
+    """
+    real = ops.to_real(Y)
+    n_p, m_p, n_m, m_m = real[0], real[1:4], real[4], real[5:8]
     _check_fields(n_p, m_p, n_m, m_m)
     eq = ops.eq
     p = eq.params
-    rho_p, rho_m, _, C2c = solve_fraction_map(n_p + 1.0, n_m + 1.0, p, eq=eq)
+    W = ops.work()
+    R_p, R_m = W.R
+    np.add(n_p, 1.0, out=R_p)
+    np.add(n_m, 1.0, out=R_m)
+    rho_p, rho_m, _, C2c = solve_fraction_map(R_p, R_m, p, eq=eq)
 
-    F1, gnp = _phase_rhs(ops, n_p, m_p, Y[0], Y[1:4], rho_p,
-                         eq.rho_bar_plus, p.mu_plus, p.lambda_plus,
-                         p.sigma_plus)
-    F2, gnm = _phase_rhs(ops, n_m, m_m, Y[4], Y[5:8], rho_m,
-                         eq.rho_bar_minus, p.mu_minus, p.lambda_minus,
-                         p.sigma_minus)
-    Q1 = (C2c * n_p * ((rho_m / rho_p) * gnp + gnm)
-          + (C2c * rho_m / rho_p - eq.beta1) * gnp
-          + (C2c - eq.C2) * gnm)
-    Q2 = (C2c * n_m * ((rho_p / rho_m) * gnm + gnp)
-          + (C2c * rho_p / rho_m - eq.beta4) * gnm
-          + (C2c - eq.C2) * gnp)
     out = np.zeros_like(Y)
-    out[1:4] = F1 - np.stack([ops.forward_band(Q1[d]) for d in range(3)])
-    out[5:8] = F2 - np.stack([ops.forward_band(Q2[d]) for d in range(3)])
+    gnp, gnm = W.grad
+    _phase_rhs(ops, n_p, m_p, Y[0], Y[1:4], R_p, rho_p, eq.rho_bar_plus,
+               p.mu_plus, p.lambda_plus, p.sigma_plus, gnp, out[1:4])
+    _phase_rhs(ops, n_m, m_m, Y[4], Y[5:8], R_m, rho_m, eq.rho_bar_minus,
+               p.mu_minus, p.lambda_minus, p.sigma_minus, gnm, out[5:8])
+    # the pressure terms, one component at a time:
+    # Q1 = C2c n+ ((rho-/rho+) grad n+ + grad n-)
+    #      + (C2c rho-/rho+ - beta1) grad n+ + (C2c - C2) grad n-,
+    # Q2 the same with the phases swapped and beta4
+    shift = np.subtract(C2c, eq.C2, out=W.c)
+    amp, ratio, lin = W.u
+    q, t = W.tmp[:2]
+    for (nf, rho_a, rho_b, beta, ga, gb, F) in (
+            (n_p, rho_p, rho_m, eq.beta1, gnp, gnm, out[1:4]),
+            (n_m, rho_m, rho_p, eq.beta4, gnm, gnp, out[5:8])):
+        np.multiply(C2c, nf, out=amp)
+        np.divide(rho_b, rho_a, out=ratio)
+        np.multiply(C2c, rho_b, out=lin)
+        lin /= rho_a
+        lin -= beta
+        for d in range(3):
+            np.multiply(ratio, ga[d], out=q)
+            q += gb[d]
+            q *= amp
+            q += np.multiply(lin, ga[d], out=t)
+            q += np.multiply(shift, gb[d], out=t)
+            F[d] -= ops.forward_band(q, out=W.T_hat)
     return out
 
 
@@ -409,7 +554,13 @@ def step(ops: _GridOps, Y: np.ndarray, dt: float,
     is linear and E(dt) = E(dt/2) E(dt/2), so the stage-4 input
     E Y + dt E(dt/2) k3 is E(dt/2)(E(dt/2) Y + dt k3) and the update is
     folded the same way: 4 half-step propagations with one band-sized
-    propagator, (33, 33, 17, 4, 4) at n = 48, built once per step.
+    float64 propagator, (33, 33, 17, 4, 4) at n = 48, built once per step.
+
+    The folded update is summed as its terms arrive, and k1, E(dt/2) k1
+    and k2 are released as soon as it has used them: while a stage runs,
+    the step holds E(dt/2) Y, the update and the stage input besides Y,
+    each a band state of about 1.3 n^3 complex numbers (2.3 MiB at
+    n = 48).  The stages write everything else into the grid's buffers.
     """
     if not nonlinear:
         return ops.apply_semigroup(Y, ops.propagator(dt))
@@ -417,11 +568,23 @@ def step(ops: _GridOps, Y: np.ndarray, dt: float,
     Eh = lambda Z: ops.apply_semigroup(Z, half)
     k1 = _rhs_hat(ops, Y)
     EhY, Ehk1 = Eh(Y), Eh(k1)
-    k2 = _rhs_hat(ops, EhY + 0.5 * dt * Ehk1)
-    k3 = _rhs_hat(ops, EhY + 0.5 * dt * k2)
-    k4 = _rhs_hat(ops, Eh(EhY + dt * k3))
-    Yn = (Eh(EhY + dt / 6.0 * Ehk1 + dt / 3.0 * (k2 + k3))
-          + dt / 6.0 * k4)
+    del k1
+    Z = EhY + 0.5 * dt * Ehk1
+    acc = EhY + dt / 6.0 * Ehk1
+    del Ehk1
+    k2 = _rhs_hat(ops, Z)
+    np.add(EhY, np.multiply(0.5 * dt, k2, out=Z), out=Z)
+    acc += dt / 3.0 * k2
+    del k2
+    k3 = _rhs_hat(ops, Z)
+    acc += dt / 3.0 * k3
+    Z = Eh(np.add(EhY, np.multiply(dt, k3, out=k3), out=Z))
+    del EhY, k3
+    k4 = _rhs_hat(ops, Z)
+    del Z
+    Yn = Eh(acc)
+    del acc
+    Yn += dt / 6.0 * k4
     if not np.all(np.isfinite(Yn)):
         raise RuntimeError("non-finite update: instability detected")
     return Yn
@@ -509,8 +672,12 @@ def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
                    t_final: float | None = None):
     """Time loop with per-step diagnostics; returns (rows, final_state).
 
-    The state enters the band once and stays there; each step's
-    diagnostics row and the final state are read from its real fields.
+    The state enters the band once and stays there.  Each step's
+    diagnostics row reads the 8 real fields that the run's _GridOps
+    writes into its ``real`` buffer; no state outlives its row, and only
+    the returned final state is copied out of the buffer.  The run's
+    memory is the grid's buffers (31 MiB at n = 48, 248 MiB at n = 96;
+    see _GridOps) and a few band states (see step).
 
     The box only represents free space until the fastest front wraps;
     t_final beyond the pre-wrap horizon (L - r_support) / c is rejected,
@@ -537,8 +704,10 @@ def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
     dt = t_final / n_steps
     ops = _GridOps(n, L, eq)
     Y = _stack_hat(ops, state)
+    t = state.t
+    del state
     for _ in range(n_steps):
         Y = step(ops, Y, dt, nonlinear=(mode == "nonlinear"))
-        state = _unstack(ops, state, Y, state.t + dt)
-        rows.append(diagnostics(state))
-    return rows, state
+        t += dt
+        rows.append(diagnostics(_fields_state(ops, ops.to_real(Y), t)))
+    return rows, _fields_state(ops, ops.real.copy(), t)

@@ -13,9 +13,11 @@ import sys
 import pytest
 
 import twofluid
-from twofluid import sim
-from twofluid.cli import _check_record, _equilibrium_metrics, main
-from twofluid.model import ModelParams, solve_equilibrium
+from twofluid import cli, sim
+from twofluid.cli import (_check_record, _equilibrium_metrics,
+                          _fraction_map_roundtrip, main)
+from twofluid.model import (AdmissibilityError, ConvergenceError,
+                            ModelParams, solve_equilibrium)
 
 
 def read_json(path):
@@ -317,3 +319,36 @@ class TestCertifyAll:
         assert rep["pass_count"] == len(rep["checks"])
         for check in rep["checks"]:
             assert {"name", "pass", "metric", "tolerance"} == set(check)
+
+
+class TestFractionMapRoundtrip:
+    """The certify-all recipe stays admissible off the defaults."""
+
+    @pytest.mark.parametrize("params", [
+        ModelParams(), ModelParams(A_plus=1000.0),
+        ModelParams(A_minus=1000.0), ModelParams(gamma_plus=10.0),
+        ModelParams(gamma_minus=10.0)],
+        ids=["default", "a_plus_1000", "a_minus_1000", "gamma_plus_10",
+             "gamma_minus_10"])
+    def test_recipe_within_tolerance(self, params):
+        eq = solve_equilibrium(params)
+        assert _fraction_map_roundtrip(eq) <= 1e-10
+
+    @pytest.mark.parametrize("error", [AdmissibilityError,
+                                       ConvergenceError])
+    def test_model_errors_exit_2(self, monkeypatch, tmp_path, capsys,
+                                 error):
+        def fail(args):
+            raise error("state left the model")
+
+        monkeypatch.setitem(cli._COMMANDS, "equilibrium", fail)
+        assert main(["--out", str(tmp_path), "equilibrium"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: state left the model\n"
+
+    def test_vacuum_in_simulate_exits_2(self, tmp_path, capsys):
+        # a pulse this strong empties a cell within the first step
+        assert main(["--out", str(tmp_path), "simulate", "--grid", "16",
+                     "--box", "16", "--eps", "5", "--t-final", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

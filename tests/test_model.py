@@ -205,9 +205,113 @@ class TestFractionMap:
         Rp = 1.0 + 2e-3 * rng.uniform(-1.0, 1.0, 4096)
         Rm = 1.0 + 2e-3 * rng.uniform(-1.0, 1.0, 4096)
         rho_p, rho_m, _, _ = solve_fraction_map(Rp, Rm, SYM, eq=eq)
-        # two calls for the bracket, two per Newton iteration
+        # two calls per residual evaluation; the bracket is not needed
         assert len(calls) <= 2 + 2 * 6
         assert np.abs(Rp / rho_p + Rm / rho_m - 1.0).max() < 1e-12
+
+
+def bisect_fraction_map(Rp: float, Rm: float, p: ModelParams) -> float:
+    """Independent oracle: rho+ by plain bisection of the pressure match
+    P+(x) = P-(R- x / (x - R+)) over x > R+, down to adjacent floats."""
+
+    def phi(x):
+        return (pressure_law(x, p.A_plus, p.gamma_plus)
+                - pressure_law(Rm * x / (x - Rp), p.A_minus, p.gamma_minus))
+
+    lo, hi = Rp, 2.0 * Rp
+    while phi(hi) <= 0.0:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo if abs(phi(lo)) < abs(phi(hi)) else hi
+        if phi(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+
+
+# the defaults, the simulator tests' asymmetric set, and a set far from
+# equal exponents whose corners need the bisection fallback
+FRACTION_SETS = {
+    "default": SYM,
+    "asym": ModelParams(mu_minus=2.0, lambda_plus=0.5, lambda_minus=1.5,
+                        sigma_plus=0.02, A_minus=2.0, gamma_minus=1.6),
+    "far": ModelParams(gamma_plus=1.2, gamma_minus=3.0, A_plus=0.5,
+                       A_minus=2.0),
+}
+
+
+class TestFractionMapGrid:
+    """A 21 x 21 grid over the whole box |R+- - 1| <= 0.5."""
+
+    GRID = np.meshgrid(np.linspace(0.5, 1.5, 21), np.linspace(0.5, 1.5, 21),
+                       indexing="ij")
+
+    @pytest.fixture(scope="class", params=sorted(FRACTION_SETS))
+    def solved(self, request):
+        p = FRACTION_SETS[request.param]
+        eq = solve_equilibrium(p)
+        return p, eq, solve_fraction_map(*self.GRID, p, eq=eq)
+
+    def test_residual(self, solved):
+        p, eq, (rho_p, rho_m, alpha_p, C2) = solved
+        Rp, Rm = self.GRID
+        scale = abs(eq.pressure) + 1.0
+        resid = (pressure_law(rho_p, p.A_plus, p.gamma_plus)
+                 - pressure_law(rho_m, p.A_minus, p.gamma_minus))
+        assert np.abs(resid).max() < 1e-13 * scale
+        assert np.abs(Rp / rho_p + Rm / rho_m - 1.0).max() < 1e-13
+        assert np.array_equal(alpha_p, Rp / rho_p)
+        assert np.all(C2 > 0.0)
+
+    def test_bisection_oracle(self, solved):
+        p, _, (rho_p, rho_m, _, _) = solved
+        for (i, j), Rp in np.ndenumerate(self.GRID[0]):
+            Rm = self.GRID[1][i, j]
+            x = bisect_fraction_map(Rp, Rm, p)
+            assert rho_p[i, j] == pytest.approx(x, rel=1e-13, abs=0.0)
+            assert rho_m[i, j] == pytest.approx(Rm * x / (x - Rp),
+                                                rel=1e-13, abs=0.0)
+
+    def test_far_set_takes_bisection(self, monkeypatch):
+        # Newton from the linear start leaves its bracket at some corners;
+        # the bisection that replaces it needs the bracket's upper end
+        tops = []
+        bracket_top = model._bracket_top
+
+        def spy(x, *args):
+            tops.append(x.size)
+            return bracket_top(x, *args)
+
+        monkeypatch.setattr(model, "_bracket_top", spy)
+        p = FRACTION_SETS["far"]
+        rho_p, _, _, _ = solve_fraction_map(*self.GRID, p)
+        assert sum(tops) > 0
+        Rp, Rm = self.GRID
+        assert rho_p[0, 0] == pytest.approx(
+            bisect_fraction_map(Rp[0, 0], Rm[0, 0], p), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("p", [SYM, ModelParams(A_minus=2.0),
+                                   ModelParams(A_plus=1000.0,
+                                               gamma_plus=3.0,
+                                               gamma_minus=3.0)],
+                             ids=["default", "a_minus_2", "a_plus_1000"])
+    def test_equal_gammas_take_one_residual(self, monkeypatch, p):
+        # the map is affine, so the linear start is the root
+        eq = solve_equilibrium(p)
+        calls = []
+
+        def counting(rho, A, gamma):
+            calls.append(1)
+            return pressure_law(rho, A, gamma)
+
+        monkeypatch.setattr(model, "pressure_law", counting)
+        rho_p, _, _, _ = solve_fraction_map(*self.GRID, p, eq=eq)
+        assert len(calls) == 2
+        kappa = (p.A_minus / p.A_plus) ** (1.0 / p.gamma_plus)
+        exact = self.GRID[0] + kappa * self.GRID[1]
+        assert np.abs(rho_p / exact - 1.0).max() < 1e-14
 
 
 class TestConfigAndReport:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,11 @@ def _ops(st):
     return sim._GridOps(st.n, st.L, st.eq)
 
 
+def _unstack(ops, Y, t):
+    """A SimState of band state Y that owns its fields."""
+    return sim._fields_state(ops, ops.to_real(Y).copy(), t)
+
+
 def _advance(st, dt, T, nonlinear=True):
     """st advanced by round(T / dt) steps of the band state, as
     run_simulation does."""
@@ -176,7 +182,7 @@ def _advance(st, dt, T, nonlinear=True):
     steps = int(round(T / dt))
     for _ in range(steps):
         Y = sim.step(ops, Y, dt, nonlinear)
-    return sim._unstack(ops, st, Y, st.t + steps * dt)
+    return _unstack(ops, Y, st.t + steps * dt)
 
 
 def _rhs(st):
@@ -184,8 +190,10 @@ def _rhs(st):
     space: the stage RHS of the stepper."""
     ops = _ops(st)
     F = sim._rhs_hat(ops, sim._stack_hat(ops, st))
-    return (np.stack([ops.inverse_band(F[i]) for i in range(1, 4)]),
-            np.stack([ops.inverse_band(F[i]) for i in range(5, 8)]))
+    real = np.empty((8,) + ops.shape)
+    for i in range(8):
+        ops.inverse_band(F[i], out=real[i])
+    return real[1:4], real[5:8]
 
 
 # bulk viscosity and unequal phases, which the defaults leave out
@@ -219,9 +227,8 @@ class TestReferenceOracle:
         # _rhs evaluates the band projection of the state, as the stepper
         # does; the reference sees the same projected fields
         ops = _ops(st)
-        R1, R2 = _ref_nonlinear_rhs(sim._unstack(ops, st,
-                                                 sim._stack_hat(ops, st),
-                                                 st.t))
+        R1, R2 = _ref_nonlinear_rhs(_unstack(ops, sim._stack_hat(ops, st),
+                                             st.t))
         scale = max(np.abs(R1).max(), np.abs(R2).max())
         assert scale > 0.0
         assert np.abs(F1 - R1).max() <= 1e-12 * scale
@@ -363,7 +370,7 @@ class TestNonlinearRhs:
 
 class _Counter:
     """Counts the calls of one bound method it wraps, and keeps their
-    arguments."""
+    positional arguments."""
 
     def __init__(self, fn):
         self.fn, self.args = fn, []
@@ -372,9 +379,9 @@ class _Counter:
     def calls(self):
         return len(self.args)
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         self.args.append(args)
-        return self.fn(*args)
+        return self.fn(*args, **kwargs)
 
 
 class TestStepCost:
@@ -427,9 +434,9 @@ class TestStepCost:
         def counting(name):
             fn = getattr(sim._GridOps, name)
 
-            def wrapper(self, f):
+            def wrapper(self, f, **kwargs):
                 calls[name] += 1
-                return fn(self, f)
+                return fn(self, f, **kwargs)
             return wrapper
 
         for name in calls:
@@ -451,6 +458,47 @@ class TestStepCost:
         assert calls["inverse_band"] - inside["inverse_band"] == 8 * 2
 
 
+class TestStageMemory:
+    """A stage writes its real-space and half-grid intermediates into the
+    grid's workspace, built on the first nonlinear stage."""
+
+    @pytest.mark.parametrize("eq", [EQ, EQ_ASYM], ids=["sym", "asym"])
+    def test_stage_allocates_few_band_states(self, eq):
+        st = sim.make_sim_state(eq, n=16, L=16.0, eps=1e-2)
+        ops = _ops(st)
+        Y = sim._stack_hat(ops, st)
+        sim._rhs_hat(ops, Y)                    # builds the workspace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = sim._rhs_hat(ops, Y)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the output, band arithmetic and the fraction map's solve (four
+        # real outputs and its temporaries, about 3 band states at n = 16);
+        # a stage that allocated its real-space products took 17
+        assert peak - out.nbytes <= 4 * Y.nbytes
+
+    def test_linear_run_builds_no_stage_workspace(self):
+        st = sim.make_sim_state(EQ, n=8, L=16.0, eps=1e-3)
+        ops = _ops(st)
+        sim.step(ops, sim._stack_hat(ops, st), 0.5, nonlinear=False)
+        assert ops._work is None
+        sim.step(ops, sim._stack_hat(ops, st), 0.5)
+        assert ops._work is not None
+
+    def test_propagator_is_real(self, monkeypatch):
+        ops = _ops(sim.make_sim_state(EQ_ASYM, n=16, L=16.0, eps=0.0))
+        Gg, _, _ = ops.propagator(0.7)
+        assert Gg.dtype == np.float64
+        G = semigroup_batch(ops.k_uniq, 0.7, EQ_ASYM)
+        monkeypatch.setattr(sim, "semigroup_batch",
+                            lambda *args: G + 1e-9j * np.abs(G).max())
+        with pytest.raises(RuntimeError, match="imaginary"):
+            ops.propagator(0.7)
+
+
 class TestBandTransforms:
     """The pruned transforms equal the full ones bitwise."""
 
@@ -469,12 +517,18 @@ class TestBandTransforms:
         for a, b in zip(np.nonzero(box), np.nonzero(mask)):
             assert np.array_equal(a, b)
         f = np.random.default_rng(n).standard_normal((n, n, n))
-        f_hat = ops.forward_band(f)
+        f_hat = ops.forward_band(f, out=np.empty(ops.band_shape, complex))
         assert np.array_equal(f_hat, (np.fft.rfftn(f) * mask)[ops.band])
         filled = np.zeros(mask.shape, dtype=complex)
         filled[ops.band] = f_hat
-        assert np.array_equal(ops.inverse_band(f_hat),
+        assert np.array_equal(ops.inverse_band(f_hat, out=np.empty(f.shape)),
                               np.fft.irfftn(filled, s=f.shape,
+                                            axes=(0, 1, 2)))
+        # the full transforms, pass by pass, are rfftn and irfftn too
+        g_hat = ops.forward(f, out=np.empty(mask.shape, complex))
+        assert np.array_equal(g_hat, np.fft.rfftn(f))
+        assert np.array_equal(ops.inverse(g_hat, out=np.empty(f.shape)),
+                              np.fft.irfftn(g_hat, s=f.shape,
                                             axes=(0, 1, 2)))
 
 
