@@ -122,6 +122,15 @@ def _cmd_spectrum(args) -> int:
                for k in (args.k_min, args.k_max)):
         raise UsageError("--k-min and --k-max must be finite and positive")
     eq = solve_equilibrium(_load(args))
+    # every coefficient c_j of the characteristic quartic grows with k, and
+    # so does the Fujiwara bound 2 max |c_j|^(1/(4-j)) on its roots; the
+    # roots' Newton polish evaluates terms up to the bound's fourth power
+    coeffs = spectral.char_poly_coeffs(args.k_max, eq)
+    bound = 2.0 * max(abs(c) ** (1.0 / m)
+                      for c, m in zip(coeffs, (1, 2, 3, 4)))
+    if not math.isfinite(bound * bound * bound * bound):
+        raise UsageError(f"--k-max {args.k_max:g}: the characteristic "
+                         "quartic's roots overflow at these parameters")
     ks = np.logspace(math.log10(args.k_min), math.log10(args.k_max),
                      args.n_k)
     rows = spectral.spectrum_rows(eq, ks)

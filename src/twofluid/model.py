@@ -21,6 +21,7 @@ Functions:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, asdict
 
@@ -111,10 +112,14 @@ def pressure_law_prime(rho, A: float, gamma: float):
 
 
 def validate_params(p: ModelParams) -> ModelParams:
-    """Check positivity/parabolicity constraints; return p unchanged.
+    """Check finiteness and positivity/parabolicity constraints; return p
+    unchanged.
 
     Raises ParameterError naming the offending field.
     """
+    for name, value in asdict(p).items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, not {value}")
     for side in ("plus", "minus"):
         mu = getattr(p, f"mu_{side}")
         lam = getattr(p, f"lambda_{side}")
@@ -196,9 +201,16 @@ def _common_c2(rho_p: float, rho_m: float, alpha_p: float, alpha_m: float,
 
 
 def solve_equilibrium(p: ModelParams) -> EquilibriumState:
-    """Solve the equal-pressure background and fill every derived field."""
+    """Solve the equal-pressure background and fill every derived field.
+
+    A derived coefficient that overflows raises ParameterError naming it.
+    """
     validate_params(p)
-    rho_p = _equilibrium_root(p)
+    try:
+        rho_p = _equilibrium_root(p)
+    except OverflowError:
+        raise ParameterError("the pressure law A rho^gamma overflows on the "
+                             "equilibrium bracket") from None
     rho_m = rho_p / (rho_p - 1.0)
     alpha_p = 1.0 / rho_p
     alpha_m = 1.0 / rho_m
@@ -222,8 +234,11 @@ def solve_equilibrium(p: ModelParams) -> EquilibriumState:
     c2 = beta1 + beta4
     c = math.sqrt(c2)
     b1 = (beta1 * nup + beta4 * num) / (2.0 * c2)
-    disc = (beta1 * num + beta4 * nup) ** 2 \
-        - 4.0 * c2 * (beta1 * p.sigma_minus + beta4 * p.sigma_plus)
+    try:
+        disc = (beta1 * num + beta4 * nup) ** 2 \
+            - 4.0 * c2 * (beta1 * p.sigma_minus + beta4 * p.sigma_plus)
+    except OverflowError:       # float ** raises where * would give inf
+        disc = math.inf
     R_disc = math.sqrt(disc) if disc >= 0.0 else float("nan")
     root = complex(R_disc) if disc >= 0.0 else 1j * math.sqrt(-disc)
     lam3 = (-(beta1 * num + beta4 * nup) + root) / (2.0 * c2)
@@ -231,7 +246,7 @@ def solve_equilibrium(p: ModelParams) -> EquilibriumState:
     if disc >= 0.0:
         lam3, lam4 = lam3.real, lam4.real
 
-    return EquilibriumState(
+    eq = EquilibriumState(
         params=p,
         rho_bar_plus=rho_p, rho_bar_minus=rho_m,
         alpha_bar_plus=alpha_p, alpha_bar_minus=alpha_m,
@@ -245,6 +260,11 @@ def solve_equilibrium(p: ModelParams) -> EquilibriumState:
         b1=b1, disc=disc, R_disc=R_disc,
         lam3_tilde=lam3, lam4_tilde=lam4,
     )
+    for name, value in asdict(eq).items():
+        # R_disc is NaN by design when the diffusive pair is complex
+        if name not in ("params", "R_disc") and not cmath.isfinite(value):
+            raise ParameterError(f"derived coefficient {name} overflows")
+    return eq
 
 
 def wave_speed_alt(eq: EquilibriumState) -> float:

@@ -12,7 +12,7 @@ real-FFT half grid that the 2/3 rule (Orszag 1971) retains: it enters once
 per run and leaves once per diagnostics row (8 transforms each).  Each RK4
 stage transforms to real space only what its products need, forms every
 product there and every derivative as one spectral multiply: 52 real 3-D
-transforms per stage, 34 pruned to the band, 208 per step (see _GridOps).
+transforms per stage, 34 on the band, 208 per step (see _GridOps).
 The full-step propagator is applied as two half steps: 4 half-step
 propagations of one real (float64) band propagator, built once per step.
 
@@ -184,10 +184,10 @@ class _GridOps:
     the half axis, (33, 33, 17) at n = 48, indexed by ``band``.  The state,
     ``xi``, ``k2``, ``khat``, the unique-|k| index ``inv`` and the
     propagators are band-shaped; the band holds no Nyquist mode.
-    forward_band and inverse_band are rfftn and irfftn pruned to the band
-    (Markel 1971): each 1-D pass they keep sees exactly its input inside
-    rfftn or irfftn, so their results are bitwise equal.  forward and
-    inverse run rfftn and irfftn pass by pass.
+    Every transform runs the rfftn or irfftn passes on the whole half
+    grid, so its result is bitwise rfftn or irfftn; forward_band gathers
+    the band from it and inverse_band scatters the band into a zeroed
+    half grid, both through one flat index built here.
 
     One RHS stage costs 52 transforms: 8 inverse for n and m of both
     phases, then per phase 19 -- 3 forward for w = n u, 6 inverse for the
@@ -197,26 +197,25 @@ class _GridOps:
     pointwise, so u_hat = m_hat - w_hat, and the viscous terms in S[w] and
     S[m] have constant coefficients once rewritten through S[u] (see
     _phase_rhs), so they stay in Fourier space.  w = n u has full
-    support, so the 18 transforms of w and S[u] take the whole half grid
+    support, so the 18 transforms of w and S[u] keep the whole half grid
     and the derivative vectors ``xf`` (three 1-D wavenumber vectors that
     broadcast over it, zero at Nyquist: odd derivatives of real fields stay
-    real); the other 34 are pruned to the band.
+    real); the other 34 are band transforms.
 
     The grid owns every buffer its transforms and stages write, and every
     transform writes through ``out=``.  Sizes scale with n^3:
-    - transform scratch, built here: two half-grid arrays and four
-      band-row and band-column arrays, about 2.2 n^3 complex numbers
-      (3.8 MiB at n = 48).  The two zero-padded inputs of the inverse band
-      passes are zeroed once, here; only their band rows and columns are
-      ever written;
+    - transform scratch, built here: one half-grid array, in which the
+      band transforms and the inverse passes run, and the band's flat
+      index, about 0.6 n^3 complex numbers (1.0 MiB at n = 48); forward
+      runs its passes in place in its output;
     - ``real``, the 8 real fields of a band state (n+, m+, n-, m-), 64 n^3
       bytes (6.8 MiB at n = 48), built on the first to_real; each stage
       and each diagnostics row of run_simulation overwrite it;
     - the stage workspace (_StageWork), 19 real fields and 5 half-grid
       arrays, about 190 n^3 bytes (20.7 MiB at n = 48), built on the first
       nonlinear stage, so linear runs never allocate it.
-    Once a nonlinear stage has run, the grid holds 31 MiB at n = 48 and
-    248 MiB at n = 96.
+    Once a nonlinear stage has run, these buffers hold 28.5 MiB at n = 48
+    and 227 MiB at n = 96.
     """
 
     def __init__(self, n: int, L: float, eq: EquilibriumState):
@@ -245,12 +244,8 @@ class _GridOps:
         k = np.sqrt(self.k2)
         with np.errstate(invalid="ignore", divide="ignore"):
             self.khat = np.where(k > 0.0, self.xi / np.maximum(k, 1e-300), 0.0)
-        nb = self.rows.size
-        self._half = np.empty((2, n, n, half.size), dtype=complex)
-        self._cols = np.empty((n, n, self.h), dtype=complex)
-        self._rows = np.empty((n, nb, self.h), dtype=complex)
-        self._pad_rows = np.zeros((n, nb, self.h), dtype=complex)
-        self._pad_cols = np.zeros((n, n, self.h), dtype=complex)
+        self._half = np.empty((n, n, half.size), dtype=complex)
+        self._flat = np.ravel_multi_index(self.band[1:], self._half.shape)
         self.real = None
         self._work = None
 
@@ -271,39 +266,33 @@ class _GridOps:
         return Gg, heat_p, heat_m
 
     # transforms between real fields and half-grid or band coefficients ----
-    def forward(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """rfftn(f): rfft along axis 2, then fft along axes 1 and 0."""
-        a, b = self._half
-        np.fft.rfft(f, axis=2, out=a)
-        np.fft.fft(a, axis=1, out=b)
-        return np.fft.fft(b, axis=0, out=out)
+    def _rfftn(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """rfftn(f), pass by pass in place in the half-grid array out."""
+        np.fft.rfft(f, axis=2, out=out)
+        np.fft.fft(out, axis=1, out=out)
+        return np.fft.fft(out, axis=0, out=out)
 
-    def inverse(self, f_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """irfftn(f_hat): ifft along axes 0 and 1, then irfft along axis 2."""
-        a, b = self._half
-        np.fft.ifft(f_hat, axis=0, out=a)
-        np.fft.ifft(a, axis=1, out=b)
-        return np.fft.irfft(b, n=self.n, axis=2, out=out)
+    def _irfftn(self, f_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """irfftn(f_hat) into out, the complex passes in the scratch."""
+        np.fft.ifft(f_hat, axis=0, out=self._half)
+        np.fft.ifft(self._half, axis=1, out=self._half)
+        return np.fft.irfft(self._half, n=self.n, axis=2, out=out)
+
+    # the band transforms call the passes by their private names, so that
+    # counting the calls of forward and inverse counts full transforms only
+    forward, inverse = _rfftn, _irfftn
 
     def forward_band(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """rfftn(f) on the band: rfft along axis 2, then fft along axes 1
-        and 0, each pass run only on the lines the band keeps."""
-        nb = self.rows.size
-        np.fft.rfft(f, axis=2, out=self._half[0])
-        np.fft.fft(self._half[0, :, :, :self.h], axis=1, out=self._cols)
-        np.take(self._cols, self.rows, axis=1, out=self._rows, mode="clip")
-        np.fft.fft(self._rows, axis=0, out=self._cols[:, :nb])
-        return np.take(self._cols[:, :nb], self.rows, axis=0, out=out,
-                       mode="clip")
+        """rfftn(f) on the band: the half grid, then one gather (mode="clip"
+        keeps np.take from buffering out)."""
+        self._rfftn(f, self._half)
+        return np.take(self._half, self._flat, out=out, mode="clip")
 
     def inverse_band(self, f_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """irfftn of the half grid zero-filled from the band: ifft along
-        axes 0 and 1, then irfft along axis 2, each on nonzero lines only."""
-        self._pad_rows[self.rows] = f_hat
-        np.fft.ifft(self._pad_rows, axis=0, out=self._rows)
-        self._pad_cols[:, self.rows] = self._rows
-        np.fft.ifft(self._pad_cols, axis=1, out=self._cols)
-        return np.fft.irfft(self._cols, n=self.n, axis=2, out=out)
+        """irfftn of the half grid zero-filled from the band f_hat."""
+        self._half.fill(0.0)
+        np.put(self._half, self._flat, f_hat)
+        return self._irfftn(self._half, out)
 
     def to_real(self, Y: np.ndarray) -> np.ndarray:
         """The 8 real fields of band state Y, in the grid's ``real``
@@ -353,8 +342,8 @@ class _StageWork:
         self.sym = np.empty((3,) + shape)       # c S[u]_dd, d = 0, 1, 2
         self.c = np.empty(shape)
         self.tmp = np.empty((4,) + shape)
-        self.w_hat = np.empty((3,) + ops._half.shape[1:], dtype=complex)
-        self.spec = np.empty_like(ops._half)
+        self.w_hat = np.empty((3,) + ops._half.shape, dtype=complex)
+        self.spec = np.empty((2,) + ops._half.shape, dtype=complex)
         self.T_hat = np.empty(ops.band_shape, dtype=complex)
 
 
@@ -373,18 +362,24 @@ def _stack_hat(ops: _GridOps, state: SimState) -> np.ndarray:
     return Y
 
 
+# the initial pulse's radius, which the box must exceed, and the largest
+# box size and amplitude a run takes: up to 1e6 its squares, cell volumes
+# and transform sums stay far inside float64 (at 1e300 they overflowed)
+R_PULSE, L_MAX, EPS_MAX = 8.0, 1e6, 1e6
+
+
 def make_sim_state(eq: EquilibriumState, n: int = 48, L: float = 64.0,
                    eps: float = 1e-3) -> SimState:
     """Compactly supported initial perturbation on the box: a radial
-    momentum pulse of radius 8 in both phases, which launches a Huygens
-    ring."""
+    momentum pulse of radius R_PULSE in both phases, which launches a
+    Huygens ring."""
     x1 = -L + (2.0 * L / n) * np.arange(n)
     X, Yc, Z = np.meshgrid(x1, x1, x1, indexing="ij")
     zeros = np.zeros((n, n, n))
     state = SimState(eq, L, n, zeros.copy(), np.zeros((3, n, n, n)),
                      zeros.copy(), np.zeros((3, n, n, n)))
     r = np.sqrt(X ** 2 + Yc ** 2 + Z ** 2)
-    r0 = 8.0
+    r0 = R_PULSE
     with np.errstate(divide="ignore", over="ignore"):
         bump = np.where(r < r0, np.exp(1.0 - 1.0 /
                                        np.maximum(1.0 - (r / r0) ** 2,
@@ -550,8 +545,8 @@ def step(ops: _GridOps, Y: np.ndarray, dt: float,
     """One integrating-factor RK4 step of length dt of the band state Y.
 
     Each stage transforms to real space only what its products need (see
-    _GridOps): 208 transforms per step, 136 pruned to the band.  The flow
-    is linear and E(dt) = E(dt/2) E(dt/2), so the stage-4 input
+    _GridOps): 208 transforms per step, 136 of them band transforms.  The
+    flow is linear and E(dt) = E(dt/2) E(dt/2), so the stage-4 input
     E Y + dt E(dt/2) k3 is E(dt/2)(E(dt/2) Y + dt k3) and the update is
     folded the same way: 4 half-step propagations with one band-sized
     float64 propagator, (33, 33, 17, 4, 4) at n = 48, built once per step.
@@ -676,26 +671,29 @@ def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
     diagnostics row reads the 8 real fields that the run's _GridOps
     writes into its ``real`` buffer; no state outlives its row, and only
     the returned final state is copied out of the buffer.  The run's
-    memory is the grid's buffers (31 MiB at n = 48, 248 MiB at n = 96;
+    memory is the grid's buffers (28.5 MiB at n = 48, 227 MiB at n = 96;
     see _GridOps) and a few band states (see step).
 
     The box only represents free space until the fastest front wraps;
-    t_final beyond the pre-wrap horizon (L - r_support) / c is rejected,
-    and so are n < 4, a box size L that is not finite and positive, a
-    non-finite eps and a t_final that is not finite and positive.
+    t_final beyond the pre-wrap horizon (L - R_PULSE) / c is rejected,
+    and so are n < 4, a box size L outside (R_PULSE, L_MAX], an eps
+    outside [-EPS_MAX, EPS_MAX] and a t_final that is not finite and
+    positive.
     """
     if n < 4:
         raise ValueError(f"grid size {n} must be at least 4")
-    if not (math.isfinite(L) and L > 0.0):
-        raise ValueError(f"box size {L} must be finite and positive")
-    if not math.isfinite(eps):
-        raise ValueError(f"amplitude eps {eps} must be finite")
+    if not R_PULSE < L <= L_MAX:
+        raise ValueError(f"box size {L} must exceed the pulse radius "
+                         f"{R_PULSE:g} and be at most {L_MAX:g}")
+    if not abs(eps) <= EPS_MAX:
+        raise ValueError(f"amplitude eps {eps} must be finite with "
+                         f"|eps| <= {EPS_MAX:g}")
     if t_final is None:
         t_final = L / (2.0 * eq.c)
     if not (math.isfinite(t_final) and t_final > 0.0):
         raise ValueError(f"t_final {t_final} must be finite and positive")
     state = make_sim_state(eq, n=n, L=L, eps=eps)
-    horizon = (L - 8.0) / eq.c
+    horizon = (L - R_PULSE) / eq.c
     if t_final > horizon + 1e-9:
         raise ValueError(f"t_final {t_final} beyond pre-wrap horizon "
                          f"{horizon:.3g}")

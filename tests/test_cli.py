@@ -145,6 +145,23 @@ MALFORMED = [
     ["simulate", "--grid", "8", "--box", "16", "--t-final", "-1"],
     ["simulate", "--grid", "8", "--box", "16", "--t-final", "0"],
     ["simulate", "--grid", "8", "--box", "16", "--t-final", "nan"],
+    ["simulate", "--grid", "8", "--box", "1e300", "--t-final", "1"],
+    ["simulate", "--grid", "8", "--box", "9", "--eps", "1e300",
+     "--t-final", "0.1"],
+    ["simulate", "--grid", "8", "--box", "8", "--t-final", "0.1"],
+    ["simulate", "--grid", "8", "--box", "4", "--t-final", "0.1"],
+    # parameter files: non-finite fields, overflowing derived coefficients
+    # and quartic roots that overflow on the k range
+    ["--params", "@lambda_plus=inf", "spectrum"],
+    ["--params", "@mu_plus=inf", "spectrum"],
+    ["--params", "@sigma_plus=inf", "spectrum"],
+    ["--params", "@lambda_plus=nan", "equilibrium"],
+    ["--params", "@mu_plus=1e300", "equilibrium"],
+    ["--params", "@lambda_minus=1e300", "equilibrium"],
+    ["--params", "@gamma_plus=1e30", "equilibrium"],
+    ["--params", "@sigma_minus=1e300", "spectrum"],
+    ["--params", "@mu_plus=1e100", "spectrum"],
+    ["spectrum", "--k-min", "1e150", "--k-max", "1e151"],
     # disc < 0: the complex diffusive pair gives non-finite metrics and
     # kernel values, which have no strict JSON form and are not written
     ["--params", "@complex-pair", "greens", "--entry", "1,2"],
@@ -158,9 +175,13 @@ COMPLEX_PAIR = "sigma_plus = 1.0\nsigma_minus = 1.0\n"
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
 def test_malformed_input_is_a_usage_error(argv, tmp_path, capsys):
-    cfg = tmp_path / "complex_pair.cfg"
-    cfg.write_text(COMPLEX_PAIR)
-    argv = [str(cfg) if a == "@complex-pair" else a for a in argv]
+    # "@key=value" names a one-line parameter file
+    cfg = tmp_path / "params.cfg"
+    for a in argv:
+        if a.startswith("@"):
+            cfg.write_text(COMPLEX_PAIR if a == "@complex-pair"
+                           else a[1:].replace("=", " = ") + "\n")
+    argv = [str(cfg) if a.startswith("@") else a for a in argv]
     assert main(["--out", str(tmp_path), *argv]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1

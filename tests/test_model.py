@@ -78,6 +78,24 @@ class TestValidateParams:
         with pytest.raises(ParameterError, match="sigma_minus"):
             validate_params(ModelParams(sigma_minus=-0.01))
 
+    @pytest.mark.parametrize("field", ["mu_plus", "lambda_plus",
+                                       "sigma_plus", "A_minus",
+                                       "gamma_minus"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            validate_params(ModelParams(**{field: value}))
+
+    @pytest.mark.parametrize("field", ["mu_plus", "lambda_minus"])
+    def test_overflowing_coefficient_named(self, field):
+        # the diffusive-pair discriminant squares a viscosity sum
+        with pytest.raises(ParameterError, match="disc overflows"):
+            solve_equilibrium(ModelParams(**{field: 1e300}))
+
+    def test_overflowing_pressure_law_named(self):
+        with pytest.raises(ParameterError, match="pressure law"):
+            solve_equilibrium(ModelParams(gamma_plus=1e30))
+
 
 class TestSolveEquilibrium:
     def test_symmetric_closed_form(self):

@@ -500,7 +500,7 @@ class TestStageMemory:
 
 
 class TestBandTransforms:
-    """The pruned transforms equal the full ones bitwise."""
+    """The band transforms equal rfftn and irfftn bitwise."""
 
     @pytest.mark.parametrize("n", [4, 5, 7, 16, 24, 48])
     def test_bitwise_equal_to_full_transforms(self, n):
@@ -530,6 +530,34 @@ class TestBandTransforms:
         assert np.array_equal(ops.inverse(g_hat, out=np.empty(f.shape)),
                               np.fft.irfftn(g_hat, s=f.shape,
                                             axes=(0, 1, 2)))
+
+
+class TestTransformMemory:
+    """The four transforms write through out= into the grid's scratch."""
+
+    @pytest.mark.parametrize("name", ["forward", "inverse", "forward_band",
+                                      "inverse_band"])
+    def test_transform_allocates_no_array(self, name):
+        ops = sim._GridOps(16, 24.0, EQ)
+        f = np.random.default_rng(0).standard_normal(ops.shape)
+        args = {"forward": (f, np.empty(ops._half.shape, complex)),
+                "inverse": (np.fft.rfftn(f), np.empty(ops.shape)),
+                "forward_band": (f, np.empty(ops.band_shape, complex)),
+                "inverse_band": (np.fft.rfftn(f)[ops.band],
+                                 np.empty(ops.shape))}
+        x, out = args[name]
+        transform = getattr(ops, name)
+        transform(x, out=out)                   # warm-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            transform(x, out=out)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the smallest array a transform could allocate is a band field,
+        # 11,616 bytes at n = 16; np.take without mode="clip" buffers one
+        assert peak < 4096
 
 
 class TestStep:
@@ -602,6 +630,18 @@ class TestConservationAndRun:
     def test_horizon_enforced(self):
         with pytest.raises(ValueError):
             sim.run_simulation(EQ, n=8, L=16.0, t_final=100.0)
+
+    @pytest.mark.parametrize("L", [4.0, 8.0])
+    def test_box_must_exceed_pulse(self, L):
+        with pytest.raises(ValueError, match=f"box size {L} must exceed "
+                                             "the pulse radius 8"):
+            sim.run_simulation(EQ, n=8, L=L, t_final=0.1)
+
+    @pytest.mark.parametrize("L, eps", [(1e300, 1e-3), (1.1e6, 1e-3),
+                                        (9.0, 1e300), (9.0, -1.1e6)])
+    def test_float_range_limits(self, L, eps):
+        with pytest.raises(ValueError, match="at most 1e\\+06|<= 1e\\+06"):
+            sim.run_simulation(EQ, n=8, L=L, eps=eps, t_final=0.1)
 
 
 class TestDiagnostics:
