@@ -296,6 +296,7 @@ class GreenReconstructor:
         lam holds the labeled branch eigenvalues at k, shape (nk, 4).
         """
         a, b = i - 1, j - 1
+        spectral.check_growth(lam, t)
         damp = np.exp(lam[:, 0].real * t)
         oscP = damp * np.cos(lam[:, 0].imag * t)
         oscM = damp * np.sin(lam[:, 0].imag * t)

@@ -17,6 +17,16 @@ scipy.optimize.linear_sum_assignment resolves them; the common case, where
 every reference label has a distinct nearest root, skips it.  scipy is
 imported only for expm on ill-conditioned modes.
 
+The spectrum sweep (spectrum_rows) is one batch, bitwise equal to chaining
+the per-k labelling over the grid: one np.linalg.eigvals call solves every
+quartic's companion matrix, as np.roots builds it, and the Newton polish
+runs on all roots at once.  A k is labelled against the last
+non-degenerate k before it, and the degenerate flag depends on the roots
+alone, so every reference is known before any label.  The direct test of
+the assignment runs on all (k, reference) pairs at once, and one walk over
+the grid composes each k's permutation with its reference's, running the
+augmenting path only where the direct test fails.
+
 The branch convention: lambda1/lambda2 are the sound pair (complex conjugate
 with Im lambda1 >= 0 at small k), lambda3/lambda4 the diffusive pair with
 |lambda3| <= |lambda4|.
@@ -29,11 +39,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EquilibriumState
+from .model import EquilibriumState, ParameterError
 
 ComplexArray = np.ndarray
 
 DEGENERACY_REL = 1e-6
+
+
+# exp(x) is finite for every x up to this
+_EXP_MAX = math.log(np.finfo(float).max)
 
 
 # the low/middle/high frequency split (0, ETA1], (ETA1, K_CUT), [K_CUT, inf)
@@ -141,17 +155,65 @@ def high_freq_rel_err(k: float, eq: EquilibriumState) -> np.ndarray:
                      for lam in pt.lambdas])
 
 
-def _quartic_roots(k: float, eq: EquilibriumState) -> ComplexArray:
-    """Companion-matrix roots with one Newton polish per root."""
-    c3, c2, c1, c0 = char_poly_coeffs(k, eq)
-    coeffs = np.array([1.0, c3, c2, c1, c0])
-    roots = np.roots(coeffs)
-    dcoeffs = np.array([4.0, 3.0 * c3, 2.0 * c2, c1])
+def _horner(coeffs, x):
+    """np.polyval(coeffs, x) row by row: coeffs holds scalars or (n, 1)
+    columns and x has shape (n, m); the same Horner steps in the same
+    order."""
+    y = np.zeros_like(x)
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
+def _newton_polish(roots, c):
+    """Two Newton steps on each root of lambda^4 + c3 l^3 + ... + c0.
+
+    roots has shape (n, 4) and c shape (n, 4), one (c3, c2, c1, c0) row
+    per quartic.  A step that is not finite is skipped: below k ~ 1e-77
+    the polynomial's terms underflow, and pv / dv can overflow.
+    """
+    c3, c2, c1, c0 = (c[:, j:j + 1] for j in range(4))
+    coeffs = (1.0, c3, c2, c1, c0)
+    dcoeffs = (4.0, 3.0 * c3, 2.0 * c2, c1)
     for _ in range(2):
-        pv = np.polyval(coeffs, roots)
-        dv = np.polyval(dcoeffs, roots)
-        step = np.where(dv != 0.0, pv / np.where(dv == 0.0, 1.0, dv), 0.0)
-        roots = roots - step
+        pv = _horner(coeffs, roots)
+        dv = _horner(dcoeffs, roots)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = np.where(dv != 0.0, pv / np.where(dv == 0.0, 1.0, dv),
+                            0.0)
+        roots = roots - np.where(np.isfinite(step), step, 0.0)
+    return roots
+
+
+def _quartic_roots(ks, eq: EquilibriumState) -> ComplexArray:
+    """Companion-matrix roots with two Newton polishes at each k of a scalar
+    or 1-D ks, shape (nk, 4).
+
+    np.roots per k, batched: like np.roots, a quartic whose z trailing
+    coefficients are zero (they underflow at tiny k) gives the eigenvalues
+    of its (4 - z) x (4 - z) companion matrix followed by z zero roots.
+    All companions of one size go through one np.linalg.eigvals call.  A
+    quartic whose roots are all real is polished in real arithmetic, as
+    np.roots' real result would be, so every root is bitwise the per-k
+    one.
+    """
+    ks = np.atleast_1d(np.asarray(ks, dtype=float))
+    c = np.stack(char_poly_coeffs(ks, eq), axis=-1)
+    size = (np.arange(1, 5) * (c != 0.0)).max(axis=-1)
+    roots = np.zeros((ks.size, 4), dtype=complex)
+    real = np.ones(ks.size, dtype=bool)
+    for n in set(size.tolist()) - {0}:
+        rows = size == n
+        companion = np.zeros((rows.sum(), n, n))
+        companion[:, 0, :] = -c[rows, :n]
+        companion[:, range(1, n), range(n - 1)] = 1.0
+        w = np.linalg.eigvals(companion)
+        roots[rows, :n] = w
+        real[rows] = (w.imag == 0.0).all(axis=-1)
+    if real.any():
+        roots[real] = _newton_polish(roots[real].real, c[real])
+    if not real.all():
+        roots[~real] = _newton_polish(roots[~real], c[~real])
     return roots
 
 
@@ -222,49 +284,94 @@ def _lsap(cost: list[list[float]]) -> list[int]:
     return col4row
 
 
-def _assign(roots: ComplexArray, reference: ComplexArray) -> ComplexArray:
-    """Permute roots to minimize total distance to the reference labels.
+def _direct_cols(cost: np.ndarray):
+    """Row argmins of (..., 4, 4) costs, and where they are the assignment.
 
-    roots and reference have shape (..., 4); each (4,) row is labelled on
-    its own.  Where every reference label has a strict unique nearest root
-    and those roots are distinct, the shortest augmenting path finds each
+    Where every row of a cost has a strict unique minimum and the row
+    argmins form a permutation, the shortest augmenting path finds each
     sink at once and leaves the column duals at exactly 0, so it returns
-    the row argmins; only the other rows run _lsap.
+    the row argmins.  The test does not depend on the order of the rows.
     """
-    cost = np.abs(roots[..., None, :] - reference[..., :, None])
-    flat = cost.reshape(-1, 4, 4)
-    ranked = np.sort(flat, axis=-1)
+    ranked = np.sort(cost, axis=-1)
     if np.isnan(ranked[..., -1]).any():   # sort puts NaN last
         raise ValueError("cost matrix contains invalid numeric entries")
-    cols = flat.argmin(axis=-1)
+    cols = cost.argmin(axis=-1)
     # a row sets bit cols only if its minimum is strict; the four bits add
     # up to 0b1111 only if every row sets one and no two share a column
     direct = ((ranked[..., 0] < ranked[..., 1]) << cols).sum(axis=-1) \
         == 0b1111
-    if not direct.all():
-        for b in np.flatnonzero(~direct):
-            cols[b] = _lsap(flat[b].tolist())
-    return np.take_along_axis(roots, cols.reshape(roots.shape), axis=-1)
+    return cols, direct
 
 
-def _heuristic_label(roots: ComplexArray) -> ComplexArray:
-    """Label with no reference: conjugate pair first, then by magnitude."""
+def _root_costs(roots: ComplexArray, reference: ComplexArray) -> np.ndarray:
+    """L1 costs, (..., 4, 4): row i, column j is |roots[j] - reference[i]|."""
+    return np.abs(roots[..., None, :] - reference[..., :, None])
+
+
+def _assign_cols(roots: ComplexArray, reference: ComplexArray) -> np.ndarray:
+    """The root each reference label takes in the minimum-cost assignment,
+    as an index into the last axis of roots.
+
+    roots and reference have shape (..., 4); each (4,) row is labelled on
+    its own.  Rows that pass _direct_cols' test take the row argmins; only
+    the other rows run _lsap.
+    """
+    flat = _root_costs(roots, reference).reshape(-1, 4, 4)
+    cols, direct = _direct_cols(flat)
+    for b in np.flatnonzero(~direct):
+        cols[b] = _lsap(flat[b].tolist())
+    return cols.reshape(roots.shape)
+
+
+def _assign(roots: ComplexArray, reference: ComplexArray) -> ComplexArray:
+    """Permute roots to minimize total distance to the reference labels."""
+    return np.take_along_axis(roots, _assign_cols(roots, reference), axis=-1)
+
+
+def _heuristic_order(roots: ComplexArray) -> np.ndarray:
+    """Labels with no reference, as an index order of the (4,) roots:
+    conjugate pair first, then by magnitude."""
     imag = np.abs(roots.imag) > 1e-9 * (1.0 + np.abs(roots))
-    osc = roots[imag]
-    real = roots[~imag]
+    osc = np.flatnonzero(imag)
+    real = np.flatnonzero(~imag)
     if len(osc) == 2:
-        osc = osc[np.argsort(-osc.imag)]
-        real = real[np.argsort(np.abs(real))]
-        return np.concatenate([osc, real])
+        return np.concatenate([osc[np.argsort(-roots[osc].imag)],
+                               real[np.argsort(np.abs(roots[real]))]])
     if len(osc) == 4:
         # two conjugate pairs: sound pair has the larger |Im|
-        order = np.argsort(-np.abs(osc.imag))
-        osc = osc[order]
-        pair1 = osc[:2][np.argsort(-osc[:2].imag)]
-        pair2 = osc[2:][np.argsort(-osc[2:].imag)]
+        osc = osc[np.argsort(-np.abs(roots[osc].imag))]
+        pair1 = osc[:2][np.argsort(-roots[osc[:2]].imag)]
+        pair2 = osc[2:][np.argsort(-roots[osc[2:]].imag)]
         return np.concatenate([pair1, pair2])
     # all real: sound pair became overdamped; order everything by magnitude
-    return roots[np.argsort(np.abs(roots))]
+    return np.argsort(np.abs(roots))
+
+
+def _first_cols(ks: np.ndarray, roots: ComplexArray,
+                eq: EquilibriumState) -> np.ndarray:
+    """Label order of (nk, 4) roots with no previous k: against the band's
+    closed-form expansion, by a heuristic in the middle band."""
+    cols = np.empty(roots.shape, dtype=int)
+    bands = [band_of(k) for k in ks.tolist()]
+    for band, expansion in (("low", low_freq_expansion),
+                            ("high", high_freq_expansion)):
+        rows = [i for i, b in enumerate(bands) if b == band]
+        if rows:
+            cols[rows] = _assign_cols(roots[rows], expansion(ks[rows], eq))
+    for i, b in enumerate(bands):
+        if b == "middle":
+            cols[i] = _heuristic_order(roots[i])
+    return cols
+
+
+def _root_gaps(roots: ComplexArray):
+    """Smallest pairwise root distance of each (..., 4) row and the
+    degenerate flag; neither depends on the order of the roots."""
+    gaps = np.abs(roots[..., :, None] - roots[..., None, :])
+    gaps[..., range(4), range(4)] = np.inf
+    gap = gaps.min(axis=(-2, -1))
+    max_abs = np.abs(roots).max(axis=-1)
+    return gap, gap < DEGENERACY_REL * (1.0 + max_abs)
 
 
 def _labelled_roots(k: float, eq: EquilibriumState,
@@ -277,22 +384,13 @@ def _labelled_roots(k: float, eq: EquilibriumState,
     """
     if k == 0.0:
         return np.zeros(4, dtype=complex), 0.0, True
-    roots = _quartic_roots(k, eq)
-    band = band_of(k)
+    roots = _quartic_roots(k, eq)[0]
     if prev is not None:
         lams = _assign(roots, prev)
-    elif band == "low":
-        lams = _assign(roots, low_freq_expansion(k, eq))
-    elif band == "high":
-        lams = _assign(roots, high_freq_expansion(k, eq))
     else:
-        lams = _heuristic_label(roots)
-
-    max_abs = np.abs(lams).max()
-    gaps = np.abs(lams[:, None] - lams[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    gap = gaps.min()
-    return lams, gap, bool(gap < DEGENERACY_REL * (1.0 + max_abs))
+        lams = roots[_first_cols(np.array([k]), roots[None], eq)[0]]
+    gap, degenerate = _root_gaps(lams)
+    return lams, float(gap), bool(degenerate)
 
 
 def eigen_branches(k: float, eq: EquilibriumState,
@@ -382,9 +480,19 @@ def mid_band_gap(eq: EquilibriumState, n_grid: int = 2000) -> float:
 
 
 def _expm(M: np.ndarray) -> np.ndarray:
-    """scipy's scaling-and-squaring e^M, imported on first use only."""
+    """scipy's scaling-and-squaring e^M, imported on first use only.
+
+    e^{tA} of the dissipative symbol is bounded, so a result that is not
+    finite means the squarings overflowed (at a capillarity near 1e50):
+    ParameterError, without numpy's warnings.
+    """
     from scipy.linalg import expm
-    return expm(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = expm(M)
+    if not np.isfinite(out).all():
+        raise ParameterError("scaling and squaring of e^(t A) overflows "
+                             "at these parameters")
+    return out
 
 
 def semigroup(k: float, t: float, eq: EquilibriumState) -> ComplexArray:
@@ -401,6 +509,19 @@ def semigroup(k: float, t: float, eq: EquilibriumState) -> ComplexArray:
     for i in range(4):
         out += np.exp(sp.lambdas[i] * t) * sp.projectors[i]
     return out
+
+
+def check_growth(lam: ComplexArray, t: float) -> None:
+    """Raise ParameterError where exp(lam t) overflows.
+
+    Every branch has Re lam <= 0 in exact arithmetic.  A growth beyond the
+    float range means the eigensolver lost the slow branches to round-off:
+    its error eps |A(k)| exceeds them when a viscosity is near 1e30.
+    """
+    if (lam.real * t > _EXP_MAX).any():
+        raise ParameterError(
+            f"the symbol's eigenvalues at t = {t:g} have lost their sign "
+            "to round-off: e^(lambda t) overflows at these parameters")
 
 
 @dataclass(frozen=True)
@@ -420,6 +541,7 @@ class SymbolDecomposition:
 
     def semigroup(self, t: float) -> ComplexArray:
         """e^{t A(k)} on the grid, shape (nk, 4, 4)."""
+        check_growth(self.lam, t)
         out = (self.V * np.exp(self.lam * t)[:, None, :]) @ self.V_inv
         for idx, A in zip(self.bad, self.A_bad):
             out[idx] = _expm(t * A)
@@ -428,6 +550,7 @@ class SymbolDecomposition:
     def entry(self, i: int, j: int, t: float) -> ComplexArray:
         """Entry (i, j) of e^{t A(k)} on the grid, shape (nk,), without the
         full product."""
+        check_growth(self.lam, t)
         out = (self.V[:, i, :] * np.exp(self.lam * t)
                * self.V_inv[:, :, j]).sum(axis=1)
         for idx, A in zip(self.bad, self.A_bad):
@@ -444,7 +567,15 @@ def decompose_symbol(ks: np.ndarray,
     zero = ks == 0.0
     lam[zero] = 0.0
     V[zero] = np.eye(4)
-    V_inv = np.linalg.inv(V)
+    try:
+        V_inv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        # an exactly singular V (a defective symbol, e.g. a capillarity
+        # near 1e100) gets a NaN inverse and so joins the expm modes;
+        # a determinant that underflows sends an invertible V there too
+        V_inv = np.full_like(V, np.nan)
+        ok = np.abs(np.linalg.det(V)) > 0.0
+        V_inv[ok] = np.linalg.inv(V[ok])
     V_inv[zero] = np.eye(4)
     # within a factor 4 of the 2-norm condition number for 4x4 matrices
     cond = np.abs(V).sum(axis=1).max(axis=1) \
@@ -465,28 +596,46 @@ def semigroup_batch(ks: np.ndarray, t: float,
 def spectrum_rows(eq: EquilibriumState, k_grid: np.ndarray) -> list[dict]:
     """Continuity-chained sweep producing one report row per k.
 
-    The rows need only the labelled roots, so the projectors
-    eigen_branches would build are skipped.
+    The labels are those of _labelled_roots chained over the grid, each k
+    against the last non-degenerate k before it (its reference), computed
+    in one batch (see the module docstring).  The rows need only the
+    labelled roots, so the projectors eigen_branches would build are
+    skipped.
     """
+    ks = np.asarray(k_grid, dtype=float)
+    roots = _quartic_roots(ks, eq)
+    _, degenerate = _root_gaps(roots)
+    last = np.maximum.accumulate(np.where(degenerate, -1, np.arange(ks.size)))
+    ref = np.full(ks.size, -1)
+    ref[1:] = last[:-1]
+
+    perm = np.empty(roots.shape, dtype=int)
+    first = np.flatnonzero(ref < 0)
+    perm[first] = _first_cols(ks[first], roots[first], eq)
+    chained = np.flatnonzero(ref >= 0)
+    cost = _root_costs(roots[chained], roots[ref[chained]])
+    cols, direct = _direct_cols(cost)
+    for row, m, c, ok, cst in zip(chained.tolist(), ref[chained].tolist(),
+                                  cols, direct.tolist(), cost):
+        # cost row i of the labelled reference is cost row perm[m][i]
+        perm[row] = c[perm[m]] if ok else _lsap(cst[perm[m]].tolist())
+    lams = np.take_along_axis(roots, perm, axis=-1)
+
+    errs = np.full(roots.shape, np.nan)
+    low, high = ks <= ETA1, ks >= K_CUT
+    errs[low] = np.abs(lams[low] - low_freq_expansion(ks[low], eq))
+    errs[high] = np.abs(
+        lams[high] - _assign(high_freq_expansion(ks[high], eq), lams[high]))
+
     rows = []
-    prev = None
-    for k in k_grid:
-        band = band_of(float(k))
-        lams, _, degenerate = _labelled_roots(float(k), eq, prev)
-        if not degenerate:
-            prev = lams
-        if band == "low":
-            errs = np.abs(lams - low_freq_expansion(k, eq))
-        elif band == "high":
-            ref = _assign(high_freq_expansion(k, eq), lams)
-            errs = np.abs(lams - ref)
-        else:
-            errs = np.full(4, np.nan)
-        row = {"k": float(k), "band": band, "degenerate": int(degenerate)}
+    for k, deg, re, im, err in zip(ks.tolist(), degenerate.tolist(),
+                                   lams.real.tolist(), lams.imag.tolist(),
+                                   errs.tolist()):
+        row = {"k": k, "band": band_of(k), "degenerate": int(deg)}
         for i in range(4):
-            row[f"re_lambda{i+1}"] = float(lams[i].real)
-            row[f"im_lambda{i+1}"] = float(lams[i].imag)
+            row[f"re_lambda{i+1}"] = re[i]
+            row[f"im_lambda{i+1}"] = im[i]
         for i in range(4):
-            row[f"expansion_err{i+1}"] = float(errs[i])
+            row[f"expansion_err{i+1}"] = err[i]
         rows.append(row)
     return rows

@@ -40,15 +40,18 @@ def read_csv(path):
 
 
 SCIPY_PROBE = """
-import json, sys
+import json, os, sys
 import twofluid.cli
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
-loaded = {"import": scipy_modules()}
-for argv in (["spectrum", "--n-k", "50"], ["convolve", "--case", "K4"],
-             ["simulate", "--grid", "8"]):
+loaded = {"import": scipy_modules(),
+          "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+# with an output directory, run the subcommands too
+commands = ((["spectrum", "--n-k", "50"], ["convolve", "--case", "K4"],
+             ["simulate", "--grid", "8"]) if len(sys.argv) > 1 else ())
+for argv in commands:
     rc = twofluid.cli.main(["--out", sys.argv[1]] + argv)
     loaded[argv[0]] = scipy_modules() if rc == 0 else f"exit {rc}"
 print(json.dumps(loaded))
@@ -57,14 +60,38 @@ print(json.dumps(loaded))
 
 def test_cli_path_loads_no_scipy(tmp_path):
     # importing scipy costs a CLI process about 0.7 s of CPU; only expm on
-    # ill-conditioned modes loads it
+    # ill-conditioned modes loads it.  The package defaults OpenBLAS to one
+    # thread and keeps a value the user set.
     src = os.path.dirname(os.path.dirname(os.path.abspath(twofluid.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    env.pop("OPENBLAS_NUM_THREADS", None)
     out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(tmp_path)],
                          env=env, capture_output=True, text=True, check=True)
     loaded = json.loads(out.stdout.splitlines()[-1])
-    assert loaded == {"import": [], "spectrum": [], "convolve": [],
-                      "simulate": []}
+    assert loaded == {"import": [], "blas_threads": "1", "spectrum": [],
+                      "convolve": [], "simulate": []}
+    env["OPENBLAS_NUM_THREADS"] = "2"
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "blas_threads": "2"}
+
+
+@pytest.mark.parametrize("cfg", ["mu_plus = 1e50", "sigma_plus = 1e50"])
+def test_round_off_overflow_is_one_error_line(cfg, tmp_path):
+    # at mu_plus = 1e50 eig's round-off gives the slow branches a growth
+    # e^(lambda t) beyond the float range, and at sigma_plus = 1e50 the
+    # squarings of expm overflow; numpy must not warn before the error line
+    params = tmp_path / "params.cfg"
+    params.write_text(cfg + "\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twofluid.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "twofluid.cli", "--params",
+                          str(params), "--out", str(tmp_path), "greens",
+                          "--entry", "2,2"],
+                         env=env, capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
 
 
 class TestUsageErrors:
@@ -162,6 +189,9 @@ MALFORMED = [
     ["--params", "@sigma_minus=1e300", "spectrum"],
     ["--params", "@mu_plus=1e100", "spectrum"],
     ["spectrum", "--k-min", "1e150", "--k-max", "1e151"],
+    # eig returns exactly singular eigenvector matrices in the middle band,
+    # and its round-off gives the slow branches a growth beyond exp's range
+    ["--params", "@sigma_minus=1e100", "greens", "--entry", "2,2"],
     # disc < 0: the complex diffusive pair gives non-finite metrics and
     # kernel values, which have no strict JSON form and are not written
     ["--params", "@complex-pair", "greens", "--entry", "1,2"],

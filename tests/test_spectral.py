@@ -8,14 +8,21 @@ linear_sum_assignment for the root labelling.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from twofluid.model import ModelParams, solve_equilibrium
+from twofluid.cli import main
+from twofluid.greens import composite_gl
+from twofluid.model import EquilibriumState, ModelParams, solve_equilibrium
 from twofluid import spectral as sp
+from twofluid.spectral import (DEGENERACY_REL, _lsap, band_of,
+                               char_poly_coeffs, high_freq_expansion,
+                               low_freq_expansion)
 
 SYM_EQ = solve_equilibrium(ModelParams())
 ASYM_EQ = solve_equilibrium(
@@ -107,8 +114,9 @@ class TestAssignment:
     @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ], ids=["sym", "asym"])
     def test_spectrum_sweep_labels_match_scipy(self, eq, monkeypatch):
         # the chained sweep of the spectrum subcommand's default grid, where
-        # a changed label carries into every later row; repr round-trips
-        # floats exactly and lets the middle band's NaN errors compare equal
+        # a changed label carries into every later row, against the per-k
+        # sweep labelled by scipy; repr round-trips floats exactly and lets
+        # the middle band's NaN errors compare equal
         ks = np.logspace(-3, 2, 400)
         calls = []
         port = sp._lsap
@@ -116,8 +124,8 @@ class TestAssignment:
                             lambda cost: calls.append(cost) or port(cost))
         rows = sp.spectrum_rows(eq, ks)
         assert len(calls) > 0     # some labels need the augmenting path
-        monkeypatch.setattr(sp, "_assign", scipy_assign)
-        assert repr(rows) == repr(sp.spectrum_rows(eq, ks))
+        monkeypatch.setitem(globals(), "_assign", scipy_assign)
+        assert repr(rows) == repr(spectrum_rows(eq, ks))
 
 
 class TestCharPoly:
@@ -376,6 +384,19 @@ class TestSemigroup:
             S = scipy.linalg.expm(t * sp.symbol(ks[0], SYM_EQ))
             assert np.abs(dec.semigroup(t)[0] - S).max() < 1e-14
 
+    def test_singular_eigenvectors_fall_back(self):
+        # at sigma_minus = 1e100 eig returns exactly singular eigenvector
+        # matrices on some nodes of the reconstructor's middle grid
+        eq = solve_equilibrium(ModelParams(sigma_minus=1e100))
+        ks = composite_gl(0.5 * sp.ETA1, 1.2 * sp.K_CUT, 256, 64).nodes
+        dec = sp.decompose_symbol(ks, eq)
+        # an exactly singular V has a zero pivot, so a zero determinant
+        zero = np.flatnonzero(np.linalg.det(dec.V) == 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(dec.V[zero])
+        assert set(zero.tolist()) <= set(dec.bad.tolist())
+        assert np.isnan(dec.V_inv[zero]).all()
+
     def test_scalar_identity_at_k_zero(self):
         for t in (0.0, 1.0, 1e3):
             S = sp.semigroup(0.0, t, SYM_EQ)
@@ -415,3 +436,175 @@ class TestSpectrumRows:
             lams = [complex(row[f"re_lambda{i}"], row[f"im_lambda{i}"])
                     for i in range(1, 5)]
             assert np.array_equal(lams, pt.lambdas)
+
+
+# ---------------------------------------------------------------------------
+# The per-k sweep: np.roots and one _assign call per k, verbatim as spectral
+# computed it before the batched sweep.  It is the oracle of spectrum_rows.
+
+ComplexArray = np.ndarray
+
+
+def _quartic_roots(k: float, eq: EquilibriumState) -> ComplexArray:
+    """Companion-matrix roots with one Newton polish per root."""
+    c3, c2, c1, c0 = char_poly_coeffs(k, eq)
+    coeffs = np.array([1.0, c3, c2, c1, c0])
+    roots = np.roots(coeffs)
+    dcoeffs = np.array([4.0, 3.0 * c3, 2.0 * c2, c1])
+    for _ in range(2):
+        pv = np.polyval(coeffs, roots)
+        dv = np.polyval(dcoeffs, roots)
+        step = np.where(dv != 0.0, pv / np.where(dv == 0.0, 1.0, dv), 0.0)
+        roots = roots - step
+    return roots
+
+
+def _assign(roots: ComplexArray, reference: ComplexArray) -> ComplexArray:
+    """Permute roots to minimize total distance to the reference labels.
+
+    roots and reference have shape (..., 4); each (4,) row is labelled on
+    its own.  Where every reference label has a strict unique nearest root
+    and those roots are distinct, the shortest augmenting path finds each
+    sink at once and leaves the column duals at exactly 0, so it returns
+    the row argmins; only the other rows run _lsap.
+    """
+    cost = np.abs(roots[..., None, :] - reference[..., :, None])
+    flat = cost.reshape(-1, 4, 4)
+    ranked = np.sort(flat, axis=-1)
+    if np.isnan(ranked[..., -1]).any():   # sort puts NaN last
+        raise ValueError("cost matrix contains invalid numeric entries")
+    cols = flat.argmin(axis=-1)
+    # a row sets bit cols only if its minimum is strict; the four bits add
+    # up to 0b1111 only if every row sets one and no two share a column
+    direct = ((ranked[..., 0] < ranked[..., 1]) << cols).sum(axis=-1) \
+        == 0b1111
+    if not direct.all():
+        for b in np.flatnonzero(~direct):
+            cols[b] = _lsap(flat[b].tolist())
+    return np.take_along_axis(roots, cols.reshape(roots.shape), axis=-1)
+
+
+def _heuristic_label(roots: ComplexArray) -> ComplexArray:
+    """Label with no reference: conjugate pair first, then by magnitude."""
+    imag = np.abs(roots.imag) > 1e-9 * (1.0 + np.abs(roots))
+    osc = roots[imag]
+    real = roots[~imag]
+    if len(osc) == 2:
+        osc = osc[np.argsort(-osc.imag)]
+        real = real[np.argsort(np.abs(real))]
+        return np.concatenate([osc, real])
+    if len(osc) == 4:
+        # two conjugate pairs: sound pair has the larger |Im|
+        order = np.argsort(-np.abs(osc.imag))
+        osc = osc[order]
+        pair1 = osc[:2][np.argsort(-osc[:2].imag)]
+        pair2 = osc[2:][np.argsort(-osc[2:].imag)]
+        return np.concatenate([pair1, pair2])
+    # all real: sound pair became overdamped; order everything by magnitude
+    return roots[np.argsort(np.abs(roots))]
+
+
+def _labelled_roots(k: float, eq: EquilibriumState,
+                    prev: ComplexArray | None):
+    """Branch-labelled roots at k, their smallest gap and the degenerate flag.
+
+    prev holds the labels at the previous k of a sweep, or None to label
+    against the band's closed-form expansion (by a heuristic in the middle
+    band).
+    """
+    if k == 0.0:
+        return np.zeros(4, dtype=complex), 0.0, True
+    roots = _quartic_roots(k, eq)
+    band = band_of(k)
+    if prev is not None:
+        lams = _assign(roots, prev)
+    elif band == "low":
+        lams = _assign(roots, low_freq_expansion(k, eq))
+    elif band == "high":
+        lams = _assign(roots, high_freq_expansion(k, eq))
+    else:
+        lams = _heuristic_label(roots)
+
+    max_abs = np.abs(lams).max()
+    gaps = np.abs(lams[:, None] - lams[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    gap = gaps.min()
+    return lams, gap, bool(gap < DEGENERACY_REL * (1.0 + max_abs))
+
+
+def spectrum_rows(eq: EquilibriumState, k_grid: np.ndarray) -> list[dict]:
+    """Continuity-chained sweep producing one report row per k.
+
+    The rows need only the labelled roots, so the projectors
+    eigen_branches would build are skipped.
+    """
+    rows = []
+    prev = None
+    for k in k_grid:
+        band = band_of(float(k))
+        lams, _, degenerate = _labelled_roots(float(k), eq, prev)
+        if not degenerate:
+            prev = lams
+        if band == "low":
+            errs = np.abs(lams - low_freq_expansion(k, eq))
+        elif band == "high":
+            ref = _assign(high_freq_expansion(k, eq), lams)
+            errs = np.abs(lams - ref)
+        else:
+            errs = np.full(4, np.nan)
+        row = {"k": float(k), "band": band, "degenerate": int(degenerate)}
+        for i in range(4):
+            row[f"re_lambda{i+1}"] = float(lams[i].real)
+            row[f"im_lambda{i+1}"] = float(lams[i].imag)
+        for i in range(4):
+            row[f"expansion_err{i+1}"] = float(errs[i])
+        rows.append(row)
+    return rows
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("cfg, k_range", [
+        ("", ()),
+        # bulk viscosity and unequal phases
+        ("mu_minus = 2.0\nlambda_plus = 0.5\nlambda_minus = 1.5\n"
+         "sigma_plus = 0.02\na_minus = 2.0\ngamma_minus = 1.6\n", ()),
+        # disc < 0: the diffusive pair is complex
+        ("sigma_plus = 1.0\nsigma_minus = 1.0\n", ()),
+        # underflowing coefficients: np.roots strips them and appends zero
+        # roots (all four at k < 1e-162, c1 and c0 above)
+        ("", ("--k-min", "1e-200", "--k-max", "1e-110")),
+        # only c0 underflows
+        ("", ("--k-min", "1e-76", "--k-max", "1e-40")),
+    ], ids=["default", "asym", "complex-pair", "tiny-k", "c0-underflow"])
+    def test_csv_matches_per_k_sweep(self, cfg, k_range, tmp_path,
+                                     monkeypatch):
+        params = tmp_path / "params.cfg"
+        params.write_text(cfg)
+        argv = ["--params", str(params), "spectrum", *k_range]
+        assert main(["--out", str(tmp_path / "batched"), *argv]) == 0
+        monkeypatch.setattr(sp, "spectrum_rows", spectrum_rows)
+        assert main(["--out", str(tmp_path / "per_k"), *argv]) == 0
+        assert (tmp_path / "batched" / "spectrum.csv").read_bytes() \
+            == (tmp_path / "per_k" / "spectrum.csv").read_bytes()
+
+    def test_one_eigvals_call_per_sweep(self, monkeypatch):
+        shapes = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: shapes.append(a.shape) or eigvals(a))
+        sp.spectrum_rows(SYM_EQ, np.logspace(-3, 2, 400))
+        assert shapes == [(400, 4, 4)]
+
+    def test_overflowing_newton_step_is_skipped(self, tmp_path):
+        # between k ~ 1e-108 and 1e-77 the polish's terms underflow and
+        # pv / dv overflows; the per-k sweep ended in a ValueError there
+        ks = np.logspace(-200, -100, 400)
+        with pytest.raises(ValueError), np.errstate(over="ignore",
+                                                    invalid="ignore"):
+            spectrum_rows(SYM_EQ, ks)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = sp.spectrum_rows(SYM_EQ, ks)
+        lams = np.array([[r[f"{part}_lambda{i}"] for part in ("re", "im")
+                          for i in range(1, 5)] for r in rows])
+        assert np.isfinite(lams).all()
