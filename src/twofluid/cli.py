@@ -131,6 +131,11 @@ def _cmd_spectrum(args) -> int:
     if not math.isfinite(bound * bound * bound * bound):
         raise UsageError(f"--k-max {args.k_max:g}: the characteristic "
                          "quartic's roots overflow at these parameters")
+    # and falls with k: a subnormal or zero c_j at k_min has lost its digits
+    if min(spectral.char_poly_coeffs(args.k_min, eq)) < np.finfo(float).tiny:
+        raise UsageError(f"--k-min {args.k_min:g}: the characteristic "
+                         "quartic's coefficients underflow at these "
+                         "parameters")
     ks = np.logspace(math.log10(args.k_min), math.log10(args.k_max),
                      args.n_k)
     rows = spectral.spectrum_rows(eq, ks)

@@ -6,8 +6,10 @@ complement).  The low-frequency part uses the leading-order spectral
 decomposition (constant coefficient matrices times exponentials of the
 exact eigenvalue branches, including the 1/k Riesz-singular coefficients);
 the middle band is folded in with the exact semigroup under a smooth
-rolloff.  All physical-space values come from 1-D radial quadratures; a 3-D
-FFT of the same symbol serves as the regression oracle in the test suite.
+rolloff, one entry at a time from a spectral.decompose_symbol built once
+per reconstructor.  All physical-space values come from 1-D radial
+quadratures; a 3-D FFT of the same symbol serves as the regression oracle
+in the test suite.
 
 The module also houses the envelope-certification drivers (the envelopes
 themselves are waveconv.WavePattern decay patterns) and the double-Riesz
@@ -162,23 +164,25 @@ def _trig_sums(rules, rows, r):
     after block.  With k = m + h x, angle addition gives
         sin(kr) = sin(mr) cos(hxr) + cos(mr) sin(hxr),
         cos(kr) = cos(mr) cos(hxr) - sin(mr) sin(hxr),
-    so each block builds only its (P, nr) midpoint and (J, nr) reference
-    tables: one product contracts over the reference nodes, one
-    multiply-and-sum over the panels.
+    so each block builds only its (J, nr) reference table and, per chunk
+    of 32 panels, the chunk's midpoint table: one product contracts over
+    the reference nodes and einsum over the panels, and no (R, P, nr)
+    product is formed.
     """
     S = C = 0.0
     start = 0
     for g in rules:
         P, J = g.mid.size, g.x.size
-        a = rows[:, start:start + P * J].reshape(-1, J)
+        a = rows[:, start:start + P * J].reshape(len(rows), P, J)
         start += P * J
         xr = np.outer(g.half * g.x, r)
-        A = (a @ np.concatenate([np.cos(xr), np.sin(xr)], axis=1))
-        A = A.reshape(len(rows), P, 2, r.size)
-        mr = np.outer(g.mid, r)
-        sm, cm = np.sin(mr), np.cos(mr)
-        S = S + (sm * A[:, :, 0] + cm * A[:, :, 1]).sum(axis=1)
-        C = C + (cm * A[:, :, 0] - sm * A[:, :, 1]).sum(axis=1)
+        ref = np.concatenate([np.cos(xr), np.sin(xr)], axis=1)
+        for p in range(0, P, 32):
+            mr = np.outer(g.mid[p:p + 32], r)
+            sm, cm = np.sin(mr), np.cos(mr)
+            A = (a[:, p:p + 32] @ ref).reshape(len(rows), -1, 2, r.size)
+            S = S + np.einsum("rpcn,cpn->rn", A, np.stack([sm, cm]))
+            C = C + np.einsum("rpcn,cpn->rn", A, np.stack([cm, -sm]))
     return S, C
 
 
@@ -261,8 +265,8 @@ class GreenReconstructor:
     """Evaluates band-limited Green entries on radial grids.
 
     Shares precomputed quadrature grids, branch eigenvalues, and the
-    middle-band eigendecomposition across entries and times; all methods are
-    read-only after construction, so no per-time state accumulates.
+    middle-band symbol decomposition across entries and times; all methods
+    are read-only after construction, so no per-time state accumulates.
     """
 
     def __init__(self, eq: EquilibriumState,
@@ -327,8 +331,8 @@ class GreenReconstructor:
         mid = (flat > 0.5 * ETA1) & (flat < 1.2 * K_CUT)
         if mid.any():
             km = flat[mid]
-            S = spectral.semigroup_batch(km, t, self.eq).real
-            out[mid] += S[:, i - 1, j - 1] * self._mid_window(km)
+            G = spectral.decompose_symbol(km, self.eq).entry(i - 1, j - 1, t)
+            out[mid] += G.real * self._mid_window(km)
         return out[inv].reshape(k.shape)
 
     # -- physical space ----------------------------------------------------

@@ -14,7 +14,8 @@ stage transforms to real space only what its products need, forms every
 product there and every derivative as one spectral multiply: 52 real 3-D
 transforms per stage, 34 on the band, 208 per step (see _GridOps).
 The full-step propagator is applied as two half steps: 4 half-step
-propagations of one real (float64) band propagator, built once per step.
+propagations of one real (float64) propagator on the unique |k|, built
+once per run.
 
 The stages run in one workspace that the run's _GridOps owns and builds on
 the first nonlinear stage: every transform writes through ``out=`` into
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (AdmissibilityError, EquilibriumState, solve_fraction_map)
-from .spectral import semigroup_batch
+from .spectral import SymbolDecomposition, decompose_symbol
 
 __all__ = [
     "LinearRadialState", "SimState", "Diagnostics",
@@ -79,14 +80,17 @@ def default_linear_state(eq: EquilibriumState, nk: int = 800,
     return LinearRadialState(ks, U, inc, 0.0, eq)
 
 
-def linear_evolve(state: LinearRadialState, t: float) -> LinearRadialState:
-    """Advance by duration t with the exact per-mode semigroup."""
+def linear_evolve(state: LinearRadialState, t: float,
+                  dec: SymbolDecomposition | None = None) -> LinearRadialState:
+    """Advance by duration t with the exact per-mode semigroup of dec,
+    decompose_symbol(state.k_grid, state.eq), built here if not given."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return state
     eq = state.eq
-    G = semigroup_batch(state.k_grid, t, eq)
+    dec = dec or decompose_symbol(state.k_grid, eq)
+    G = dec.semigroup(t)
     U = np.einsum("nij,nj->ni", G, state.U_hat)
     heat = np.exp(np.outer(-state.k_grid ** 2 * t,
                            [eq.nu1_plus, eq.nu1_minus]))
@@ -134,10 +138,11 @@ def decay_slope_table(eq: EquilibriumState, t_lo: float = 1e2,
     """Measured L2 decay slopes of the linear evolution from momentum data."""
     ts = np.logspace(math.log10(t_lo), math.log10(t_hi), n_t)
     state0 = default_linear_state(eq)
+    dec = decompose_symbol(state0.k_grid, eq)
     series: dict[str, list[float]] = {k: [] for k in
                                       ("n_p", "n_m", "m_p", "m_m", "combo")}
     for t in ts:
-        norms = l2_norms(linear_evolve(state0, t))
+        norms = l2_norms(linear_evolve(state0, t, dec))
         for key, val in norms.items():
             series[key].append(val)
     return {key: fit_decay_slope(ts, vals)[0] for key, vals in series.items()}
@@ -182,8 +187,8 @@ class _GridOps:
     rule's test |xi_d| <= (2/3) pi/dx keeps a box of it, the band: rows
     ``rows`` (0..lo-1, n-nb..n-1) of the full axes and columns 0..h-1 of
     the half axis, (33, 33, 17) at n = 48, indexed by ``band``.  The state,
-    ``xi``, ``k2``, ``khat``, the unique-|k| index ``inv`` and the
-    propagators are band-shaped; the band holds no Nyquist mode.
+    ``xi``, ``k2``, ``khat`` and the unique-|k| index ``inv`` are
+    band-shaped; the band holds no Nyquist mode.
     Every transform runs the rfftn or irfftn passes on the whole half
     grid, so its result is bitwise rfftn or irfftn; forward_band gathers
     the band from it and inverse_band scatters the band into a zeroed
@@ -238,7 +243,8 @@ class _GridOps:
         self.xi = scale * idx.astype(float)
         self.band_shape = self.xi.shape[1:]
         int2 = np.sum(idx * idx, axis=0)
-        self.uniq_int2, self.inv = np.unique(int2, return_inverse=True)
+        self.uniq_int2, inv = np.unique(int2, return_inverse=True)
+        self.inv = inv.reshape(int2.shape)
         self.k_uniq = (math.pi / L) * np.sqrt(self.uniq_int2.astype(float))
         self.k2 = np.sum(self.xi ** 2, axis=0)
         k = np.sqrt(self.k2)
@@ -250,20 +256,20 @@ class _GridOps:
         self._work = None
 
     def propagator(self, t: float):
-        """(G_gathered, heat factors) on the band for duration t.
+        """(G, heat factors) for duration t: G is e^{tA} on the unique |k|,
+        (nu, 4, 4), and the heat factors are band-shaped.
 
-        e^{tA} of the real symbol is real, so G_gathered is float64; an
-        imaginary part above 1e-12 of the largest entry raises RuntimeError.
+        e^{tA} of the real symbol is real, so G is float64; an imaginary
+        part above 1e-12 of the largest entry raises RuntimeError.
         """
-        G = semigroup_batch(self.k_uniq, t, self.eq)         # (nu, 4, 4)
+        G = decompose_symbol(self.k_uniq, self.eq).semigroup(t)
         residue = np.abs(G.imag).max()
         if residue > 1e-12 * np.abs(G).max():
             raise RuntimeError(f"propagator imaginary residue {residue:.3g} "
                                "too large for a real propagator")
-        Gg = G.real[self.inv.reshape(self.k2.shape)]         # band-shaped
         heat_p = np.exp(-self.eq.nu1_plus * self.k2 * t)
         heat_m = np.exp(-self.eq.nu1_minus * self.k2 * t)
-        return Gg, heat_p, heat_m
+        return G.real, heat_p, heat_m
 
     # transforms between real fields and half-grid or band coefficients ----
     def _rfftn(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -311,15 +317,17 @@ class _GridOps:
 
     def apply_semigroup(self, Y: np.ndarray, prop) -> np.ndarray:
         """Advance stacked band transforms (8, *band shape) by the exact
-        linear flow of a propagator(t)."""
-        Gg, heat_p, heat_m = prop
+        linear flow of a propagator(t).  G reaches the band one entry at a
+        time, so no band-sized (..., 4, 4) array is formed."""
+        G, heat_p, heat_m = prop
         out = np.empty_like(Y)
         mL_p = np.sum(self.khat * Y[1:4], axis=0)
         mL_m = np.sum(self.khat * Y[5:8], axis=0)
         out[1:4] = heat_p * (Y[1:4] - self.khat * mL_p)
         out[5:8] = heat_m * (Y[5:8] - self.khat * mL_m)
-        Y_long = np.stack([Y[0], 1j * mL_p, Y[4], 1j * mL_m])
-        U = np.einsum("xyzij,jxyz->ixyz", Gg, Y_long)
+        Y_long = (Y[0], 1j * mL_p, Y[4], 1j * mL_m)
+        U = [sum(G[self.inv, i, j] * Y_long[j] for j in range(4))
+             for i in range(4)]
         out[0], out[4] = U[0], U[2]
         out[1:4] += self.khat * (-1j * U[1])
         out[5:8] += self.khat * (-1j * U[3])
@@ -540,16 +548,17 @@ def default_dt(state: SimState) -> float:
     return 0.5 * lam_min / state.eq.c
 
 
-def step(ops: _GridOps, Y: np.ndarray, dt: float,
+def step(ops: _GridOps, Y: np.ndarray, dt: float, prop,
          nonlinear: bool = True) -> np.ndarray:
     """One integrating-factor RK4 step of length dt of the band state Y.
 
-    Each stage transforms to real space only what its products need (see
-    _GridOps): 208 transforms per step, 136 of them band transforms.  The
-    flow is linear and E(dt) = E(dt/2) E(dt/2), so the stage-4 input
-    E Y + dt E(dt/2) k3 is E(dt/2)(E(dt/2) Y + dt k3) and the update is
-    folded the same way: 4 half-step propagations with one band-sized
-    float64 propagator, (33, 33, 17, 4, 4) at n = 48, built once per step.
+    prop is ops.propagator(dt / 2), or ops.propagator(dt) for a linear
+    step.  Each stage transforms to real space only what its products
+    need (see _GridOps): 208 transforms per step, 136 of them band
+    transforms.  The flow is linear and E(dt) = E(dt/2) E(dt/2), so the
+    stage-4 input E Y + dt E(dt/2) k3 is E(dt/2)(E(dt/2) Y + dt k3) and
+    the update is folded the same way: 4 half-step propagations with one
+    float64 propagator on the unique |k|.
 
     The folded update is summed as its terms arrive, and k1, E(dt/2) k1
     and k2 are released as soon as it has used them: while a stage runs,
@@ -558,9 +567,8 @@ def step(ops: _GridOps, Y: np.ndarray, dt: float,
     n = 48).  The stages write everything else into the grid's buffers.
     """
     if not nonlinear:
-        return ops.apply_semigroup(Y, ops.propagator(dt))
-    half = ops.propagator(0.5 * dt)
-    Eh = lambda Z: ops.apply_semigroup(Z, half)
+        return ops.apply_semigroup(Y, prop)
+    Eh = lambda Z: ops.apply_semigroup(Z, prop)
     k1 = _rhs_hat(ops, Y)
     EhY, Ehk1 = Eh(Y), Eh(k1)
     del k1
@@ -701,11 +709,13 @@ def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
     n_steps = max(1, int(round(t_final / default_dt(state))))
     dt = t_final / n_steps
     ops = _GridOps(n, L, eq)
+    nonlinear = mode == "nonlinear"
+    prop = ops.propagator(0.5 * dt if nonlinear else dt)   # dt is constant
     Y = _stack_hat(ops, state)
     t = state.t
     del state
     for _ in range(n_steps):
-        Y = step(ops, Y, dt, nonlinear=(mode == "nonlinear"))
+        Y = step(ops, Y, dt, prop, nonlinear)
         t += dt
         rows.append(diagnostics(_fields_state(ops, ops.to_real(Y), t)))
     return rows, _fields_state(ops, ops.real.copy(), t)

@@ -6,8 +6,10 @@ where phi is the scalar potential amplitude of the compressible momentum.
 This module builds A(k), its characteristic quartic, exact eigenvalue
 branches with spectral projectors, and the closed-form low- and
 high-frequency expansions, plus the certified middle-band decay gap and the
-dual-path semigroup (a per-k spectral sum, and a batched eigendecomposition
-computed once per k-grid and applied per t).
+semigroup e^{tA(k)} from a decomposition of a k-grid (decompose_symbol),
+built once and applied per t.  Projectors and semigroup use closed-form
+eigenvectors (see _right and _left): no eigenvector matrix is formed or
+inverted.
 
 Roots are labelled against a reference (the previous k of a sweep, or a
 closed-form expansion) by the minimum-cost assignment of an L1 distance.
@@ -398,10 +400,11 @@ def eigen_branches(k: float, eq: EquilibriumState,
                    force_projectors: bool = False) -> SpectralPoint:
     """Exact eigenvalues, branch labels, and spectral projectors at one k.
 
-    The degenerate flag marks points where the semigroup should switch to
-    scaling-and-squaring; force_projectors still builds the (possibly
-    ill-conditioned) projectors there, which diagnostic code wants at very
-    small k where the diffusive pair gap closes like k^2.
+    Projector l is v_l w_l^T / (w_l^T v_l) (see _right and _left).  The
+    degenerate flag marks near-coincident roots; force_projectors still
+    builds the (possibly ill-conditioned) projectors there, which
+    diagnostic code wants at very small k where the diffusive pair gap
+    closes like k^2.
     """
     k = float(k)
     lams, gap, degenerate = _labelled_roots(
@@ -409,16 +412,8 @@ def eigen_branches(k: float, eq: EquilibriumState,
 
     projectors = None
     if not degenerate or (force_projectors and gap > 0.0):
-        A = symbol(k, eq).astype(complex)
-        I = np.eye(4, dtype=complex)
-        projectors = np.empty((4, 4, 4), dtype=complex)
-        for i in range(4):
-            P = I
-            for j in range(4):
-                if j == i:
-                    continue
-                P = P @ (A - lams[j] * I) / (lams[i] - lams[j])
-            projectors[i] = P
+        v, w = _vectors(k, lams, _q_plus(k, lams, eq), eq)
+        projectors = np.einsum("il,jl->lij", v, w / (v * w).sum(axis=0))
     return SpectralPoint(lambdas=lams, projectors=projectors,
                          degenerate_flag=degenerate, band=band_of(k))
 
@@ -496,19 +491,8 @@ def _expm(M: np.ndarray) -> np.ndarray:
 
 
 def semigroup(k: float, t: float, eq: EquilibriumState) -> ComplexArray:
-    """e^{t A(k)} by the spectral sum, or scaling-and-squaring near degeneracy.
-
-    A(0) is the zero matrix, so k = 0 gives the identity exactly.
-    """
-    if k == 0.0:
-        return np.eye(4, dtype=complex)
-    sp = eigen_branches(k, eq)
-    if sp.degenerate_flag:
-        return _expm(t * symbol(k, eq)).astype(complex)
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        out += np.exp(sp.lambdas[i] * t) * sp.projectors[i]
-    return out
+    """e^{t A(k)} at one k: decompose_symbol on the one-point grid."""
+    return decompose_symbol(np.array([float(k)]), eq).semigroup(t)[0]
 
 
 def check_growth(lam: ComplexArray, t: float) -> None:
@@ -524,25 +508,63 @@ def check_growth(lam: ComplexArray, t: float) -> None:
             "to round-off: e^(lambda t) overflows at these parameters")
 
 
+COND_MAX = 1e8      # 1/s beyond this sends a mode to expm
+
+
+def _q_plus(k, lam, eq: EquilibriumState):
+    """q+(lam) = lam^2 + nu+ k^2 lam + a+ k, a+ = beta1 k + sigma+ k^3."""
+    a_plus = eq.beta1 * k + eq.params.sigma_plus * k ** 3
+    return lam * lam + eq.nu_plus * k * k * lam + a_plus * k
+
+
+def _right(i: int, k, lam, q, eq: EquilibriumState):
+    """Component i of the right eigenvector of A(k) at eigenvalue lam,
+    v = (beta2 k^3, -beta2 k^2 lam, -k q+, lam q+); q = q+(lam)."""
+    return (eq.beta2 * k ** 3 + 0.0 * lam if i == 0 else
+            -eq.beta2 * k * k * lam if i == 1 else
+            -k * q if i == 2 else lam * q)
+
+
+def _left(j: int, k, lam, q, eq: EquilibriumState):
+    """Component j of the left eigenvector of A(k) at eigenvalue lam,
+    w = (-beta3 k^2 (lam + nu+ k^2), beta3 k^3, (lam + nu- k^2) q+, -k q+),
+    scaled by k so that no component divides by k."""
+    return (-eq.beta3 * k * k * (lam + eq.nu_plus * k * k) if j == 0 else
+            eq.beta3 * k ** 3 + 0.0 * lam if j == 1 else
+            (lam + eq.nu_minus * k * k) * q if j == 2 else -k * q)
+
+
+def _vectors(k, lam, q, eq: EquilibriumState):
+    """(v, w), each (..., 4, 4): [..., i, l] is component i of the
+    eigenvector at lam[..., l]."""
+    return (np.stack([_right(i, k, lam, q, eq) for i in range(4)], axis=-2),
+            np.stack([_left(j, k, lam, q, eq) for j in range(4)], axis=-2))
+
+
 @dataclass(frozen=True)
 class SymbolDecomposition:
-    """The t-independent part of e^{t A(k)} on a k-grid.
+    """The t-independent part of e^{t A(k)} on a k-grid, where
+    e^{tA} = sum_l e^{lam_l t} v_l w_l^T / (w_l^T v_l): the eigenvectors
+    are rebuilt per call from lam and q = q+(lam).  The modes in bad keep
+    their symbols A_bad for scaling-and-squaring; k = 0 gives I exactly."""
 
-    A = V diag(lam) V^-1 except on the modes in bad (an eigenvector matrix
-    whose 1-norm condition number exceeds 1e8); those keep their symbols
-    A_bad for scaling-and-squaring.  k = 0 has A = 0: lam = 0 and V = I.
-    """
-
+    k: np.ndarray            # (nk, 1)
     lam: ComplexArray        # (nk, 4)
-    V: ComplexArray          # (nk, 4, 4)
-    V_inv: ComplexArray      # (nk, 4, 4)
+    q: ComplexArray          # (nk, 4), zero on the bad modes
+    inv_wv: ComplexArray     # (nk, 4), zero on the bad and k = 0 modes
+    eq: EquilibriumState
     bad: np.ndarray          # indices of the expm modes
     A_bad: np.ndarray        # (len(bad), 4, 4)
 
+    def _weights(self, t: float) -> ComplexArray:
+        check_growth(self.lam, t)
+        return np.exp(self.lam * t) * self.inv_wv
+
     def semigroup(self, t: float) -> ComplexArray:
         """e^{t A(k)} on the grid, shape (nk, 4, 4)."""
-        check_growth(self.lam, t)
-        out = (self.V * np.exp(self.lam * t)[:, None, :]) @ self.V_inv
+        v, w = _vectors(self.k, self.lam, self.q, self.eq)
+        out = (v * self._weights(t)[:, None, :]) @ np.swapaxes(w, 1, 2)
+        out[self.k[:, 0] == 0.0] = np.eye(4)
         for idx, A in zip(self.bad, self.A_bad):
             out[idx] = _expm(t * A)
         return out
@@ -550,9 +572,10 @@ class SymbolDecomposition:
     def entry(self, i: int, j: int, t: float) -> ComplexArray:
         """Entry (i, j) of e^{t A(k)} on the grid, shape (nk,), without the
         full product."""
-        check_growth(self.lam, t)
-        out = (self.V[:, i, :] * np.exp(self.lam * t)
-               * self.V_inv[:, :, j]).sum(axis=1)
+        args = (self.k, self.lam, self.q, self.eq)
+        out = (_right(i, *args) * self._weights(t)
+               * _left(j, *args)).sum(axis=1)
+        out[self.k[:, 0] == 0.0] = float(i == j)
         for idx, A in zip(self.bad, self.A_bad):
             out[idx] = _expm(t * A)[i, j]
         return out
@@ -560,37 +583,34 @@ class SymbolDecomposition:
 
 def decompose_symbol(ks: np.ndarray,
                      eq: EquilibriumState) -> SymbolDecomposition:
-    """Batched eigendecomposition of A(k) and its conditioning test."""
-    ks = np.asarray(ks, dtype=float)
-    A = symbol(ks, eq)
-    lam, V = np.linalg.eig(A)
-    zero = ks == 0.0
-    lam[zero] = 0.0
-    V[zero] = np.eye(4)
-    try:
-        V_inv = np.linalg.inv(V)
-    except np.linalg.LinAlgError:
-        # an exactly singular V (a defective symbol, e.g. a capillarity
-        # near 1e100) gets a NaN inverse and so joins the expm modes;
-        # a determinant that underflows sends an invertible V there too
-        V_inv = np.full_like(V, np.nan)
-        ok = np.abs(np.linalg.det(V)) > 0.0
-        V_inv[ok] = np.linalg.inv(V[ok])
-    V_inv[zero] = np.eye(4)
-    # within a factor 4 of the 2-norm condition number for 4x4 matrices
-    cond = np.abs(V).sum(axis=1).max(axis=1) \
-        * np.abs(V_inv).sum(axis=1).max(axis=1)
-    bad = np.nonzero(~np.isfinite(cond) | (cond > 1e8))[0]
-    return SymbolDecomposition(lam, V, V_inv, bad, A[bad])
+    """lam from one eigvals call, and the closed-form eigenvectors' test.
 
-
-def semigroup_batch(ks: np.ndarray, t: float,
-                    eq: EquilibriumState) -> ComplexArray:
-    """e^{t A(k)} for a grid of k at once, shape (nk, 4, 4).
-
-    Callers that need many times on one grid keep decompose_symbol's result.
+    Rows 0, 2 and 1 of A v = lam v give v1 = -lam v0 / k, v3 = -lam v2 / k
+    and v2 = -q+ v0 / (beta2 k^2); columns 1, 3 and 0 give the left
+    eigenvector the same way through beta3 k^2.  beta2 = beta3 = C^2 > 0,
+    so both are nonzero for k > 0.  A mode goes to expm where an
+    eigenvalue's s = |w^T v| / (|v| |w|) (Golub and Van Loan, Matrix
+    Computations, 7.2.2) is below 1 / COND_MAX or a value is not finite
+    (q+ overflows at a capillarity near 1e100).
     """
-    return decompose_symbol(ks, eq).semigroup(t)
+    ks = np.asarray(ks, dtype=float)
+    lam = np.asarray(np.linalg.eigvals(symbol(ks, eq)), dtype=complex)
+    k = ks[:, None]
+    zero = ks == 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q = _q_plus(k, lam, eq)
+        wv = nv = nw = 0.0
+        for i in range(4):
+            v, w = _right(i, k, lam, q, eq), _left(i, k, lam, q, eq)
+            wv, nv, nw = wv + v * w, nv + np.abs(v) ** 2, nw + np.abs(w) ** 2
+        s = np.abs(wv) / (np.sqrt(nv) * np.sqrt(nw))
+        inv_wv = 1.0 / wv
+    # NaN fails the comparison
+    ok = (s >= 1.0 / COND_MAX) & np.isfinite(inv_wv)
+    bad = np.flatnonzero(~ok.all(axis=1) & ~zero)
+    q[bad] = inv_wv[bad] = inv_wv[zero] = 0.0
+    return SymbolDecomposition(k, lam, q, inv_wv, eq, bad,
+                               symbol(ks[bad], eq))
 
 
 def spectrum_rows(eq: EquilibriumState, k_grid: np.ndarray) -> list[dict]:

@@ -232,8 +232,9 @@ def test_nonlinear_simulator():
 
     def advance(m):
         Y = sim._stack_hat(ops, st0)
+        half = ops.propagator(0.5 / m)
         for _ in range(m):
-            Y = sim.step(ops, Y, 1.0 / m)
+            Y = sim.step(ops, Y, 1.0 / m, half)
         return sim._fields_state(ops, ops.to_real(Y).copy(), 1.0)
 
     ref = advance(32)

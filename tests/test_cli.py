@@ -143,6 +143,8 @@ MALFORMED = [
     ["spectrum", "--k-min", "nan"],
     ["spectrum", "--k-max", "inf"],
     ["spectrum", "--k-max", "-5"],
+    # every coefficient of the quartic underflows
+    ["spectrum", "--k-min", "1e-200"],
     ["--tol-scale", "nan", "equilibrium"],
     ["--tol-scale", "inf", "equilibrium"],
     ["greens", "--entry", "5,1"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -463,13 +464,29 @@ class TestReconstruction:
     def test_mid_semigroup_matches_fresh_batch(self, recon, request):
         rec = request.getfixturevalue(recon)
         for t in (0.5, 7.0, 100.0):
-            want = spectral.semigroup_batch(rec.km, t, rec.eq).real
+            want = spectral.decompose_symbol(rec.km, rec.eq).semigroup(t).real
             for i in range(1, 5):
                 for j in range(1, 5):
                     got = rec.mid.entry(i - 1, j - 1, t).real
                     assert got.shape == (len(rec.km),)
                     assert np.abs(got - want[:, i - 1, j - 1]).max() \
                         <= 1e-12 * np.abs(want).max()
+
+    def test_build_and_transform_memory(self):
+        # the middle band keeps lam, q+ and 1/(w^T v), three (nk, 4)
+        # arrays of 1 MiB, and the transform contracts over the panels in
+        # chunks: 10.1 MiB at the peak (numpy 2.4).  The (nk, 4, 4)
+        # eigenvector matrix and its inverse would hold 8 MiB more, and
+        # one (R, P, nr) panel product per trig table term 2 MiB each
+        tracemalloc.start()
+        try:
+            rec = greens.GreenReconstructor(SYM_EQ)
+            rs = np.linspace(0.0, greens.R_MAX_FACTOR * SYM_EQ.c * 100.0, 256)
+            rec.entry_values(2, 2, rs, 100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * 2 ** 20
 
     def test_no_per_time_state(self):
         rec = greens.GreenReconstructor(SYM_EQ, low_panels=8, mid_panels=16)
@@ -511,7 +528,7 @@ class TestReconstruction:
         ts = np.linspace(0.5, 2.0, 7)
         mass = []
         for t in ts:
-            S = spectral.semigroup_batch(ks, t, eq).real
+            S = spectral.decompose_symbol(ks, eq).semigroup(t).real
             mass.append(np.trapezoid(ks ** 2 * S[:, 0, 0] ** 2, ks))
         rate = -np.polyfit(ts, np.log(mass), 1)[0]
         assert rate >= 1.7 * b_hf

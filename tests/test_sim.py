@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from twofluid.model import (AdmissibilityError, ModelParams,
                             solve_equilibrium, solve_fraction_map)
-from twofluid.spectral import eigen_branches, semigroup_batch
+from twofluid.spectral import decompose_symbol, eigen_branches
 from twofluid import sim
 
 EQ = solve_equilibrium(ModelParams())
@@ -43,7 +44,7 @@ class _RefGridOps:
         self.dealias = (np.abs(self.xi) <= cut).all(axis=0)
 
     def apply_semigroup(self, Y: np.ndarray, t: float) -> np.ndarray:
-        G = semigroup_batch(self.k_uniq, t, self.eq)
+        G = decompose_symbol(self.k_uniq, self.eq).semigroup(t)
         Gg = G[self.inv.reshape(self.k2.shape)]
         heat_p = np.exp(-self.eq.nu1_plus * self.k2 * t)
         heat_m = np.exp(-self.eq.nu1_minus * self.k2 * t)
@@ -180,8 +181,9 @@ def _advance(st, dt, T, nonlinear=True):
     ops = _ops(st)
     Y = sim._stack_hat(ops, st)
     steps = int(round(T / dt))
+    prop = ops.propagator(0.5 * dt if nonlinear else dt)
     for _ in range(steps):
-        Y = sim.step(ops, Y, dt, nonlinear)
+        Y = sim.step(ops, Y, dt, prop, nonlinear)
     return _unstack(ops, Y, st.t + steps * dt)
 
 
@@ -413,16 +415,17 @@ class TestStepCost:
 
     def test_transforms_and_propagations_per_step(self, counted):
         Y, ops, counters = counted
-        sim.step(ops, Y, 0.3)
+        sim.step(ops, Y, 0.3, ops.propagator(0.15))
         assert self.transforms(counters) == (136, 72)
         assert counters["apply_semigroup"].calls == 4
-        # one half-step propagator, band-shaped, and no full-step one
+        # one half-step propagator, on the unique |k|, and the step builds
+        # no other
         assert counters["propagator"].args == [(0.15,)]
         band = (ops.rows.size, ops.rows.size, ops.h)
         assert band == (11, 11, 6)
-        Gg, heat_p, heat_m = ops.propagator(0.15)
-        assert Gg.shape == band + (4, 4)
-        assert heat_p.shape == heat_m.shape == band
+        G, heat_p, heat_m = ops.propagator(0.15)
+        assert G.shape == ops.k_uniq.shape + (4, 4)
+        assert ops.inv.shape == heat_p.shape == heat_m.shape == band
 
     @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
     def test_band_transforms_outside_step(self, monkeypatch, mode):
@@ -451,9 +454,19 @@ class TestStepCost:
             return out
 
         monkeypatch.setattr(sim, "step", counted_step)
+        # and the run builds one propagator: dt is constant
+        built = []
+        propagator = sim._GridOps.propagator
+
+        def counted_propagator(self, t):
+            built.append(t)
+            return propagator(self, t)
+
+        monkeypatch.setattr(sim._GridOps, "propagator", counted_propagator)
         rows, _ = sim.run_simulation(EQ, mode=mode, n=16, L=16.0,
                                      t_final=3.0)
         assert len(rows) == 3
+        assert built == [1.5 if mode == "linear" else 0.75]
         assert calls["forward_band"] - inside["forward_band"] == 8
         assert calls["inverse_band"] - inside["inverse_band"] == 8 * 2
 
@@ -483,18 +496,19 @@ class TestStageMemory:
     def test_linear_run_builds_no_stage_workspace(self):
         st = sim.make_sim_state(EQ, n=8, L=16.0, eps=1e-3)
         ops = _ops(st)
-        sim.step(ops, sim._stack_hat(ops, st), 0.5, nonlinear=False)
+        sim.step(ops, sim._stack_hat(ops, st), 0.5, ops.propagator(0.5),
+                 nonlinear=False)
         assert ops._work is None
-        sim.step(ops, sim._stack_hat(ops, st), 0.5)
+        sim.step(ops, sim._stack_hat(ops, st), 0.5, ops.propagator(0.25))
         assert ops._work is not None
 
     def test_propagator_is_real(self, monkeypatch):
         ops = _ops(sim.make_sim_state(EQ_ASYM, n=16, L=16.0, eps=0.0))
         Gg, _, _ = ops.propagator(0.7)
         assert Gg.dtype == np.float64
-        G = semigroup_batch(ops.k_uniq, 0.7, EQ_ASYM)
-        monkeypatch.setattr(sim, "semigroup_batch",
-                            lambda *args: G + 1e-9j * np.abs(G).max())
+        G = decompose_symbol(ops.k_uniq, EQ_ASYM).semigroup(0.7)
+        fake = SimpleNamespace(semigroup=lambda t: G + 1e-9j * np.abs(G).max())
+        monkeypatch.setattr(sim, "decompose_symbol", lambda *args: fake)
         with pytest.raises(RuntimeError, match="imaginary"):
             ops.propagator(0.7)
 

@@ -8,7 +8,9 @@ linear_sum_assignment for the root labelling.
 
 from __future__ import annotations
 
+import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from scipy.optimize import linear_sum_assignment
 
 from twofluid.cli import main
 from twofluid.greens import composite_gl
-from twofluid.model import EquilibriumState, ModelParams, solve_equilibrium
+from twofluid.model import (EquilibriumState, ModelParams, ParameterError,
+                            solve_equilibrium)
 from twofluid import spectral as sp
 from twofluid.spectral import (DEGENERACY_REL, _lsap, band_of,
                                char_poly_coeffs, high_freq_expansion,
@@ -336,7 +339,7 @@ class TestSemigroup:
 
     def test_batch_matches_scalar(self):
         ks = np.array([0.02, 0.4, 3.0, 15.0])
-        B = sp.semigroup_batch(ks, 1.7, ASYM_EQ)
+        B = sp.decompose_symbol(ks, ASYM_EQ).semigroup(1.7)
         for i, k in enumerate(ks):
             S = scipy.linalg.expm(1.7 * sp.symbol(k, ASYM_EQ))
             assert np.abs(B[i] - S).max() < 1e-9
@@ -350,7 +353,6 @@ class TestSemigroup:
         for t in (0.0, 0.3, 2.0, 25.0):
             B = dec.semigroup(t)
             assert np.array_equal(B[0], np.eye(4))
-            assert np.array_equal(B, sp.semigroup_batch(ks, t, eq))
             for i, k in enumerate(ks):
                 S = scipy.linalg.expm(t * sp.symbol(k, eq))
                 scale = max(1.0, np.abs(S).max())
@@ -374,28 +376,39 @@ class TestSemigroup:
                     assert np.abs(got - S[:, i, j]).max() <= 1e-14 * scale
 
     def test_ill_conditioned_modes_fall_back(self):
-        # the diffusive pair merges as k -> 0, so the eigenvector matrix at
-        # k = 1e-10 has condition number above 1e8 and takes the expm route
+        # the diffusive pair merges as k -> 0, so at k = 1e-10 an
+        # eigenvalue's s = |w^T v| / (|v| |w|) is below 1 / COND_MAX (the
+        # eig + inv oracle's eigenvector matrix has condition number above
+        # 1e8 there too) and the mode takes the expm route
         ks = np.array([1e-10, 0.5])
         dec = sp.decompose_symbol(ks, SYM_EQ)
-        assert np.linalg.cond(dec.V[0]) > 1e8
+        s = eigenvalue_s(ks, SYM_EQ).min(axis=1)
+        assert s[0] < 1.0 / sp.COND_MAX < s[1]
         assert list(dec.bad) == [0]
+        assert list(eig_inv_decomposition(ks, SYM_EQ).bad) == [0]
         for t in (1.0, 100.0):
             S = scipy.linalg.expm(t * sp.symbol(ks[0], SYM_EQ))
             assert np.abs(dec.semigroup(t)[0] - S).max() < 1e-14
+            assert np.abs(dec.entry(1, 2, t)[0] - S[1, 2]) < 1e-14
 
     def test_singular_eigenvectors_fall_back(self):
         # at sigma_minus = 1e100 eig returns exactly singular eigenvector
-        # matrices on some nodes of the reconstructor's middle grid
+        # matrices on some nodes of the reconstructor's middle grid and its
+        # oracle sends every node to expm; the closed forms' s fails on
+        # the same nodes, and the expm route then overflows
         eq = solve_equilibrium(ModelParams(sigma_minus=1e100))
         ks = composite_gl(0.5 * sp.ETA1, 1.2 * sp.K_CUT, 256, 64).nodes
         dec = sp.decompose_symbol(ks, eq)
-        # an exactly singular V has a zero pivot, so a zero determinant
-        zero = np.flatnonzero(np.linalg.det(dec.V) == 0.0)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.inv(dec.V[zero])
-        assert set(zero.tolist()) <= set(dec.bad.tolist())
-        assert np.isnan(dec.V_inv[zero]).all()
+        oracle = eig_inv_decomposition(ks, eq)
+        zero = np.flatnonzero(np.linalg.det(oracle.V) == 0.0)
+        assert zero.size > 0
+        assert np.array_equal(dec.bad, oracle.bad)
+        assert np.array_equal(dec.bad, np.arange(ks.size))
+        with np.errstate(invalid="ignore", over="ignore"):
+            s = eigenvalue_s(ks, eq)
+        assert not (s.min(axis=1) >= 1.0 / sp.COND_MAX).any()
+        with pytest.raises(ParameterError):
+            dec.entry(1, 1, 1.0)
 
     def test_scalar_identity_at_k_zero(self):
         for t in (0.0, 1.0, 1e3):
@@ -409,6 +422,161 @@ class TestSemigroup:
             for t in (0.1, 1.0, 10.0, 100.0):
                 S = sp.semigroup(k, t, SYM_EQ)
                 assert np.abs(S).max() < 1.0 + 10.0 * k * t
+
+
+# The eig + inv decomposition, verbatim as spectral computed it before the
+# closed-form eigenvectors.  It is the oracle of decompose_symbol.
+
+@dataclass(frozen=True)
+class EigInvDecomposition:
+    """The t-independent part of e^{t A(k)} on a k-grid.
+
+    A = V diag(lam) V^-1 except on the modes in bad (an eigenvector matrix
+    whose 1-norm condition number exceeds 1e8); those keep their symbols
+    A_bad for scaling-and-squaring.  k = 0 has A = 0: lam = 0 and V = I.
+    """
+
+    lam: np.ndarray          # (nk, 4)
+    V: np.ndarray            # (nk, 4, 4)
+    V_inv: np.ndarray        # (nk, 4, 4)
+    bad: np.ndarray          # indices of the expm modes
+    A_bad: np.ndarray        # (len(bad), 4, 4)
+
+    def semigroup(self, t: float) -> np.ndarray:
+        """e^{t A(k)} on the grid, shape (nk, 4, 4)."""
+        sp.check_growth(self.lam, t)
+        out = (self.V * np.exp(self.lam * t)[:, None, :]) @ self.V_inv
+        for idx, A in zip(self.bad, self.A_bad):
+            out[idx] = sp._expm(t * A)
+        return out
+
+    def entry(self, i: int, j: int, t: float) -> np.ndarray:
+        """Entry (i, j) of e^{t A(k)} on the grid, shape (nk,), without the
+        full product."""
+        sp.check_growth(self.lam, t)
+        out = (self.V[:, i, :] * np.exp(self.lam * t)
+               * self.V_inv[:, :, j]).sum(axis=1)
+        for idx, A in zip(self.bad, self.A_bad):
+            out[idx] = sp._expm(t * A)[i, j]
+        return out
+
+
+def eig_inv_decomposition(ks: np.ndarray,
+                          eq: EquilibriumState) -> EigInvDecomposition:
+    """Batched eigendecomposition of A(k) and its conditioning test."""
+    ks = np.asarray(ks, dtype=float)
+    A = sp.symbol(ks, eq)
+    lam, V = np.linalg.eig(A)
+    zero = ks == 0.0
+    lam[zero] = 0.0
+    V[zero] = np.eye(4)
+    try:
+        V_inv = np.linalg.inv(V)
+    except np.linalg.LinAlgError:
+        # an exactly singular V (a defective symbol, e.g. a capillarity
+        # near 1e100) gets a NaN inverse and so joins the expm modes;
+        # a determinant that underflows sends an invertible V there too
+        V_inv = np.full_like(V, np.nan)
+        ok = np.abs(np.linalg.det(V)) > 0.0
+        V_inv[ok] = np.linalg.inv(V[ok])
+    V_inv[zero] = np.eye(4)
+    # within a factor 4 of the 2-norm condition number for 4x4 matrices
+    cond = np.abs(V).sum(axis=1).max(axis=1) \
+        * np.abs(V_inv).sum(axis=1).max(axis=1)
+    bad = np.nonzero(~np.isfinite(cond) | (cond > 1e8))[0]
+    return EigInvDecomposition(lam, V, V_inv, bad, A[bad])
+
+
+def closed_form_vectors(ks, lam, eq):
+    """The closed-form right and left eigenvectors at eigenvalues lam
+    (nk, 4): V[n, i, l] = v_l[i] and W[n, j, l] = w_l[j]."""
+    k = np.asarray(ks, dtype=float)[:, None]
+    return sp._vectors(k, lam, sp._q_plus(k, lam, eq), eq)
+
+
+def eigenvalue_s(ks, eq):
+    """s = |w^T v| / (|v| |w|) of each eigenvalue of A(k), (nk, 4)."""
+    lam = np.linalg.eigvals(sp.symbol(ks, eq))
+    V, W = closed_form_vectors(ks, lam, eq)
+    return np.abs((V * W).sum(axis=1)) / (np.linalg.norm(V, axis=1)
+                                          * np.linalg.norm(W, axis=1))
+
+
+# the parameter sets the closed forms are checked at: the defaults, unequal
+# phases, disc < 0 (a complex diffusive pair) and bulk viscosity
+CLOSED_FORM_SETS = {
+    "default": SYM_EQ,
+    "asym": ASYM_EQ,
+    "complex-pair": solve_equilibrium(ModelParams(sigma_plus=1.0,
+                                                  sigma_minus=1.0)),
+    "bulk": solve_equilibrium(ModelParams(
+        mu_minus=2.0, lambda_plus=0.5, lambda_minus=1.5, sigma_plus=0.02,
+        A_minus=2.0, gamma_minus=1.6)),
+}
+
+
+class TestClosedFormEigenvectors:
+    @pytest.mark.parametrize("name", CLOSED_FORM_SETS)
+    def test_eigenvectors_match_eig(self, name):
+        # A v = lam v and w^T A = lam w^T, and v, w parallel to eig's right
+        # eigenvectors and to the rows of their inverse
+        eq = CLOSED_FORM_SETS[name]
+        ks = np.logspace(-3, np.log10(12.0), 200)
+        A = sp.symbol(ks, eq)
+        lam, E = np.linalg.eig(A)
+        V, W = closed_form_vectors(ks, lam, eq)
+        nA = np.abs(A).max(axis=(1, 2))[:, None]
+        nV = np.linalg.norm(V, axis=1)
+        nW = np.linalg.norm(W, axis=1)
+        right = np.linalg.norm(A @ V - V * lam[:, None, :], axis=1)
+        left = np.linalg.norm(np.swapaxes(A, 1, 2) @ W
+                              - W * lam[:, None, :], axis=1)
+        # round-off of the eigenvalues: at most 6.4e-13 (bulk viscosity,
+        # k = 10.9), where eig's own inverse rows reach 3e-13 (defaults)
+        assert (right <= 1e-11 * nA * nV).all()
+        assert (left <= 1e-11 * nA * nW).all()
+        E_inv = np.linalg.inv(E)
+        cos_v = np.abs(np.einsum("nil,nil->nl", E.conj(), V)) \
+            / (np.linalg.norm(E, axis=1) * nV)
+        cos_w = np.abs(np.einsum("nli,nil->nl", E_inv.conj(), W)) \
+            / (np.linalg.norm(E_inv, axis=2) * nW)
+        assert np.abs(cos_v - 1.0).max() < 1e-8
+        assert np.abs(cos_w - 1.0).max() < 1e-8
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_SETS)
+    def test_decomposition_matches_eig_inv_oracle(self, name):
+        # the semigroup and all 16 entries on the reconstructor's middle
+        # grid, within 1e-12 of each t-slice's maximum
+        eq = CLOSED_FORM_SETS[name]
+        ks = composite_gl(0.5 * sp.ETA1, 1.2 * sp.K_CUT, 256, 64).nodes
+        dec = sp.decompose_symbol(ks, eq)
+        oracle = eig_inv_decomposition(ks, eq)
+        assert len(dec.bad) == len(oracle.bad) == 0
+        for t in (1.0, 2.0, 10.0, 50.0, 100.0, 300.0):
+            want = oracle.semigroup(t)
+            tol = 1e-12 * np.abs(want).max()
+            assert np.abs(dec.semigroup(t) - want).max() <= tol
+            for i in range(4):
+                for j in range(4):
+                    assert np.abs(dec.entry(i, j, t)
+                                  - oracle.entry(i, j, t)).max() <= tol
+
+    def test_projectors_match_lagrange_products(self):
+        # eigen_branches' v w^T / (w^T v) against the Lagrange products
+        # prod_{j != i} (A - lam_j) / (lam_i - lam_j) it replaced
+        for eq in CLOSED_FORM_SETS.values():
+            for k in (0.02, 0.3, 2.0, 9.0, 40.0):
+                pt = sp.eigen_branches(k, eq)
+                A = sp.symbol(k, eq).astype(complex)
+                I = np.eye(4, dtype=complex)
+                for i in range(4):
+                    P = I
+                    for j in range(4):
+                        if j != i:
+                            P = P @ (A - pt.lambdas[j] * I) \
+                                / (pt.lambdas[i] - pt.lambdas[j])
+                    assert np.abs(pt.projectors[i] - P).max() \
+                        <= 1e-9 * np.abs(P).max()
 
 
 class TestSpectrumRows:
@@ -572,15 +740,24 @@ class TestBatchedSweep:
         ("sigma_plus = 1.0\nsigma_minus = 1.0\n", ()),
         # underflowing coefficients: np.roots strips them and appends zero
         # roots (all four at k < 1e-162, c1 and c0 above)
-        ("", ("--k-min", "1e-200", "--k-max", "1e-110")),
+        ("", (1e-200, 1e-110)),
         # only c0 underflows
-        ("", ("--k-min", "1e-76", "--k-max", "1e-40")),
+        ("", (1e-76, 1e-40)),
     ], ids=["default", "asym", "complex-pair", "tiny-k", "c0-underflow"])
     def test_csv_matches_per_k_sweep(self, cfg, k_range, tmp_path,
                                      monkeypatch):
+        if k_range:
+            # the spectrum subcommand refuses a --k-min whose coefficients
+            # underflow, so the sweep meets these k only when called
+            # directly: on the subcommand's 400-point grid
+            ks = np.logspace(math.log10(k_range[0]), math.log10(k_range[1]),
+                             400)
+            assert repr(sp.spectrum_rows(SYM_EQ, ks)) \
+                == repr(spectrum_rows(SYM_EQ, ks))
+            return
         params = tmp_path / "params.cfg"
         params.write_text(cfg)
-        argv = ["--params", str(params), "spectrum", *k_range]
+        argv = ["--params", str(params), "spectrum"]
         assert main(["--out", str(tmp_path / "batched"), *argv]) == 0
         monkeypatch.setattr(sp, "spectrum_rows", spectrum_rows)
         assert main(["--out", str(tmp_path / "per_k"), *argv]) == 0
