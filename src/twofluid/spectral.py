@@ -12,22 +12,26 @@ eigenvectors (see _right and _left): no eigenvector matrix is formed or
 inverted.
 
 Roots are labelled against a reference (the previous k of a sweep, or a
-closed-form expansion) by the minimum-cost assignment of an L1 distance.
-The assignment is a port of scipy's rectangular_lsap, Crouse's shortest
-augmenting path (D. F. Crouse, IEEE TAES 52(4), 2016), so ties resolve as
-scipy.optimize.linear_sum_assignment resolves them; the common case, where
-every reference label has a distinct nearest root, skips it.  scipy is
-imported only for expm on ill-conditioned modes.
+closed-form expansion) by the assignment of least total squared distance
+|root - ref|^2, found among all 24 permutations (_assign_cols).  Both sides
+are sorted by decreasing Re, then decreasing Im, and totals within TIE_REL
+of the least are tied; the first tied permutation of the sorted sides, in
+lexicographic order, wins.  So no root order from eigvals changes a label,
+and a tie has one stated outcome: where a conjugate reference pair meets
+two real roots (it is equidistant from both), the member with Im > 0 takes
+the real root with the larger Re, the slower decay.  This holds for the
+sound pair past its exceptional point and for the diffusive pair alike.
+scipy is imported only for expm on ill-conditioned modes.
 
 The spectrum sweep (spectrum_rows) is one batch, bitwise equal to chaining
 the per-k labelling over the grid: one np.linalg.eigvals call solves every
 quartic's companion matrix, as np.roots builds it, and the Newton polish
 runs on all roots at once.  A k is labelled against the last
 non-degenerate k before it, and the degenerate flag depends on the roots
-alone, so every reference is known before any label.  The direct test of
-the assignment runs on all (k, reference) pairs at once, and one walk over
-the grid composes each k's permutation with its reference's, running the
-augmenting path only where the direct test fails.
+alone, so every reference is known before any label.  The assignment runs
+on all (k, unlabelled reference) pairs in one call, since it does not
+depend on the reference's order, and one walk over the grid composes each
+k's permutation with its reference's.
 
 The branch convention: lambda1/lambda2 are the sound pair (complex conjugate
 with Im lambda1 >= 0 at small k), lambda3/lambda4 the diffusive pair with
@@ -36,6 +40,7 @@ with Im lambda1 >= 0 at small k), lambda3/lambda4 the diffusive pair with
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -219,114 +224,41 @@ def _quartic_roots(ks, eq: EquilibriumState) -> ComplexArray:
     return roots
 
 
-def _lsap(cost: list[list[float]]) -> list[int]:
-    """Column of each row in the minimum-cost assignment of a square cost.
-
-    scipy's rectangular_lsap step for step (the reversed remaining order
-    with swap-removal, the tie rule that prefers an unassigned column, the
-    dual updates in the same order), so the result is the column vector
-    linear_sum_assignment returns.
-    """
-    n = len(cost)
-    u = [0.0] * n
-    v = [0.0] * n
-    path = [-1] * n
-    col4row = [-1] * n
-    row4col = [-1] * n
-    for cur in range(n):
-        # shortest augmenting path from row cur
-        min_val = 0.0
-        # reversed, so that a constant cost gives the identity
-        remaining = list(range(n - 1, -1, -1))
-        in_sr = [False] * n
-        in_sc = [False] * n
-        dist = [math.inf] * n
-        i = cur
-        sink = -1
-        while sink == -1:
-            index = -1
-            lowest = math.inf
-            in_sr[i] = True
-            for it, j in enumerate(remaining):
-                r = min_val + cost[i][j] - u[i] - v[j]
-                if r < dist[j]:
-                    path[j] = i
-                    dist[j] = r
-                if dist[j] < lowest or (dist[j] == lowest
-                                        and row4col[j] == -1):
-                    lowest = dist[j]
-                    index = it
-            min_val = lowest
-            if min_val == math.inf:
-                raise ValueError("cost matrix is infeasible")
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-            in_sc[j] = True
-            remaining[index] = remaining[-1]
-            remaining.pop()
-        # dual variables
-        u[cur] += min_val
-        for i in range(n):
-            if in_sr[i] and i != cur:
-                u[i] += min_val - dist[col4row[i]]
-        for j in range(n):
-            if in_sc[j]:
-                v[j] -= min_val - dist[j]
-        # augment along the path
-        j = sink
-        while True:
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
-                break
-    return col4row
-
-
-def _direct_cols(cost: np.ndarray):
-    """Row argmins of (..., 4, 4) costs, and where they are the assignment.
-
-    Where every row of a cost has a strict unique minimum and the row
-    argmins form a permutation, the shortest augmenting path finds each
-    sink at once and leaves the column duals at exactly 0, so it returns
-    the row argmins.  The test does not depend on the order of the rows.
-    """
-    ranked = np.sort(cost, axis=-1)
-    if np.isnan(ranked[..., -1]).any():   # sort puts NaN last
-        raise ValueError("cost matrix contains invalid numeric entries")
-    cols = cost.argmin(axis=-1)
-    # a row sets bit cols only if its minimum is strict; the four bits add
-    # up to 0b1111 only if every row sets one and no two share a column
-    direct = ((ranked[..., 0] < ranked[..., 1]) << cols).sum(axis=-1) \
-        == 0b1111
-    return cols, direct
-
-
-def _root_costs(roots: ComplexArray, reference: ComplexArray) -> np.ndarray:
-    """L1 costs, (..., 4, 4): row i, column j is |roots[j] - reference[i]|."""
-    return np.abs(roots[..., None, :] - reference[..., :, None])
+# the 24 assignments of four roots to four labels, in lexicographic order
+_PERMS = np.array(list(itertools.permutations(range(4))))
+# assignment totals within this relative distance of the least are tied:
+# a four-term sum rounds differently by summation order
+TIE_REL = 1e-14
 
 
 def _assign_cols(roots: ComplexArray, reference: ComplexArray) -> np.ndarray:
-    """The root each reference label takes in the minimum-cost assignment,
-    as an index into the last axis of roots.
+    """The root each reference label takes in the assignment of least total
+    squared distance, as an index into the last axis of roots.
 
     roots and reference have shape (..., 4); each (4,) row is labelled on
-    its own.  Rows that pass _direct_cols' test take the row argmins; only
-    the other rows run _lsap.
+    its own.  Both sides are sorted by decreasing Re, then decreasing Im,
+    and of the tied assignments the first in lexicographic order of that
+    sorted form wins, so no input order can change a label.
     """
-    flat = _root_costs(roots, reference).reshape(-1, 4, 4)
-    cols, direct = _direct_cols(flat)
-    for b in np.flatnonzero(~direct):
-        cols[b] = _lsap(flat[b].tolist())
-    return cols.reshape(roots.shape)
+    r_ord = np.lexsort((-roots.imag, -roots.real))
+    f_ord = np.lexsort((-reference.imag, -reference.real))
+    d = np.take_along_axis(roots, r_ord, axis=-1)[..., None, :] \
+        - np.take_along_axis(reference, f_ord, axis=-1)[..., :, None]
+    totals = (d.real ** 2 + d.imag ** 2)[..., range(4), _PERMS].sum(axis=-1)
+    if np.isnan(totals).any():
+        raise ValueError("cost matrix contains invalid numeric entries")
+    best = totals.min(axis=-1, keepdims=True)
+    first = np.argmax(totals <= best * (1.0 + TIE_REL), axis=-1)
+    cols = np.empty(roots.shape, dtype=np.intp)
+    np.put_along_axis(
+        cols, f_ord, np.take_along_axis(r_ord, _PERMS[first], axis=-1),
+        axis=-1)
+    return cols
 
 
 def _assign(roots: ComplexArray, reference: ComplexArray) -> ComplexArray:
-    """Permute roots to minimize total distance to the reference labels."""
+    """Permute roots to the least total squared distance to the reference
+    labels (see _assign_cols)."""
     return np.take_along_axis(roots, _assign_cols(roots, reference), axis=-1)
 
 
@@ -633,12 +565,10 @@ def spectrum_rows(eq: EquilibriumState, k_grid: np.ndarray) -> list[dict]:
     first = np.flatnonzero(ref < 0)
     perm[first] = _first_cols(ks[first], roots[first], eq)
     chained = np.flatnonzero(ref >= 0)
-    cost = _root_costs(roots[chained], roots[ref[chained]])
-    cols, direct = _direct_cols(cost)
-    for row, m, c, ok, cst in zip(chained.tolist(), ref[chained].tolist(),
-                                  cols, direct.tolist(), cost):
-        # cost row i of the labelled reference is cost row perm[m][i]
-        perm[row] = c[perm[m]] if ok else _lsap(cst[perm[m]].tolist())
+    cols = _assign_cols(roots[chained], roots[ref[chained]])
+    for row, m, c in zip(chained.tolist(), ref[chained].tolist(), cols):
+        # label i of row m is its raw root perm[m][i]
+        perm[row] = c[perm[m]]
     lams = np.take_along_axis(roots, perm, axis=-1)
 
     errs = np.full(roots.shape, np.nan)

@@ -22,7 +22,7 @@ import numpy as np
 
 __all__ = [
     "WavePattern", "ConvCase", "ConvReport", "QuadStats", "core_front_masks",
-    "region_tag", "make_cases", "angular_reduce", "eval_spacetime_conv",
+    "region_tag", "make_cases", "eval_spacetime_conv",
     "verify_case", "log_obstruction", "riesz_gradient",
     "riesz_potential_check",
 ]
@@ -246,10 +246,9 @@ def _quad_to_inf(f, a, U0, splits, rel_tol, abs_tol, stats):
 # ---------------------------------------------------------------------------
 # angular reduction
 
-def angular_reduce(r: float, F, G, F_prim=None, splits=(),
-                   U0: float = 64.0, rel_tol: float = 1e-7,
-                   abs_tol: float = 1e-13) -> float:
-    """3-D convolution of radial functions at radius r.
+def _angular_batch(r, F, G, F_prim, splits, U0, rel_tol, abs_tol, stats):
+    """3-D convolutions of radial functions at the radii r[j], one integral
+    each.
 
     int F(|x-y|) G(|y|) dy = (2 pi / r) int_0^inf u G(u)
                               int_{|r-u|}^{r+u} z F(z) dz du,
@@ -258,18 +257,6 @@ def angular_reduce(r: float, F, G, F_prim=None, splits=(),
     inner integral is then evaluated exactly, otherwise by 48-point
     Gauss-Legendre.  At r = 0 the reduction degenerates to the overlap
     integral 4 pi int u^2 F(u) G(u) du.
-    """
-    prim = None if F_prim is None else (lambda z, j: F_prim(z))
-    out = _angular_batch(
-        np.array([float(r)]), lambda z, j: F(z), lambda u, j: G(u), prim,
-        np.array([list(splits)], dtype=float).reshape(1, -1),
-        np.array([float(U0)]), rel_tol, np.array([float(abs_tol)]),
-        QuadStats())
-    return float(out[0])
-
-
-def _angular_batch(r, F, G, F_prim, splits, U0, rel_tol, abs_tol, stats):
-    """angular_reduce at the radii r[j], one integral each.
 
     F(z, j), G(u, j) and F_prim(z, j) evaluate the radial functions of
     integral j (an index array broadcasting against z); splits, U0 and

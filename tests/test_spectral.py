@@ -2,12 +2,14 @@
 
 Oracles: numpy's own characteristic polynomial of the assembled matrix
 (np.poly), batched eigensolves, scipy's scaling-and-squaring matrix
-exponential as the independent semigroup route, and scipy's
-linear_sum_assignment for the root labelling.
+exponential as the independent semigroup route, and a brute-force search
+over the 24 permutations for the root labelling.
 """
 
 from __future__ import annotations
 
+import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -15,15 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
-from scipy.optimize import linear_sum_assignment
 
 from twofluid.cli import main
 from twofluid.greens import composite_gl
 from twofluid.model import (EquilibriumState, ModelParams, ParameterError,
                             solve_equilibrium)
 from twofluid import spectral as sp
-from twofluid.spectral import (DEGENERACY_REL, _lsap, band_of,
+from twofluid.spectral import (DEGENERACY_REL, band_of,
                                char_poly_coeffs, high_freq_expansion,
                                low_freq_expansion)
 
@@ -57,78 +57,108 @@ class TestSymbol:
             assert np.array_equal(A[idx], sp.symbol(float(ks[idx]), ASYM_EQ))
 
 
-def scipy_assign(roots, reference):
-    """Root labelling by scipy, one (4,) row at a time."""
-    cost = np.abs(roots[None, :] - reference[:, None])
-    _, cols = linear_sum_assignment(cost)
-    return roots[cols]
+SPLIT_SETS = {
+    "default": {},
+    "asym": {"A_minus": 2.0, "mu_minus": 0.7, "sigma_plus": 0.02},
+    "bulk": {"lambda_plus": 0.5, "lambda_minus": 0.3},
+    "complex-pair": {"sigma_plus": 1.0, "sigma_minus": 1.0},
+}
+SPLIT_EQS = {name: solve_equilibrium(ModelParams(**kw))
+             for name, kw in SPLIT_SETS.items()}
+# the spectrum subcommand's default grid
+DEFAULT_KS = np.logspace(-3, 2, 400)
 
 
-@st.composite
-def tie_heavy_costs(draw):
-    """4x4 costs with many ties: small integers, or one zero entry."""
-    if draw(st.booleans()):
-        vals = draw(st.lists(st.integers(0, 3), min_size=16, max_size=16))
-        return np.array(vals, dtype=float).reshape(4, 4)
-    vals = draw(st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16))
-    cost = np.array(vals).reshape(4, 4)
-    cost[draw(st.integers(0, 3)), draw(st.integers(0, 3))] = 0.0
-    return cost
+def shuffled_columns(a, seed):
+    """a with the last axis of each row in its own seeded random order."""
+    rng = np.random.default_rng(seed)
+    order = rng.permuted(np.broadcast_to(np.arange(4), a.shape), axis=-1)
+    return np.take_along_axis(a, order, axis=-1)
+
+
+def row_lambdas(rows):
+    return np.array([[complex(r[f"re_lambda{i}"], r[f"im_lambda{i}"])
+                      for i in range(1, 5)] for r in rows])
 
 
 class TestAssignment:
-    @settings(max_examples=400, deadline=None)
-    @given(tie_heavy_costs())
-    def test_port_matches_scipy(self, cost):
-        _, cols = linear_sum_assignment(cost)
-        assert sp._lsap(cost.tolist()) == list(cols)
-
-    def test_constant_cost_gives_identity(self):
-        assert sp._lsap([[1.0] * 4] * 4) == [0, 1, 2, 3]
-
-    def test_early_exit_and_port(self, monkeypatch):
-        calls = []
-        port = sp._lsap
-        monkeypatch.setattr(sp, "_lsap",
-                            lambda cost: calls.append(cost) or port(cost))
-        roots = np.array([3.0, 1j, -1j, -2.0])
-        # every label has its own strict nearest root: the row argmins
-        ref = np.array([1j, -1.9, 2.9, -1j])
-        assert np.array_equal(sp._assign(roots, ref), roots[[1, 3, 0, 2]])
-        assert calls == []
-        # two labels share a nearest root: the shortest augmenting path
-        ref = np.array([2.9, 3.1, 0.0, -2.0])
-        got = sp._assign(roots, ref)
-        assert len(calls) == 1
-        assert np.array_equal(got, scipy_assign(roots, ref))
-        # a tied row takes the port too, and a batch sends only that row
-        ref = np.array([0.0, 1j, -1j, -2.0])
-        batch = sp._assign(np.stack([roots, roots]),
-                           np.stack([ref, roots + 0.1]))
-        assert len(calls) == 2
-        assert np.array_equal(batch[0], scipy_assign(roots, ref))
-        assert np.array_equal(batch[1], roots)
-
     def test_nan_rejected(self):
         roots = np.array([np.nan, 1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             sp._assign(roots, roots)
 
     @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ], ids=["sym", "asym"])
-    def test_spectrum_sweep_labels_match_scipy(self, eq, monkeypatch):
+    def test_spectrum_sweep_labels_match_brute_force(self, eq):
         # the chained sweep of the spectrum subcommand's default grid, where
         # a changed label carries into every later row, against the per-k
-        # sweep labelled by scipy; repr round-trips floats exactly and lets
-        # the middle band's NaN errors compare equal
-        ks = np.logspace(-3, 2, 400)
-        calls = []
-        port = sp._lsap
-        monkeypatch.setattr(sp, "_lsap",
-                            lambda cost: calls.append(cost) or port(cost))
-        rows = sp.spectrum_rows(eq, ks)
-        assert len(calls) > 0     # some labels need the augmenting path
-        monkeypatch.setitem(globals(), "_assign", scipy_assign)
-        assert repr(rows) == repr(spectrum_rows(eq, ks))
+        # sweep labelled by the permutation search below; repr round-trips
+        # floats exactly and lets the middle band's NaN errors compare equal
+        assert repr(sp.spectrum_rows(eq, DEFAULT_KS)) \
+            == repr(spectrum_rows(eq, DEFAULT_KS))
+
+    @pytest.mark.parametrize("ref, roots, want", [
+        # the sound pair past its exceptional point
+        ([-2 + 0.1j, -2 - 0.1j, -0.5, -30.0], [-2.1, -0.5, -30.0, -1.9],
+         [-1.9, -2.1, -0.5, -30.0]),
+        # the diffusive pair, where disc < 0 makes it a conjugate pair
+        ([-5 + 3j, -5 - 3j, -1 + 0.1j, -1 - 0.1j],
+         [-1.1, -5 - 3j, -0.9, -5 + 3j], [-5 + 3j, -5 - 3j, -0.9, -1.1]),
+    ], ids=["sound", "diffusive"])
+    def test_conjugate_reference_split(self, ref, roots, want):
+        # a conjugate reference is equidistant from two real roots: the
+        # member with Im > 0 takes the larger Re, in any input order
+        ref, roots = np.array(ref), np.array(roots)
+        for seed in range(8):
+            got = sp._assign(shuffled_columns(roots, seed), ref)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, _assign(roots, ref))
+
+    @pytest.mark.parametrize("name", SPLIT_SETS)
+    def test_labels_ignore_root_order(self, name, monkeypatch):
+        eq = SPLIT_EQS[name]
+        rows = sp.spectrum_rows(eq, DEFAULT_KS)
+        lams = row_lambdas(rows)
+        ref, roots = lams[:-1], lams[1:]
+        want = sp._assign(roots, ref)
+        for seed in range(3):
+            assert np.array_equal(
+                sp._assign(shuffled_columns(roots, seed), ref), want)
+        # relabelling the reference relabels the result the same way
+        order = shuffled_columns(np.broadcast_to(np.arange(4), ref.shape), 7)
+        assert np.array_equal(
+            sp._assign(roots, np.take_along_axis(ref, order, axis=-1)),
+            np.take_along_axis(want, order, axis=-1))
+        quartic_roots = sp._quartic_roots
+        monkeypatch.setattr(sp, "_quartic_roots", lambda ks, eq: (
+            shuffled_columns(quartic_roots(ks, eq), 11)))
+        assert repr(sp.spectrum_rows(eq, DEFAULT_KS)) == repr(rows)
+
+    @pytest.mark.parametrize("name, k_split, lam12", [
+        ("default", 4.18, (-6.877, -10.626)),
+        ("asym", 6.27, (-13.982, -18.333)),
+        ("bulk", 3.42, (-6.128, -7.795)),
+    ], ids=["default", "asym", "bulk"])
+    def test_split_convention(self, name, k_split, lam12):
+        # on the first row after the sound pair turns real, lambda1 is the
+        # real root with the larger Re (the slower decay)
+        lams = row_lambdas(sp.spectrum_rows(SPLIT_EQS[name], DEFAULT_KS))
+        real = (lams[:, :2].imag == 0.0).all(axis=1)
+        i = int(np.argmax(real))
+        assert real[i:].all() and not real[:i].any()
+        assert DEFAULT_KS[i] == pytest.approx(k_split, abs=0.01)
+        assert lams[i, :2].real == pytest.approx(lam12, abs=1e-3)
+
+    def test_default_sweep_keeps_its_labels_at_k_max(self, tmp_path):
+        # the L1 cost tied wherever both reference roots lay on one side of
+        # both new roots, and its tie order swapped lambda1 and lambda3 on
+        # the last six rows of the default spectrum.csv
+        assert main(["--out", str(tmp_path), "spectrum"]) == 0
+        with open(tmp_path / "spectrum.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        gap = [float(r["re_lambda3"]) - float(r["re_lambda1"]) for r in rows]
+        assert len(gap) == 400
+        assert gap[393] == pytest.approx(4.085, abs=1e-3)
+        assert np.abs(np.array(gap[394:]) - gap[393]).max() < 1e-2
 
 
 class TestCharPoly:
@@ -608,7 +638,8 @@ class TestSpectrumRows:
 
 # ---------------------------------------------------------------------------
 # The per-k sweep: np.roots and one _assign call per k, verbatim as spectral
-# computed it before the batched sweep.  It is the oracle of spectrum_rows.
+# computed it before the batched sweep, with _assign a search over every
+# permutation under the stated rule.  It is the oracle of spectrum_rows.
 
 ComplexArray = np.ndarray
 
@@ -628,28 +659,32 @@ def _quartic_roots(k: float, eq: EquilibriumState) -> ComplexArray:
 
 
 def _assign(roots: ComplexArray, reference: ComplexArray) -> ComplexArray:
-    """Permute roots to minimize total distance to the reference labels.
+    """Permute the (4,) roots to the least total squared distance to the
+    reference labels.
 
-    roots and reference have shape (..., 4); each (4,) row is labelled on
-    its own.  Where every reference label has a strict unique nearest root
-    and those roots are distinct, the shortest augmenting path finds each
-    sink at once and leaves the column duals at exactly 0, so it returns
-    the row argmins; only the other rows run _lsap.
+    Both sides are sorted by decreasing Re, then decreasing Im; every
+    total within 1e-14 relative of the least is tied, and the first tied
+    permutation of the sorted sides in lexicographic order wins.
     """
-    cost = np.abs(roots[..., None, :] - reference[..., :, None])
-    flat = cost.reshape(-1, 4, 4)
-    ranked = np.sort(flat, axis=-1)
-    if np.isnan(ranked[..., -1]).any():   # sort puts NaN last
+    r = sorted(roots, key=lambda z: (-z.real, -z.imag))
+    order = sorted(range(4), key=lambda i: (-reference[i].real,
+                                            -reference[i].imag))
+    totals = {}
+    for perm in itertools.permutations(range(4)):
+        total = 0.0
+        for i, j in enumerate(perm):
+            d = r[j] - reference[order[i]]
+            total += d.real * d.real + d.imag * d.imag
+        totals[perm] = total
+    if any(math.isnan(total) for total in totals.values()):
         raise ValueError("cost matrix contains invalid numeric entries")
-    cols = flat.argmin(axis=-1)
-    # a row sets bit cols only if its minimum is strict; the four bits add
-    # up to 0b1111 only if every row sets one and no two share a column
-    direct = ((ranked[..., 0] < ranked[..., 1]) << cols).sum(axis=-1) \
-        == 0b1111
-    if not direct.all():
-        for b in np.flatnonzero(~direct):
-            cols[b] = _lsap(flat[b].tolist())
-    return np.take_along_axis(roots, cols.reshape(roots.shape), axis=-1)
+    best = min(totals.values())
+    perm = next(p for p, total in totals.items()
+                if total <= best * (1.0 + 1e-14))
+    out = np.empty(4, dtype=complex)
+    for i, j in enumerate(perm):
+        out[order[i]] = r[j]
+    return out
 
 
 def _heuristic_label(roots: ComplexArray) -> ComplexArray:

@@ -97,6 +97,20 @@ def _ref_angular_reduce(r: float, F, G, F_prim=None, splits=(),
                                      splits, rel_tol, abs_tol)
 
 
+def angular_reduce(r: float, F, G, F_prim=None, splits=(),
+                   U0: float = 64.0, rel_tol: float = 1e-7,
+                   abs_tol: float = 1e-13) -> float:
+    """The batched angular reduction at one radius r, with one-argument
+    radial functions F(z), G(u) and F_prim(z)."""
+    prim = None if F_prim is None else (lambda z, j: F_prim(z))
+    out = wc._angular_batch(
+        np.array([float(r)]), lambda z, j: F(z), lambda u, j: G(u), prim,
+        np.array([list(splits)], dtype=float).reshape(1, -1),
+        np.array([float(U0)]), rel_tol, np.array([float(abs_tol)]),
+        wc.QuadStats())
+    return float(out[0])
+
+
 def _ref_eval_spacetime_conv(case, r: float, t: float,
                              rel_tol: float = 1e-7) -> float:
     if t <= 0.0:
@@ -195,15 +209,15 @@ class TestAngularReduce:
         # e^{-|x|^2} * e^{-|x|^2} = (pi/2)^{3/2} e^{-|x|^2/2}
         F = lambda z: np.exp(-z * z)
         for r in (0.0, 0.5, 1.0, 2.5):
-            got = wc.angular_reduce(r, F, F, U0=16.0)
+            got = angular_reduce(r, F, F, U0=16.0)
             exact = (math.pi / 2.0) ** 1.5 * math.exp(-r * r / 2.0)
             assert got == pytest.approx(exact, rel=1e-8)
 
     def test_support_bound(self):
         # sharp bumps at radius 1 convolve to nothing beyond radius 2
         F = lambda z: np.exp(-((z - 1.0) / 0.1) ** 8)
-        inside = wc.angular_reduce(1.5, F, F, U0=8.0)
-        outside = wc.angular_reduce(2.6, F, F, U0=8.0)
+        inside = angular_reduce(1.5, F, F, U0=8.0)
+        outside = angular_reduce(2.6, F, F, U0=8.0)
         assert inside > 1e-3
         assert abs(outside) < 1e-10 * inside
 
@@ -213,14 +227,14 @@ class TestAngularReduce:
         exact, _ = quad(lambda u: 4 * math.pi * u * u * F(u) * G(u),
                         0.0, 30.0)
         for r in (0.0, 1e-3):
-            assert wc.angular_reduce(r, F, G, U0=16.0) == \
+            assert angular_reduce(r, F, G, U0=16.0) == \
                 pytest.approx(exact, rel=1e-6)
 
     def test_i1_closed_form(self):
         # int (1+|y|^2)^{-2} dy = pi^2
         alg = wc.WavePattern("algebraic", r_alg=2.0)
         one = lambda z: np.ones_like(np.asarray(z, dtype=float))
-        got = wc.angular_reduce(0.0, one, lambda u: alg.spatial(u, 0.0))
+        got = angular_reduce(0.0, one, lambda u: alg.spatial(u, 0.0))
         assert got == pytest.approx(math.pi ** 2, rel=1e-6)
 
 
@@ -347,10 +361,10 @@ class TestReferenceOracle:
         F = lambda z: g.spatial(z, 3.0)
         G = lambda u: s.spatial(u, 1.0)
         splits = (C_SND * 3.0, abs(r - C_SND * 3.0))
-        got = wc.angular_reduce(r, F, G, splits=splits, abs_tol=1e-12)
+        got = angular_reduce(r, F, G, splits=splits, abs_tol=1e-12)
         ref = _ref_angular_reduce(r, F, G, splits=splits, abs_tol=1e-12)
         assert got == pytest.approx(ref, rel=1e-12)
-        exact = wc.angular_reduce(r, F, G, F_prim=lambda z: g.z_primitive(
+        exact = angular_reduce(r, F, G, F_prim=lambda z: g.z_primitive(
             z, 3.0), splits=splits, abs_tol=1e-12)
         assert got == pytest.approx(exact, rel=1e-7)
 
