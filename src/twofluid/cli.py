@@ -382,8 +382,13 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     add("decay_slope_density", abs(slopes["n_p"] + 0.25), 0.05)
     add("decay_slope_momentum", abs(slopes["m_p"] + 0.75), 0.05)
     add("decay_slope_combination", abs(slopes["combo"] + 0.75), 0.05)
-    rows, _ = sim.run_simulation(eq, mode="nonlinear", n=24, L=24.0,
-                                 eps=1e-3, t_final=6.0)
+    try:
+        rows, _ = sim.run_simulation(eq, mode="nonlinear", n=24, L=24.0,
+                                     eps=1e-3, t_final=6.0)
+        lrows, lfinal = sim.run_simulation(eq, mode="linear", n=32, L=64.0,
+                                           eps=1e-3, t_final=8.0)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     scale = 1e-3 * (2 * 24.0) ** 3
     drift = max(abs(r.mass_p - rows[0].mass_p)
                 + abs(r.mass_m - rows[0].mass_m) for r in rows)
@@ -391,8 +396,6 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     mscale = max(rows[0].l2["m_p"] * (2 * 24.0) ** 1.5, 1e-30)
     drift = max(np.abs(r.momentum - rows[0].momentum).max() for r in rows)
     add("momentum_conservation", drift / mscale, 1e-10)
-    lrows, lfinal = sim.run_simulation(eq, mode="linear", n=32, L=64.0,
-                                       eps=1e-3, t_final=8.0)
     add("huygens_ring_radius",
         abs(lrows[-1].ring_r - eq.c * lfinal.t),
         math.sqrt(1.0 + lfinal.t))

@@ -4,11 +4,13 @@ Both phases obey a gamma-law pressure P = A rho^gamma.  At equilibrium the
 volume fractions fill space (alpha_plus + alpha_minus = 1) and the phase
 pressures agree, which pins a unique pair of background densities
 (rho_bar_plus, rho_bar_minus) on (1, inf) x (1, inf) with
-1/rho_bar_plus + 1/rho_bar_minus = 1.  Every coefficient of the linearized
-system (the four beta's, the scaled viscosities, the propagation speed c,
-the damping rate b1, the diffusive-pair discriminant) is derived here once
-and consumed read-only by the spectral, Green's-function, and simulation
-modules.
+1/rho_bar_plus + 1/rho_bar_minus = 1: the fraction map (R+, R-) -> (rho+,
+rho-) at R+ = R- = 1, solved by the same iteration (_match_pressures) from
+rho+ = 1 + (A-/A+)^(1/gamma+), its root when gamma+ = gamma-.  Every
+coefficient of the linearized system (the four beta's, the scaled
+viscosities, the propagation speed c, the damping rate b1, the
+diffusive-pair discriminant) is derived here once and consumed read-only
+by the spectral, Green's-function, and simulation modules.
 
 Classes:
     ModelParams       -- raw physical constants.
@@ -139,59 +141,6 @@ def validate_params(p: ModelParams) -> ModelParams:
     return p
 
 
-def _equilibrium_root(p: ModelParams) -> float:
-    """Root of phi(rho) = P_plus(rho) - P_minus(rho/(rho-1)) on (1, inf).
-
-    phi is strictly increasing (P_plus grows, the partner density
-    rho/(rho-1) falls), so a sign-change bracket plus safeguarded Newton
-    converges unconditionally.
-    """
-
-    def phi(rho: float) -> float:
-        partner = rho / (rho - 1.0)
-        return (pressure_law(rho, p.A_plus, p.gamma_plus)
-                - pressure_law(partner, p.A_minus, p.gamma_minus))
-
-    def dphi(rho: float) -> float:
-        partner = rho / (rho - 1.0)
-        dpartner = -1.0 / (rho - 1.0) ** 2
-        return (pressure_law_prime(rho, p.A_plus, p.gamma_plus)
-                - pressure_law_prime(partner, p.A_minus, p.gamma_minus)
-                * dpartner)
-
-    lo = 1.0 + 1e-9
-    hi = 2.0
-    grow = 0
-    while phi(hi) <= 0.0:
-        hi *= 2.0
-        grow += 1
-        if grow > 60:
-            raise ConvergenceError("equilibrium bracket failure: no sign change")
-    if phi(lo) >= 0.0:
-        raise ConvergenceError("equilibrium bracket failure: phi(1+) >= 0")
-
-    x = 0.5 * (lo + hi)
-    scale = abs(pressure_law(2.0, p.A_plus, p.gamma_plus)) + 1.0
-    for _ in range(200):
-        f = phi(x)
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        d = dphi(x)
-        step = f / d if d != 0.0 else math.inf
-        xn = x - step
-        if not (lo < xn < hi):
-            xn = 0.5 * (lo + hi)  # bisection safeguard
-        if abs(f) < 1e-13 * scale \
-                and abs(xn - x) < 4.0 * np.finfo(float).eps * x:
-            return xn
-        x = xn
-    if abs(phi(x)) < 1e-10 * scale:
-        return x
-    raise ConvergenceError("equilibrium Newton did not converge")
-
-
 def _common_c2(rho_p: float, rho_m: float, alpha_p: float, alpha_m: float,
                p: ModelParams) -> float:
     """Common coefficient C^2 = s+^2 s-^2 / (a- rho+ s+^2 + a+ rho- s-^2)."""
@@ -203,15 +152,16 @@ def _common_c2(rho_p: float, rho_m: float, alpha_p: float, alpha_m: float,
 def solve_equilibrium(p: ModelParams) -> EquilibriumState:
     """Solve the equal-pressure background and fill every derived field.
 
-    A derived coefficient that overflows raises ParameterError naming it.
+    The background is the fraction map at R+ = R- = 1: rho_bar+ solves
+    P_plus(x) = P_minus(x / (x - 1)) by the fraction map's iteration, from
+    x = 1 + (A-/A+)^(1/gamma+), the root when gamma+ = gamma-.  A derived
+    coefficient that overflows raises ParameterError naming it.
     """
     validate_params(p)
-    try:
-        rho_p = _equilibrium_root(p)
-    except OverflowError:
-        raise ParameterError("the pressure law A rho^gamma overflows on the "
-                             "equilibrium bracket") from None
-    rho_m = rho_p / (rho_p - 1.0)
+    one = np.ones(1)
+    start = np.array([1.0 + (p.A_minus / p.A_plus) ** (1.0 / p.gamma_plus)])
+    rho_p, rho_m = _match_pressures(one, one, start, None, p, "equilibrium")
+    rho_p, rho_m = float(rho_p[0]), float(rho_m[0])
     alpha_p = 1.0 / rho_p
     alpha_m = 1.0 / rho_m
     P = pressure_law(rho_p, p.A_plus, p.gamma_plus)
@@ -282,12 +232,13 @@ def wave_speed_alt(eq: EquilibriumState) -> float:
 
 
 def solve_fraction_map(R_plus, R_minus, p: ModelParams,
-                       eq: EquilibriumState | None = None):
+                       eq: EquilibriumState):
     """Invert the fraction densities: (R+, R-) -> (rho+, rho-, alpha+, C2).
 
     Solves the pressure-matching scalar equation
         phi(x) = P_plus(x) - P_minus(R- x / (x - R+)) = 0
-    for rho+ = x > R+.  Accepts scalars or broadcastable arrays.
+    for rho+ = x > R+ by _match_pressures, to |phi| < 1e-13 (|P| + 1) with
+    P the equilibrium pressure.  Accepts scalars or broadcastable arrays.
     Restricted to |R+- - 1| <= 0.5; outside that box (or at vacuum R <= 0,
     or for NaN) raises AdmissibilityError.
 
@@ -295,14 +246,7 @@ def solve_fraction_map(R_plus, R_minus, p: ModelParams,
     rho+ ~ rho_bar+ + a (R+ - 1) + b (R- - 1), with a and b from the
     implicit-function derivatives of phi.  With gamma+ = gamma- the map is
     affine, rho+ = R+ + (A-/A+)^(1/gamma) R-, so the start is the root and
-    the solve is one residual evaluation.  Newton runs on
-    log P_plus(x) - log P_minus(rho-), which has the same root and no pole
-    at x = R+, until |phi| < 1e-13 (P + 1); the residual that meets the
-    tolerance still gives one last step.  phi increases in x, so every
-    residual's sign bounds the root; a Newton step that is not finite or
-    leaves those bounds is replaced by bisection, and only then is the
-    upper end of the bracket sought by doubling.  Besides its four outputs
-    the solve keeps at most about six arrays of the input's size alive.
+    the solve is one residual evaluation.
     """
     Rp = np.asarray(R_plus, dtype=float)
     Rm = np.asarray(R_minus, dtype=float)
@@ -317,8 +261,6 @@ def solve_fraction_map(R_plus, R_minus, p: ModelParams,
             "admissibility violated: |R - 1| > 0.5 or not finite, outside "
             "the certified box")
 
-    if eq is None:
-        eq = solve_equilibrium(p)
     rbp, rbm = eq.rho_bar_plus, eq.rho_bar_minus
     # d rho+ / d R+- at the equilibrium, from phi_x dx + phi_R+- dR+- = 0
     den = eq.s2_plus * rbp ** 2 + eq.s2_minus * rbm ** 2
@@ -326,6 +268,33 @@ def solve_fraction_map(R_plus, R_minus, p: ModelParams,
     x *= eq.s2_minus * rbm ** 2 * rbp / den
     x += (eq.s2_minus * rbm * rbp ** 2 / den) * (Rm - 1.0)
     x += rbp
+    rho_p, rho_m = _match_pressures(Rp, Rm, x, abs(eq.pressure) + 1.0, p,
+                                    "fraction map")
+    alpha_p = Rp / rho_p
+    C2 = _common_c2(rho_p, rho_m, alpha_p, Rm / rho_m, p)
+    if scalar:
+        return (float(rho_p[0]), float(rho_m[0]), float(alpha_p[0]),
+                float(C2[0]))
+    return rho_p, rho_m, alpha_p, C2
+
+
+def _match_pressures(Rp, Rm, x, scale, p: ModelParams, what: str):
+    """(rho+, rho-) with P_plus(rho+) = P_minus(rho-), rho- = R- rho+ /
+    (rho+ - R+), cell by cell from the start rho+ = x (overwritten).
+
+    Newton runs on log P_plus(x) - log P_minus(rho-), which has the same
+    root and no pole at x = R+, until phi = P_plus - P_minus meets
+    |phi| < 1e-13 scale, and then takes one last step.  The fraction map
+    passes scale = |P_bar| + 1.  The equilibrium has no P_bar and passes
+    None, the relative test scale = P_plus(x), which holds at P << 1 too.
+    phi increases in x, so every residual's sign bounds the root; a Newton
+    step that is not finite or leaves those bounds is replaced by
+    bisection, and only then is the upper end of the bracket sought by
+    doubling.  A failed solve raises ParameterError if a residual on its
+    way was not finite (the pressure law overflows) and ConvergenceError
+    otherwise, both naming `what`.  Besides its two outputs the solve keeps
+    at most about six arrays of x's size alive.
+    """
     # partner density rho- = R- x / (x - R+) needs x > R+ throughout
     lo = Rp * (1.0 + 1e-12)
     lo += 1e-12
@@ -337,68 +306,64 @@ def solve_fraction_map(R_plus, R_minus, p: ModelParams,
         rho_m /= x - Rp
         return rho_m
 
-    def newton(x, rho_m):
-        """(Newton iterate, phi) at x; the log form's slope is
-        gamma+ / x + gamma- R+ / (x (x - R+))."""
-        xn = pressure_law(rho_m, p.A_minus, p.gamma_minus)
+    def newton(x):
+        """(Newton iterate, phi, tolerance scale) at x; the log form's
+        slope is gamma+ / x + gamma- R+ / (x (x - R+))."""
+        xn = pressure_law(partner(x), p.A_minus, p.gamma_minus)
         f = pressure_law(x, p.A_plus, p.gamma_plus)
+        s = f.copy() if scale is None else scale
         f -= xn
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.log1p(np.divide(f, xn, out=xn), out=xn)
-            slope = x - Rp
-            slope *= x
-            np.divide(p.gamma_minus * Rp, slope, out=slope)
-            slope += p.gamma_plus / x
-            xn /= slope
-        return np.subtract(x, xn, out=xn), f
+        np.log1p(np.divide(f, xn, out=xn), out=xn)
+        slope = x - Rp
+        slope *= x
+        np.divide(p.gamma_minus * Rp, slope, out=slope)
+        slope += p.gamma_plus / x
+        xn /= slope
+        return np.subtract(x, xn, out=xn), f, s
 
-    scale = abs(eq.pressure) + 1.0
-    for _ in range(100):
-        xn, f = newton(x, partner(x))
-        active = ~(np.abs(f) < 1e-13 * scale)
-        if not np.any(active):
-            # one more step from the residual in hand takes every cell from
-            # the 1e-13 tolerance to round-off
-            x = xn
-            break
-        if hi is None:
-            hi = np.full(x.shape, np.inf)
-        np.copyto(hi, x, where=f > 0.0)
-        np.copyto(lo, x, where=f <= 0.0)
-        del f
-        bad = ~np.isfinite(xn)
-        bad |= xn <= lo
-        bad |= xn >= hi
-        bad &= active
-        if np.any(bad):
-            top = bad & np.isinf(hi)
-            if np.any(top):
-                hi[top] = _bracket_top(x[top], Rp[top], Rm[top], p)
-            np.copyto(xn, 0.5 * (lo + hi), where=bad)
-        # a converged cell keeps its x: its Newton step would sit on its
-        # own bracket end and be thrown to the midpoint
-        np.copyto(x, xn, where=active)
-        del xn, bad, active
-    else:
-        f = (pressure_law(x, p.A_plus, p.gamma_plus)
-             - pressure_law(partner(x), p.A_minus, p.gamma_minus))
-        if not np.all(np.abs(f) < 1e-10 * scale):
-            raise ConvergenceError("fraction map Newton did not converge")
-    del lo, hi, f
-
-    rho_p = x
-    rho_m = partner(x)
-    alpha_p = Rp / rho_p
-    C2 = _common_c2(rho_p, rho_m, alpha_p, Rm / rho_m, p)
-    if scalar:
-        return (float(rho_p[0]), float(rho_m[0]), float(alpha_p[0]),
-                float(C2[0]))
-    return rho_p, rho_m, alpha_p, C2
+    overflow = False
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(100):
+            xn, f, s = newton(x)
+            active = ~(np.abs(f) < 1e-13 * s)
+            if not np.any(active):
+                # one more step from the residual in hand takes every cell
+                # from the 1e-13 tolerance to round-off
+                x = xn
+                break
+            overflow = overflow or not np.isfinite(f).all()
+            if hi is None:
+                hi = np.full(x.shape, np.inf)
+            np.copyto(hi, x, where=f > 0.0)
+            np.copyto(lo, x, where=f <= 0.0)
+            del f
+            bad = ~np.isfinite(xn)
+            bad |= xn <= lo
+            bad |= xn >= hi
+            bad &= active
+            if np.any(bad):
+                top = bad & np.isinf(hi)
+                if np.any(top):
+                    hi[top] = _bracket_top(x[top], Rp[top], Rm[top], p, what)
+                np.copyto(xn, 0.5 * (lo + hi), where=bad)
+            # a converged cell keeps its x: its Newton step would sit on its
+            # own bracket end and be thrown to the midpoint
+            np.copyto(x, xn, where=active)
+            del xn, bad, active
+        else:
+            _, f, s = newton(x)
+            if not np.all(np.abs(f) < 1e-10 * s):
+                if overflow or not np.isfinite(f).all():
+                    raise ParameterError("the pressure law A rho^gamma "
+                                         f"overflows on the {what} bracket")
+                raise ConvergenceError(f"{what} Newton did not converge")
+        del lo, hi, f
+        return x, partner(x)
 
 
-def _bracket_top(x, Rp, Rm, p: ModelParams):
-    """Upper ends of fraction-map brackets: from max(4 x, 8 R+), doubled
-    until phi > 0 (phi increases in x)."""
+def _bracket_top(x, Rp, Rm, p: ModelParams, what: str):
+    """Upper ends of pressure-matching brackets: from max(4 x, 8 R+),
+    doubled until phi > 0 (phi increases in x)."""
     hi = np.maximum(4.0 * x, 8.0 * Rp)
     for _ in range(80):
         f = (pressure_law(hi, p.A_plus, p.gamma_plus)
@@ -407,7 +372,7 @@ def _bracket_top(x, Rp, Rm, p: ModelParams):
         if not np.any(bad):
             return hi
         hi[bad] *= 2.0
-    raise ConvergenceError("fraction map: bracket failure")
+    raise ConvergenceError(f"{what}: bracket failure")
 
 
 def load_params(path: str) -> ModelParams:

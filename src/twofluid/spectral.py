@@ -183,9 +183,9 @@ def _newton_polish(roots, c):
     coeffs = (1.0, c3, c2, c1, c0)
     dcoeffs = (4.0, 3.0 * c3, 2.0 * c2, c1)
     for _ in range(2):
-        pv = _horner(coeffs, roots)
-        dv = _horner(dcoeffs, roots)
         with np.errstate(over="ignore", invalid="ignore"):
+            pv = _horner(coeffs, roots)
+            dv = _horner(dcoeffs, roots)
             step = np.where(dv != 0.0, pv / np.where(dv == 0.0, 1.0, dv),
                             0.0)
         roots = roots - np.where(np.isfinite(step), step, 0.0)
@@ -389,21 +389,28 @@ def mid_band_gap(eq: EquilibriumState, n_grid: int = 2000) -> float:
     """Certified uniform decay rate on the middle band.
 
     Samples max Re lambda on a uniform k-grid over [ETA1, K_CUT] and refines
-    three times around the grid maximum; returns b_mid = -max > 0 or raises.
+    three times around the grid maximum; returns b_mid = -max, which is
+    positive when the band decays.  eigvals resolves lambda only to about
+    n^2 eps |A(k)|_1 (n = 4), so a maximum that close to zero at its k says
+    nothing of its sign: ParameterError.
     """
     lo, hi, n = ETA1, K_CUT, n_grid
-    best = -np.inf
+    best, floor = -np.inf, 0.0
     for _ in range(4):
         ks = np.linspace(lo, hi, n)
-        vals = np.linalg.eigvals(symbol(ks, eq)).real.max(axis=1)
+        A = symbol(ks, eq)
+        vals = np.linalg.eigvals(A).real.max(axis=1)
         j = int(np.argmax(vals))
-        best = max(best, vals[j])
+        if vals[j] > best:
+            best = vals[j]
+            floor = 16.0 * np.finfo(float).eps * np.abs(A[j]).sum(axis=0).max()
         # refine on the two grid cells around the maximum
         lo, hi, n = ks[max(j - 1, 0)], ks[min(j + 1, n - 1)], 64
-    b_mid = -float(best)
-    if b_mid <= 0.0:
-        raise RuntimeError("middle-band spectral gap is not positive")
-    return b_mid
+    if not abs(best) > floor:
+        raise ParameterError(f"middle-band spectral gap: max Re lambda "
+                             f"{best:.3g} is within eigvals' round-off "
+                             f"{floor:.3g} of zero")
+    return -float(best)
 
 
 def _expm(M: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -92,6 +93,38 @@ def test_round_off_overflow_is_one_error_line(cfg, tmp_path):
                          env=env, capture_output=True, text=True)
     assert out.returncode == 2
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
+
+# files whose equilibrium the pressure-matching solve once refused: roots
+# near 1e5 and 1e25 and pressure laws that overflow at the start rho+ = 2
+NEWLY_SOLVED = ["gamma_minus = 100", "a_minus = 1e10", "a_plus = 1e-50",
+                "a_minus = 1e50", "gamma_plus = 1e5", "gamma_minus = 1e5"]
+
+
+@pytest.mark.parametrize("cfg", NEWLY_SOLVED)
+def test_newly_solved_files_end_in_an_exit_code(cfg, tmp_path, capsys):
+    params = tmp_path / "params.cfg"
+    params.write_text(cfg + "\n")
+    # greens fails on the complex diffusive pair (or, at a_minus = 1e50, on
+    # lost-sign growth); simulate and certify-all stop at the pre-wrap
+    # horizon or at an unresolved middle-band gap; c ~ 1.4 at a_plus =
+    # 1e-50 keeps its simulate run inside the horizon
+    runs = [(["equilibrium"], 0), (["spectrum"], 0), (["greens"], 2),
+            (["simulate", "--grid", "8", "--box", "16", "--t-final", "1"],
+             0 if cfg == "a_plus = 1e-50" else 2),
+            (["certify-all"], 2)]
+    # at a_minus = 1e50 convolve's quadrature saturates its depth cap and
+    # reports a certificate failure it did not resolve (see CHANGES.md)
+    if cfg != "a_minus = 1e50":
+        runs.append((["convolve", "--case", "K1"], 0))
+    for argv, expected in runs:
+        # a numpy warning would be a second stderr line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--params", str(params), "--out", str(tmp_path),
+                         *argv])
+        assert code == expected, argv
+        assert len(capsys.readouterr().err.splitlines()) <= 1, argv
 
 
 class TestUsageErrors:
@@ -199,6 +232,10 @@ MALFORMED = [
     ["--params", "@complex-pair", "greens", "--entry", "1,2"],
     ["--params", "@complex-pair", "greens", "--entry", "2,2"],
     ["--params", "@complex-pair", "certify-all"],
+    # c = 87 runs the simulator stage past its pre-wrap horizon
+    ["--params", "@gamma_plus=100", "certify-all"],
+    # the middle band's largest Re lambda is within eigvals' round-off
+    ["--params", "@mu_plus=1e50", "certify-all"],
 ]
 
 # sigma_plus = sigma_minus = 1 makes the diffusive-pair discriminant negative

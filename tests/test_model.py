@@ -28,6 +28,7 @@ from twofluid.model import (
 )
 
 SYM = ModelParams()  # mu=1, lambda=0, sigma=0.01, A=1, gamma=2 both phases
+SYM_EQ = solve_equilibrium(SYM)
 
 
 def bisect_equilibrium(p: ModelParams, iters: int = 200) -> float:
@@ -99,14 +100,13 @@ class TestValidateParams:
 
 class TestSolveEquilibrium:
     def test_symmetric_closed_form(self):
+        # gamma+ = gamma-: the equilibrium solve starts at its root, 2
         eq = solve_equilibrium(SYM)
-        assert eq.rho_bar_plus == pytest.approx(2.0, abs=1e-12)
-        assert eq.rho_bar_minus == pytest.approx(2.0, abs=1e-12)
-        assert eq.alpha_bar_plus == pytest.approx(0.5, abs=1e-13)
+        assert eq.rho_bar_plus == eq.rho_bar_minus == 2.0
+        assert eq.alpha_bar_plus == eq.alpha_bar_minus == 0.5
+        assert eq.beta1 == eq.beta2 == eq.beta3 == eq.beta4 == 2.0
         assert eq.s2_plus == pytest.approx(4.0, abs=1e-11)
         assert eq.C2 == pytest.approx(2.0, abs=1e-11)
-        for b in (eq.beta1, eq.beta2, eq.beta3, eq.beta4):
-            assert b == pytest.approx(2.0, abs=1e-11)
         assert eq.c == pytest.approx(2.0, abs=1e-11)
         assert eq.nu1_plus == pytest.approx(0.5, abs=1e-12)
         assert eq.nu2_minus == pytest.approx(0.5, abs=1e-12)
@@ -131,11 +131,18 @@ class TestSolveEquilibrium:
         assert eq.alpha_bar_plus == pytest.approx(math.sqrt(2) - 1, abs=1e-11)
 
     def test_against_bisection_oracle(self):
-        p = ModelParams(A_plus=0.7, A_minus=1.9, gamma_plus=1.4,
-                        gamma_minus=2.6, mu_plus=0.3, mu_minus=2.0)
-        eq = solve_equilibrium(p)
-        assert eq.rho_bar_plus == pytest.approx(bisect_equilibrium(p),
-                                                rel=1e-12)
+        for p in (ModelParams(A_plus=0.7, A_minus=1.9, gamma_plus=1.4,
+                              gamma_minus=2.6, mu_plus=0.3, mu_minus=2.0),
+                  # the pressure law overflows on a doubling bracket from
+                  # 2, Newton alone stalls, and a root lies beyond 2^61
+                  ModelParams(gamma_minus=100.0), ModelParams(A_minus=1e10),
+                  ModelParams(A_plus=1e-50),
+                  # P+ ~ 1e-14 at the start: a tolerance with an absolute
+                  # floor would accept it after one step, 0.9 % off the root
+                  ModelParams(A_plus=1e-14, A_minus=1e-14, gamma_minus=2.6)):
+            eq = solve_equilibrium(p)
+            assert eq.rho_bar_plus == pytest.approx(bisect_equilibrium(p),
+                                                    rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(valid_params_strategy())
@@ -157,17 +164,32 @@ class TestSolveEquilibrium:
         assert abs(eq.c ** 2 - (eq.beta1 + eq.beta4)) <= 1e-12 * eq.c ** 2
 
 
+# the defaults, the simulator tests' asymmetric set, and a set far from
+# equal exponents whose corners need the bisection fallback
+FRACTION_SETS = {
+    "default": SYM,
+    "asym": ModelParams(mu_minus=2.0, lambda_plus=0.5, lambda_minus=1.5,
+                        sigma_plus=0.02, A_minus=2.0, gamma_minus=1.6),
+    "far": ModelParams(gamma_plus=1.2, gamma_minus=3.0, A_plus=0.5,
+                       A_minus=2.0),
+}
+
+
 class TestFractionMap:
     def test_unit_fractions_reproduce_equilibrium(self):
-        eq = solve_equilibrium(SYM)
-        rho_p, rho_m, alpha_p, C2 = solve_fraction_map(1.0, 1.0, SYM)
-        assert rho_p == pytest.approx(eq.rho_bar_plus, abs=1e-12)
-        assert rho_m == pytest.approx(eq.rho_bar_minus, abs=1e-12)
-        assert alpha_p == pytest.approx(eq.alpha_bar_plus, abs=1e-13)
-        assert C2 == pytest.approx(eq.C2, abs=1e-11)
+        # one solver: the equilibrium is the fraction map at R+ = R- = 1
+        for p in FRACTION_SETS.values():
+            eq = solve_equilibrium(p)
+            rho_p, rho_m, alpha_p, C2 = solve_fraction_map(1.0, 1.0, p, eq)
+            assert abs(rho_p - eq.rho_bar_plus) \
+                <= 2.0 * np.spacing(eq.rho_bar_plus)
+            assert abs(rho_m - eq.rho_bar_minus) \
+                <= 2.0 * np.spacing(eq.rho_bar_minus)
+            assert alpha_p == pytest.approx(eq.alpha_bar_plus, rel=1e-15)
+            assert C2 == pytest.approx(eq.C2, rel=1e-14)
 
     def test_off_equilibrium_residuals(self):
-        rho_p, rho_m, alpha_p, _ = solve_fraction_map(1.1, 0.9, SYM)
+        rho_p, rho_m, alpha_p, _ = solve_fraction_map(1.1, 0.9, SYM, SYM_EQ)
         # defining equations as the oracle
         assert 1.1 / rho_p + 0.9 / rho_m == pytest.approx(1.0, abs=1e-12)
         Pp = pressure_law(rho_p, SYM.A_plus, SYM.gamma_plus)
@@ -177,11 +199,11 @@ class TestFractionMap:
 
     def test_vacuum_rejected(self):
         with pytest.raises(AdmissibilityError):
-            solve_fraction_map(0.0, 1.0, SYM)
+            solve_fraction_map(0.0, 1.0, SYM, SYM_EQ)
 
     def test_far_from_equilibrium_rejected(self):
         with pytest.raises(AdmissibilityError):
-            solve_fraction_map(1.6, 1.0, SYM)
+            solve_fraction_map(1.6, 1.0, SYM, SYM_EQ)
 
     def test_nan_rejected_before_newton(self, monkeypatch):
         calls = []
@@ -194,17 +216,18 @@ class TestFractionMap:
         Rp = np.ones(8)
         Rp[3] = np.nan
         with pytest.raises(AdmissibilityError):
-            solve_fraction_map(Rp, np.ones(8), SYM)
+            solve_fraction_map(Rp, np.ones(8), SYM, SYM_EQ)
         with pytest.raises(AdmissibilityError):
-            solve_fraction_map(1.0, np.inf, SYM)
+            solve_fraction_map(1.0, np.inf, SYM, SYM_EQ)
         assert calls == []
 
     def test_array_matches_scalar(self):
         Rp = np.array([0.95, 1.0, 1.12])
         Rm = np.array([1.05, 1.0, 0.9])
-        rho_p, rho_m, alpha_p, C2 = solve_fraction_map(Rp, Rm, SYM)
+        rho_p, rho_m, alpha_p, C2 = solve_fraction_map(Rp, Rm, SYM, SYM_EQ)
         for i in range(3):
-            ref = solve_fraction_map(float(Rp[i]), float(Rm[i]), SYM)
+            ref = solve_fraction_map(float(Rp[i]), float(Rm[i]), SYM,
+                                     SYM_EQ)
             assert rho_p[i] == pytest.approx(ref[0], rel=1e-12)
             assert C2[i] == pytest.approx(ref[3], rel=1e-12)
 
@@ -247,17 +270,6 @@ def bisect_fraction_map(Rp: float, Rm: float, p: ModelParams) -> float:
             hi = mid
         else:
             lo = mid
-
-
-# the defaults, the simulator tests' asymmetric set, and a set far from
-# equal exponents whose corners need the bisection fallback
-FRACTION_SETS = {
-    "default": SYM,
-    "asym": ModelParams(mu_minus=2.0, lambda_plus=0.5, lambda_minus=1.5,
-                        sigma_plus=0.02, A_minus=2.0, gamma_minus=1.6),
-    "far": ModelParams(gamma_plus=1.2, gamma_minus=3.0, A_plus=0.5,
-                       A_minus=2.0),
-}
 
 
 class TestFractionMapGrid:
@@ -304,7 +316,8 @@ class TestFractionMapGrid:
 
         monkeypatch.setattr(model, "_bracket_top", spy)
         p = FRACTION_SETS["far"]
-        rho_p, _, _, _ = solve_fraction_map(*self.GRID, p)
+        rho_p, _, _, _ = solve_fraction_map(*self.GRID, p,
+                                            solve_equilibrium(p))
         assert sum(tops) > 0
         Rp, Rm = self.GRID
         assert rho_p[0, 0] == pytest.approx(
