@@ -319,7 +319,7 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     add("fraction_map_roundtrip", _fraction_map_roundtrip(eq), 1e-10)
 
     # spectrum
-    lam = spectral.eigen_branches(1e-3, eq).lambdas
+    lam = spectral.branches(1e-3, eq)[0]
     ref = spectral.low_freq_expansion(1e-3, eq)
     add("low_freq_expansion", float(np.abs(lam - ref).max()), 1e-8)
     gap = spectral.mid_band_gap(eq)

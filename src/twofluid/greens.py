@@ -119,13 +119,6 @@ def tensor_kind(i: int, j: int) -> str:
     return "riesz_matrix"
 
 
-def branch_lambdas(ks: np.ndarray, eq: EquilibriumState) -> np.ndarray:
-    """Labeled eigenvalue branches on a k-grid, shape (nk, 4)."""
-    ks = np.asarray(ks, dtype=float)
-    raw = np.linalg.eigvals(spectral.symbol(ks, eq))
-    return spectral._assign(raw, spectral.low_freq_expansion(ks, eq))
-
-
 # ---------------------------------------------------------------------------
 # radial inverse transforms
 
@@ -281,7 +274,7 @@ class GreenReconstructor:
         self.kl, self.km = low.nodes, mid.nodes
         self.chi_l = chi_low(self.kl)
         self.mu_m = self._mid_window(self.km)
-        self.lam_l = branch_lambdas(self.kl, eq)
+        self.lam_l = spectral.branches(self.kl, eq)
         self.k_all = np.concatenate([self.kl, self.km])
         self.window = np.concatenate([self.chi_l, self.mu_m])
         (self.MP, self.MM, self.M3r, self.M3s,
@@ -325,7 +318,7 @@ class GreenReconstructor:
         low = flat <= ETA1
         if low.any():
             kl = np.maximum(flat[low], 1e-10)
-            lam = branch_lambdas(kl, self.eq)
+            lam = spectral.branches(kl, self.eq)
             out[low] += self._leading_profile(i, j, kl, lam, t) * chi_low(kl)
 
         mid = (flat > 0.5 * ETA1) & (flat < 1.2 * K_CUT)

@@ -155,7 +155,7 @@ def solve_equilibrium(p: ModelParams) -> EquilibriumState:
     The background is the fraction map at R+ = R- = 1: rho_bar+ solves
     P_plus(x) = P_minus(x / (x - 1)) by the fraction map's iteration, from
     x = 1 + (A-/A+)^(1/gamma+), the root when gamma+ = gamma-.  A derived
-    coefficient that overflows raises ParameterError naming it.
+    coefficient that overflows (or C2 underflowing) raises ParameterError.
     """
     validate_params(p)
     one = np.ones(1)
@@ -182,6 +182,9 @@ def solve_equilibrium(p: ModelParams) -> EquilibriumState:
     num = nu1m + nu2m
 
     c2 = beta1 + beta4
+    # NaN fails neither test: it is named as an overflow below
+    if C2 <= 0.0 or c2 <= 0.0:
+        raise ParameterError("derived coefficient C2 underflows")
     c = math.sqrt(c2)
     b1 = (beta1 * nup + beta4 * num) / (2.0 * c2)
     try:
@@ -291,9 +294,10 @@ def _match_pressures(Rp, Rm, x, scale, p: ModelParams, what: str):
     step that is not finite or leaves those bounds is replaced by
     bisection, and only then is the upper end of the bracket sought by
     doubling.  A failed solve raises ParameterError if a residual on its
-    way was not finite (the pressure law overflows) and ConvergenceError
-    otherwise, both naming `what`.  Besides its two outputs the solve keeps
-    at most about six arrays of x's size alive.
+    way was not finite (the pressure law overflows) or the root lies below
+    the bracket's first lower end, and ConvergenceError otherwise, all
+    naming `what`.  Besides its two outputs the solve keeps at most about
+    six arrays of x's size alive.
     """
     # partner density rho- = R- x / (x - R+) needs x > R+ throughout
     lo = Rp * (1.0 + 1e-12)
@@ -356,6 +360,11 @@ def _match_pressures(Rp, Rm, x, scale, p: ModelParams, what: str):
                 if overflow or not np.isfinite(f).all():
                     raise ParameterError("the pressure law A rho^gamma "
                                          f"overflows on the {what} bracket")
+                # phi > 0 at the first lower end: the root lies below it
+                if np.any(lo <= Rp * (1.0 + 1e-12) + 1e-12):
+                    raise ParameterError(f"{what}: rho+ - R+ is below 1e-12 "
+                                         "(R+ + 1), beyond float resolution: "
+                                         "rho- is not representable")
                 raise ConvergenceError(f"{what} Newton did not converge")
         del lo, hi, f
         return x, partner(x)

@@ -3,13 +3,24 @@
 After the Hodge split the linear system reduces, per wavenumber magnitude k,
 to a real 4x4 matrix A(k) acting on (n_plus, phi_plus, n_minus, phi_minus),
 where phi is the scalar potential amplitude of the compressible momentum.
-This module builds A(k), its characteristic quartic, exact eigenvalue
-branches with spectral projectors, and the closed-form low- and
-high-frequency expansions, plus the certified middle-band decay gap and the
+This module builds A(k), its characteristic quartic, the labelled
+eigenvalue branches and their projectors, the closed-form low- and
+high-frequency expansions, the certified middle-band decay gap, and the
 semigroup e^{tA(k)} from a decomposition of a k-grid (decompose_symbol),
 built once and applied per t.  Projectors and semigroup use closed-form
 eigenvectors (see _right and _left): no eigenvector matrix is formed or
-inverted.
+inverted.  scipy is imported only for expm on ill-conditioned modes.
+
+The eigenvalues have two sources.  branches and spectrum_rows take the
+Newton-polished roots of the quartic (_quartic_roots), which hold the
+diffusive pair lambda3,4 ~ lambda3,4_tilde k^2 to relative round-off at
+small k, where eigvals of A(k) is off by eps |A(k)| ~ eps k.
+decompose_symbol and mid_band_gap take eigvals(A(k)), whose roots are
+backward stable for the rounded matrix: the test s that routes a mode to
+expm and the gap's 16 eps |A(k)|_1 floor assume it.  The polished roots
+have no such bound where A(k) is badly scaled: at mu_plus = 1e50 they put
+the middle band's largest Re lambda at +61, a false growth, where eigvals'
+round-off leaves its sign unknown and the file is refused.
 
 Roots are labelled against a reference (the previous k of a sweep, or a
 closed-form expansion) by the assignment of least total squared distance
@@ -21,17 +32,6 @@ and a tie has one stated outcome: where a conjugate reference pair meets
 two real roots (it is equidistant from both), the member with Im > 0 takes
 the real root with the larger Re, the slower decay.  This holds for the
 sound pair past its exceptional point and for the diffusive pair alike.
-scipy is imported only for expm on ill-conditioned modes.
-
-The spectrum sweep (spectrum_rows) is one batch, bitwise equal to chaining
-the per-k labelling over the grid: one np.linalg.eigvals call solves every
-quartic's companion matrix, as np.roots builds it, and the Newton polish
-runs on all roots at once.  A k is labelled against the last
-non-degenerate k before it, and the degenerate flag depends on the roots
-alone, so every reference is known before any label.  The assignment runs
-on all (k, unlabelled reference) pairs in one call, since it does not
-depend on the reference's order, and one walk over the grid composes each
-k's permutation with its reference's.
 
 The branch convention: lambda1/lambda2 are the sound pair (complex conjugate
 with Im lambda1 >= 0 at small k), lambda3/lambda4 the diffusive pair with
@@ -68,14 +68,6 @@ def band_of(k: float) -> str:
     if k >= K_CUT:
         return "high"
     return "middle"
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    lambdas: ComplexArray          # shape (4,), branch-labeled
-    projectors: ComplexArray | None  # shape (4,4,4) or None when degenerate
-    degenerate_flag: bool
-    band: str
 
 
 def symbol(k, eq: EquilibriumState) -> np.ndarray:
@@ -149,17 +141,16 @@ def high_freq_expansion(k, eq: EquilibriumState) -> ComplexArray:
 
 
 def high_freq_rel_err(k: float, eq: EquilibriumState) -> np.ndarray:
-    """Deviation of exact roots from the high-frequency formula.
+    """Deviation of each exact root from the nearest root of the
+    high-frequency formula, in no branch order.
 
     The formula's remainder is O(1) uniformly in k, so the deviation is
     normalized by the spectral scale max |lambda| (a per-root normalization
     would diverge-test the slow pair against its own O(1) remainder).
     """
-    pt = eigen_branches(k, eq)
+    roots = _quartic_roots(k, eq)[0]
     approx = high_freq_expansion(k, eq)
-    scale = np.abs(pt.lambdas).max()
-    return np.array([np.min(np.abs(approx - lam)) / scale
-                     for lam in pt.lambdas])
+    return np.abs(approx - roots[:, None]).min(axis=1) / np.abs(roots).max()
 
 
 def _horner(coeffs, x):
@@ -286,68 +277,46 @@ def _first_cols(ks: np.ndarray, roots: ComplexArray,
     """Label order of (nk, 4) roots with no previous k: against the band's
     closed-form expansion, by a heuristic in the middle band."""
     cols = np.empty(roots.shape, dtype=int)
-    bands = [band_of(k) for k in ks.tolist()]
-    for band, expansion in (("low", low_freq_expansion),
-                            ("high", high_freq_expansion)):
-        rows = [i for i, b in enumerate(bands) if b == band]
-        if rows:
+    low, high = ks <= ETA1, ks >= K_CUT
+    for rows, expansion in ((low, low_freq_expansion),
+                            (high, high_freq_expansion)):
+        if rows.any():
             cols[rows] = _assign_cols(roots[rows], expansion(ks[rows], eq))
-    for i, b in enumerate(bands):
-        if b == "middle":
-            cols[i] = _heuristic_order(roots[i])
+    for i in np.flatnonzero(~(low | high)):
+        cols[i] = _heuristic_order(roots[i])
     return cols
 
 
-def _root_gaps(roots: ComplexArray):
-    """Smallest pairwise root distance of each (..., 4) row and the
-    degenerate flag; neither depends on the order of the roots."""
+def _degenerate(roots: ComplexArray) -> np.ndarray:
+    """Whether two roots of a (..., 4) row lie within DEGENERACY_REL
+    (1 + max |root|) of each other; no order of the roots changes it."""
     gaps = np.abs(roots[..., :, None] - roots[..., None, :])
     gaps[..., range(4), range(4)] = np.inf
-    gap = gaps.min(axis=(-2, -1))
-    max_abs = np.abs(roots).max(axis=-1)
-    return gap, gap < DEGENERACY_REL * (1.0 + max_abs)
+    return gaps.min(axis=(-2, -1)) \
+        < DEGENERACY_REL * (1.0 + np.abs(roots).max(axis=-1))
 
 
-def _labelled_roots(k: float, eq: EquilibriumState,
-                    prev: ComplexArray | None):
-    """Branch-labelled roots at k, their smallest gap and the degenerate flag.
-
-    prev holds the labels at the previous k of a sweep, or None to label
-    against the band's closed-form expansion (by a heuristic in the middle
-    band).
-    """
-    if k == 0.0:
-        return np.zeros(4, dtype=complex), 0.0, True
-    roots = _quartic_roots(k, eq)[0]
-    if prev is not None:
-        lams = _assign(roots, prev)
-    else:
-        lams = roots[_first_cols(np.array([k]), roots[None], eq)[0]]
-    gap, degenerate = _root_gaps(lams)
-    return lams, float(gap), bool(degenerate)
+def branches(ks, eq: EquilibriumState) -> ComplexArray:
+    """Branch-labelled eigenvalues of A(k) at each k of a scalar or 1-D ks,
+    shape (nk, 4): the polished quartic roots, labelled against the band's
+    closed-form expansion (by a heuristic in the middle band).  k = 0 gives
+    four zeros."""
+    ks = np.atleast_1d(np.asarray(ks, dtype=float))
+    roots = _quartic_roots(ks, eq)
+    return np.take_along_axis(roots, _first_cols(ks, roots, eq), axis=-1)
 
 
-def eigen_branches(k: float, eq: EquilibriumState,
-                   prev: SpectralPoint | None = None,
-                   force_projectors: bool = False) -> SpectralPoint:
-    """Exact eigenvalues, branch labels, and spectral projectors at one k.
-
-    Projector l is v_l w_l^T / (w_l^T v_l) (see _right and _left).  The
-    degenerate flag marks near-coincident roots; force_projectors still
-    builds the (possibly ill-conditioned) projectors there, which
-    diagnostic code wants at very small k where the diffusive pair gap
-    closes like k^2.
-    """
-    k = float(k)
-    lams, gap, degenerate = _labelled_roots(
-        k, eq, None if prev is None else prev.lambdas)
-
-    projectors = None
-    if not degenerate or (force_projectors and gap > 0.0):
-        v, w = _vectors(k, lams, _q_plus(k, lams, eq), eq)
-        projectors = np.einsum("il,jl->lij", v, w / (v * w).sum(axis=0))
-    return SpectralPoint(lambdas=lams, projectors=projectors,
-                         degenerate_flag=degenerate, band=band_of(k))
+def projectors(ks, lam, eq: EquilibriumState) -> ComplexArray:
+    """Spectral projectors v_l w_l^T / (w_l^T v_l) at the eigenvalues lam
+    (nk, 4) of A(k), ks scalar or 1-D; shape (nk, 4, 4, 4), [n, l] that of
+    lam[n, l].  Ill-conditioned at near-coincident roots (the diffusive
+    pair's gap closes like k^2); not finite, without numpy's warnings, at a
+    double root (w^T v = 0) or an overflow."""
+    k = np.atleast_1d(np.asarray(ks, dtype=float))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v, w = _vectors(k, lam, _q_plus(k, lam, eq), eq)
+        w = w / (v * w).sum(axis=-2, keepdims=True)
+        return np.einsum("nil,njl->nlij", v, w)
 
 
 def singular_projector_coeffs(eq: EquilibriumState, k: float):
@@ -355,18 +324,16 @@ def singular_projector_coeffs(eq: EquilibriumState, k: float):
 
     Entries of P3/P4 in columns 2 and 4 blow up like a/k; the coefficient a
     is extracted by a two-point fit at k and k/2 (which cancels the regular
-    part).  Returns a pair of 4x4 complex coefficient matrices.
+    part).  Returns a pair of 4x4 complex coefficient matrices; projectors
+    that are not finite raise ParameterError.
     """
-    P = {}
-    for kk in (k, 0.5 * k):
-        pt = eigen_branches(kk, eq, force_projectors=True)
-        if pt.projectors is None:
-            raise RuntimeError("projectors unavailable (exact degeneracy)")
-        P[kk] = pt.projectors
+    ks = np.array([k, 0.5 * k])
+    P = projectors(ks, branches(ks, eq), eq)
+    if not np.isfinite(P).all():
+        raise ParameterError(f"the diffusive projectors at k = {k:g} are "
+                             "not finite at these parameters")
     scale = 1.0 / (2.0 / k - 1.0 / k)
-    a3 = (P[0.5 * k][2] - P[k][2]) * scale
-    a4 = (P[0.5 * k][3] - P[k][3]) * scale
-    return a3, a4
+    return (P[1, 2] - P[0, 2]) * scale, (P[1, 3] - P[0, 3]) * scale
 
 
 def singular_combination_residual(eq: EquilibriumState, k: float) -> float:
@@ -555,15 +522,16 @@ def decompose_symbol(ks: np.ndarray,
 def spectrum_rows(eq: EquilibriumState, k_grid: np.ndarray) -> list[dict]:
     """Continuity-chained sweep producing one report row per k.
 
-    The labels are those of _labelled_roots chained over the grid, each k
-    against the last non-degenerate k before it (its reference), computed
-    in one batch (see the module docstring).  The rows need only the
-    labelled roots, so the projectors eigen_branches would build are
-    skipped.
+    A k is labelled against the last non-degenerate k before it (its
+    reference), or as branches labels it where there is none.  The
+    degenerate flag depends on the roots alone, so every reference is known
+    before any label: one assignment call labels all (k, unlabelled
+    reference) pairs, and one walk over the grid composes each k's
+    permutation with its reference's.
     """
     ks = np.asarray(k_grid, dtype=float)
     roots = _quartic_roots(ks, eq)
-    _, degenerate = _root_gaps(roots)
+    degenerate = _degenerate(roots)
     last = np.maximum.accumulate(np.where(degenerate, -1, np.arange(ks.size)))
     ref = np.full(ks.size, -1)
     ref[1:] = last[:-1]

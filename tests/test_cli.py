@@ -17,8 +17,8 @@ import twofluid
 from twofluid import cli, sim
 from twofluid.cli import (_check_record, _equilibrium_metrics,
                           _fraction_map_roundtrip, main)
-from twofluid.model import (AdmissibilityError, ConvergenceError,
-                            ModelParams, solve_equilibrium)
+from twofluid.model import (_CONFIG_KEYS, AdmissibilityError,
+                            ConvergenceError, ModelParams, solve_equilibrium)
 
 
 def read_json(path):
@@ -124,6 +124,29 @@ def test_newly_solved_files_end_in_an_exit_code(cfg, tmp_path, capsys):
             code = main(["--params", str(params), "--out", str(tmp_path),
                          *argv])
         assert code == expected, argv
+        assert len(capsys.readouterr().err.splitlines()) <= 1, argv
+
+
+# each field of a parameter file at 1e-300, 1e-50, 1e50 and 1e300 (gamma at
+# 1.0000001 in place of the small values, since it must exceed 1), and an
+# underflowing C2
+EXTREME = list(dict.fromkeys(
+    f"{key} = {1.0000001 if key.startswith('gamma') and v < 1.0 else v!r}"
+    for key in _CONFIG_KEYS for v in (1e-300, 1e-50, 1e50, 1e300)))
+EXTREME.append("a_plus = 1e-300\na_minus = 1e-300\ngamma_minus = 2.6")
+
+
+@pytest.mark.parametrize("cfg", EXTREME, ids=lambda c: c.replace("\n", ", "))
+def test_extreme_files_end_in_an_exit_code(cfg, tmp_path, capsys):
+    params = tmp_path / "params.cfg"
+    params.write_text(cfg + "\n")
+    for argv in (["equilibrium"], ["spectrum", "--n-k", "50"]):
+        # a numpy warning would be a second stderr line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--params", str(params), "--out", str(tmp_path),
+                         *argv])
+        assert code in (0, 1, 2), argv
         assert len(capsys.readouterr().err.splitlines()) <= 1, argv
 
 
@@ -236,6 +259,12 @@ MALFORMED = [
     ["--params", "@gamma_plus=100", "certify-all"],
     # the middle band's largest Re lambda is within eigvals' round-off
     ["--params", "@mu_plus=1e50", "certify-all"],
+    # C2 = s+^2 s-^2 / (...) underflows to zero
+    ["--params", "@a_plus=1e-300;a_minus=1e-300;gamma_minus=2.6",
+     "equilibrium"],
+    # rho_bar+ - 1 ~ 1e-25 is below float spacing: rho_bar- is not
+    # representable
+    ["--params", "@a_plus=1e50", "equilibrium"],
 ]
 
 # sigma_plus = sigma_minus = 1 makes the diffusive-pair discriminant negative
@@ -244,12 +273,13 @@ COMPLEX_PAIR = "sigma_plus = 1.0\nsigma_minus = 1.0\n"
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
 def test_malformed_input_is_a_usage_error(argv, tmp_path, capsys):
-    # "@key=value" names a one-line parameter file
+    # "@key=value;key=value" names a parameter file of one line per pair
     cfg = tmp_path / "params.cfg"
     for a in argv:
         if a.startswith("@"):
-            cfg.write_text(COMPLEX_PAIR if a == "@complex-pair"
-                           else a[1:].replace("=", " = ") + "\n")
+            cfg.write_text(COMPLEX_PAIR if a == "@complex-pair" else
+                           a[1:].replace("=", " = ").replace(";", "\n")
+                           + "\n")
     argv = [str(cfg) if a.startswith("@") else a for a in argv]
     assert main(["--out", str(tmp_path), *argv]) == 2
     err = capsys.readouterr().err

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import linear_sum_assignment
 from scipy.special import erf
 
 from twofluid.model import ModelParams, solve_equilibrium
 from twofluid import greens, spectral
 from twofluid.waveconv import WavePattern
+
+from test_spectral import _labelled_roots
 
 SYM_EQ = solve_equilibrium(ModelParams())
 ASYM_EQ = solve_equilibrium(ModelParams(A_minus=2.0, mu_minus=0.7,
@@ -380,8 +381,8 @@ class TestCoefficientMatrices:
         k = 1e-3
         for eq in (SYM_EQ, ASYM_EQ):
             MP, MM, M3r, M3s, M4r, M4s = greens.coefficient_matrices(eq)
-            pt = spectral.eigen_branches(k, eq, force_projectors=True)
-            P1, P3, P4 = pt.projectors[0], pt.projectors[2], pt.projectors[3]
+            P = spectral.projectors(k, spectral.branches(k, eq), eq)[0]
+            P1, P3, P4 = P[0], P[2], P[3]
             assert np.abs(2 * P1.real - MP).max() < 5e-3
             assert np.abs(P3 - (M3r + M3s / k)).max() < 5e-3 / k * 1e-2
             assert np.abs(P4 - (M4r + M4s / k)).max() < 5e-3 / k * 1e-2
@@ -448,17 +449,32 @@ class TestReconstruction:
 
     @pytest.mark.parametrize("recon", ["sym_recon", "asym_recon"])
     def test_batched_labels_match_per_node_loop(self, recon, request):
-        # branch_lambdas as it was: one linear_sum_assignment per node
+        # spectral.branches against the per-k oracle of the spectral tests
+        # (np.roots, the permutation search, no previous k): the low grid,
+        # every eighth node of the middle grid (all three bands) and a
+        # high-band grid
         rec = request.getfixturevalue(recon)
-        raw = np.linalg.eigvals(spectral.symbol(rec.kl, rec.eq))
-        ref = spectral.low_freq_expansion(rec.kl, rec.eq)
-        want = np.empty_like(raw)
-        for i in range(len(rec.kl)):
-            cost = np.abs(raw[i][None, :] - ref[i][:, None])
-            _, cols = linear_sum_assignment(cost)
-            want[i] = raw[i][cols]
-        assert np.array_equal(greens.branch_lambdas(rec.kl, rec.eq), want)
-        assert np.array_equal(rec.lam_l, want)
+        for ks in (rec.kl, rec.km[::8], np.geomspace(spectral.K_CUT, 1e3,
+                                                     200)):
+            want = [_labelled_roots(k, rec.eq, None)[0] for k in ks.tolist()]
+            assert np.array_equal(spectral.branches(ks, rec.eq), want)
+        assert np.array_equal(rec.lam_l, spectral.branches(rec.kl, rec.eq))
+
+    @pytest.mark.parametrize("kw", [
+        {}, dict(A_minus=2.0, mu_minus=0.7, sigma_plus=0.02),
+        dict(lambda_plus=0.5, lambda_minus=0.3)],
+        ids=["default", "asym", "bulk"])
+    def test_low_grid_diffusive_pair_to_round_off(self, kw):
+        # lambda3,4 = lambda3,4_tilde k^2 (1 + O(k^2)); below k = 1e-3 the
+        # eigenvalues of A(k), off by eps |A(k)| ~ eps k, missed it by up to
+        # 1.9e-3 relative, the polished quartic roots by at most 6e-10
+        eq = solve_equilibrium(ModelParams(**kw))
+        rec = greens.GreenReconstructor(eq, mid_panels=1)
+        k = rec.kl[rec.kl < 1e-3]
+        want = np.array([eq.lam3_tilde, eq.lam4_tilde]) * k[:, None] ** 2
+        got = rec.lam_l[:k.size, 2:]
+        assert k.size > 10
+        assert np.abs(got / want - 1.0).max() <= 1e-8
 
     @pytest.mark.parametrize("recon", ["sym_recon", "asym_recon"])
     def test_mid_semigroup_matches_fresh_batch(self, recon, request):
@@ -541,7 +557,7 @@ class TestWavePatterns:
         _, _, _, M3s, _, M4s = greens.coefficient_matrices(eq)
 
         def prof(k, t):
-            lam = greens.branch_lambdas(k, eq)
+            lam = spectral.branches(k, eq)
             return (M3s[0, 1] * np.exp(lam[:, 2] * t).real
                     + M4s[0, 1] * np.exp(lam[:, 3] * t).real) / k
 

@@ -97,6 +97,18 @@ class TestValidateParams:
         with pytest.raises(ParameterError, match="pressure law"):
             solve_equilibrium(ModelParams(gamma_plus=1e30))
 
+    def test_underflowing_coefficient_named(self):
+        # s+^2 s-^2 ~ 1e-600 underflows, and b1 = ... / (2 c^2) divided by 0
+        with pytest.raises(ParameterError, match="C2 underflows"):
+            solve_equilibrium(ModelParams(A_plus=1e-300, A_minus=1e-300,
+                                          gamma_minus=2.6))
+
+    def test_unresolved_partner_density_named(self):
+        # rho_bar+ = 1 + 1e-25 rounds to 1: rho_bar- = rho_bar+ /
+        # (rho_bar+ - 1) has no float value, and no Newton iterate converges
+        with pytest.raises(ParameterError, match="not representable"):
+            solve_equilibrium(ModelParams(A_plus=1e50))
+
 
 class TestSolveEquilibrium:
     def test_symmetric_closed_form(self):

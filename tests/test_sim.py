@@ -12,7 +12,7 @@ import pytest
 
 from twofluid.model import (AdmissibilityError, ModelParams,
                             solve_equilibrium, solve_fraction_map)
-from twofluid.spectral import decompose_symbol, eigen_branches
+from twofluid.spectral import branches, decompose_symbol, projectors
 from twofluid import sim
 
 EQ = solve_equilibrium(ModelParams())
@@ -265,12 +265,13 @@ class TestLinearPath:
     def test_projector_filtering(self):
         # data in a single spectral branch evolves by a scalar exponential
         k = 0.05
-        sp = eigen_branches(k, EQ)
-        v = sp.projectors[2] @ np.array([1.0, 0.3, -0.2, 0.5], dtype=complex)
+        lam = branches(k, EQ)[0]
+        v = projectors(k, lam[None], EQ)[0, 2] \
+            @ np.array([1.0, 0.3, -0.2, 0.5], dtype=complex)
         st = sim.LinearRadialState(np.array([k]), v[None, :],
                                    np.zeros((1, 2), complex), 0.0, EQ)
         out = sim.linear_evolve(st, 7.0)
-        expected = np.exp(sp.lambdas[2] * 7.0) * v
+        expected = np.exp(lam[2] * 7.0) * v
         assert np.abs(out.U_hat[0] - expected).max() < 1e-10
 
     def test_incompressible_heat_factor(self):

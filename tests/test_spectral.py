@@ -183,31 +183,30 @@ class TestCharPoly:
 
 class TestEigenBranches:
     def test_low_k_example(self):
-        pt = sp.eigen_branches(0.01, SYM_EQ, force_projectors=True)
-        lam1 = pt.lambdas[0]
+        lam = sp.branches(0.01, SYM_EQ)[0]
         approx = -0.5 * 0.01 ** 2 + 2j * 0.01
-        assert abs(lam1 - approx) / abs(lam1) < 1e-3
-        assert pt.lambdas[2].real == pytest.approx(-0.010102 * 1e-4, rel=1e-3)
-        assert pt.lambdas[3].real == pytest.approx(-0.98990 * 1e-4, rel=1e-3)
+        assert abs(lam[0] - approx) / abs(lam[0]) < 1e-3
+        assert lam[2].real == pytest.approx(-0.010102 * 1e-4, rel=1e-3)
+        assert lam[3].real == pytest.approx(-0.98990 * 1e-4, rel=1e-3)
 
     def test_k_zero_degenerate(self):
-        pt = sp.eigen_branches(0.0, SYM_EQ)
-        assert pt.degenerate_flag
-        assert np.all(pt.lambdas == 0.0)
+        lam = sp.branches(0.0, SYM_EQ)[0]
+        assert sp._degenerate(lam)
+        assert np.all(lam == 0.0)
 
     def test_diffusive_product_vieta(self):
         # lam3*lam4 -> ((beta1 sig_m + beta4 sig_p)/(beta1+beta4)) k^4
         k = 1e-3
-        pt = sp.eigen_branches(k, SYM_EQ, force_projectors=True)
-        prod = pt.lambdas[2] * pt.lambdas[3]
+        lam = sp.branches(k, SYM_EQ)[0]
+        prod = lam[2] * lam[3]
         assert prod.real == pytest.approx(0.01 * k ** 4, rel=1e-3)
 
     def test_roots_solve_quartic(self):
+        ks = np.array([0.05, 0.7, 3.0, 40.0])
         for eq in (SYM_EQ, ASYM_EQ):
-            for k in (0.05, 0.7, 3.0, 40.0):
+            for k, lam in zip(ks, sp.branches(ks, eq)):
                 c3, c2, c1, c0 = sp.char_poly_coeffs(k, eq)
-                pt = sp.eigen_branches(k, eq)
-                res = np.polyval([1.0, c3, c2, c1, c0], pt.lambdas)
+                res = np.polyval([1.0, c3, c2, c1, c0], lam)
                 scale = max(abs(c0), abs(c1), abs(c2), 1.0)
                 assert np.abs(res).max() < 1e-9 * scale
 
@@ -223,10 +222,8 @@ class TestExpansions:
         # symmetric ones the quartic factors exactly and the residual is
         # pure round-off
         ks = np.logspace(-3, -1, 25)
-        errs = np.empty((25, 4))
-        for i, k in enumerate(ks):
-            pt = sp.eigen_branches(k, ASYM_EQ, force_projectors=True)
-            errs[i] = np.abs(pt.lambdas - sp.low_freq_expansion(k, ASYM_EQ))
+        errs = np.abs(sp.branches(ks, ASYM_EQ)
+                      - sp.low_freq_expansion(ks, ASYM_EQ))
         slope_osc = np.polyfit(np.log(ks), np.log(errs[:, 0]), 1)[0]
         slope_d3 = np.polyfit(np.log(ks), np.log(errs[:, 2]), 1)[0]
         slope_d4 = np.polyfit(np.log(ks), np.log(errs[:, 3]), 1)[0]
@@ -236,12 +233,10 @@ class TestExpansions:
 
     def test_symmetric_diffusive_pair_exact(self):
         # symmetric parameters: quartic factors, tilde rates are exact
-        for k in (1e-3, 1e-2, 1e-1):
-            pt = sp.eigen_branches(k, SYM_EQ, force_projectors=True)
-            approx = sp.low_freq_expansion(k, SYM_EQ)
-            for i in (2, 3):
-                assert abs(pt.lambdas[i] - approx[i]) \
-                    < 1e-10 * abs(approx[i])
+        ks = np.array([1e-3, 1e-2, 1e-1])
+        lam = sp.branches(ks, SYM_EQ)[:, 2:]
+        approx = sp.low_freq_expansion(ks, SYM_EQ)[:, 2:]
+        assert (np.abs(lam - approx) < 1e-10 * np.abs(approx)).all()
 
     def test_high_freq_five_percent(self):
         # remainder of the k^2-leading formula is O(1); deviation measured
@@ -254,10 +249,9 @@ class TestExpansions:
         # absolute deviation stays bounded as k doubles
         errs = []
         for k in (50.0, 100.0, 200.0, 400.0):
-            pt = sp.eigen_branches(k, SYM_EQ)
             approx = sp.high_freq_expansion(k, SYM_EQ)
             errs.append(max(np.min(np.abs(approx - lam))
-                            for lam in pt.lambdas))
+                            for lam in sp.branches(k, SYM_EQ)[0]))
         assert max(errs) < 3.0 * min(errs) + 1.0
 
     def test_high_freq_monotone_improvement(self):
@@ -266,8 +260,7 @@ class TestExpansions:
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
     def test_high_freq_stability(self):
-        pt = sp.eigen_branches(50.0, SYM_EQ)
-        assert np.all(pt.lambdas.real < 0.0)
+        assert np.all(sp.branches(50.0, SYM_EQ).real < 0.0)
 
 
 class TestProjectors:
@@ -281,16 +274,18 @@ class TestProjectors:
 
     def test_projector_algebra_everywhere(self):
         checked = 0
+        ks = self._sample_ks()
         for eq in (SYM_EQ, ASYM_EQ):
-            for k in self._sample_ks():
-                pt = sp.eigen_branches(float(k), eq)
-                if pt.projectors is None:
+            lams = sp.branches(ks, eq)
+            for k, lam, P, degenerate in zip(ks, lams,
+                                             sp.projectors(ks, lams, eq),
+                                             sp._degenerate(lams)):
+                if degenerate:
                     continue
-                P = pt.projectors
                 I = np.eye(4)
                 assert np.abs(P.sum(axis=0) - I).max() < 1e-8
                 A = sp.symbol(float(k), eq)
-                rec = np.einsum("i,ijk->jk", pt.lambdas, P)
+                rec = np.einsum("i,ijk->jk", lam, P)
                 assert np.abs(rec - A).max() < 1e-8 * max(1.0, np.abs(A).max())
                 for i in range(4):
                     for j in range(4):
@@ -301,18 +296,18 @@ class TestProjectors:
         assert checked >= 200
 
     def test_conjugate_pair_low_band(self):
-        for k in (0.01, 0.05, 0.09):
-            pt = sp.eigen_branches(k, SYM_EQ, force_projectors=True)
-            assert pt.lambdas[1] == pytest.approx(np.conj(pt.lambdas[0]))
-            assert np.abs(pt.projectors[0] - np.conj(pt.projectors[1])).max() \
-                < 1e-8
+        ks = np.array([0.01, 0.05, 0.09])
+        lams = sp.branches(ks, SYM_EQ)
+        for lam, P in zip(lams, sp.projectors(ks, lams, SYM_EQ)):
+            assert lam[1] == pytest.approx(np.conj(lam[0]))
+            assert np.abs(P[0] - np.conj(P[1])).max() < 1e-8
 
     def test_leading_projector_constants(self):
         # P1 entry (1,1) -> beta1 / (2(beta1+beta4)) as k -> 0
         for eq in (SYM_EQ, ASYM_EQ):
-            pt = sp.eigen_branches(1e-3, eq, force_projectors=True)
+            P = sp.projectors(1e-3, sp.branches(1e-3, eq), eq)[0]
             lead = eq.beta1 / (2.0 * (eq.beta1 + eq.beta4))
-            assert pt.projectors[0][0, 0].real == pytest.approx(lead, rel=1e-2)
+            assert P[0][0, 0].real == pytest.approx(lead, rel=1e-2)
 
     def test_singular_entries_diverge_like_inverse_k(self):
         # (1,2) entries of P3 fit a/k with a -> -beta4/R_disc
@@ -325,6 +320,14 @@ class TestProjectors:
     def test_singular_combination_cancels(self):
         for eq in (SYM_EQ, ASYM_EQ):
             assert sp.singular_combination_residual(eq, 1e-3) < 1e-6
+
+    def test_projectors_that_are_not_finite_are_a_parameter_error(self):
+        # q+ overflows at sigma_plus = 1e300: no finite projector to fit
+        eq = solve_equilibrium(ModelParams(sigma_plus=1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="not finite"):
+                sp.singular_projector_coeffs(eq, 1e-4)
 
 
 class TestMidBandGap:
@@ -379,12 +382,13 @@ class TestSemigroup:
     def test_low_band_decay_rate(self):
         # oscillatory part (sound-pair projection) decays like e^{-b1 k^2 t}
         k = 0.05
-        pt = sp.eigen_branches(k, SYM_EQ, force_projectors=True)
+        lam = sp.branches(k, SYM_EQ)[0]
+        P = sp.projectors(k, lam[None], SYM_EQ)[0]
         ts = np.linspace(200.0, 2000.0, 12)
         vals = []
         for t in ts:
-            S_osc = (np.exp(pt.lambdas[0] * t) * pt.projectors[0]
-                     + np.exp(pt.lambdas[1] * t) * pt.projectors[1])
+            S_osc = (np.exp(lam[0] * t) * P[0]
+                     + np.exp(lam[1] * t) * P[1])
             vals.append(np.abs(S_osc).max())
         slope = np.polyfit(ts, np.log(vals), 1)[0]
         assert slope == pytest.approx(-SYM_EQ.b1 * k * k, rel=0.05)
@@ -617,21 +621,20 @@ class TestClosedFormEigenvectors:
                                   - oracle.entry(i, j, t)).max() <= tol
 
     def test_projectors_match_lagrange_products(self):
-        # eigen_branches' v w^T / (w^T v) against the Lagrange products
-        # prod_{j != i} (A - lam_j) / (lam_i - lam_j) it replaced
+        # projectors' v w^T / (w^T v) against the Lagrange products
+        # prod_{j != i} (A - lam_j) / (lam_i - lam_j) they replaced
+        ks = np.array([0.02, 0.3, 2.0, 9.0, 40.0])
         for eq in CLOSED_FORM_SETS.values():
-            for k in (0.02, 0.3, 2.0, 9.0, 40.0):
-                pt = sp.eigen_branches(k, eq)
+            lams = sp.branches(ks, eq)
+            for k, lam, Ps in zip(ks, lams, sp.projectors(ks, lams, eq)):
                 A = sp.symbol(k, eq).astype(complex)
                 I = np.eye(4, dtype=complex)
                 for i in range(4):
                     P = I
                     for j in range(4):
                         if j != i:
-                            P = P @ (A - pt.lambdas[j] * I) \
-                                / (pt.lambdas[i] - pt.lambdas[j])
-                    assert np.abs(pt.projectors[i] - P).max() \
-                        <= 1e-9 * np.abs(P).max()
+                            P = P @ (A - lam[j] * I) / (lam[i] - lam[j])
+                    assert np.abs(Ps[i] - P).max() <= 1e-9 * np.abs(P).max()
 
 
 class TestSpectrumRows:
@@ -646,19 +649,20 @@ class TestSpectrumRows:
 
     @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ], ids=["sym", "asym"])
     def test_rows_follow_the_eigen_branches_chain(self, eq):
-        # the sweep labels without building projectors; its labels and
-        # flags are those of eigen_branches chained the same way
+        # the first row is labelled as branches labels it, and each later
+        # row's labels and flag are those of the oracle's per-k labelling
+        # chained over the grid, each k against the last non-degenerate one
         ks = np.logspace(-3, 2, 120)
+        rows = sp.spectrum_rows(eq, ks)
+        assert np.array_equal(row_lambdas(rows[:1]), sp.branches(ks[0], eq))
         prev = None
-        for k, row in zip(ks, sp.spectrum_rows(eq, ks)):
-            pt = sp.eigen_branches(k, eq, prev=prev)
-            if not pt.degenerate_flag:
-                prev = pt
+        for k, row in zip(ks.tolist(), rows):
+            lam, _, degenerate = _labelled_roots(k, eq, prev)
+            if not degenerate:
+                prev = lam
             assert (row["band"], row["degenerate"]) \
-                == (pt.band, int(pt.degenerate_flag))
-            lams = [complex(row[f"re_lambda{i}"], row[f"im_lambda{i}"])
-                    for i in range(1, 5)]
-            assert np.array_equal(lams, pt.lambdas)
+                == (band_of(k), int(degenerate))
+            assert np.array_equal(row_lambdas([row])[0], lam)
 
 
 # ---------------------------------------------------------------------------
@@ -761,11 +765,7 @@ def _labelled_roots(k: float, eq: EquilibriumState,
 
 
 def spectrum_rows(eq: EquilibriumState, k_grid: np.ndarray) -> list[dict]:
-    """Continuity-chained sweep producing one report row per k.
-
-    The rows need only the labelled roots, so the projectors
-    eigen_branches would build are skipped.
-    """
+    """Continuity-chained sweep producing one report row per k."""
     rows = []
     prev = None
     for k in k_grid:
