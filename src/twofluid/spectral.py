@@ -498,6 +498,10 @@ def decompose_symbol(ks: np.ndarray,
     eigenvalue's s = |w^T v| / (|v| |w|) (Golub and Van Loan, Matrix
     Computations, 7.2.2) is below 1 / COND_MAX or a value is not finite
     (q+ overflows at a capillarity near 1e100).
+
+    k < 1e-9 is not resolved: the eigenvalues' round-off, eps k, is not
+    small against the diffusive pair's k^2, so a mode passing the s test
+    can be off by O(1).  k in [1e-4, 10] to t = 1e4 is tested against expm.
     """
     ks = np.asarray(ks, dtype=float)
     lam = np.asarray(np.linalg.eigvals(symbol(ks, eq)), dtype=complex)

@@ -400,19 +400,23 @@ class TestSemigroup:
             S = scipy.linalg.expm(1.7 * sp.symbol(k, ASYM_EQ))
             assert np.abs(B[i] - S).max() < 1e-9
 
-    @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ], ids=["sym", "asym"])
+    @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ, SPLIT_EQS["bulk"],
+                                    SPLIT_EQS["complex-pair"]],
+                             ids=["sym", "asym", "bulk", "complex-pair"])
     def test_decomposition_matches_expm(self, eq):
-        ks = np.concatenate([[0.0], np.logspace(-3, 1.3, 23)])
+        # the grid and times include the range decay_slope_table relies
+        # on: 800 log-spaced k in [1e-4, 10] up to t = 1e4
+        ks = np.concatenate([[0.0], np.logspace(-3, 1.3, 23),
+                             np.logspace(-4, 1, 800)])
         dec = sp.decompose_symbol(ks, eq)
         assert len(dec.bad) == 0             # A(0) = 0 needs no expm
         assert dec.A_bad.shape == (0, 4, 4)
-        for t in (0.0, 0.3, 2.0, 25.0):
+        for t in (0.0, 0.3, 2.0, 25.0, 1e2, 1e3, 1e4):
             B = dec.semigroup(t)
             assert np.array_equal(B[0], np.eye(4))
-            for i, k in enumerate(ks):
-                S = scipy.linalg.expm(t * sp.symbol(k, eq))
-                scale = max(1.0, np.abs(S).max())
-                assert np.abs(B[i] - S).max() < 1e-9 * scale
+            S = scipy.linalg.expm(t * sp.symbol(ks, eq))
+            scale = np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
+            assert (np.abs(B - S).max(axis=(1, 2)) < 1e-9 * scale).all()
 
     @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ], ids=["sym", "asym"])
     def test_entry_matches_semigroup(self, eq):
