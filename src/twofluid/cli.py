@@ -203,6 +203,8 @@ def _cmd_convolve(args) -> int:
         raise UsageError(f"--t times must lie in (0, {waveconv.T_MAX:g}]")
     try:
         report = waveconv.verify_case(cases[args.case], t_list=t_list)
+    except ParameterError:
+        raise
     except ValueError as exc:
         raise UsageError(f"--t: {exc}") from None
     payload = report.to_json()
@@ -367,6 +369,17 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
         add(f"convolution_{name}", rep.trend_ratio, 2.0)
     rep = waveconv.verify_case(waveconv.false_case(eq.c))
     add("convolution_false_case_fails", rep.trend_ratio, 2.0, invert=True)
+    table = waveconv.log_obstruction([64.0 * 4 ** k for k in range(6)],
+                                     c=eq.c)
+    add("log_obstruction_correlation", table["correlation"], 0.99,
+        invert=True)
+    # the refined source's increments per quadrupling of t collapse
+    d1 = np.diff([row["n1_scaled"] for row in table["rows"]])
+    add("log_obstruction_refined_saturates", d1[-1] / d1[0], 0.6)
+    rp = waveconv.riesz_potential_check(
+        waveconv.WavePattern("D", a=0.0, p=2.0), [1.0, 4.0, 16.0, 64.0, 256.0])
+    add("riesz_potential_stable",
+        float(np.max(rp["C_by_t"]) / np.min(rp["C_by_t"])), 2.0)
     rs = np.linspace(1e-4, 8.0, 120)
     got = waveconv.riesz_gradient(lambda s: np.exp(-s * s), rs)
     erf = np.array([math.erf(r) for r in rs])

@@ -7,20 +7,12 @@ This module builds A(k), its characteristic quartic, the labelled
 eigenvalue branches and their projectors, the closed-form low- and
 high-frequency expansions, the certified middle-band decay gap, and the
 semigroup e^{tA(k)} from a decomposition of a k-grid (decompose_symbol),
-built once and applied per t.  Projectors and semigroup use closed-form
-eigenvectors (see _right and _left): no eigenvector matrix is formed or
-inverted.  scipy is imported only for expm on ill-conditioned modes.
-
-The eigenvalues have two sources.  branches and spectrum_rows take the
-Newton-polished roots of the quartic (_quartic_roots), which hold the
-diffusive pair lambda3,4 ~ lambda3,4_tilde k^2 to relative round-off at
-small k, where eigvals of A(k) is off by eps |A(k)| ~ eps k.
-decompose_symbol and mid_band_gap take eigvals(A(k)), whose roots are
-backward stable for the rounded matrix: the test s that routes a mode to
-expm and the gap's 16 eps |A(k)|_1 floor assume it.  The polished roots
-have no such bound where A(k) is badly scaled: at mu_plus = 1e50 they put
-the middle band's largest Re lambda at +61, a false growth, where eigvals'
-round-off leaves its sign unknown and the file is refused.
+built once and applied per t.  Every eigenvalue is a Newton-polished root
+of the quartic (_quartic_roots), which holds the diffusive pair
+lambda3,4 ~ lambda3,4_tilde k^2 to relative round-off at small k.
+Projectors and semigroup use closed-form eigenvectors (see _right and
+_left): no eigenvector matrix is formed or inverted.  scipy is imported
+only for expm on ill-conditioned modes.
 
 Roots are labelled against a reference (the previous k of a sweep, or a
 closed-form expansion) by the assignment of least total squared distance
@@ -357,25 +349,24 @@ def mid_band_gap(eq: EquilibriumState, n_grid: int = 2000) -> float:
 
     Samples max Re lambda on a uniform k-grid over [ETA1, K_CUT] and refines
     three times around the grid maximum; returns b_mid = -max, which is
-    positive when the band decays.  eigvals resolves lambda only to about
-    n^2 eps |A(k)|_1 (n = 4), so a maximum that close to zero at its k says
-    nothing of its sign: ParameterError.
+    positive when the band decays.  A maximum within n^2 eps |A(k)|_1
+    (n = 4) of zero at its k says nothing of its sign: ParameterError.
     """
     lo, hi, n = ETA1, K_CUT, n_grid
     best, floor = -np.inf, 0.0
     for _ in range(4):
         ks = np.linspace(lo, hi, n)
-        A = symbol(ks, eq)
-        vals = np.linalg.eigvals(A).real.max(axis=1)
+        vals = _quartic_roots(ks, eq).real.max(axis=1)
         j = int(np.argmax(vals))
         if vals[j] > best:
             best = vals[j]
-            floor = 16.0 * np.finfo(float).eps * np.abs(A[j]).sum(axis=0).max()
+            floor = 16.0 * np.finfo(float).eps \
+                * np.abs(symbol(ks[j], eq)).sum(axis=0).max()
         # refine on the two grid cells around the maximum
         lo, hi, n = ks[max(j - 1, 0)], ks[min(j + 1, n - 1)], 64
     if not abs(best) > floor:
         raise ParameterError(f"middle-band spectral gap: max Re lambda "
-                             f"{best:.3g} is within eigvals' round-off "
+                             f"{best:.3g} is within the round-off "
                              f"{floor:.3g} of zero")
     return -float(best)
 
@@ -489,7 +480,7 @@ class SymbolDecomposition:
 
 def decompose_symbol(ks: np.ndarray,
                      eq: EquilibriumState) -> SymbolDecomposition:
-    """lam from one eigvals call, and the closed-form eigenvectors' test.
+    """lam from the quartic's roots, and the closed-form eigenvectors' test.
 
     Rows 0, 2 and 1 of A v = lam v give v1 = -lam v0 / k, v3 = -lam v2 / k
     and v2 = -q+ v0 / (beta2 k^2); columns 1, 3 and 0 give the left
@@ -498,13 +489,9 @@ def decompose_symbol(ks: np.ndarray,
     eigenvalue's s = |w^T v| / (|v| |w|) (Golub and Van Loan, Matrix
     Computations, 7.2.2) is below 1 / COND_MAX or a value is not finite
     (q+ overflows at a capillarity near 1e100).
-
-    k < 1e-9 is not resolved: the eigenvalues' round-off, eps k, is not
-    small against the diffusive pair's k^2, so a mode passing the s test
-    can be off by O(1).  k in [1e-4, 10] to t = 1e4 is tested against expm.
     """
     ks = np.asarray(ks, dtype=float)
-    lam = np.asarray(np.linalg.eigvals(symbol(ks, eq)), dtype=complex)
+    lam = _quartic_roots(ks, eq)
     k = ks[:, None]
     zero = ks == 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

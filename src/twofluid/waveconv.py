@@ -20,6 +20,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .model import ParameterError
+
 __all__ = [
     "WavePattern", "ConvCase", "ConvReport", "QuadStats", "core_front_masks",
     "region_tag", "make_cases", "eval_spacetime_conv",
@@ -90,6 +92,25 @@ class WavePattern:
             return first
         return first + m * np.sqrt(b) * _even_primitive(w, q)
 
+    def z_integral(self, r, u, s):
+        """int_{|r-u|}^{r+u} z * spatial(z, s) dz, in closed form.
+
+        Off the H kind, 1 + (r+u)^2/b = Y + 4ru/b exactly, with
+        Y = 1 + (r-u)^2/b, so the difference of the two ends' primitives is
+        written through log1p and expm1 of 4ru/(bY): it does not cancel
+        when u << r.
+        """
+        r, u = np.asarray(r, dtype=float), np.asarray(u, dtype=float)
+        if self.kind == "H":
+            return self.z_primitive(r + u, s) \
+                - self.z_primitive(np.abs(r - u), s)
+        _, b, q = self._mbq(s)
+        Y = 1.0 + (r - u) ** 2 / b
+        x = np.log1p(4.0 * r * u / (b * Y))
+        if q == 1.0:
+            return 0.5 * b * x
+        return b * Y ** (1.0 - q) * np.expm1((1.0 - q) * x) / (2.0 * (1.0 - q))
+
 
 def _even_primitive(w, q: float):
     """A_q(w) = int_0^w (1+s^2)^-q ds for q a positive multiple of 1/2."""
@@ -148,12 +169,31 @@ _GL48 = np.polynomial.legendre.leggauss(48)
 _NODES = np.concatenate([_GL8[0], _GL16[0]])
 
 
+# the largest share of quadrature panels accepted at a depth cap for which
+# a value counts as resolved; K3 at the defaults accepts 2.6 % there
+DEPTH_CAP_SHARE_MAX = 0.05
+
+
 @dataclass
 class QuadStats:
     """Panels evaluated, and panels accepted only because of the depth cap."""
 
     panels: int = 0
     depth_cap_hits: int = 0
+
+    @property
+    def depth_cap_share(self) -> float:
+        return self.depth_cap_hits / self.panels if self.panels else 0.0
+
+    def require_resolved(self, what: str) -> None:
+        """ParameterError where more than DEPTH_CAP_SHARE_MAX of the panels
+        were accepted at a depth cap: the value is not resolved."""
+        if self.depth_cap_share > DEPTH_CAP_SHARE_MAX:
+            raise ParameterError(
+                f"{what}: {self.depth_cap_share:.1%} of {self.panels} "
+                "quadrature panels were accepted at the depth cap, more "
+                f"than {DEPTH_CAP_SHARE_MAX:.0%}; the value is not resolved "
+                "at these parameters")
 
 
 def _panels(f, lo, hi, job):
@@ -246,21 +286,20 @@ def _quad_to_inf(f, a, U0, splits, rel_tol, abs_tol, stats):
 # ---------------------------------------------------------------------------
 # angular reduction
 
-def _angular_batch(r, F, G, F_prim, splits, U0, rel_tol, abs_tol, stats):
+def _angular_batch(r, F, G, F_int, splits, U0, rel_tol, abs_tol, stats):
     """3-D convolutions of radial functions at the radii r[j], one integral
     each.
 
     int F(|x-y|) G(|y|) dy = (2 pi / r) int_0^inf u G(u)
                               int_{|r-u|}^{r+u} z F(z) dz du,
     the spherical-coordinate substitution z^2 = r^2 + u^2 - 2ru cos(theta).
-    F_prim, when given, is the closed-form antiderivative of z F(z); the
-    inner integral is then evaluated exactly, otherwise by 48-point
-    Gauss-Legendre.  At r = 0 the reduction degenerates to the overlap
-    integral 4 pi int u^2 F(u) G(u) du.
+    F_int, when given, is the inner integral in closed form; otherwise it
+    is evaluated by 48-point Gauss-Legendre.  At r = 0 the reduction
+    degenerates to the overlap integral 4 pi int u^2 F(u) G(u) du.
 
-    F(z, j), G(u, j) and F_prim(z, j) evaluate the radial functions of
-    integral j (an index array broadcasting against z); splits, U0 and
-    abs_tol hold one row or entry per integral.
+    F(z, j), G(u, j) and F_int(r, u, j) evaluate the functions of integral
+    j (an index array broadcasting against z); splits, U0 and abs_tol hold
+    one row or entry per integral.
     """
     near = r < 1e-9
 
@@ -274,13 +313,13 @@ def _angular_batch(r, F, G, F_prim, splits, U0, rel_tol, abs_tol, stats):
         if off.any():
             u1, j1 = u[off], j[off]
             r1 = r[j1]
-            if F_prim is None:
+            if F_int is None:
                 lo, hi = np.abs(r1 - u1), r1 + u1
                 half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
                 zz = mid[..., None] + half[..., None] * _GL48[0]
                 inner = half * ((zz * F(zz, j1[..., None])) @ _GL48[1])
             else:
-                inner = F_prim(r1 + u1, j1) - F_prim(np.abs(r1 - u1), j1)
+                inner = F_int(r1, u1, j1)
             out[off] = (2.0 * math.pi / r1) * u1 * G(u1, j1) * inner
         return out
 
@@ -367,7 +406,7 @@ def eval_spacetime_conv(case: ConvCase, r, t,
         return _angular_batch(
             rk, lambda z, j: g.spatial(z, sg[j]),
             lambda u, j: s.spatial(u, ss[j]),
-            lambda z, j: g.z_primitive(z, sg[j]), splits, U0[k], 1e-7,
+            lambda x, u, j: g.z_integral(x, u, sg[j]), splits, U0[k], 1e-7,
             abs_tol[k], stats)
 
     def tau_integrand(taus, j):
@@ -409,8 +448,10 @@ class ConvReport:
             "c_est_by_region": self.c_est_by_region,
             "trend_ratio": float(self.trend_ratio),
             "pass": bool(self.passed),
-            "quadrature": {"panels": self.quadrature.panels,
-                           "depth_cap_hits": self.quadrature.depth_cap_hits},
+            "quadrature": {
+                "panels": self.quadrature.panels,
+                "depth_cap_hits": self.quadrature.depth_cap_hits,
+                "depth_cap_share": self.quadrature.depth_cap_share},
         }
 
 
@@ -438,7 +479,8 @@ def verify_case(case: ConvCase, t_list=(4.0, 16.0, 64.0)) -> ConvReport:
     The certificate is the growth of the largest ratio over the final
     sampled decade; the earlier times serve as burn-in for the slowly
     saturating empirical constants.  t_list needs at least two distinct
-    times in [t_max/10, t_max].
+    times in [t_max/10, t_max].  A case whose quadrature is not resolved
+    (QuadStats.require_resolved) is a ParameterError.
     """
     t_arr = np.array(sorted(set(t_list)))
     in_decade = t_arr >= max(t_list, default=0.0) / 10.0
@@ -449,6 +491,7 @@ def verify_case(case: ConvCase, t_list=(4.0, 16.0, 64.0)) -> ConvReport:
     stats = QuadStats()
     lhs = eval_spacetime_conv(case, [r for r, _ in points],
                               [t for _, t in points], stats=stats)
+    stats.require_resolved(f"convolution case {case.name}")
     samples = []
     for (r, t), val in zip(points, lhs):
         bound = bound_value(case, r, t)
@@ -492,14 +535,17 @@ def log_obstruction(t_list, c: float = 2.0) -> dict:
     The Riesz-IV Green factor against a source with time exponent -7/2
     (one half power short of integrable) picks up ln(1+t) on top of the
     ansatz rate (1+t)^-1; the refined reformulation gains the extra
-    (1+tau)^-1/2 and the scaled value stays bounded.
+    (1+tau)^-1/2 and the scaled value stays bounded.  A quadrature that is
+    not resolved (QuadStats.require_resolved) is a ParameterError.
     """
     cases = make_cases(c)
     n12_case = cases["N12_log"]
     n1_case = replace(cases["K4"], name="N1")
     ts = np.array(sorted(t_list), dtype=float)
-    n12 = eval_spacetime_conv(n12_case, 0.0, ts)
-    n1 = eval_spacetime_conv(n1_case, 0.0, ts)
+    stats = QuadStats()
+    n12 = eval_spacetime_conv(n12_case, 0.0, ts, stats=stats)
+    n1 = eval_spacetime_conv(n1_case, 0.0, ts, stats=stats)
+    stats.require_resolved("log obstruction")
     rows = [{"t": float(t),
              "n12": float(a), "n12_scaled": float(a * (1 + t)),
              "n1": float(b), "n1_scaled": float(b * (1 + t))}

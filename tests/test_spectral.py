@@ -347,19 +347,20 @@ class TestMidBandGap:
                              ids=["a_plus_1e-50", "a_minus_1e50",
                                   "mu_plus_1e50", "sigma_minus_1e50"])
     def test_unresolved_gap_is_a_parameter_error(self, kw):
-        # the grid's largest Re lambda is within eigvals' round-off of zero
-        # (eps |A(k)|_1 from 5e-14 to 3e35), so its sign is not known
+        # the grid's largest Re lambda is within the round-off of A(k) of
+        # zero (eps |A(k)|_1 from 5e-14 to 3e35), so its sign is not known
         eq = solve_equilibrium(ModelParams(**kw))
         with pytest.raises(ParameterError, match="middle-band spectral gap"):
             sp.mid_band_gap(eq)
 
     def test_resolved_growth_is_returned(self, monkeypatch):
-        # A(k) + I grows at 1 - b_mid, far above round-off: the gap is a
-        # negative number for certify-all's inverted check, not an error
+        # the spectrum of A(k) + I grows at 1 - b_mid, far above round-off:
+        # the gap is a negative number for certify-all's inverted check,
+        # not an error; the +1 goes in through the one root source
         b_mid = sp.mid_band_gap(SYM_EQ)
-        symbol = sp.symbol
-        monkeypatch.setattr(sp, "symbol",
-                            lambda k, eq: symbol(k, eq) + np.eye(4))
+        roots = sp._quartic_roots
+        monkeypatch.setattr(sp, "_quartic_roots",
+                            lambda ks, eq: roots(ks, eq) + 1.0)
         assert sp.mid_band_gap(SYM_EQ) == pytest.approx(b_mid - 1.0,
                                                         abs=1e-12)
 
@@ -418,6 +419,24 @@ class TestSemigroup:
             scale = np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
             assert (np.abs(B - S).max(axis=(1, 2)) < 1e-9 * scale).all()
 
+    @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ, SPLIT_EQS["bulk"],
+                                    SPLIT_EQS["complex-pair"]],
+                             ids=["sym", "asym", "bulk", "complex-pair"])
+    def test_small_k_matches_expm(self, eq):
+        # the polished roots hold the diffusive pair ~ k^2 to relative
+        # round-off: at most 3.2e-8 on [1e-9, 1e-4], and below 1e-9 the
+        # s test sends every mode to expm
+        mid, low = np.geomspace(1e-9, 1e-4, 200), np.geomspace(1e-12, 1e-9, 64)
+        dec_mid, dec_low = (sp.decompose_symbol(ks, eq) for ks in (mid, low))
+        assert np.array_equal(dec_low.bad, np.arange(low.size))
+        for t in (1.0, 100.0, 1e4):
+            S = scipy.linalg.expm(t * sp.symbol(mid, eq))
+            scale = np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
+            err = np.abs(dec_mid.semigroup(t) - S).max(axis=(1, 2))
+            assert (err <= 1e-7 * scale).all()
+            assert np.array_equal(dec_low.semigroup(t),
+                                  scipy.linalg.expm(t * sp.symbol(low, eq)))
+
     @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ], ids=["sym", "asym"])
     def test_entry_matches_semigroup(self, eq):
         # one entry without the full product, the k = 0 mode exactly I
@@ -436,18 +455,17 @@ class TestSemigroup:
                     assert np.abs(got - S[:, i, j]).max() <= 1e-14 * scale
 
     def test_ill_conditioned_modes_fall_back(self):
-        # below k ~ 1e-9 the eigenvalues' round-off, eps |A(k)| ~ eps k,
-        # is not small against the diffusive pair's k^2, and s =
-        # |w^T v| / (|v| |w|) scatters over 5e-10 .. 5e-8, across
-        # 1 / COND_MAX; which modes fall back is round-off, the rule is not
+        # exactly the modes whose s = |w^T v| / (|v| |w|) at the polished
+        # roots is below 1 / COND_MAX fall back; s ~ k there, so all of
+        # k in [1e-12, 1e-9] does and k = 0.5 does not
         ks = np.append(np.geomspace(1e-12, 1e-9, 64), 0.5)
         dec = sp.decompose_symbol(ks, SYM_EQ)
         s = eigenvalue_s(ks, SYM_EQ).min(axis=1)
         below = np.flatnonzero(s < (1.0 - 1e-9) / sp.COND_MAX)
         above = np.flatnonzero(s > (1.0 + 1e-9) / sp.COND_MAX)
-        assert below.size > 0 and above[-1] == ks.size - 1
-        assert set(below) <= set(dec.bad)
-        assert not set(above) & set(dec.bad)
+        assert below.size + above.size == ks.size
+        assert np.array_equal(dec.bad, below)
+        assert np.array_equal(dec.bad, np.arange(ks.size - 1))
         for t in (1.0, 100.0):
             S = scipy.linalg.expm(t * sp.symbol(ks[dec.bad], SYM_EQ))
             assert np.abs(dec.semigroup(t)[dec.bad] - S).max() < 1e-14
@@ -558,8 +576,9 @@ def closed_form_vectors(ks, lam, eq):
 
 
 def eigenvalue_s(ks, eq):
-    """s = |w^T v| / (|v| |w|) of each eigenvalue of A(k), (nk, 4)."""
-    lam = np.linalg.eigvals(sp.symbol(ks, eq))
+    """s = |w^T v| / (|v| |w|) of each eigenvalue of A(k), (nk, 4), at
+    the roots decompose_symbol takes."""
+    lam = sp._quartic_roots(ks, eq)
     V, W = closed_form_vectors(ks, lam, eq)
     return np.abs((V * W).sum(axis=1)) / (np.linalg.norm(V, axis=1)
                                           * np.linalg.norm(W, axis=1))

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from twofluid import greens, waveconv as wc
+from twofluid.model import ParameterError
 
 C_SND = 2.0
 
@@ -97,14 +98,14 @@ def _ref_angular_reduce(r: float, F, G, F_prim=None, splits=(),
                                      splits, rel_tol, abs_tol)
 
 
-def angular_reduce(r: float, F, G, F_prim=None, splits=(),
+def angular_reduce(r: float, F, G, F_int=None, splits=(),
                    U0: float = 64.0, rel_tol: float = 1e-7,
                    abs_tol: float = 1e-13) -> float:
-    """The batched angular reduction at one radius r, with one-argument
-    radial functions F(z), G(u) and F_prim(z)."""
-    prim = None if F_prim is None else (lambda z, j: F_prim(z))
+    """The batched angular reduction at one radius r, with radial functions
+    F(z), G(u) and the inner integral F_int(r, u)."""
+    inner = None if F_int is None else (lambda x, u, j: F_int(x, u))
     out = wc._angular_batch(
-        np.array([float(r)]), lambda z, j: F(z), lambda u, j: G(u), prim,
+        np.array([float(r)]), lambda z, j: F(z), lambda u, j: G(u), inner,
         np.array([list(splits)], dtype=float).reshape(1, -1),
         np.array([float(U0)]), rel_tol, np.array([float(abs_tol)]),
         wc.QuadStats())
@@ -202,6 +203,28 @@ class TestPrimitives:
                             limit=200)
             got = pattern.z_primitive(z2, s) - pattern.z_primitive(z1, s)
             assert got == pytest.approx(exact, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("pattern", [
+        wc.WavePattern("D", a=2.0, p=2.0),
+        wc.WavePattern("D", a=2.0, p=1.5),
+        wc.WavePattern("R4"),
+        wc.WavePattern("algebraic", r_alg=2.0),
+    ])
+    def test_z_integral_without_cancellation(self, pattern):
+        # at u << r the two ends' primitives agree to 1e-9 and their
+        # difference lost that much (measured up to 4e-9); the oracle
+        # integrates over z = r + u x, x in [-1, 1], so no end is rounded
+        s = 5.0
+        for r, u in ((3.0, 0.5), (40.0, 1e-6), (1e3, 1e-4)):
+            exact, _ = quad(lambda x: u * (r + u * x)
+                            * pattern.spatial(r + u * x, s), -1.0, 1.0,
+                            epsrel=1e-14)
+            assert pattern.z_integral(r, u, s) == pytest.approx(exact,
+                                                                rel=1e-14)
+        exact, _ = quad(lambda z: z * pattern.spatial(z, s), 2.5, 3.5,
+                        epsrel=1e-14)
+        assert pattern.z_integral(0.5, 3.0, s) == pytest.approx(exact,
+                                                                rel=1e-14)
 
 
 class TestAngularReduce:
@@ -364,9 +387,39 @@ class TestReferenceOracle:
         got = angular_reduce(r, F, G, splits=splits, abs_tol=1e-12)
         ref = _ref_angular_reduce(r, F, G, splits=splits, abs_tol=1e-12)
         assert got == pytest.approx(ref, rel=1e-12)
-        exact = angular_reduce(r, F, G, F_prim=lambda z: g.z_primitive(
-            z, 3.0), splits=splits, abs_tol=1e-12)
+        exact = angular_reduce(r, F, G, F_int=lambda x, u: g.z_integral(
+            x, u, 3.0), splits=splits, abs_tol=1e-12)
         assert got == pytest.approx(exact, rel=1e-7)
+
+
+def _difference_form(pattern, r, u, s):
+    """The inner integral as the difference of the primitive at its ends,
+    as the angular reduction took it before WavePattern.z_integral."""
+    return pattern.z_primitive(r + u, s) - pattern.z_primitive(abs(r - u), s)
+
+
+class TestInnerIntegral:
+    @pytest.mark.parametrize("c", [C_SND, math.sqrt(6.0)])
+    @pytest.mark.parametrize("name", ["I1", "I2", "K1", "K2", "K4", "K5",
+                                      "N12_log"])
+    def test_matches_difference_form(self, name, c, monkeypatch):
+        # the D-kind Green patterns: every sample within 1e-12 relative
+        # (measured 3e-15) and the same panels
+        case = wc.make_cases(c)[name]
+        assert case.green_pattern.kind in ("D", "R4")
+        rep = wc.verify_case(case)
+        monkeypatch.setattr(wc.WavePattern, "z_integral", _difference_form)
+        ref = wc.verify_case(case)
+        assert rep.quadrature == ref.quadrature
+        for row, want in zip(rep.samples, ref.samples):
+            assert row["lhs"] == pytest.approx(want["lhs"], rel=1e-12)
+
+    def test_unresolved_quadrature_is_a_parameter_error(self):
+        # at c = 1.4e25 (a_minus = 1e50) K1 accepts 12.8 % of its panels at
+        # the depth cap; the difference form accepted 45 %
+        case = wc.make_cases(1.4142135623730951e25)["K1"]
+        with pytest.raises(ParameterError, match="depth cap"):
+            wc.verify_case(case)
 
 
 class TestVerifyCases:
@@ -401,6 +454,7 @@ class TestVerifyCases:
         quad = rep.to_json()["quadrature"]
         assert quad["panels"] > 0
         assert quad["depth_cap_hits"] == 0
+        assert quad["depth_cap_share"] == 0.0
 
     def test_non_finite_point_rejected(self):
         case = wc.make_cases(C_SND)["K4"]
