@@ -2,14 +2,15 @@
 
 Each Green entry is a finite sum of radial profiles p(k, t) times one of
 five tensor factors (scalar, +-i xi/|xi|, xi xi^T/|xi|^2, or its
-complement).  The low-frequency part uses the leading-order spectral
-decomposition (constant coefficient matrices times exponentials of the
-exact eigenvalue branches, including the 1/k Riesz-singular coefficients);
-the middle band is folded in with the exact semigroup under a smooth
-rolloff, one entry at a time from a spectral.decompose_symbol built once
-per reconstructor.  All physical-space values come from 1-D radial
-quadratures; a 3-D FFT of the same symbol serves as the regression oracle
-in the test suite.
+complement).  The low-frequency part is the projectors' k-series
+P_l(k) = P0_l + Pm1_l / k + O(k) (spectral.leading_projectors) times the
+exponentials of the exact eigenvalue branches; the 1/k terms are the
+Riesz-singular parts of the diffusive pair.  The middle band is folded in
+with the exact semigroup under a smooth rolloff, one entry at a time from
+a spectral.decompose_symbol built once per reconstructor.  All
+physical-space values come from 1-D radial quadratures, at times with
+c t up to CT_MAX; a 3-D FFT of the same symbol serves as the regression
+oracle in the test suite.
 
 The module also houses the envelope-certification drivers (the envelopes
 themselves are waveconv.WavePattern decay patterns) and the double-Riesz
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .model import EquilibriumState
+from .model import EquilibriumState, ParameterError
 from . import spectral
 from .spectral import ETA1, K_CUT
 from .waveconv import WavePattern, _constants_report, core_front_masks
@@ -52,59 +53,6 @@ def smooth_bump(k, lo: float, hi: float):
 def chi_low(k):
     """Low-band cutoff: 1 on [0, ETA1/2], 0 beyond ETA1."""
     return smooth_bump(k, 0.5 * ETA1, ETA1)
-
-
-# ---------------------------------------------------------------------------
-# symbol decomposition
-
-def coefficient_matrices(eq: EquilibriumState):
-    """Leading-order coefficient matrices of the spectral decomposition.
-
-    The symbol S(k, t) of the 4x4 compressible block satisfies, to leading
-    order in k,
-        S = MP * oscP + MM * oscM + (M3r + M3s/k) e^{lam3 t}
-            + (M4r + M4s/k) e^{lam4 t},
-    with oscP = e^{Re lam1 t} cos(Im lam1 t), oscM the sine counterpart.
-    """
-    b1, b2, b4 = eq.beta1, eq.beta2, eq.beta4
-    c2 = b1 + b4
-    R = eq.R_disc
-    nup, num = eq.nu_plus, eq.nu_minus
-
-    MP = np.array([
-        [b1, 0.0, b2, 0.0],
-        [0.0, b1, 0.0, b2],
-        [b2, 0.0, b4, 0.0],
-        [0.0, b2, 0.0, b4],
-    ]) / c2
-    MM = np.array([
-        [0.0, -b1 / c2 ** 1.5, 0.0, -b2 / c2 ** 1.5],
-        [b1 / c2 ** 0.5, 0.0, b2 / c2 ** 0.5, 0.0],
-        [0.0, -b2 / c2 ** 1.5, 0.0, -b4 / c2 ** 1.5],
-        [b2 / c2 ** 0.5, 0.0, b4 / c2 ** 0.5, 0.0],
-    ])
-
-    def diffusive(lt: float) -> np.ndarray:
-        g = (b4 * nup + b1 * num) / c2
-        return np.array([
-            [b1 * b4 * (nup - num) / (c2 * R) - b4 * lt / R, 0.0,
-             b2 * b4 * (nup - num) / (c2 * R) + b2 * lt / R, 0.0],
-            [0.0, -b4 * g / R - b4 * lt / R, 0.0, b2 * g / R + b2 * lt / R],
-            [b1 * b2 * (num - nup) / (c2 * R) + b2 * lt / R, 0.0,
-             b1 * b4 * (num - nup) / (c2 * R) - b1 * lt / R, 0.0],
-            [0.0, b2 * g / R + b2 * lt / R, 0.0, -b1 * g / R - b1 * lt / R],
-        ])
-
-    M3s = np.array([
-        [0.0, -b4 / R, 0.0, b2 / R],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, b2 / R, 0.0, -b1 / R],
-        [0.0, 0.0, 0.0, 0.0],
-    ])
-    M3r = diffusive(float(np.real(eq.lam4_tilde)))
-    M4r = -diffusive(float(np.real(eq.lam3_tilde)))
-    M4s = -M3s
-    return MP, MM, M3r, M3s, M4r, M4s
 
 
 def tensor_kind(i: int, j: int) -> str:
@@ -247,11 +195,21 @@ def radial_inverse(factor: str, fhat, rs, k_max: float = 40.0,
 # ---------------------------------------------------------------------------
 # full-entry reconstruction (low band + exact middle band)
 
-# the default grids give kernels exact to round-off up to this time at
-# radii up to R_MAX_FACTOR c t; at t = 1000 they are off by 5.6e-5 of the
-# maximum
-T_MAX = 300.0
+# the default grids give kernels exact to round-off up to this c t at
+# radii up to R_MAX_FACTOR c t; at c t = 2000 they are off by 5.6e-5 of
+# the maximum
+CT_MAX = 600.0
 R_MAX_FACTOR = 4.0
+
+
+def check_times(c: float, ts) -> None:
+    """ParameterError unless every t of ts has 0 < c t <= CT_MAX, the range
+    the default grids resolve at speed c (NaN fails the comparison too)."""
+    for t in ts:
+        if not 0.0 < c * t <= CT_MAX:
+            raise ParameterError(
+                f"time {t:g} outside (0, {CT_MAX / c:g}]: the Green's-"
+                f"function grids resolve c t up to {CT_MAX:g} (c = {c:g})")
 
 
 class GreenReconstructor:
@@ -277,8 +235,7 @@ class GreenReconstructor:
         self.lam_l = spectral.branches(self.kl, eq)
         self.k_all = np.concatenate([self.kl, self.km])
         self.window = np.concatenate([self.chi_l, self.mu_m])
-        (self.MP, self.MM, self.M3r, self.M3s,
-         self.M4r, self.M4s) = coefficient_matrices(eq)
+        self.P0, self.Pm1 = spectral.leading_projectors(eq)
         self.mid = spectral.decompose_symbol(self.km, eq)
 
     # -- profiles ----------------------------------------------------------
@@ -288,20 +245,16 @@ class GreenReconstructor:
         return smooth_bump(k, K_CUT, 1.2 * K_CUT) - chi_low(k)
 
     def _leading_profile(self, i: int, j: int, k, lam, t: float):
-        """Leading-order compressible profile of entry (i, j) at k.
+        """Leading-order compressible profile of entry (i, j) at k:
+        Re sum_l (P0_l + Pm1_l / k)[i, j] e^{lam_l t}, the projectors'
+        k-series times the exact branch exponentials.
 
         lam holds the labeled branch eigenvalues at k, shape (nk, 4).
         """
         a, b = i - 1, j - 1
         spectral.check_growth(lam, t)
-        damp = np.exp(lam[:, 0].real * t)
-        oscP = damp * np.cos(lam[:, 0].imag * t)
-        oscM = damp * np.sin(lam[:, 0].imag * t)
-        e3 = np.exp(lam[:, 2] * t).real
-        e4 = np.exp(lam[:, 3] * t).real
-        return (self.MP[a, b] * oscP + self.MM[a, b] * oscM
-                + (self.M3r[a, b] + self.M3s[a, b] / k) * e3
-                + (self.M4r[a, b] + self.M4s[a, b] / k) * e4)
+        coef = self.P0[:, a, b] + self.Pm1[:, a, b] / k[:, None]
+        return (coef * np.exp(lam * t)).sum(axis=1).real
 
     def full_profile(self, i: int, j: int, k, t: float) -> np.ndarray:
         """Band-limited compressible profile at arbitrary k (oracle hook).
@@ -390,6 +343,7 @@ def _certify(name: str, magnitude, envelopes: list[WavePattern], c: float,
              nr: int = 256) -> EnvelopeReport:
     """Shared driver: max |magnitude| / sum of envelopes over an (r,t) grid."""
     ts = np.logspace(math.log10(t_lo), math.log10(t_hi), n_t)
+    check_times(c, ts)
     C_by_region = {"core": 0.0, "front": 0.0, "elsewhere": 0.0}
     C_slices = []
     for t in ts:
@@ -458,6 +412,7 @@ def verify_cancellation(recon: GreenReconstructor, swap_weights: bool = False,
 def kernel_csv_rows(recon: GreenReconstructor, i: int, j: int,
                     t_list, r_max_factor: float = R_MAX_FACTOR,
                     nr: int = 256) -> list[dict]:
+    check_times(recon.eq.c, t_list)
     rows = []
     for t in t_list:
         rs = np.linspace(0.0, r_max_factor * recon.eq.c * t, nr)

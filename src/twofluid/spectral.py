@@ -5,11 +5,13 @@ to a real 4x4 matrix A(k) acting on (n_plus, phi_plus, n_minus, phi_minus),
 where phi is the scalar potential amplitude of the compressible momentum.
 This module builds A(k), its characteristic quartic, the labelled
 eigenvalue branches and their projectors, the closed-form low- and
-high-frequency expansions, the certified middle-band decay gap, and the
-semigroup e^{tA(k)} from a decomposition of a k-grid (decompose_symbol),
-built once and applied per t.  Every eigenvalue is a Newton-polished root
-of the quartic (_quartic_roots), which holds the diffusive pair
-lambda3,4 ~ lambda3,4_tilde k^2 to relative round-off at small k.
+high-frequency expansions, the low band as the projectors' k-series
+P0 + Pm1/k (leading_projectors), the certified middle-band decay gap, and
+the semigroup e^{tA(k)} from a decomposition of a k-grid
+(decompose_symbol), built once and applied per t.  Every eigenvalue is a
+Newton-polished root of the quartic (_quartic_roots), which holds the
+diffusive pair lambda3,4 ~ lambda3,4_tilde k^2 to relative round-off at
+small k.
 Projectors and semigroup use closed-form eigenvectors (see _right and
 _left): no eigenvector matrix is formed or inverted.  scipy is imported
 only for expm on ill-conditioned modes.
@@ -311,32 +313,74 @@ def projectors(ks, lam, eq: EquilibriumState) -> ComplexArray:
         return np.einsum("nil,njl->nlij", v, w)
 
 
-def singular_projector_coeffs(eq: EquilibriumState, k: float):
-    """1/k coefficients of the diffusive projectors P3, P4 near k.
+# the projectors' k-series must meet projectors at k = ETA1/2 to this
+# relative miss, or the low band it describes is not asymptotic
+SERIES_MISS_MAX = 0.25
 
-    Entries of P3/P4 in columns 2 and 4 blow up like a/k; the coefficient a
-    is extracted by a two-point fit at k and k/2 (which cancels the regular
-    part).  Returns a pair of 4x4 complex coefficient matrices; projectors
-    that are not finite raise ParameterError.
+
+def leading_projectors(eq: EquilibriumState):
+    """(P0, Pm1), each (4, 4, 4) with [l, i, j]: the Laurent series
+    P_l(k) = Pm1_l / k + P0_l + O(k) of the projectors at k = 0 (Kato,
+    Perturbation Theory for Linear Operators, 1966, ch. II).
+
+    _right and _left are k^3 (x0 + k x1 + ...) on a branch.  The sound
+    pair, lam = s k + O(k^2) with s = +-ic, gives v0 = (b2, -s b2, b4,
+    -s b4) and w0 = (-s b3, b3, -s b4, b4): P0 = v0 w0^T / (w0.v0), Pm1 =
+    0.  The diffusive pair, lam = L k^2 + O(k^4) with L = lam3,4_tilde,
+    gives v0 = (b2, 0, -b1, 0), v1 = (0, -b2 L, 0, b1 L), w0 = (0, b3, 0,
+    -b1) and w1 = (-b3 (L + nu+), 0, b1 (L + nu-), 0); w^T v holds odd
+    powers of k only, so with d = w0.v1 + w1.v0 (= -+b1 sqrt(disc)),
+    Pm1 = v0 w0^T / d and P0 = (v0 w1^T + v1 w0^T) / d.  At disc < 0 the
+    pair comes out conjugate.  A double diffusive root (d = 0), or a
+    series that misses projectors at k = ETA1/2 by more than
+    SERIES_MISS_MAX of max(1, |P|) or by a value that is not finite, is a
+    ParameterError.
     """
-    ks = np.array([k, 0.5 * k])
-    P = projectors(ks, branches(ks, eq), eq)
-    if not np.isfinite(P).all():
-        raise ParameterError(f"the diffusive projectors at k = {k:g} are "
-                             "not finite at these parameters")
-    scale = 1.0 / (2.0 / k - 1.0 / k)
-    return (P[1, 2] - P[0, 2]) * scale, (P[1, 3] - P[0, 3]) * scale
+    b1, b2, b3, b4 = eq.beta1, eq.beta2, eq.beta3, eq.beta4
+    P0 = np.zeros((4, 4, 4), dtype=complex)
+    Pm1 = np.zeros_like(P0)
+    k = 0.5 * ETA1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for l, s in enumerate((1j * eq.c, -1j * eq.c)):
+            v0 = np.array([b2, -s * b2, b4, -s * b4])
+            w0 = np.array([-s * b3, b3, -s * b4, b4])
+            P0[l] = np.outer(v0, w0) / (w0 @ v0)
+        for l, L in enumerate((eq.lam3_tilde, eq.lam4_tilde), start=2):
+            L = complex(L)
+            v0 = np.array([b2, 0.0, -b1, 0.0])
+            v1 = np.array([0.0, -b2 * L, 0.0, b1 * L])
+            w0 = np.array([0.0, b3, 0.0, -b1])
+            w1 = np.array([-b3 * (L + eq.nu_plus), 0.0,
+                           b1 * (L + eq.nu_minus), 0.0])
+            d = w0 @ v1 + w1 @ v0
+            if d == 0.0:
+                raise ParameterError("the diffusive pair is a double root "
+                                     "at k = 0: its projectors have no "
+                                     "series at these parameters")
+            Pm1[l] = np.outer(v0, w0) / d
+            P0[l] = (np.outer(v0, w1) + np.outer(v1, w0)) / d
+        exact = projectors(k, branches(k, eq), eq)[0]
+        miss = np.abs(P0 + Pm1 / k - exact).max() \
+            / max(1.0, np.abs(exact).max())
+    # NaN fails the comparison
+    if not miss <= SERIES_MISS_MAX:
+        raise ParameterError(f"the low band's projector series misses the "
+                             f"projectors at k = {k:g} by {miss:.3g} "
+                             f"(relative; at most {SERIES_MISS_MAX:g}): "
+                             "not asymptotic at these parameters")
+    return P0, Pm1
 
 
-def singular_combination_residual(eq: EquilibriumState, k: float) -> float:
+def singular_combination_residual(eq: EquilibriumState) -> float:
     """Relative size of the beta-weighted combination of 1/k coefficients.
 
-    The combination beta1 * (row 1) + beta2 * (row 3) of P3 and P4 must kill
-    the 1/k singularities in columns 2 and 4; returns the worst ratio of the
-    combined coefficient to the sum of the individual magnitudes.
+    The combination beta1 * (row 1) + beta2 * (row 3) of Pm1 of the
+    diffusive pair must kill the 1/k singularities in columns 2 and 4;
+    returns the worst ratio of the combined coefficient to the sum of the
+    individual magnitudes.
     """
     worst = 0.0
-    for a in singular_projector_coeffs(eq, k):
+    for a in leading_projectors(eq)[1][2:]:
         comb = eq.beta1 * a[0] + eq.beta2 * a[2]
         denom = np.abs(eq.beta1 * a[0]) + np.abs(eq.beta2 * a[2])
         for col in (1, 3):

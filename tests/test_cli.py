@@ -105,12 +105,14 @@ NEWLY_SOLVED = ["gamma_minus = 100", "a_minus = 1e10", "a_plus = 1e-50",
 def test_newly_solved_files_end_in_an_exit_code(cfg, tmp_path, capsys):
     params = tmp_path / "params.cfg"
     params.write_text(cfg + "\n")
-    # greens fails on the complex diffusive pair (or, at a_minus = 1e50, on
-    # lost-sign growth); simulate and certify-all stop at the pre-wrap
-    # horizon or at an unresolved middle-band gap; c ~ 1.4 at a_plus =
-    # 1e-50 keeps its simulate run inside the horizon; at c >= 1.4e5
-    # convolve accepts 5.9 % (a_minus = 1e10) to 12.8 % (a_minus = 1e50) of
-    # its quadrature panels at the depth cap, an unresolved value
+    # greens refuses c t beyond the 600 its grids resolve (c >= 87), or,
+    # at a_plus = 1e-50, a projector series that misses the exact
+    # projectors at k = ETA1/2 by a relative 7; simulate and certify-all
+    # stop at the pre-wrap horizon or at an unresolved middle-band gap;
+    # c ~ 1.4 at a_plus = 1e-50 keeps its simulate run inside the
+    # horizon; at c >= 1.4e5 convolve accepts 5.9 % (a_minus = 1e10) to
+    # 12.8 % (a_minus = 1e50) of its quadrature panels at the depth cap,
+    # an unresolved value
     runs = [(["equilibrium"], 0), (["spectrum"], 0), (["greens"], 2),
             (["simulate", "--grid", "8", "--box", "16", "--t-final", "1"],
              0 if cfg == "a_plus = 1e-50" else 2),
@@ -258,11 +260,12 @@ MALFORMED = [
     # every middle-band mode fails the eigenvector test, and round-off
     # gives the slow branches a growth beyond exp's range
     ["--params", "@sigma_minus=1e100", "greens", "--entry", "2,2"],
-    # disc < 0: the complex diffusive pair gives non-finite metrics and
-    # kernel values, which have no strict JSON form and are not written
-    ["--params", "@complex-pair", "greens", "--entry", "1,2"],
-    ["--params", "@complex-pair", "greens", "--entry", "2,2"],
-    ["--params", "@complex-pair", "certify-all"],
+    # the projectors' k-series misses the exact projectors at k = ETA1/2
+    # by a relative 7: the low band is not asymptotic
+    ["--params", "@a_plus=1e-50", "greens"],
+    # c = 87: the default --t-list and the envelope grid reach c t beyond
+    # the 600 the grids resolve
+    ["--params", "@gamma_minus=100", "greens"],
     # c = 87 runs the simulator stage past its pre-wrap horizon
     ["--params", "@gamma_plus=100", "certify-all"],
     # the middle band's largest Re lambda is within the round-off of A(k)
@@ -285,8 +288,7 @@ def test_malformed_input_is_a_usage_error(argv, tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     for a in argv:
         if a.startswith("@"):
-            cfg.write_text(COMPLEX_PAIR if a == "@complex-pair" else
-                           a[1:].replace("=", " = ").replace(";", "\n")
+            cfg.write_text(a[1:].replace("=", " = ").replace(";", "\n")
                            + "\n")
     argv = [str(cfg) if a.startswith("@") else a for a in argv]
     assert main(["--out", str(tmp_path), *argv]) == 2
@@ -296,6 +298,29 @@ def test_malformed_input_is_a_usage_error(argv, tmp_path, capsys):
     assert not (tmp_path / "kernel.csv").exists()
     for path in tmp_path.glob("*.json"):
         read_strict_json(path)
+
+
+def test_complex_pair_runs_end_in_exit_0(tmp_path, capsys):
+    # disc < 0: the complex diffusive pair's projector series is
+    # conjugate, so its kernels and metrics are finite
+    cfg = tmp_path / "complex_pair.cfg"
+    cfg.write_text(COMPLEX_PAIR)
+    for argv, out in ((["greens", "--entry", "1,2"], "envelope.json"),
+                      (["greens", "--entry", "2,2"], "envelope.json"),
+                      (["certify-all"], "certify.json")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["--params", str(cfg), "--out", str(tmp_path),
+                         *argv]) == 0, argv
+        assert capsys.readouterr().err == ""
+        rep = read_strict_json(tmp_path / out)
+        if out == "envelope.json":
+            assert rep["pass"] is True
+        else:
+            assert rep["fail_count"] == 0
+        if argv[0] == "greens":
+            rows = read_csv(tmp_path / "kernel.csv")
+            assert all(math.isfinite(float(r["value"])) for r in rows)
 
 
 def test_default_json_outputs_are_strict(tmp_path):

@@ -11,7 +11,7 @@ from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
-from twofluid.model import ModelParams, solve_equilibrium
+from twofluid.model import ModelParams, ParameterError, solve_equilibrium
 from twofluid import greens, spectral
 from twofluid.waveconv import WavePattern
 
@@ -268,9 +268,10 @@ class TestOnePassTransform:
             assert np.abs(got[name] - want[name]).max() <= 1e-11 * scale
 
     @pytest.mark.parametrize("factor", FACTORS)
-    @pytest.mark.parametrize("t", [1.0, 10.0, 100.0, greens.T_MAX])
+    @pytest.mark.parametrize("t", [1.0, 10.0, 100.0,
+                                   greens.CT_MAX / SYM_EQ.c])
     def test_every_factor_on_the_green_grid(self, sym_recon, factor, t):
-        # t = T_MAX reaches the widest oscillation the grids are kept for
+        # c t = CT_MAX reaches the widest oscillation the grids are kept for
         rec = sym_recon
         k = rec.k_all
         w = np.concatenate([rule.weights for rule in rec.rules])
@@ -362,59 +363,179 @@ def test_composite_gl_panel_structure(a, b, n_panels, n_nodes):
         <= 1e-13 * weights.max()
 
 
+def _hand_written_matrices(eq):
+    """The low band's coefficient matrices (MP, MM, M3r, M3s, M4r, M4s) as
+    written out by hand before the projectors' k-series replaced them:
+    S = MP oscP + MM oscM + (M3r + M3s/k) e^{lam3 t} + (M4r + M4s/k)
+    e^{lam4 t}, oscP = e^{Re lam1 t} cos(Im lam1 t), oscM its sine.  They
+    divide by R_disc, so they hold at disc > 0 only."""
+    b1, b2, b4 = eq.beta1, eq.beta2, eq.beta4
+    c2 = b1 + b4
+    R = eq.R_disc
+    nup, num = eq.nu_plus, eq.nu_minus
+
+    MP = np.array([
+        [b1, 0.0, b2, 0.0],
+        [0.0, b1, 0.0, b2],
+        [b2, 0.0, b4, 0.0],
+        [0.0, b2, 0.0, b4],
+    ]) / c2
+    MM = np.array([
+        [0.0, -b1 / c2 ** 1.5, 0.0, -b2 / c2 ** 1.5],
+        [b1 / c2 ** 0.5, 0.0, b2 / c2 ** 0.5, 0.0],
+        [0.0, -b2 / c2 ** 1.5, 0.0, -b4 / c2 ** 1.5],
+        [b2 / c2 ** 0.5, 0.0, b4 / c2 ** 0.5, 0.0],
+    ])
+
+    def diffusive(lt: float) -> np.ndarray:
+        g = (b4 * nup + b1 * num) / c2
+        return np.array([
+            [b1 * b4 * (nup - num) / (c2 * R) - b4 * lt / R, 0.0,
+             b2 * b4 * (nup - num) / (c2 * R) + b2 * lt / R, 0.0],
+            [0.0, -b4 * g / R - b4 * lt / R, 0.0, b2 * g / R + b2 * lt / R],
+            [b1 * b2 * (num - nup) / (c2 * R) + b2 * lt / R, 0.0,
+             b1 * b4 * (num - nup) / (c2 * R) - b1 * lt / R, 0.0],
+            [0.0, b2 * g / R + b2 * lt / R, 0.0, -b1 * g / R - b1 * lt / R],
+        ])
+
+    M3s = np.array([
+        [0.0, -b4 / R, 0.0, b2 / R],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, b2 / R, 0.0, -b1 / R],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    M3r = diffusive(float(np.real(eq.lam4_tilde)))
+    M4r = -diffusive(float(np.real(eq.lam3_tilde)))
+    M4s = -M3s
+    return MP, MM, M3r, M3s, M4r, M4s
+
+
+BULK_EQ = solve_equilibrium(ModelParams(lambda_plus=0.5, lambda_minus=0.3))
+CX_EQ = solve_equilibrium(ModelParams(sigma_plus=1.0, sigma_minus=1.0))
+
+
+@pytest.fixture(scope="module")
+def cx_recon():
+    return greens.GreenReconstructor(CX_EQ)
+
+
 class TestCoefficientMatrices:
+    """The reconstructor's low band: the projectors' k-series."""
+
     def test_time_zero_identity(self):
-        for eq in (SYM_EQ, ASYM_EQ):
-            MP, MM, M3r, M3s, M4r, M4s = greens.coefficient_matrices(eq)
-            assert np.abs(MP + M3r + M4r - np.eye(4)).max() < 1e-12
-            assert np.abs(M3s + M4s).max() == 0.0
+        for eq in (SYM_EQ, ASYM_EQ, BULK_EQ, CX_EQ):
+            P0, Pm1 = spectral.leading_projectors(eq)
+            assert np.abs(P0.sum(axis=0) - np.eye(4)).max() <= 1e-15
+            assert np.abs(Pm1.sum(axis=0)).max() <= 1e-15
 
     def test_weighted_rows_kill_singular_parts(self):
-        for eq in (SYM_EQ, ASYM_EQ):
-            _, _, _, M3s, _, _ = greens.coefficient_matrices(eq)
-            combo = eq.beta1 * M3s[0] + eq.beta2 * M3s[2]
+        for eq in (SYM_EQ, ASYM_EQ, CX_EQ):
+            Pm1 = spectral.leading_projectors(eq)[1]
+            combo = eq.beta1 * Pm1[:, 0] + eq.beta2 * Pm1[:, 2]
             assert np.abs(combo).max() < 1e-14
 
+    @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ, BULK_EQ],
+                             ids=["sym", "asym", "bulk"])
+    def test_hand_written_matrices_equal_the_series(self, eq):
+        # the profile's sound part Re(P1 e^{lam1 t} + P2 e^{lam2 t}) is
+        # MP oscP + MM oscM with MP = 2 Re P1, MM = -2 Im P1
+        assert eq.disc > 0.0
+        MP, MM, M3r, M3s, M4r, M4s = _hand_written_matrices(eq)
+        P0, Pm1 = spectral.leading_projectors(eq)
+        pairs = ((P0[0] + P0[1], MP), (-2.0 * P0[0].imag, MM),
+                 (P0[2], M3r), (Pm1[2], M3s), (P0[3], M4r), (Pm1[3], M4s),
+                 (Pm1[0], 0.0), (Pm1[1], 0.0))
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-15
+
     def test_leading_matrices_match_projectors(self):
-        # spectral projectors at small k agree with the constant matrices
-        # up to O(k) corrections
+        # spectral projectors at small k agree with the series up to O(k)
+        # corrections
         k = 1e-3
-        for eq in (SYM_EQ, ASYM_EQ):
-            MP, MM, M3r, M3s, M4r, M4s = greens.coefficient_matrices(eq)
+        for eq in (SYM_EQ, ASYM_EQ, CX_EQ):
+            P0, Pm1 = spectral.leading_projectors(eq)
             P = spectral.projectors(k, spectral.branches(k, eq), eq)[0]
-            P1, P3, P4 = P[0], P[2], P[3]
-            assert np.abs(2 * P1.real - MP).max() < 5e-3
-            assert np.abs(P3 - (M3r + M3s / k)).max() < 5e-3 / k * 1e-2
-            assert np.abs(P4 - (M4r + M4s / k)).max() < 5e-3 / k * 1e-2
+            assert np.abs(P[0] + P[1] - P0[0] - P0[1]).max() < 5e-3
+            for l in (2, 3):
+                assert np.abs(P[l] - (P0[l] + Pm1[l] / k)).max() < 5e-3
 
     def test_entry_structure(self):
         assert greens.tensor_kind(1, 1) == "scalar"
         assert greens.tensor_kind(1, 2) == "riesz_vector_t"
-        _, _, _, M3s, _, M4s = greens.coefficient_matrices(SYM_EQ)
-        assert M3s[0, 1] != 0.0 and M4s[0, 1] != 0.0    # 1/k singular part
+        Pm1 = spectral.leading_projectors(SYM_EQ)[1]
+        assert Pm1[2, 0, 1] != 0.0 and Pm1[3, 0, 1] != 0.0  # 1/k part
         assert greens.tensor_kind(2, 2) == "riesz_matrix"
+
+    def test_complex_pair_profile_is_real_and_finite(self, cx_recon):
+        # at disc < 0 the diffusive pair and its projectors are conjugate,
+        # so the low band's profile is real without dropping a part
+        rec = cx_recon
+        P0, Pm1 = rec.P0, rec.Pm1
+        assert np.array_equal(P0[2], np.conj(P0[3]))
+        for i, j in ((1, 1), (1, 2), (2, 2), (3, 2)):
+            coef = P0[:, i - 1, j - 1] + Pm1[:, i - 1, j - 1] / rec.kl[:, None]
+            full = (coef * np.exp(rec.lam_l * 7.0)).sum(axis=1)
+            assert np.abs(full.imag).max() <= 1e-12 * np.abs(full).max()
+            assert np.array_equal(
+                rec._leading_profile(i, j, rec.kl, rec.lam_l, 7.0), full.real)
+
+
+class TestTimeRange:
+    def test_limit_is_on_c_t(self):
+        # the defaults (c = 2) keep --t-list in (0, 300]
+        assert SYM_EQ.c == 2.0
+        greens.check_times(SYM_EQ.c, [1e-9, 2.0, 300.0])
+        for c, t in ((2.0, 301.0), (87.0, 100.0), (2.0, 0.0), (2.0, -2.0),
+                     (2.0, math.nan), (2.0, math.inf)):
+            with pytest.raises(ParameterError, match="c t up to 600"):
+                greens.check_times(c, [2.0, t])
+
+    def test_envelope_grid_is_checked(self):
+        # c = 87 at gamma_minus = 100: the envelope grid's t = 100 is
+        # beyond the range the grids resolve
+        eq = solve_equilibrium(ModelParams(gamma_minus=100.0))
+        rec = greens.GreenReconstructor(eq, low_panels=4, mid_panels=4)
+        with pytest.raises(ParameterError, match="outside"):
+            greens.verify_entry_envelope(
+                rec, 1, 2, [WavePattern("D", a=1.5, p=1.5)])
+        with pytest.raises(ParameterError, match="outside"):
+            greens.kernel_csv_rows(rec, 1, 2, [10.0])
+        assert len(greens.kernel_csv_rows(rec, 1, 2, [6.0], nr=4)) == 4
+
+
+def _fft_oracle(rec, t):
+    """An independent 3-D FFT of the same band-limited symbol against the
+    radial transforms of entries (1,1) and (1,2) at time t."""
+    n, dx = 128, 0.25
+    fx = 2 * math.pi * np.fft.fftfreq(n, d=dx)
+    KX, KY, KZ = np.meshgrid(fx, fx, fx, indexing="ij")
+    K = np.sqrt(KX ** 2 + KY ** 2 + KZ ** 2)
+    rs = np.arange(1, 41) * dx
+    for (i, j, vector) in ((1, 1, False), (1, 2, True)):
+        P = rec.full_profile(i, j, K, t).astype(complex)
+        if vector:
+            P = P * (1j * KX / np.where(K > 0, K, 1.0))
+            P[0, 0, 0] = 0.0
+        kern3 = np.fft.ifftn(P) / dx ** 3
+        assert np.abs(kern3.imag).max() < 1e-12
+        fvals = kern3[1:41, 0, 0].real
+        rvals = rec.entry_values(i, j, rs, t)["amp"]
+        peak = np.abs(fvals).max()
+        sel = np.abs(fvals) > 0.3 * peak
+        assert np.abs(fvals - rvals)[sel].max() / peak < 1e-6
 
 
 class TestReconstruction:
     def test_fft_oracle(self, sym_recon):
-        # independent 3-D FFT of the same band-limited symbol
-        n, dx, t = 128, 0.25, 2.0
-        fx = 2 * math.pi * np.fft.fftfreq(n, d=dx)
-        KX, KY, KZ = np.meshgrid(fx, fx, fx, indexing="ij")
-        K = np.sqrt(KX ** 2 + KY ** 2 + KZ ** 2)
-        rs = np.arange(1, 41) * dx
-        for (i, j, vector) in ((1, 1, False), (1, 2, True)):
-            P = sym_recon.full_profile(i, j, K, t).astype(complex)
-            if vector:
-                P = P * (1j * KX / np.where(K > 0, K, 1.0))
-                P[0, 0, 0] = 0.0
-            kern3 = np.fft.ifftn(P) / dx ** 3
-            assert np.abs(kern3.imag).max() < 1e-12
-            fvals = kern3[1:41, 0, 0].real
-            rvals = sym_recon.entry_values(i, j, rs, t)["amp"]
-            peak = np.abs(fvals).max()
-            sel = np.abs(fvals) > 0.3 * peak
-            assert np.abs(fvals - rvals)[sel].max() / peak < 1e-6
+        _fft_oracle(sym_recon, 2.0)
+
+    def test_fft_oracle_complex_pair(self, cx_recon):
+        # disc < 0: a complex diffusive pair.  At sigma+- = 1 the lattice
+        # sum departs from the radial transform by 1.1e-7 of the peak at
+        # t = 0.5, 9.2e-7 at t = 1 and 9.5e-6 at t = 2, alike at 128 and
+        # 160 points and at dx = 0.2; a dense 1-D quadrature of the same
+        # profile agrees with the radial transform
+        _fft_oracle(cx_recon, 0.5)
 
     @pytest.mark.parametrize("recon", ["sym_recon", "asym_recon"])
     @pytest.mark.parametrize("i,j", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 2),
@@ -554,12 +675,12 @@ class TestWavePatterns:
     def test_riesz_iv_amplitude_decay(self):
         # peak of the 1/k singular part of G12 falls off like (1+t)^-1
         eq = SYM_EQ
-        _, _, _, M3s, _, M4s = greens.coefficient_matrices(eq)
+        Pm1 = spectral.leading_projectors(eq)[1]
 
         def prof(k, t):
             lam = spectral.branches(k, eq)
-            return (M3s[0, 1] * np.exp(lam[:, 2] * t).real
-                    + M4s[0, 1] * np.exp(lam[:, 3] * t).real) / k
+            e = np.exp(lam[:, 2:] * t)
+            return (Pm1[2:, 0, 1] * e).sum(axis=1).real / k
 
         # the power law needs the slow diffusive mode localized inside the
         # band, i.e. t well beyond 1/(|lam3_tilde| eta1^2) ~ 1e4
@@ -575,13 +696,12 @@ class TestWavePatterns:
     def test_ring_moves_at_sound_speed(self, sym_recon):
         rec = sym_recon
         eq = SYM_EQ
-        MP, MM, _, _, _, _ = greens.coefficient_matrices(eq)
+        P0 = spectral.leading_projectors(eq)[0]
 
         def ringpos(t):
-            damp = np.exp(rec.lam_l[:, 0].real * t)
-            p = (MP[0, 1] * damp * np.cos(rec.lam_l[:, 0].imag * t)
-                 + MM[0, 1] * damp * np.sin(rec.lam_l[:, 0].imag * t)) \
-                * rec.chi_l
+            # the sound pair's part of G12's low band
+            e = np.exp(rec.lam_l[:, :2] * t)
+            p = (P0[:2, 0, 1] * e).sum(axis=1).real * rec.chi_l
             rs = np.linspace(0.5, 2.5 * eq.c * t, 3000)
             vals = np.abs(greens._transform("riesz_vector", rec.rules[:1],
                                             p, rs)["amp"])

@@ -9,6 +9,7 @@ over the 24 permutations for the root labelling.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import math
 import warnings
@@ -310,24 +311,138 @@ class TestProjectors:
             assert P[0][0, 0].real == pytest.approx(lead, rel=1e-2)
 
     def test_singular_entries_diverge_like_inverse_k(self):
-        # (1,2) entries of P3 fit a/k with a -> -beta4/R_disc
+        # k P(k) of the exact projectors tends to the series' 1/k part,
+        # which sits in columns 2 and 4 of the diffusive pair: the (1,2)
+        # entry of P3 diverges like a/k with a = -beta4/sqrt(disc)
         for eq in (SYM_EQ, ASYM_EQ):
-            a3, _ = sp.singular_projector_coeffs(eq, 1e-3)
-            expected = -eq.beta4 / eq.R_disc
-            assert a3[0, 1].real == pytest.approx(expected, rel=1e-2)
-            assert abs(a3[0, 1].imag) < 1e-6 * abs(expected)
+            Pm1 = sp.leading_projectors(eq)[1]
+            expected = -eq.beta4 / math.sqrt(eq.disc)
+            assert Pm1[2, 0, 1] == pytest.approx(expected, rel=1e-14)
+            assert np.all(Pm1[:2] == 0.0)
+            assert np.all(Pm1[2:, :, [0, 2]] == 0.0)
+            k = 1e-4
+            P = sp.projectors(k, sp.branches(k, eq), eq)[0]
+            assert (k * P[2, 0, 1]).real == pytest.approx(expected, rel=1e-3)
 
     def test_singular_combination_cancels(self):
-        for eq in (SYM_EQ, ASYM_EQ):
-            assert sp.singular_combination_residual(eq, 1e-3) < 1e-6
+        for eq in SPLIT_EQS.values():
+            assert sp.singular_combination_residual(eq) < 1e-6
 
     def test_projectors_that_are_not_finite_are_a_parameter_error(self):
-        # q+ overflows at sigma_plus = 1e300: no finite projector to fit
+        # q+ overflows at sigma_plus = 1e300: the series has no exact
+        # projectors to be checked against
         eq = solve_equilibrium(ModelParams(sigma_plus=1e300))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParameterError, match="not finite"):
-                sp.singular_projector_coeffs(eq, 1e-4)
+            with pytest.raises(ParameterError, match="not asymptotic"):
+                sp.leading_projectors(eq)
+            with pytest.raises(ParameterError, match="not asymptotic"):
+                sp.singular_combination_residual(eq)
+
+
+class TestLeadingProjectors:
+    """The k-series P(k) = Pm1 / k + P0 + O(k) of the projectors."""
+
+    @pytest.mark.parametrize("name", SPLIT_SETS)
+    def test_series_matches_projectors_to_order_k(self, name):
+        # every branch at k = 1e-3 and 1e-4: the remainder is O(k) (it
+        # falls tenfold with k), and k P(k) - Pm1 is O(k) on its own, so
+        # P0 and Pm1 are both the series' terms
+        eq = SPLIT_EQS[name]
+        P0, Pm1 = sp.leading_projectors(eq)
+        errs = []
+        for k in (1e-3, 1e-4):
+            P = sp.projectors(k, sp.branches(k, eq), eq)[0]
+            err = np.abs(P - Pm1 / k - P0).max(axis=(1, 2))
+            assert (err <= 0.5 * k).all()
+            assert (np.abs(k * P - Pm1).max(axis=(1, 2)) <= 2.0 * k).all()
+            errs.append(err)
+        assert (errs[0] >= 5.0 * errs[1]).all()
+
+    @pytest.mark.parametrize("name", SPLIT_SETS)
+    def test_partition_of_unity(self, name):
+        # sum_l P_l(k) = I at every k: the k^0 terms sum to I and the
+        # 1/k terms to zero
+        P0, Pm1 = sp.leading_projectors(SPLIT_EQS[name])
+        assert np.abs(P0.sum(axis=0) - np.eye(4)).max() <= 1e-15
+        assert np.abs(Pm1.sum(axis=0)).max() <= 1e-15
+
+    def test_complex_pair_is_conjugate(self):
+        # at disc < 0 lam3_tilde = conj(lam4_tilde), and so are the
+        # projectors; the sound pair is conjugate at every disc
+        eq = SPLIT_EQS["complex-pair"]
+        assert eq.disc < 0.0
+        P0, Pm1 = sp.leading_projectors(eq)
+        for P in (P0, Pm1):
+            assert np.array_equal(P[2], np.conj(P[3]))
+            assert np.array_equal(P[0], np.conj(P[1]))
+        assert np.abs(P0[2].imag).max() > 0.1
+
+    @pytest.mark.parametrize("kw,miss", [
+        (dict(A_plus=1e-50), 6.99), (dict(A_plus=1e-300), 10.0),
+        (dict(mu_plus=1e50), 1.0), (dict(sigma_minus=1e50), 1.0),
+        (dict(lambda_plus=1e50), 1.0)],
+        ids=["a_plus_1e-50", "a_plus_1e-300", "mu_plus_1e50",
+             "sigma_minus_1e50", "lambda_plus_1e50"])
+    def test_unresolved_series_is_a_parameter_error(self, kw, miss):
+        # the series misses the projectors at k = ETA1/2 by a relative
+        # 1 to 10 here: the low band is not asymptotic
+        eq = solve_equilibrium(ModelParams(**kw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError,
+                               match=f"by {miss:.3g} .*not asymptotic"):
+                sp.leading_projectors(eq)
+
+    def test_double_diffusive_root_is_a_parameter_error(self):
+        # disc = 0: lam3_tilde = lam4_tilde and d = -+beta1 sqrt(disc) = 0
+        eq = SYM_EQ
+        L = -(eq.beta1 * eq.nu_minus + eq.beta4 * eq.nu_plus) \
+            / (2.0 * (eq.beta1 + eq.beta4))
+        double = dataclasses.replace(eq, lam3_tilde=L, lam4_tilde=L)
+        with pytest.raises(ParameterError, match="double root"):
+            sp.leading_projectors(double)
+
+
+def _sweep_files():
+    """16 seeded random asymmetric files: A+- uniform on [0.5, 4], gamma+-
+    on [1.1, 3], mu+- log-uniform on [0.1, 10], sigma+- on [1e-3, 1]; 4 of
+    them have disc < 0."""
+    rng = np.random.default_rng(41)
+    files = []
+    for _ in range(16):
+        A, gamma = rng.uniform(0.5, 4.0, 2), rng.uniform(1.1, 3.0, 2)
+        mu = 10.0 ** rng.uniform(-1, 1, 2)
+        sigma = 10.0 ** rng.uniform(-3, 0, 2)
+        files.append(ModelParams(
+            A_plus=A[0], A_minus=A[1], gamma_plus=gamma[0],
+            gamma_minus=gamma[1], mu_plus=mu[0], mu_minus=mu[1],
+            sigma_plus=sigma[0], sigma_minus=sigma[1]))
+    return files
+
+
+def test_seeded_sweep_of_the_series():
+    eqs = [solve_equilibrium(p) for p in _sweep_files()]
+    assert sum(eq.disc < 0.0 for eq in eqs) >= 3
+    for eq in eqs:
+        for name, value in dataclasses.asdict(eq).items():
+            if name not in ("params", "R_disc"):
+                assert np.isfinite(value), name
+        P0, Pm1 = sp.leading_projectors(eq)
+        # the remainder is O(k): it falls tenfold from k = 1e-3 to 1e-4
+        # (at most 17.5 k max(1, |P0|) on these files)
+        errs = []
+        for k in (1e-3, 1e-4):
+            P = sp.projectors(k, sp.branches(k, eq), eq)[0]
+            errs.append(np.abs(P - Pm1 / k - P0).max())
+            assert errs[-1] <= 50.0 * k * max(1.0, np.abs(P0).max())
+        assert errs[0] >= 5.0 * errs[1]
+        # to the round-off of the terms (up to 6.4 here)
+        eps = np.finfo(float).eps
+        assert np.abs(P0.sum(axis=0) - np.eye(4)).max() \
+            <= 8.0 * eps * max(1.0, np.abs(P0).max())
+        assert np.abs(Pm1.sum(axis=0)).max() <= 8.0 * eps * np.abs(Pm1).max()
+        assert sp.singular_combination_residual(eq) < 1e-6
 
 
 class TestMidBandGap:
