@@ -132,20 +132,19 @@ def test_green_function_envelopes(sym_recon):
     env_d = waveconv.WavePattern("D", a=1.5, p=1.5)
     rep = greens.verify_entry_envelope(
         sym_recon, 1, 2, [waveconv.WavePattern("R4"), env_h])
-    assert rep.passed
+    assert rep["trend_ratio"] <= 2.0
     rep = greens.verify_entry_envelope(sym_recon, 2, 2, [env_d, env_h])
-    assert rep.passed
+    assert rep["trend_ratio"] <= 2.0
     # the slow entry genuinely exceeds the fast-entry bound, with the
     # leftover half-power growth of its Riesz-IV part
     bad = greens.verify_entry_envelope(sym_recon, 1, 2, [env_d, env_h])
-    assert not bad.passed
-    assert bad.growth_slope == pytest.approx(0.5, abs=0.15)
+    assert bad["trend_ratio"] > 2.0
+    assert bad["growth_slope"] == pytest.approx(0.5, abs=0.15)
 
 
 def test_weighted_cancellation(asym_recon):
     rep = greens.verify_cancellation(asym_recon)
-    assert rep.passed
-    assert rep.trend_ratio <= 2.0
+    assert rep["trend_ratio"] <= 2.0
     # symbol-level cancellation of the singular 1/k amplitude
     assert spectral.singular_combination_residual(ASYM_EQ) < 1e-6
 
@@ -155,16 +154,14 @@ def test_convolution_suite_and_log_obstruction():
     for name in ("I1", "I2", "I3", "K1", "K2", "K3", "K4", "K5", "K6",
                  "K7"):
         rep = waveconv.verify_case(cases[name])
-        assert rep.passed, (name, rep.trend_ratio)
-        assert all(np.isfinite(v) for v in rep.c_est_by_region.values())
-        assert rep.trend_ratio <= 2.0
+        assert rep["trend_ratio"] <= 2.0, (name, rep["trend_ratio"])
+        assert all(np.isfinite(v) for v in rep["c_est_by_region"].values())
     table = waveconv.log_obstruction([64.0 * 4 ** k for k in range(6)],
                                      c=SYM_EQ.c)
     assert table["correlation"] > 0.99
     # the refined source shows no log growth: its per-decade increments
     # collapse instead of approaching a constant
-    d1 = np.diff([row["n1_scaled"] for row in table["rows"]])
-    assert d1[-1] / d1[0] < 0.6
+    assert table["refined_saturation"] < 0.6
 
 
 def test_riesz_potential_lemmas():

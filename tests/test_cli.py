@@ -332,6 +332,37 @@ def test_default_json_outputs_are_strict(tmp_path):
         "certify.json", "convolve.json", "envelope.json", "equilibrium.json"]
     for path in written:
         read_strict_json(path)
+    # the exact record schemas
+    env = read_json(tmp_path / "envelope.json")
+    assert set(env) == {"schema", "entry", "region", "C_est", "trend_ratio",
+                        "growth_slope", "pass"}
+    assert set(env["region"]) == {"core", "front", "elsewhere"}
+    conv = read_json(tmp_path / "convolve.json")
+    assert set(conv) == {"schema", "case", "samples", "c_est_by_region",
+                         "trend_ratio", "pass", "quadrature"}
+    for sample in conv["samples"]:
+        assert set(sample) == {"r", "t", "region", "lhs", "bound", "ratio"}
+    assert set(conv["quadrature"]) == {"panels", "depth_cap_hits",
+                                       "depth_cap_share"}
+    cert = read_json(tmp_path / "certify.json")
+    assert set(cert) == {"schema", "checks", "pass_count", "fail_count"}
+    for check in cert["checks"]:
+        assert set(check) == {"name", "pass", "metric", "tolerance"}
+
+
+@pytest.mark.parametrize("argv,out", [
+    (["greens", "--entry", "2,2"], "envelope.json"),
+    (["convolve", "--case", "K4"], "convolve.json")])
+def test_tol_scale_moves_the_trend_bound(argv, out, tmp_path):
+    # a record passes when trend_ratio <= 2 tol_scale
+    assert main(["--out", str(tmp_path), *argv]) == 0
+    trend = read_json(tmp_path / out)["trend_ratio"]
+    for scale, code in ((0.9 * trend / 2.0, 1), (1.1 * trend / 2.0, 0)):
+        assert main(["--tol-scale", repr(scale), "--out", str(tmp_path),
+                     *argv]) == code, scale
+        rep = read_json(tmp_path / out)
+        assert rep["pass"] is (code == 0)
+        assert rep["trend_ratio"] == trend
 
 
 class TestEquilibrium:

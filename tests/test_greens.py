@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad_vec
 from scipy.special import erf
 
 from twofluid.model import ModelParams, ParameterError, solve_equilibrium
@@ -107,9 +108,9 @@ class TestEnvelopes:
 
         rep = greens._certify("overlap", magnitude, env, c, t_lo=t0,
                               t_hi=4.0, n_t=2, nr=64)
-        assert rep.C_by_region["core"] == pytest.approx(10.0, rel=1e-12)
-        assert rep.C_by_region["front"] == pytest.approx(10.0, rel=1e-12)
-        assert rep.C_by_region["elsewhere"] == pytest.approx(1.0, rel=1e-12)
+        assert rep["region"]["core"] == pytest.approx(10.0, rel=1e-12)
+        assert rep["region"]["front"] == pytest.approx(10.0, rel=1e-12)
+        assert rep["region"]["elsewhere"] == pytest.approx(1.0, rel=1e-12)
 
 
 def _low_band(factor, fhat, rs):
@@ -525,9 +526,51 @@ def _fft_oracle(rec, t):
         assert np.abs(fvals - rvals)[sel].max() / peak < 1e-6
 
 
+def _low_band_oracle(eq, i, j, rs, t):
+    """The radial transform of entry (i, j)'s windowed low band at radii rs,
+    by adaptive Gauss-Kronrod quadrature of its series profile
+    Re sum_l (P0_l + Pm1_l / k)[i, j] e^{lambda_l t} chi_low(k), rebuilt
+    here from spectral.leading_projectors and spectral.branches."""
+    P0, Pm1 = spectral.leading_projectors(eq)
+    a, b = i - 1, j - 1
+
+    def integrand(k):
+        lam = spectral.branches(np.array([k]), eq)[0]
+        p = ((P0[:, a, b] + Pm1[:, a, b] / k) * np.exp(lam * t)).sum().real \
+            * greens.chi_low(k)
+        if greens.tensor_kind(i, j) == "scalar":
+            return p * k * np.sin(k * rs) / rs
+        return p * (k * np.cos(k * rs) / rs - np.sin(k * rs) / rs ** 2)
+
+    val = quad_vec(integrand, 1e-10, spectral.ETA1, epsabs=0.0,
+                   epsrel=1e-12, limit=2000)[0]
+    return val / (2.0 * math.pi ** 2)
+
+
 class TestReconstruction:
     def test_fft_oracle(self, sym_recon):
         _fft_oracle(sym_recon, 2.0)
+
+    @pytest.mark.parametrize("recon", ["sym_recon", "asym_recon",
+                                       "cx_recon"])
+    @pytest.mark.parametrize("t", [2.0, 20.0])
+    def test_low_band_quadrature_oracle(self, recon, t, request):
+        # the FFT lattice has no point inside the low band but k = 0, so
+        # the low block of entry_values (the full value minus the
+        # transform of the profile with its low block zeroed) is held to
+        # a dense 1-D quadrature instead: measured within 3.2e-11 of its
+        # peak (asym, G12, t = 2), while Pm1 scaled by 1.01 in the
+        # reconstructor moves G12 by 5.0e-3 to 9.7e-3
+        rec = request.getfixturevalue(recon)
+        rs = np.linspace(1.0, 4.0 * rec.eq.c * t + 60.0, 24)
+        for i, j in ((1, 1), (1, 2)):
+            p = rec.entry_profile(i, j, t)[0].copy()
+            p[:rec.kl.size] = 0.0
+            mid = greens._transform(greens.tensor_kind(i, j), rec.rules, p,
+                                    rs)["amp"]
+            low = rec.entry_values(i, j, rs, t)["amp"] - mid
+            want = _low_band_oracle(rec.eq, i, j, rs, t)
+            assert np.abs(low - want).max() < 1e-9 * np.abs(want).max()
 
     def test_fft_oracle_complex_pair(self, cx_recon):
         # disc < 0: a complex diffusive pair.  At sigma+- = 1 the lattice
@@ -723,17 +766,15 @@ class TestEnvelopeCertification:
             sym_recon, 1, 2,
             [WavePattern("R4"),
              WavePattern("H", a=2.0, p=2.0, speed=SYM_EQ.c)])
-        assert rep.passed
-        assert rep.trend_ratio <= 2.0
-        assert set(rep.C_by_region) == {"core", "front", "elsewhere"}
-        assert rep.to_json()["pass"] is True
+        assert rep["trend_ratio"] <= 2.0
+        assert set(rep["region"]) == {"core", "front", "elsewhere"}
 
     def test_velocity_entry_passes(self, sym_recon):
         rep = greens.verify_entry_envelope(
             sym_recon, 2, 2,
             [WavePattern("D", a=1.5, p=1.5),
              WavePattern("H", a=2.0, p=2.0, speed=SYM_EQ.c)])
-        assert rep.passed
+        assert rep["trend_ratio"] <= 2.0
 
     def test_too_strong_envelope_fails(self, sym_recon):
         # G12 cannot satisfy the faster-decaying velocity-entry bound;
@@ -743,15 +784,15 @@ class TestEnvelopeCertification:
             sym_recon, 1, 2,
             [WavePattern("D", a=1.5, p=1.5),
              WavePattern("H", a=2.0, p=2.0, speed=SYM_EQ.c)])
-        assert not rep.passed
-        assert 0.3 <= rep.growth_slope <= 0.65
+        assert rep["trend_ratio"] > 2.0
+        assert 0.3 <= rep["growth_slope"] <= 0.65
 
     def test_cancellation_combination(self, asym_recon):
         rep = greens.verify_cancellation(asym_recon)
-        assert rep.passed
+        assert rep["trend_ratio"] <= 2.0
         bad = greens.verify_cancellation(asym_recon, swap_weights=True)
-        assert not bad.passed
-        assert bad.C_est > 5 * rep.C_est
+        assert bad["trend_ratio"] > 2.0
+        assert bad["C_est"] > 5 * rep["C_est"]
 
     def test_kernel_csv_rows(self, sym_recon):
         rows = greens.kernel_csv_rows(sym_recon, 1, 1, [1.0, 4.0], nr=16)
