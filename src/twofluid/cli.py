@@ -175,11 +175,18 @@ def _cmd_greens(args) -> int:
     if not 0.0 < args.r_max_factor <= greens.R_MAX_FACTOR:
         raise UsageError("--r-max-factor must lie in "
                          f"(0, {greens.R_MAX_FACTOR:g}]")
-    recon = greens.GreenReconstructor(eq)
-    # both stages run before anything is written: greens.check_times
-    # refuses a --t-list time or an envelope time the grids do not resolve
-    rows = greens.kernel_csv_rows(recon, i, j, t_list,
-                                  r_max_factor=args.r_max_factor)
+    # both stages run before anything is written, on a middle grid sized
+    # for the largest c t either evaluates; the reconstructor refuses a c t
+    # beyond every grid, greens.check_times any other time out of range
+    recon = greens.GreenReconstructor(
+        eq, ct_max=eq.c * max(t_list + [greens.T_ENVELOPE]))
+    try:
+        rows = greens.kernel_csv_rows(recon, i, j, t_list,
+                                      r_max_factor=args.r_max_factor)
+    except ParameterError:
+        raise
+    except ValueError as exc:
+        raise UsageError(f"--t-list/--r-max-factor: {exc}") from None
     report = greens.verify_entry_envelope(
         recon, i, j, _default_envelopes(i, j, eq), n_t=8, nr=128)
     path = os.path.join(args.out, "kernel.csv")
@@ -348,7 +355,8 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     P0, _ = spectral.leading_projectors(eq)
     add("leading_matrices_sum_to_identity",
         float(np.abs(P0.sum(axis=0) - np.eye(4)).max()), 1e-12)
-    recon = greens.GreenReconstructor(eq)
+    # both reconstructors serve only the envelope grid's times
+    recon = greens.GreenReconstructor(eq, ct_max=greens.T_ENVELOPE * eq.c)
     env_kwargs = dict(n_t=8, nr=128)
     rep = greens.verify_entry_envelope(
         recon, 1, 2, _default_envelopes(1, 2, eq), **env_kwargs)
@@ -358,7 +366,8 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     add("envelope_G22", rep["trend_ratio"], RATIO_MAX)
     asym = solve_equilibrium(validate_params(
         ModelParams(A_minus=2.0, mu_minus=0.7, sigma_plus=0.02)))
-    recon_a = greens.GreenReconstructor(asym)
+    recon_a = greens.GreenReconstructor(asym,
+                                        ct_max=greens.T_ENVELOPE * asym.c)
     rep = greens.verify_cancellation(recon_a)
     add("cancellation_combo", rep["trend_ratio"], RATIO_MAX)
     rep = greens.verify_cancellation(recon_a, swap_weights=True)

@@ -10,7 +10,11 @@ with the exact semigroup under a smooth rolloff, one entry at a time from
 a spectral.decompose_symbol built once per reconstructor.  All
 physical-space values come from 1-D radial quadratures, at times with
 c t up to CT_MAX; a 3-D FFT of the same symbol serves as the regression
-oracle in the test suite.
+oracle in the test suite.  The middle band's nodes per panel are read
+from MID_NODES at the largest c t a reconstructor is built for (32 up to
+c t = 200, within 1e-11 of each slice maximum of the 64 up to CT_MAX),
+and a radius grid whose first radius puts k r at the band edge below
+KR_MIN is refused, since the Riesz factors lose digits there.
 
 The module also houses the envelope-certification drivers (the envelopes
 themselves are waveconv.WavePattern decay patterns) and the double-Riesz
@@ -197,21 +201,31 @@ def radial_inverse(factor: str, fhat, rs, k_max: float = 40.0,
 # ---------------------------------------------------------------------------
 # full-entry reconstruction (low band + exact middle band)
 
-# the default grids give kernels exact to round-off up to this c t at
-# radii up to R_MAX_FACTOR c t; at c t = 2000 they are off by 5.6e-5 of
-# the maximum
+# the largest c t any reconstructor is built for, at radii up to
+# R_MAX_FACTOR c t; at c t = 2000 the 64-node grid is off by 5.6e-5 of the
+# maximum
 CT_MAX = 600.0
 R_MAX_FACTOR = 4.0
+# Gauss-Legendre nodes per middle panel by the largest c t they resolve:
+# nodes go with the phase k r a panel spans, so up to c t = 200 the 32-node
+# grid stays within 1e-11 of each slice maximum of the 64-node one
+MID_NODES = ((200.0, 32), (CT_MAX, 64))
+# the Riesz factors subtract terms of order 1/(k r)^2 and 1/(k r)^3 near
+# the origin: below this k r at the band edge 1.2 K_CUT, G12 at t <= 0.1
+# (where its profile fills the band) loses more than 1e-9 of its value
+KR_MIN = 4e-3
+# the envelope grid's last time
+T_ENVELOPE = 100.0
 
 
-def check_times(c: float, ts) -> None:
-    """ParameterError unless every t of ts has 0 < c t <= CT_MAX, the range
-    the default grids resolve at speed c (NaN fails the comparison too)."""
+def check_times(c: float, ts, ct_max: float = CT_MAX) -> None:
+    """ParameterError unless every t of ts has 0 < c t <= ct_max, the range
+    a grid resolves at speed c (NaN fails the comparison too)."""
     for t in ts:
-        if not 0.0 < c * t <= CT_MAX:
+        if not 0.0 < c * t <= ct_max:
             raise ParameterError(
-                f"time {t:g} outside (0, {CT_MAX / c:g}]: the Green's-"
-                f"function grids resolve c t up to {CT_MAX:g} (c = {c:g})")
+                f"time {t:g} outside (0, {ct_max / c:g}]: the Green's-"
+                f"function grids resolve c t up to {ct_max:g} (c = {c:g})")
 
 
 class GreenReconstructor:
@@ -220,12 +234,25 @@ class GreenReconstructor:
     Shares precomputed quadrature grids, branch eigenvalues, and the
     middle-band symbol decomposition across entries and times; all methods
     are read-only after construction, so no per-time state accumulates.
+
+    The middle band's nodes per panel come from MID_NODES at ct_max, the
+    largest c t the reconstructor serves (at most CT_MAX, which gives the
+    64-node grid); a time with c t > ct_max is a ParameterError, so a
+    smaller grid is never used past the range it resolves.
     """
 
     def __init__(self, eq: EquilibriumState,
                  low_panels: int = 64, low_nodes: int = 32,
-                 mid_panels: int = 256, mid_nodes: int = 64):
+                 mid_panels: int = 256, ct_max: float = CT_MAX):
+        mid_nodes = next((n for ct, n in MID_NODES if 0.0 < ct_max <= ct),
+                         None)
+        if mid_nodes is None:
+            raise ParameterError(
+                f"c t = {ct_max:g} (t = {ct_max / eq.c:g} at c = {eq.c:g}) "
+                f"outside (0, {CT_MAX:g}], the range the Green's-function "
+                "grids resolve")
         self.eq = eq
+        self.ct_max = ct_max
         # the low and middle grids as one quadrature of two blocks (their
         # half-widths differ), with their windows
         low = composite_gl(1e-10, ETA1, low_panels, low_nodes)
@@ -239,6 +266,14 @@ class GreenReconstructor:
         self.window = np.concatenate([self.chi_l, self.mu_m])
         self.P0, self.Pm1 = spectral.leading_projectors(eq)
         self.mid = spectral.decompose_symbol(self.km, eq)
+
+    @property
+    def grid(self) -> dict:
+        """[panels, nodes per panel] of the low and middle rules, and the
+        c t the middle rule is sized for."""
+        low, mid = self.rules
+        return {"low": [low.mid.size, low.x.size],
+                "mid": [mid.mid.size, mid.x.size], "ct_max": self.ct_max}
 
     # -- profiles ----------------------------------------------------------
 
@@ -290,6 +325,7 @@ class GreenReconstructor:
         and the windowed heat profile of the shear entries (2,2) and (4,4)
         (None for the others).  The low part is the leading-order
         decomposition, the middle part entry (i, j) of the exact semigroup."""
+        check_times(self.eq.c, [t], self.ct_max)
         low = self._leading_profile(i, j, self.kl, self.lam_l, t) * self.chi_l
         mid = self.mid.entry(i - 1, j - 1, t).real * self.mu_m
         p = np.concatenate([low, mid])
@@ -320,7 +356,7 @@ class GreenReconstructor:
 # envelope certification
 
 def _certify(name: str, magnitude, envelopes: list[WavePattern], c: float,
-             t_lo: float = 1.0, t_hi: float = 100.0, n_t: int = 16,
+             t_lo: float = 1.0, t_hi: float = T_ENVELOPE, n_t: int = 16,
              nr: int = 256) -> dict:
     """The envelope.json record of max |magnitude| / sum of envelopes over
     an (r,t) grid; trend_ratio is the late half of the t-grid's largest
@@ -354,11 +390,12 @@ def _certify(name: str, magnitude, envelopes: list[WavePattern], c: float,
 def verify_entry_envelope(recon: GreenReconstructor, i: int, j: int,
                           envelopes: list[WavePattern],
                           **grid_kwargs) -> dict:
-    """Certify |G_ij| against a sum of envelopes on the standard grid."""
-    return _certify(
-        f"G{i}{j}",
-        lambda rs, t: recon.entry_magnitude(i, j, rs, t),
-        envelopes, recon.eq.c, **grid_kwargs)
+    """Certify |G_ij| against a sum of envelopes on the standard grid; the
+    record's grid is the reconstructor's quadrature."""
+    return {**_certify(f"G{i}{j}",
+                       lambda rs, t: recon.entry_magnitude(i, j, rs, t),
+                       envelopes, recon.eq.c, **grid_kwargs),
+            "grid": recon.grid}
 
 
 def verify_cancellation(recon: GreenReconstructor, swap_weights: bool = False,
@@ -390,7 +427,19 @@ def verify_cancellation(recon: GreenReconstructor, swap_weights: bool = False,
 def kernel_csv_rows(recon: GreenReconstructor, i: int, j: int,
                     t_list, r_max_factor: float = R_MAX_FACTOR,
                     nr: int = 256) -> list[dict]:
-    check_times(recon.eq.c, t_list)
+    """|G_ij| on nr radii from 0 to r_max_factor c t at each t of t_list.
+
+    A ParameterError refuses a time outside the reconstructor's range; a
+    ValueError a radius grid whose first positive radius r1 has
+    1.2 K_CUT r1 < KR_MIN, where the Riesz factors lose digits near the
+    origin.
+    """
+    check_times(recon.eq.c, t_list, recon.ct_max)
+    r1 = r_max_factor * recon.eq.c * min(t_list) / (nr - 1)
+    if not 1.2 * K_CUT * r1 >= KR_MIN:
+        raise ValueError(
+            f"first radius {r1:g} below {KR_MIN / (1.2 * K_CUT):g}: k r at "
+            f"the band edge under {KR_MIN:g} loses digits near the origin")
     rows = []
     for t in t_list:
         rs = np.linspace(0.0, r_max_factor * recon.eq.c * t, nr)

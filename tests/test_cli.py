@@ -14,7 +14,7 @@ import warnings
 import pytest
 
 import twofluid
-from twofluid import cli, sim
+from twofluid import cli, greens, sim
 from twofluid.cli import (_check_record, _equilibrium_metrics,
                           _fraction_map_roundtrip, main)
 from twofluid.model import (_CONFIG_KEYS, AdmissibilityError,
@@ -230,6 +230,12 @@ MALFORMED = [
     ["greens", "--r-max-factor", "0"],
     ["greens", "--r-max-factor", "inf"],
     ["greens", "--r-max-factor", "4.5"],
+    # the first radius puts k r at the band edge below greens.KR_MIN, where
+    # the Riesz factors lose digits near the origin
+    ["greens", "--t-list", "1e-7"],
+    ["greens", "--t-list", "2,1e-5"],
+    ["greens", "--t-list", "1e-320"],
+    ["greens", "--r-max-factor", "1e-300"],
     ["simulate", "--grid", "0", "--box", "16"],
     ["simulate", "--grid", "3", "--box", "16"],
     ["simulate", "--grid", "8", "--box", "nan"],
@@ -335,8 +341,10 @@ def test_default_json_outputs_are_strict(tmp_path):
     # the exact record schemas
     env = read_json(tmp_path / "envelope.json")
     assert set(env) == {"schema", "entry", "region", "C_est", "trend_ratio",
-                        "growth_slope", "pass"}
+                        "growth_slope", "pass", "grid"}
     assert set(env["region"]) == {"core", "front", "elsewhere"}
+    # the default times reach c t = 200: 32 nodes per middle panel
+    assert env["grid"] == {"low": [64, 32], "mid": [256, 32], "ct_max": 200.0}
     conv = read_json(tmp_path / "convolve.json")
     assert set(conv) == {"schema", "case", "samples", "c_est_by_region",
                          "trend_ratio", "pass", "quadrature"}
@@ -417,6 +425,32 @@ class TestGreens:
         assert {"entry", "region", "C_est", "trend_ratio", "pass"} \
             <= set(rep)
         assert rep["pass"] is True
+
+    def test_t_300_runs_the_64_node_grid(self, tmp_path):
+        # c t = 600: the grid and values of the library's default
+        # reconstructor, bit for bit
+        assert main(["--out", str(tmp_path), "greens", "--t-list",
+                     "300"]) == 0
+        eq = solve_equilibrium(ModelParams())
+        recon = greens.GreenReconstructor(eq)
+        want = greens.kernel_csv_rows(recon, 1, 2, [300.0])
+        got = read_csv(tmp_path / "kernel.csv")
+        assert [{k: float(v) for k, v in row.items()} for row in got] == want
+        rep = read_json(tmp_path / "envelope.json")
+        assert rep["grid"] == {"low": [64, 32], "mid": [256, 64],
+                               "ct_max": 600.0}
+        want = greens.verify_entry_envelope(
+            recon, 1, 2, cli._default_envelopes(1, 2, eq), n_t=8, nr=128)
+        assert {k: v for k, v in rep.items() if k != "pass"} == want
+
+    @pytest.mark.parametrize("argv", [["--t-list", "1e-7"],
+                                      ["--r-max-factor", "1e-300"]])
+    def test_near_origin_radii_name_the_options(self, argv, tmp_path,
+                                                capsys):
+        assert main(["--out", str(tmp_path), "greens", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --t-list/--r-max-factor: first radius")
+        assert not list(tmp_path.iterdir())
 
 
 class TestConvolve:

@@ -504,6 +504,129 @@ class TestTimeRange:
         assert len(greens.kernel_csv_rows(rec, 1, 2, [6.0], nr=4)) == 4
 
 
+# the middle-grid and band-overlap checks run at the defaults, an
+# asymmetric set and a complex diffusive pair (disc < 0)
+GRID_SETS = {
+    "sym": SYM_EQ,
+    "asym": solve_equilibrium(ModelParams(mu_plus=2.0, A_minus=2.0,
+                                          gamma_minus=1.4, sigma_plus=0.05)),
+    "cx": CX_EQ,
+}
+
+
+class TestMiddleGridSizing:
+    """The node table: 32 nodes per middle panel up to c t = 200."""
+
+    def test_node_table(self):
+        for ct_max, nodes in ((1e-9, 32), (200.0, 32), (201.0, 64),
+                              (greens.CT_MAX, 64)):
+            rec = greens.GreenReconstructor(SYM_EQ, low_panels=4,
+                                            mid_panels=4, ct_max=ct_max)
+            assert rec.grid == {"low": [4, 32], "mid": [4, nodes],
+                                "ct_max": ct_max}
+        assert greens.GreenReconstructor(
+            SYM_EQ, low_panels=4, mid_panels=4).grid["mid"] == [4, 64]
+        for ct_max in (0.0, -1.0, 601.0, math.inf, math.nan):
+            with pytest.raises(ParameterError, match="outside"):
+                greens.GreenReconstructor(SYM_EQ, ct_max=ct_max)
+
+    def test_refuses_c_t_beyond_its_range(self):
+        rec = greens.GreenReconstructor(SYM_EQ, low_panels=4, mid_panels=4,
+                                        ct_max=200.0)
+        rs = np.linspace(0.0, 10.0, 4)
+        rec.entry_values(1, 2, rs, 100.0)
+        with pytest.raises(ParameterError, match="c t up to 200"):
+            rec.entry_values(1, 2, rs, 100.5)
+        with pytest.raises(ParameterError, match="c t up to 200"):
+            rec.entry_profile(2, 2, 100.5)
+
+    @pytest.mark.parametrize("name", list(GRID_SETS))
+    def test_32_nodes_resolve_c_t_200(self, name):
+        # every entry on the kernel.csv slices of the default --t-list and
+        # on the envelope grid's, against the 64-node grid and, from t = 50
+        # on, a grid of twice the panels
+        eq = GRID_SETS[name]
+        small = greens.GreenReconstructor(eq, ct_max=200.0)
+        assert small.grid["mid"] == [256, 32]
+        refs = [greens.GreenReconstructor(eq),
+                greens.GreenReconstructor(eq, mid_panels=512)]
+        slices = [(t, 256) for t in (2.0, 10.0, 50.0)] \
+            + [(t, 128) for t in np.logspace(0.0, 2.0, 8)]
+        for i in range(1, 5):
+            for j in range(1, 5):
+                for t, nr in slices:
+                    rs = np.linspace(0.0, greens.R_MAX_FACTOR * eq.c * t, nr)
+                    got = small.entry_magnitude(i, j, rs, t)
+                    for ref in refs[:1 + (t >= 50.0)]:
+                        want = ref.entry_magnitude(i, j, rs, t)
+                        assert np.abs(got - want).max() \
+                            <= 1e-11 * np.abs(want).max(), (i, j, t)
+
+
+def _series(x, coeffs):
+    return sum(c * x ** (2 * n) for n, c in enumerate(coeffs))
+
+
+class TestNearOrigin:
+    """The Riesz-vector factor's C1/r - S0/r^2 against its cancellation-free
+    form, the sum of w p k^2 (x cos x - sin x)/x^2 at x = k r."""
+
+    @staticmethod
+    def _miss(rec, i, j, r, t):
+        k = rec.k_all
+        w = np.concatenate([g.weights for g in rec.rules])
+        x = k * r
+        # x cos x - sin x by its Taylor series below x = 0.05
+        f = np.where(x < 0.05,
+                     x * _series(x, [-1 / 3, 1 / 30, -1 / 840, 1 / 45360]),
+                     (x * np.cos(x) - np.sin(x)) / x ** 2)
+        want = (w * rec.entry_profile(i, j, t)[0] * k * k * f).sum() \
+            / (2.0 * math.pi ** 2)
+        got = rec.entry_values(i, j, [r], t)["amp"][0]
+        return abs(got - want) / abs(want)
+
+    @pytest.mark.parametrize("t", [1e-5, 1e-3, 0.1])
+    def test_floor_keeps_1e_9(self, sym_recon, t):
+        r0 = greens.KR_MIN / (1.2 * spectral.K_CUT)
+        misses = [self._miss(sym_recon, i, j, f * r0, t)
+                  for i, j in ((1, 2), (2, 1)) for f in (1.0, 2.0, 4.0)]
+        assert max(misses) <= 1e-9
+        # far below the floor the formula is off by far more
+        below = [self._miss(sym_recon, 1, 2, f * r0 * 1e-3, t)
+                 for f in (1.0, 2.0, 4.0)]
+        assert max(below) > 1e-7
+
+    def test_kernel_rows_refuse_the_first_radius(self, sym_recon):
+        # the first of 256 radii up to 4 c t: k r = 12 * 8 t / 255 at c = 2
+        t_floor = greens.KR_MIN * 255.0 / (12.0 * 8.0)
+        for t_list, kw in (([t_floor / 2.0], {}), ([2.0, 1e-7], {}),
+                           ([2.0], dict(r_max_factor=1e-300))):
+            with pytest.raises(ValueError, match="first radius") as exc:
+                greens.kernel_csv_rows(sym_recon, 1, 2, t_list, **kw)
+            assert not isinstance(exc.value, ParameterError)
+        rows = greens.kernel_csv_rows(sym_recon, 1, 2, [t_floor * 1.01])
+        assert len(rows) == 256
+
+
+class TestBandOverlap:
+    @pytest.mark.parametrize("name", list(GRID_SETS))
+    @pytest.mark.parametrize("t", [1.0, 10.0])
+    def test_leading_profile_meets_the_exact_entry(self, name, t):
+        # where the low band hands over to the middle band, the projectors'
+        # k-series times the exact exponentials misses the exact semigroup
+        # entry by a term that shrinks like k^1.5 or faster toward k = 0
+        eq = GRID_SETS[name]
+        rec = greens.GreenReconstructor(eq, low_panels=4, mid_panels=4)
+        k = np.geomspace(spectral.ETA1 / 8.0, spectral.ETA1, 16)
+        lam = spectral.branches(k, eq)
+        exact = spectral.decompose_symbol(k, eq)
+        for i, j in ((1, 1), (1, 2), (2, 2), (3, 2)):
+            miss = np.abs(rec._leading_profile(i, j, k, lam, t)
+                          - exact.entry(i - 1, j - 1, t).real)
+            slope = np.polyfit(np.log(k), np.log(miss), 1)[0]
+            assert slope >= 1.5, (i, j)
+
+
 def _fft_oracle(rec, t):
     """An independent 3-D FFT of the same band-limited symbol against the
     radial transforms of entries (1,1) and (1,2) at time t."""
