@@ -13,8 +13,8 @@ c t up to CT_MAX; a 3-D FFT of the same symbol serves as the regression
 oracle in the test suite.  The middle band's nodes per panel are read
 from MID_NODES at the largest c t a reconstructor is built for (32 up to
 c t = 200, within 1e-11 of each slice maximum of the 64 up to CT_MAX),
-and a radius grid whose first radius puts k r at the band edge below
-KR_MIN is refused, since the Riesz factors lose digits there.
+and entry_values refuses a positive radius that puts k r at the band
+edge below KR_MIN, since the Riesz factors lose digits there.
 
 The module also houses the envelope-certification drivers (the envelopes
 themselves are waveconv.WavePattern decay patterns) and the double-Riesz
@@ -339,9 +339,17 @@ class GreenReconstructor:
         """Band-limited entry (i, j) amplitudes at radii rs, time t.
 
         The shear entries add their heat profile under the complement
-        factor, in the same transform pass.
+        factor, in the same transform pass.  A ValueError refuses a
+        positive radius r with 1.2 K_CUT r < KR_MIN, where the Riesz
+        factors lose digits near the origin.
         """
         rs = np.atleast_1d(np.asarray(rs, dtype=float))
+        pos = rs[rs > 0.0]
+        if pos.size and not 1.2 * K_CUT * pos.min() >= KR_MIN:
+            raise ValueError(
+                f"first radius {pos.min():g} below {KR_MIN / (1.2 * K_CUT):g}"
+                f": k r at the band edge under {KR_MIN:g} loses digits near "
+                "the origin")
         p, h = self.entry_profile(i, j, t)
         return _transform(tensor_kind(i, j), self.rules, p, rs, heat=h)
 
@@ -430,16 +438,9 @@ def kernel_csv_rows(recon: GreenReconstructor, i: int, j: int,
     """|G_ij| on nr radii from 0 to r_max_factor c t at each t of t_list.
 
     A ParameterError refuses a time outside the reconstructor's range; a
-    ValueError a radius grid whose first positive radius r1 has
-    1.2 K_CUT r1 < KR_MIN, where the Riesz factors lose digits near the
-    origin.
+    ValueError from entry_values a first radius below its floor.
     """
     check_times(recon.eq.c, t_list, recon.ct_max)
-    r1 = r_max_factor * recon.eq.c * min(t_list) / (nr - 1)
-    if not 1.2 * K_CUT * r1 >= KR_MIN:
-        raise ValueError(
-            f"first radius {r1:g} below {KR_MIN / (1.2 * K_CUT):g}: k r at "
-            f"the band edge under {KR_MIN:g} loses digits near the origin")
     rows = []
     for t in t_list:
         rs = np.linspace(0.0, r_max_factor * recon.eq.c * t, nr)

@@ -9,21 +9,16 @@ waves, viscosity, capillarity) is absorbed by an exact integrating factor
 per wave vector, and only the nonlinear increments are advanced with
 classical RK4.
 
-The time loop keeps the state in Fourier space, on the band of the
-real-FFT half grid that the 2/3 rule (Orszag 1971) retains: it enters once
-per run and leaves once per diagnostics row (8 transforms each).  Each RK4
-stage transforms to real space only what its products need, forms every
-product there and every derivative as one spectral multiply: 52 real 3-D
-transforms per stage, 34 on the band, 208 per step (see _GridOps).
-The full-step propagator is applied as two half steps: 4 half-step
-propagations of one real (float64) propagator on the unique |k|, built
-once per run.
-
-The stages run in one workspace that the run's _GridOps owns and builds on
-the first nonlinear stage: every transform writes through ``out=`` into
-persistent scratch and every real-space product runs in place, so a stage
-allocates only its band-sized output and arithmetic and the fraction map's
-solve.  The diagnostics rows read the same buffers.
+A real state is one (8, n, n, n) array, rows n+, m+ (3), n-, m- (3).  The
+time loop keeps it in Fourier space, on the band of the real-FFT half grid
+that the 2/3 rule (Orszag 1971) retains: it enters once per run and leaves
+once per diagnostics row (8 transforms each).  Each RK4 stage transforms
+to real space only what its products need and forms every derivative as
+one spectral multiply: 52 real 3-D transforms per stage, 208 per step.
+The full-step propagator is applied as two half steps of one real
+propagator on the unique |k|, built once per run.  The run's _GridOps owns
+the box grid and every buffer that the transforms, the stages and the
+diagnostics rows write (see _GridOps).
 """
 
 from __future__ import annotations
@@ -39,8 +34,7 @@ from .model import (AdmissibilityError, EquilibriumState, solve_fraction_map)
 from .spectral import decompose_symbol
 
 __all__ = [
-    "SimState", "Diagnostics", "fit_decay_slope", "decay_slope_table",
-    "make_sim_state",
+    "Diagnostics", "fit_decay_slope", "decay_slope_table", "make_sim_state",
     "diagnostics", "shell_profile", "dump_state", "load_state",
     "run_simulation",
 ]
@@ -99,20 +93,6 @@ def decay_slope_table(eq: EquilibriumState, t_lo: float = 1e2,
 # ---------------------------------------------------------------------------
 # periodic-box state and grid machinery
 
-@dataclass
-class SimState:
-    """Real-space perturbation fields on a periodic box [-L, L)^3."""
-
-    eq: EquilibriumState
-    L: float
-    n: int
-    n_p: np.ndarray             # (n, n, n)
-    m_p: np.ndarray             # (3, n, n, n)
-    n_m: np.ndarray
-    m_m: np.ndarray
-    t: float = 0.0
-
-
 @dataclass(frozen=True)
 class Diagnostics:
     mass_p: float
@@ -128,8 +108,10 @@ class Diagnostics:
 
 
 class _GridOps:
-    """Spectral machinery and workspace of one (n, L, eq) grid;
-    run_simulation owns one per run.
+    """Box grid, spectral machinery and workspace of one (n, L, eq) grid;
+    run_simulation owns one per run.  The box points are -L + i dx on each
+    axis (coords), and ``shell`` holds each point's radius bin for the
+    ring diagnostic: n//2 equal bins on [0, L], built once per grid.
 
     Real fields transform onto the half grid (n, n, n//2+1).  The 2/3
     rule's test |xi_d| <= (2/3) pi/dx keeps a box of it, the band: rows
@@ -161,14 +143,14 @@ class _GridOps:
       band transforms and the inverse passes run, and the band's flat
       index, about 0.6 n^3 complex numbers (1.0 MiB at n = 48); forward
       runs its passes in place in its output;
-    - ``real``, the 8 real fields of a band state (n+, m+, n-, m-), 64 n^3
+    - ``real``, the real state (8, n, n, n) of a band state, 64 n^3
       bytes (6.8 MiB at n = 48), built on the first to_real; each stage
       and each diagnostics row of run_simulation overwrite it;
     - the stage workspace (_StageWork), 19 real fields and 5 half-grid
       arrays, about 190 n^3 bytes (20.7 MiB at n = 48), built on the first
       nonlinear stage, so linear runs never allocate it.
-    Once a nonlinear stage has run, these buffers hold 28.5 MiB at n = 48
-    and 227 MiB at n = 96.
+    Once a nonlinear stage has run, these buffers and the shell index
+    (8 n^3 bytes) hold 29.4 MiB at n = 48 and 234 MiB at n = 96.
     """
 
     def __init__(self, n: int, L: float, eq: EquilibriumState):
@@ -200,8 +182,25 @@ class _GridOps:
             self.khat = np.where(k > 0.0, self.xi / np.maximum(k, 1e-300), 0.0)
         self._half = np.empty((n, n, half.size), dtype=complex)
         self._flat = np.ravel_multi_index(self.band[1:], self._half.shape)
+        nbins = n // 2
+        edges = np.linspace(0.0, L, nbins + 1)
+        self.shell = np.clip(np.digitize(self.radius().ravel(), edges) - 1,
+                             0, nbins - 1)
+        self.shell_count = np.maximum(np.bincount(self.shell,
+                                                  minlength=nbins), 1)
+        self.shell_r = 0.5 * (edges[:-1] + edges[1:])
         self.real = None
         self._work = None
+
+    def coords(self):
+        """The box coordinates, one per axis, broadcasting to (n, n, n)."""
+        x1 = -self.L + self.dx * np.arange(self.n)
+        return x1[:, None, None], x1[None, :, None], x1[None, None, :]
+
+    def radius(self) -> np.ndarray:
+        """|x| at the box points, built on each call."""
+        X, Y, Z = self.coords()
+        return np.sqrt(X ** 2 + Y ** 2 + Z ** 2)
 
     def propagator(self, t: float):
         """(G, heat factors) for duration t: G is e^{tA} on the unique |k|,
@@ -248,9 +247,17 @@ class _GridOps:
         np.put(self._half, self._flat, f_hat)
         return self._irfftn(self._half, out)
 
+    def to_band(self, f: np.ndarray) -> np.ndarray:
+        """The band state of real state f (the band holds no Nyquist mode,
+        where khat could not respect conjugate symmetry)."""
+        Y = np.empty((8,) + self.band_shape, dtype=complex)
+        for i in range(8):
+            self.forward_band(f[i], out=Y[i])
+        return Y
+
     def to_real(self, Y: np.ndarray) -> np.ndarray:
-        """The 8 real fields of band state Y, in the grid's ``real``
-        buffer: valid until the next to_real or RHS stage."""
+        """The real state of band state Y, in the grid's ``real`` buffer:
+        valid until the next to_real or RHS stage."""
         if self.real is None:
             self.real = np.empty((8,) + self.shape)
         for i in range(8):
@@ -303,48 +310,29 @@ class _StageWork:
         self.T_hat = np.empty(ops.band_shape, dtype=complex)
 
 
-def _fields_state(ops: _GridOps, f: np.ndarray, t: float) -> SimState:
-    """SimState whose fields are views of the (8, n, n, n) array f."""
-    return SimState(ops.eq, ops.L, ops.n, f[0], f[1:4], f[4], f[5:8], t)
-
-
-def _stack_hat(ops: _GridOps, state: SimState) -> np.ndarray:
-    # the band holds no Nyquist mode, where the direction field khat could
-    # not respect conjugate symmetry
-    fields = [state.n_p, *state.m_p, state.n_m, *state.m_m]
-    Y = np.empty((8,) + ops.band_shape, dtype=complex)
-    for i, f in enumerate(fields):
-        ops.forward_band(f, out=Y[i])
-    return Y
-
-
 # the initial pulse's radius, which the box must exceed, and the largest
 # box size and amplitude a run takes: up to 1e6 its squares, cell volumes
 # and transform sums stay far inside float64 (at 1e300 they overflowed)
 R_PULSE, L_MAX, EPS_MAX = 8.0, 1e6, 1e6
+# the largest grid a run takes: a nonlinear run's peak is near 33 MiB plus
+# 470 bytes per point (83 MiB at n = 48, 146 MiB at n = 64), 3.1 GiB at
+# n = 192, and a linear run's is lower
+N_MAX = 192
 
 
-def make_sim_state(eq: EquilibriumState, n: int = 48, L: float = 64.0,
-                   eps: float = 1e-3) -> SimState:
-    """Compactly supported initial perturbation on the box: a radial
-    momentum pulse of radius R_PULSE in both phases, which launches a
-    Huygens ring."""
-    x1 = -L + (2.0 * L / n) * np.arange(n)
-    X, Yc, Z = np.meshgrid(x1, x1, x1, indexing="ij")
-    zeros = np.zeros((n, n, n))
-    state = SimState(eq, L, n, zeros.copy(), np.zeros((3, n, n, n)),
-                     zeros.copy(), np.zeros((3, n, n, n)))
-    r = np.sqrt(X ** 2 + Yc ** 2 + Z ** 2)
-    r0 = R_PULSE
+def make_sim_state(ops: _GridOps, eps: float = 1e-3) -> np.ndarray:
+    """Compactly supported initial perturbation on the box of ops, as a
+    real state (8, n, n, n): a radial momentum pulse of radius R_PULSE in
+    both phases, which launches a Huygens ring."""
+    r = ops.radius()
     with np.errstate(divide="ignore", over="ignore"):
-        bump = np.where(r < r0, np.exp(1.0 - 1.0 /
-                                       np.maximum(1.0 - (r / r0) ** 2,
-                                                  1e-300)), 0.0)
+        bump = np.where(r < R_PULSE, np.exp(
+            1.0 - 1.0 / np.maximum(1.0 - (r / R_PULSE) ** 2, 1e-300)), 0.0)
     rad = bump / np.maximum(r, 1e-12)
-    for d, coord in enumerate((X, Yc, Z)):
-        state.m_p[d] = eps * rad * coord
-        state.m_m[d] = eps * rad * coord
-    return state
+    f = np.zeros((8,) + ops.shape)
+    for d, coord in enumerate(ops.coords()):
+        f[1 + d] = f[5 + d] = eps * rad * coord
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +421,11 @@ def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, R, rho, rho_bar, mu, lam,
         F[d] += ((mu + lam) / rho_bar) * xi[d] * div_w_hat
 
 
-def _check_fields(n_p, m_p, n_m, m_m) -> None:
-    if np.min(n_p) <= -0.9 or np.min(n_m) <= -0.9:
+def _check_fields(f: np.ndarray) -> None:
+    """Refuse a real state near vacuum or with a non-finite value."""
+    if np.min(f[0]) <= -0.9 or np.min(f[4]) <= -0.9:
         raise AdmissibilityError("fraction density too close to vacuum")
-    if not all(np.isfinite(f).all() for f in (n_p, m_p, n_m, m_m)):
+    if not np.isfinite(f).all():
         raise RuntimeError("non-finite fields: instability detected")
 
 
@@ -449,8 +438,8 @@ def _rhs_hat(ops: _GridOps, Y: np.ndarray) -> np.ndarray:
     map's solve.
     """
     real = ops.to_real(Y)
+    _check_fields(real)
     n_p, m_p, n_m, m_m = real[0], real[1:4], real[4], real[5:8]
-    _check_fields(n_p, m_p, n_m, m_m)
     eq = ops.eq
     p = eq.params
     W = ops.work()
@@ -488,12 +477,6 @@ def _rhs_hat(ops: _GridOps, Y: np.ndarray) -> np.ndarray:
             q += np.multiply(shift, gb[d], out=t)
             F[d] -= ops.forward_band(q, out=W.T_hat)
     return out
-
-
-def default_dt(state: SimState) -> float:
-    """Half the smallest retained wavelength over the sound speed."""
-    lam_min = 3.0 * 2.0 * state.L / state.n
-    return 0.5 * lam_min / state.eq.c
 
 
 def step(ops: _GridOps, Y: np.ndarray, dt: float, prop,
@@ -544,41 +527,31 @@ def step(ops: _GridOps, Y: np.ndarray, dt: float, prop,
 # ---------------------------------------------------------------------------
 # diagnostics
 
-def shell_profile(state: SimState):
-    """Shell-averaged |m+ + m-| and bin-center radii."""
-    n, L = state.n, state.L
-    dx = 2.0 * L / n
-    x1 = -L + dx * np.arange(n)
-    X, Yc, Z = np.meshgrid(x1, x1, x1, indexing="ij")
-    r = np.sqrt(X ** 2 + Yc ** 2 + Z ** 2)
-    amp = np.sqrt(np.sum((state.m_p + state.m_m) ** 2, axis=0))
-    nbins = n // 2
-    edges = np.linspace(0.0, L, nbins + 1)
-    which = np.clip(np.digitize(r.ravel(), edges) - 1, 0, nbins - 1)
-    sums = np.bincount(which, weights=amp.ravel(), minlength=nbins)
-    counts = np.maximum(np.bincount(which, minlength=nbins), 1)
-    return 0.5 * (edges[:-1] + edges[1:]), sums / counts
+def shell_profile(ops: _GridOps, f: np.ndarray):
+    """Bin-center radii and shell averages of |m+ + m-| of real state f."""
+    amp = np.sqrt(np.sum((f[1:4] + f[5:8]) ** 2, axis=0))
+    sums = np.bincount(ops.shell, weights=amp.ravel(),
+                       minlength=ops.shell_r.size)
+    return ops.shell_r, sums / ops.shell_count
 
 
-def diagnostics(state: SimState) -> Diagnostics:
-    dV = (2.0 * state.L / state.n) ** 3
-    eq = state.eq
-    mass_p = float(np.sum(state.n_p) * dV)
-    mass_m = float(np.sum(state.n_m) * dV)
-    momentum = np.sum(state.m_p + state.m_m, axis=(1, 2, 3)) * dV
+def diagnostics(ops: _GridOps, f: np.ndarray, t: float) -> Diagnostics:
+    """Masses, total momentum, L2 norms and ring radius of f at time t."""
+    dV = ops.dx ** 3
+    n_p, m_p, n_m, m_m = f[0], f[1:4], f[4], f[5:8]
+    mass_p = float(np.sum(n_p) * dV)
+    mass_m = float(np.sum(n_m) * dV)
+    momentum = np.sum(m_p + m_m, axis=(1, 2, 3)) * dV
 
-    def l2(f) -> float:
-        return float(math.sqrt(np.sum(f ** 2) * dV))
+    def l2(g) -> float:
+        return float(math.sqrt(np.sum(g ** 2) * dV))
 
-    combo = eq.rho_bar_minus * state.n_p + eq.rho_bar_plus * state.n_m
-    norms = {
-        "n_p": l2(state.n_p), "n_m": l2(state.n_m),
-        "m_p": l2(state.m_p), "m_m": l2(state.m_m),
-        "combo": l2(combo),
-    }
-    radii, prof = shell_profile(state)
+    combo = ops.eq.rho_bar_minus * n_p + ops.eq.rho_bar_plus * n_m
+    norms = {"n_p": l2(n_p), "n_m": l2(n_m), "m_p": l2(m_p), "m_m": l2(m_m),
+             "combo": l2(combo)}
+    radii, prof = shell_profile(ops, f)
     ring_r = float(radii[int(np.argmax(prof))])
-    return Diagnostics(mass_p, mass_m, momentum, norms, ring_r, state.t)
+    return Diagnostics(mass_p, mass_m, momentum, norms, ring_r, t)
 
 
 # ---------------------------------------------------------------------------
@@ -587,18 +560,17 @@ def diagnostics(state: SimState) -> Diagnostics:
 _MAGIC = b"TFSIM001"
 
 
-def dump_state(state: SimState, path: str) -> None:
-    """Little-endian float64 dump: header (n, L, t), then the fields in
-    declaration order n+, m+ (3 components), n-, m- (3 components)."""
+def dump_state(f: np.ndarray, L: float, t: float, path: str) -> None:
+    """Little-endian float64 dump: header (n, L, t), then the real state f,
+    rows n+, m+ (3 components), n-, m- (3 components)."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<3d", float(state.n), state.L, state.t))
-        for f in (state.n_p, *state.m_p, state.n_m, *state.m_m):
-            fh.write(np.ascontiguousarray(f, dtype="<f8").tobytes())
+        fh.write(struct.pack("<3d", float(f.shape[-1]), L, t))
+        fh.write(np.ascontiguousarray(f, dtype="<f8").data)
 
 
-def load_state(path: str, eq: EquilibriumState) -> SimState:
-    """Read a dump_state file; ValueError if its header or length is off."""
+def load_state(path: str):
+    """(f, L, t) of a dump_state file; ValueError on a bad header or size."""
     with open(path, "rb") as fh:
         head = fh.read(32)
         if len(head) < 32 or head[:8] != _MAGIC:
@@ -614,30 +586,31 @@ def load_state(path: str, eq: EquilibriumState) -> SimState:
         if size != 32 + 64 * n ** 3:
             raise ValueError(f"state dump holds {size} bytes; n = {n} needs "
                              f"{32 + 64 * n ** 3}")
-        f = np.frombuffer(fh.read(), dtype="<f8").reshape(8, n, n, n).copy()
-    return SimState(eq, L, n, f[0], f[1:4], f[4], f[5:8], t)
+        f = np.fromfile(fh, dtype="<f8").reshape(8, n, n, n)
+    return f, L, t
 
 
 def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
                    n: int = 48, L: float = 64.0, eps: float = 1e-3,
                    t_final: float | None = None):
-    """Time loop with per-step diagnostics; returns (rows, final_state).
+    """Time loop with per-step diagnostics; returns (rows, f), f the final
+    real state at time rows[-1].t.
 
     The state enters the band once and stays there.  Each step's
-    diagnostics row reads the 8 real fields that the run's _GridOps
-    writes into its ``real`` buffer; no state outlives its row, and only
-    the returned final state is copied out of the buffer.  The run's
-    memory is the grid's buffers (28.5 MiB at n = 48, 227 MiB at n = 96;
+    diagnostics row reads the real state that the run's _GridOps writes
+    into its ``real`` buffer, and f is that buffer itself.  The run's
+    memory is the grid's buffers (29.4 MiB at n = 48, 234 MiB at n = 96;
     see _GridOps) and a few band states (see step).
 
     The box only represents free space until the fastest front wraps;
     t_final beyond the pre-wrap horizon (L - R_PULSE) / c is rejected,
-    and so are n < 4, a box size L outside (R_PULSE, L_MAX], an eps
-    outside [-EPS_MAX, EPS_MAX] and a t_final that is not finite and
-    positive.
+    and so are n outside [4, N_MAX], a box size L outside (R_PULSE,
+    L_MAX], an eps outside [-EPS_MAX, EPS_MAX] and a t_final that is not
+    finite and positive, all before any array is built.
     """
-    if n < 4:
-        raise ValueError(f"grid size {n} must be at least 4")
+    if not 4 <= n <= N_MAX:
+        raise ValueError(f"grid size {n} must be at least 4 and at most "
+                         f"{N_MAX}")
     if not R_PULSE < L <= L_MAX:
         raise ValueError(f"box size {L} must exceed the pulse radius "
                          f"{R_PULSE:g} and be at most {L_MAX:g}")
@@ -648,22 +621,24 @@ def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
         t_final = L / (2.0 * eq.c)
     if not (math.isfinite(t_final) and t_final > 0.0):
         raise ValueError(f"t_final {t_final} must be finite and positive")
-    state = make_sim_state(eq, n=n, L=L, eps=eps)
     horizon = (L - R_PULSE) / eq.c
     if t_final > horizon + 1e-9:
         raise ValueError(f"t_final {t_final} beyond pre-wrap horizon "
                          f"{horizon:.3g}")
-    rows = [diagnostics(state)]
-    n_steps = max(1, int(round(t_final / default_dt(state))))
+    # dt at most half the smallest retained wavelength, 3 dx, over c
+    n_steps = max(1, int(round(t_final / (0.5 * (3.0 * 2.0 * L / n)
+                                          / eq.c))))
     dt = t_final / n_steps
     ops = _GridOps(n, L, eq)
+    f = make_sim_state(ops, eps)
+    rows = [diagnostics(ops, f, 0.0)]
     nonlinear = mode == "nonlinear"
     prop = ops.propagator(0.5 * dt if nonlinear else dt)   # dt is constant
-    Y = _stack_hat(ops, state)
-    t = state.t
-    del state
+    Y = ops.to_band(f)
+    del f
+    t = 0.0
     for _ in range(n_steps):
         Y = step(ops, Y, dt, prop, nonlinear)
         t += dt
-        rows.append(diagnostics(_fields_state(ops, ops.to_real(Y), t)))
-    return rows, _fields_state(ops, ops.real.copy(), t)
+        rows.append(diagnostics(ops, ops.to_real(Y), t))
+    return rows, ops.real

@@ -201,7 +201,8 @@ def test_nonlinear_simulator():
     L, n, eps = 64.0, 48, 1e-3
     rows, final = sim.run_simulation(SYM_EQ, mode="nonlinear", n=n, L=L,
                                      eps=eps)
-    assert final.t == pytest.approx(L / (2.0 * SYM_EQ.c))
+    assert final.shape == (8, n, n, n)
+    assert rows[-1].t == pytest.approx(L / (2.0 * SYM_EQ.c))
     mass_scale = eps * (2 * L) ** 3
     drift = max(abs(r.mass_p - rows[0].mass_p)
                 + abs(r.mass_m - rows[0].mass_m) for r in rows)
@@ -218,20 +219,20 @@ def test_nonlinear_simulator():
     assert hits == 2
 
     # Richardson order of the integrating-factor RK4 stepper
-    st0 = sim.make_sim_state(SYM_EQ, n=24, L=32.0, eps=1e-2)
-    ops = sim._GridOps(st0.n, st0.L, SYM_EQ)
+    ops = sim._GridOps(24, 32.0, SYM_EQ)
+    f0 = sim.make_sim_state(ops, eps=1e-2)
 
     def advance(m):
-        Y = sim._stack_hat(ops, st0)
+        Y = ops.to_band(f0)
         half = ops.propagator(0.5 / m)
         for _ in range(m):
             Y = sim.step(ops, Y, 1.0 / m, half)
-        return sim._fields_state(ops, ops.to_real(Y).copy(), 1.0)
+        return ops.to_real(Y).copy()
 
     ref = advance(32)
     errs = []
     for m in (4, 8):
         s = advance(m)
-        errs.append(np.abs(s.m_p - ref.m_p).max()
-                    + np.abs(s.n_p - ref.n_p).max())
+        errs.append(np.abs(s[1:4] - ref[1:4]).max()
+                    + np.abs(s[0] - ref[0]).max())
     assert math.log2(errs[0] / errs[1]) == pytest.approx(4.0, abs=0.3)

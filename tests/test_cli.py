@@ -14,7 +14,7 @@ import warnings
 import pytest
 
 import twofluid
-from twofluid import cli, greens, sim
+from twofluid import cli, greens, sim, waveconv
 from twofluid.cli import (_check_record, _equilibrium_metrics,
                           _fraction_map_roundtrip, main)
 from twofluid.model import (_CONFIG_KEYS, AdmissibilityError,
@@ -57,6 +57,13 @@ for argv in commands:
     loaded[argv[0]] = scipy_modules() if rc == 0 else f"exit {rc}"
 print(json.dumps(loaded))
 """
+
+
+@pytest.mark.parametrize("module", [sim, waveconv, cli],
+                         ids=lambda m: m.__name__)
+def test_public_names_resolve(module):
+    assert [name for name in module.__all__
+            if not hasattr(module, name)] == []
 
 
 def test_cli_path_loads_no_scipy(tmp_path):
@@ -204,6 +211,8 @@ MALFORMED = [
     ["convolve", "--case", "K4", "--t", "4,1e3"],
     ["spectrum", "--n-k", "0"],
     ["spectrum", "--n-k", "-3"],
+    # numpy's allocation error without the cap (745 GiB asked)
+    ["spectrum", "--n-k", "100000000000"],
     ["spectrum", "--k-min", "0"],
     ["spectrum", "--k-min", "-1"],
     ["spectrum", "--k-min", "nan"],
@@ -238,6 +247,8 @@ MALFORMED = [
     ["greens", "--r-max-factor", "1e-300"],
     ["simulate", "--grid", "0", "--box", "16"],
     ["simulate", "--grid", "3", "--box", "16"],
+    # numpy's allocation error without the cap (7.1 PiB asked)
+    ["simulate", "--grid", "100000"],
     ["simulate", "--grid", "8", "--box", "nan"],
     ["simulate", "--grid", "8", "--box", "inf"],
     ["simulate", "--grid", "8", "--box", "-16"],
@@ -481,9 +492,9 @@ class TestSimulate:
         assert list(rows[0].keys()) == [
             "t", "mass_p", "mass_m", "momentum", "l2_np", "l2_nm",
             "l2_mp", "l2_mm", "l2_combo", "ring_r"]
-        eq = solve_equilibrium(ModelParams())
-        final = sim.load_state(str(tmp_path / "state.bin"), eq)
-        assert final.n == 16 and final.t == pytest.approx(2.0)
+        final, L, t = sim.load_state(str(tmp_path / "state.bin"))
+        assert final.shape == (8, 16, 16, 16)
+        assert L == 16.0 and t == pytest.approx(2.0)
 
     def test_horizon_rejected(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "simulate", "--grid", "8",

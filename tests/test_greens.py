@@ -572,7 +572,10 @@ class TestNearOrigin:
     form, the sum of w p k^2 (x cos x - sin x)/x^2 at x = k r."""
 
     @staticmethod
-    def _miss(rec, i, j, r, t):
+    def _miss(rec, i, j, r, t, values=None):
+        """The relative miss of values (rec.entry_values by default) at
+        one radius r."""
+        values = values or rec.entry_values
         k = rec.k_all
         w = np.concatenate([g.weights for g in rec.rules])
         x = k * r
@@ -582,7 +585,7 @@ class TestNearOrigin:
                      (x * np.cos(x) - np.sin(x)) / x ** 2)
         want = (w * rec.entry_profile(i, j, t)[0] * k * k * f).sum() \
             / (2.0 * math.pi ** 2)
-        got = rec.entry_values(i, j, [r], t)["amp"][0]
+        got = values(i, j, [r], t)["amp"][0]
         return abs(got - want) / abs(want)
 
     @pytest.mark.parametrize("t", [1e-5, 1e-3, 0.1])
@@ -591,10 +594,26 @@ class TestNearOrigin:
         misses = [self._miss(sym_recon, i, j, f * r0, t)
                   for i, j in ((1, 2), (2, 1)) for f in (1.0, 2.0, 4.0)]
         assert max(misses) <= 1e-9
-        # far below the floor the formula is off by far more
-        below = [self._miss(sym_recon, 1, 2, f * r0 * 1e-3, t)
+        # far below the floor, where entry_values refuses, the transform
+        # itself is off by far more
+        def transform(i, j, rs, t):
+            return greens._transform(greens.tensor_kind(i, j),
+                                     sym_recon.rules,
+                                     sym_recon.entry_profile(i, j, t)[0], rs)
+
+        below = [self._miss(sym_recon, 1, 2, f * r0 * 1e-3, t, transform)
                  for f in (1.0, 2.0, 4.0)]
         assert max(below) > 1e-7
+
+    @pytest.mark.parametrize("i, j", [(1, 2), (2, 2)])
+    def test_entry_values_refuse_below_the_floor(self, sym_recon, i, j):
+        r0 = greens.KR_MIN / (1.2 * spectral.K_CUT)
+        with pytest.raises(ValueError, match="first radius") as exc:
+            sym_recon.entry_values(i, j, [0.0, 0.999 * r0, 1.0], 1.0)
+        assert not isinstance(exc.value, ParameterError)
+        # the origin takes its limit, and the floor itself is kept
+        assert np.isfinite(sym_recon.entry_magnitude(i, j, [0.0, r0],
+                                                     1.0)).all()
 
     def test_kernel_rows_refuse_the_first_radius(self, sym_recon):
         # the first of 256 radii up to 4 c t: k r = 12 * 8 t / 255 at c = 2

@@ -99,27 +99,25 @@ def _ref_phase_rhs(ops, n, m, rho, rho_bar, mu, lam, sigma):
     return F_hat
 
 
-def _ref_nonlinear_rhs(state):
-    ops = _RefGridOps(state.n, state.L, state.eq)
-    eq = state.eq
+def _ref_nonlinear_rhs(eq, L, f):
+    """(F1, F2) of the real state f on the box [-L, L)^3."""
+    ops = _RefGridOps(f.shape[-1], L, eq)
+    n_p, m_p, n_m, m_m = f[0], f[1:4], f[4], f[5:8]
     p = eq.params
-    rho_p, rho_m, _, C2c = solve_fraction_map(
-        state.n_p + 1.0, state.n_m + 1.0, p, eq=eq)
+    rho_p, rho_m, _, C2c = solve_fraction_map(n_p + 1.0, n_m + 1.0, p, eq=eq)
 
-    F1 = _ref_phase_rhs(ops, state.n_p, state.m_p, rho_p, eq.rho_bar_plus,
+    F1 = _ref_phase_rhs(ops, n_p, m_p, rho_p, eq.rho_bar_plus,
                         p.mu_plus, p.lambda_plus, p.sigma_plus)
-    F2 = _ref_phase_rhs(ops, state.n_m, state.m_m, rho_m, eq.rho_bar_minus,
+    F2 = _ref_phase_rhs(ops, n_m, m_m, rho_m, eq.rho_bar_minus,
                         p.mu_minus, p.lambda_minus, p.sigma_minus)
 
     fft, ifft = np.fft.fftn, np.fft.ifftn
-    gnp = np.stack([ifft(1j * ops.xi[d] * fft(state.n_p)).real
-                    for d in range(3)])
-    gnm = np.stack([ifft(1j * ops.xi[d] * fft(state.n_m)).real
-                    for d in range(3)])
-    Q1 = (C2c * state.n_p * ((rho_m / rho_p) * gnp + gnm)
+    gnp = np.stack([ifft(1j * ops.xi[d] * fft(n_p)).real for d in range(3)])
+    gnm = np.stack([ifft(1j * ops.xi[d] * fft(n_m)).real for d in range(3)])
+    Q1 = (C2c * n_p * ((rho_m / rho_p) * gnp + gnm)
           + (C2c * rho_m / rho_p - eq.beta1) * gnp
           + (C2c - eq.C2) * gnm)
-    Q2 = (C2c * state.n_m * ((rho_p / rho_m) * gnm + gnp)
+    Q2 = (C2c * n_m * ((rho_p / rho_m) * gnm + gnp)
           + (C2c * rho_p / rho_m - eq.beta4) * gnm
           + (C2c - eq.C2) * gnp)
     F1 -= np.stack([fft(Q1[d]) for d in range(3)])
@@ -130,19 +128,16 @@ def _ref_nonlinear_rhs(state):
             np.stack([ifft(F2[d]).real for d in range(3)]))
 
 
-def _ref_step(state, dt):
-    ops = _RefGridOps(state.n, state.L, state.eq)
-    fields = [state.n_p, *state.m_p, state.n_m, *state.m_m]
-    Y = np.stack([np.fft.fftn(f) for f in fields]) * ops.dealias
+def _ref_step(eq, L, f, dt):
+    """The real state f advanced by one step of length dt."""
+    ops = _RefGridOps(f.shape[-1], L, eq)
+    Y = np.stack([np.fft.fftn(g) for g in f]) * ops.dealias
 
     def unstack(Z):
-        real = [np.fft.ifftn(Z[i]).real for i in range(8)]
-        return sim.SimState(state.eq, state.L, state.n, real[0],
-                            np.stack(real[1:4]), real[4],
-                            np.stack(real[5:8]))
+        return np.stack([np.fft.ifftn(Z[i]).real for i in range(8)])
 
     def rhs_hat(Z):
-        F1, F2 = _ref_nonlinear_rhs(unstack(Z))
+        F1, F2 = _ref_nonlinear_rhs(eq, L, unstack(Z))
         out = np.zeros_like(Z)
         for d in range(3):
             out[1 + d] = np.fft.fftn(F1[d])
@@ -160,41 +155,37 @@ def _ref_step(state, dt):
     return unstack(Yn)
 
 
+# the rows of each field in a real state (8, n, n, n)
+FIELDS = {"n_p": 0, "m_p": slice(1, 4), "n_m": 4, "m_m": slice(5, 8)}
+
+
+def _pulse_state(eq, n=16, L=16.0, eps=1e-2):
+    """(ops, f): a grid and the initial momentum pulse on it."""
+    ops = sim._GridOps(n, L, eq)
+    return ops, sim.make_sim_state(ops, eps)
+
+
 def _mode_state(eq, n=16, L=16.0, eps=1e-2):
     """Single-mode density perturbation n+ = eps cos(pi x / L), at rest."""
-    st = sim.make_sim_state(eq, n=n, L=L, eps=0.0)
-    x1 = -L + (2.0 * L / n) * np.arange(n)
-    X = np.meshgrid(x1, x1, x1, indexing="ij")[0]
-    st.n_p = eps * np.cos(math.pi * X / L)
-    return st
+    ops, f = _pulse_state(eq, n, L, 0.0)
+    f[0] = eps * np.cos(math.pi * ops.coords()[0] / L)
+    return ops, f
 
 
-def _ops(st):
-    return sim._GridOps(st.n, st.L, st.eq)
-
-
-def _unstack(ops, Y, t):
-    """A SimState of band state Y that owns its fields."""
-    return sim._fields_state(ops, ops.to_real(Y).copy(), t)
-
-
-def _advance(st, dt, T, nonlinear=True):
-    """st advanced by round(T / dt) steps of the band state, as
-    run_simulation does."""
-    ops = _ops(st)
-    Y = sim._stack_hat(ops, st)
-    steps = int(round(T / dt))
+def _advance(ops, f, dt, T, nonlinear=True):
+    """The real state f advanced by round(T / dt) steps of the band state,
+    as run_simulation does."""
+    Y = ops.to_band(f)
     prop = ops.propagator(0.5 * dt if nonlinear else dt)
-    for _ in range(steps):
+    for _ in range(int(round(T / dt))):
         Y = sim.step(ops, Y, dt, prop, nonlinear)
-    return _unstack(ops, Y, st.t + steps * dt)
+    return ops.to_real(Y).copy()
 
 
-def _rhs(st):
-    """Momentum increments (F1, F2) of the band projection of st, in real
+def _rhs(ops, f):
+    """Momentum increments (F1, F2) of the band projection of f, in real
     space: the stage RHS of the stepper."""
-    ops = _ops(st)
-    F = sim._rhs_hat(ops, sim._stack_hat(ops, st))
+    F = sim._rhs_hat(ops, ops.to_band(f))
     real = np.empty((8,) + ops.shape)
     for i in range(8):
         ops.inverse_band(F[i], out=real[i])
@@ -208,47 +199,47 @@ EQ_ASYM = solve_equilibrium(ModelParams(
 
 
 def _oracle_states():
+    """(ops, f) pairs."""
     for n, L in ((16, 16.0), (24, 32.0)):
-        yield sim.make_sim_state(EQ, n=n, L=L, eps=1e-2)
+        yield _pulse_state(EQ, n=n, L=L)
         yield _mode_state(EQ, n=n, L=L)
     # momentum and density together, so the viscous tensor is nonzero
-    st = sim.make_sim_state(EQ_ASYM, n=16, L=16.0, eps=1e-2)
-    st.n_p = _mode_state(EQ_ASYM).n_p
-    yield st
+    ops, f = _pulse_state(EQ_ASYM)
+    f[0] = _mode_state(EQ_ASYM)[1][0]
+    yield ops, f
     # broadband data reaches the Nyquist modes, which the smooth states
     # above leave empty
-    st = sim.make_sim_state(EQ, n=16, L=16.0, eps=1e-2)
+    ops, f = _pulse_state(EQ)
     rng = np.random.default_rng(3)
-    st.n_p = st.n_p + 1e-3 * rng.standard_normal(st.n_p.shape)
-    st.m_m = st.m_m + 1e-3 * rng.standard_normal(st.m_m.shape)
-    yield st
+    f[0] += 1e-3 * rng.standard_normal(ops.shape)
+    f[5:8] += 1e-3 * rng.standard_normal((3,) + ops.shape)
+    yield ops, f
 
 
 class TestReferenceOracle:
     @pytest.mark.parametrize("idx", range(6))
     def test_rhs_matches_reference(self, idx):
-        st = list(_oracle_states())[idx]
-        F1, F2 = _rhs(st)
+        ops, f = list(_oracle_states())[idx]
+        F1, F2 = _rhs(ops, f)
         # _rhs evaluates the band projection of the state, as the stepper
         # does; the reference sees the same projected fields
-        ops = _ops(st)
-        R1, R2 = _ref_nonlinear_rhs(_unstack(ops, sim._stack_hat(ops, st),
-                                             st.t))
+        R1, R2 = _ref_nonlinear_rhs(ops.eq, ops.L,
+                                    ops.to_real(ops.to_band(f)).copy())
         scale = max(np.abs(R1).max(), np.abs(R2).max())
         assert scale > 0.0
         assert np.abs(F1 - R1).max() <= 1e-12 * scale
         assert np.abs(F2 - R2).max() <= 1e-12 * scale
 
-    @pytest.mark.parametrize("make, eq", [(sim.make_sim_state, EQ),
+    @pytest.mark.parametrize("make, eq", [(_pulse_state, EQ),
                                           (_mode_state, EQ),
-                                          (sim.make_sim_state, EQ_ASYM)],
+                                          (_pulse_state, EQ_ASYM)],
                              ids=["sym-ring", "sym-mode", "asym-ring"])
     def test_step_matches_reference(self, make, eq):
-        st = make(eq, n=16, L=16.0, eps=1e-2)
-        a = _advance(st, 0.3, 0.3)
-        b = _ref_step(st, 0.3)
-        for name in ("n_p", "m_p", "n_m", "m_m"):
-            x, y = getattr(a, name), getattr(b, name)
+        ops, f = make(eq, n=16, L=16.0, eps=1e-2)
+        a = _advance(ops, f, 0.3, 0.3)
+        b = _ref_step(eq, 16.0, f, 0.3)
+        for rows in FIELDS.values():
+            x, y = a[rows], b[rows]
             assert np.abs(x - y).max() <= 1e-12 * np.abs(y).max()
 
 
@@ -414,38 +405,36 @@ class TestDecaySlopes:
 
 class TestNonlinearRhs:
     def test_equilibrium_fixed_point(self):
-        st = sim.make_sim_state(EQ, n=16, L=16.0, eps=0.0)
-        F1, F2 = _rhs(st)
+        F1, F2 = _rhs(*_pulse_state(EQ, eps=0.0))
         assert np.abs(F1).max() == 0.0
         assert np.abs(F2).max() == 0.0
 
     def test_pressure_term_quadratic_order(self):
         vals = []
         for eps in (4e-3, 2e-3, 1e-3):
-            F1, _ = _rhs(_mode_state(EQ, eps=eps))
+            F1, _ = _rhs(*_mode_state(EQ, eps=eps))
             vals.append(np.abs(F1).max())
         orders = np.log2(np.array(vals[:-1]) / np.array(vals[1:]))
         assert np.all(np.abs(orders - 2.0) < 0.1)
 
     def test_total_force_zero_mean(self):
         # Q1 + Q2 is a pure gradient; everything else is a divergence
-        st = sim.make_sim_state(EQ, n=16, L=16.0, eps=1e-2)
-        F1, F2 = _rhs(st)
+        F1, F2 = _rhs(*_pulse_state(EQ))
         tot = (F1 + F2).mean(axis=(1, 2, 3))
         assert np.abs(tot).max() < 1e-14
 
     def test_vacuum_guard(self):
-        st = sim.make_sim_state(EQ, n=8, L=8.0, eps=0.0)
-        st.n_p[0, 0, 0] = -0.95
+        _, f = _pulse_state(EQ, n=8, L=8.0, eps=0.0)
+        f[0, 0, 0, 0] = -0.95
         with pytest.raises(AdmissibilityError):
-            sim._check_fields(st.n_p, st.m_p, st.n_m, st.m_m)
+            sim._check_fields(f)
 
-    @pytest.mark.parametrize("field", ["n_p", "m_p", "n_m", "m_m"])
+    @pytest.mark.parametrize("field", list(FIELDS))
     def test_nonfinite_guard(self, field):
-        st = sim.make_sim_state(EQ, n=8, L=8.0, eps=1e-3)
-        getattr(st, field).flat[5] = np.nan
+        _, f = _pulse_state(EQ, n=8, L=8.0, eps=1e-3)
+        f[FIELDS[field]].flat[5] = np.nan
         with pytest.raises(RuntimeError, match="non-finite"):
-            sim._check_fields(st.n_p, st.m_p, st.n_m, st.m_m)
+            sim._check_fields(f)
 
 
 class _Counter:
@@ -469,9 +458,8 @@ class TestStepCost:
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        st = sim.make_sim_state(EQ_ASYM, n=16, L=16.0, eps=1e-2)
-        ops = _ops(st)
-        Y = sim._stack_hat(ops, st)
+        ops, f = _pulse_state(EQ_ASYM)
+        Y = ops.to_band(f)
         counters = {}
         for name in ("forward", "inverse", "forward_band", "inverse_band",
                      "apply_semigroup", "propagator"):
@@ -555,9 +543,8 @@ class TestStageMemory:
 
     @pytest.mark.parametrize("eq", [EQ, EQ_ASYM], ids=["sym", "asym"])
     def test_stage_allocates_few_band_states(self, eq):
-        st = sim.make_sim_state(eq, n=16, L=16.0, eps=1e-2)
-        ops = _ops(st)
-        Y = sim._stack_hat(ops, st)
+        ops, f = _pulse_state(eq)
+        Y = ops.to_band(f)
         sim._rhs_hat(ops, Y)                    # builds the workspace
         tracemalloc.start()
         try:
@@ -572,16 +559,15 @@ class TestStageMemory:
         assert peak - out.nbytes <= 4 * Y.nbytes
 
     def test_linear_run_builds_no_stage_workspace(self):
-        st = sim.make_sim_state(EQ, n=8, L=16.0, eps=1e-3)
-        ops = _ops(st)
-        sim.step(ops, sim._stack_hat(ops, st), 0.5, ops.propagator(0.5),
+        ops, f = _pulse_state(EQ, n=8, eps=1e-3)
+        sim.step(ops, ops.to_band(f), 0.5, ops.propagator(0.5),
                  nonlinear=False)
         assert ops._work is None
-        sim.step(ops, sim._stack_hat(ops, st), 0.5, ops.propagator(0.25))
+        sim.step(ops, ops.to_band(f), 0.5, ops.propagator(0.25))
         assert ops._work is not None
 
     def test_propagator_is_real(self, monkeypatch):
-        ops = _ops(sim.make_sim_state(EQ_ASYM, n=16, L=16.0, eps=0.0))
+        ops = sim._GridOps(16, 16.0, EQ_ASYM)
         Gg, _, _ = ops.propagator(0.7)
         assert Gg.dtype == np.float64
         G = decompose_symbol(ops.k_uniq, EQ_ASYM).semigroup(0.7)
@@ -657,9 +643,8 @@ class TestStep:
         # the step applies E(dt) as E(dt/2) twice; check the identity on
         # the dealiased broadband state (both phases, longitudinal and
         # transverse momentum)
-        st = list(_oracle_states())[5]
-        ops = _ops(st)
-        Y = sim._stack_hat(ops, st)
+        ops, f = list(_oracle_states())[5]
+        Y = ops.to_band(f)
         for tau in (0.05, 0.3, 3.0):
             half = ops.propagator(tau)
             twice = ops.apply_semigroup(ops.apply_semigroup(Y, half), half)
@@ -668,26 +653,23 @@ class TestStep:
 
     def test_linear_step_matches_exact_flow(self):
         # the reference complex-grid semigroup on the same dealiased state
-        st = sim.make_sim_state(EQ, n=16, L=16.0, eps=1e-2)
-        a = _advance(st, 0.5, 0.5, nonlinear=False)
-        ops = _RefGridOps(st.n, st.L, st.eq)
-        fields = [st.n_p, *st.m_p, st.n_m, *st.m_m]
-        Y = np.stack([np.fft.fftn(f) for f in fields]) * ops.dealias
-        b = [np.fft.ifftn(Z).real for Z in ops.apply_semigroup(Y, 0.5)]
-        assert np.abs(a.n_p - b[0]).max() < 1e-10
-        assert np.abs(a.m_p - np.stack(b[1:4])).max() < 1e-10
-        assert np.abs(a.n_m - b[4]).max() < 1e-10
-        assert np.abs(a.m_m - np.stack(b[5:8])).max() < 1e-10
+        ops, f = _pulse_state(EQ)
+        a = _advance(ops, f, 0.5, 0.5, nonlinear=False)
+        ref = _RefGridOps(16, 16.0, EQ)
+        Y = np.stack([np.fft.fftn(g) for g in f]) * ref.dealias
+        b = np.stack([np.fft.ifftn(Z).real
+                      for Z in ref.apply_semigroup(Y, 0.5)])
+        assert np.abs(a - b).max() < 1e-10
 
     def test_rk_order(self):
-        st0 = sim.make_sim_state(EQ, n=24, L=32.0, eps=1e-2)
+        ops, f0 = _pulse_state(EQ, n=24, L=32.0)
         T = 1.0
-        ref = _advance(st0, T / 32, T)
+        ref = _advance(ops, f0, T / 32, T)
         errs = []
         for m in (4, 8):
-            s = _advance(st0, T / m, T)
-            errs.append(np.abs(s.m_p - ref.m_p).max()
-                        + np.abs(s.n_p - ref.n_p).max())
+            s = _advance(ops, f0, T / m, T)
+            errs.append(np.abs(s[1:4] - ref[1:4]).max()
+                        + np.abs(s[0] - ref[0]).max())
         order = math.log2(errs[0] / errs[1])
         assert order == pytest.approx(4.0, abs=0.3)
 
@@ -723,6 +705,13 @@ class TestConservationAndRun:
         with pytest.raises(ValueError):
             sim.run_simulation(EQ, n=8, L=16.0, t_final=100.0)
 
+    def test_grid_size_limits(self, monkeypatch):
+        # refused before any array is built: no grid is ever made
+        monkeypatch.setattr(sim, "_GridOps", None)
+        for n in (3, sim.N_MAX + 1, 100000):
+            with pytest.raises(ValueError, match="grid size"):
+                sim.run_simulation(EQ, n=n, L=16.0, t_final=0.1)
+
     @pytest.mark.parametrize("L", [4.0, 8.0])
     def test_box_must_exceed_pulse(self, L):
         with pytest.raises(ValueError, match=f"box size {L} must exceed "
@@ -736,10 +725,26 @@ class TestConservationAndRun:
             sim.run_simulation(EQ, n=8, L=L, eps=eps, t_final=0.1)
 
 
+def _ref_shell_profile(L, f):
+    """The shell profile with its grid and bins built on each call, as the
+    diagnostics rows once did."""
+    n = f.shape[-1]
+    dx = 2.0 * L / n
+    x1 = -L + dx * np.arange(n)
+    X, Yc, Z = np.meshgrid(x1, x1, x1, indexing="ij")
+    r = np.sqrt(X ** 2 + Yc ** 2 + Z ** 2)
+    amp = np.sqrt(np.sum((f[1:4] + f[5:8]) ** 2, axis=0))
+    nbins = n // 2
+    edges = np.linspace(0.0, L, nbins + 1)
+    which = np.clip(np.digitize(r.ravel(), edges) - 1, 0, nbins - 1)
+    sums = np.bincount(which, weights=amp.ravel(), minlength=nbins)
+    counts = np.maximum(np.bincount(which, minlength=nbins), 1)
+    return 0.5 * (edges[:-1] + edges[1:]), sums / counts
+
+
 class TestDiagnostics:
     def test_equilibrium_zero_norms(self):
-        st = sim.make_sim_state(EQ, n=16, L=16.0, eps=0.0)
-        d = sim.diagnostics(st)
+        d = sim.diagnostics(*_pulse_state(EQ, eps=0.0), 0.0)
         assert all(v == 0.0 for v in d.l2.values())
         assert d.mass_p == 0.0 and d.momentum_norm == 0.0
 
@@ -747,30 +752,55 @@ class TestDiagnostics:
         rows, final = sim.run_simulation(EQ, mode="linear", n=32, L=64.0,
                                          eps=1e-3, t_final=8.0)
         d = rows[-1]
-        assert abs(d.ring_r - EQ.c * final.t) <= math.sqrt(1.0 + final.t)
+        assert final.shape == (8, 32, 32, 32)
+        assert abs(d.ring_r - EQ.c * d.t) <= math.sqrt(1.0 + d.t)
+
+    @pytest.mark.parametrize("n, L", [(16, 16.0), (17, 20.0), (24, 9.0)])
+    def test_shell_profile_matches_per_row_bins(self, n, L):
+        ops, f = _pulse_state(EQ, n=n, L=L)
+        f[5:8] += np.random.default_rng(n).standard_normal((3,) + ops.shape)
+        for got, want in zip(sim.shell_profile(ops, f),
+                             _ref_shell_profile(L, f)):
+            assert np.array_equal(got, want)
+
+    def test_shell_bins_built_once_per_run(self, monkeypatch):
+        calls = []
+        digitize = np.digitize
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return digitize(*args, **kwargs)
+
+        monkeypatch.setattr(np, "digitize", counted)
+        rows, _ = sim.run_simulation(EQ, mode="linear", n=16, L=16.0,
+                                     t_final=3.0)
+        assert len(rows) == 3
+        assert len(calls) == 1
 
 
 class TestStateDump:
     def test_roundtrip(self, tmp_path):
-        st = sim.make_sim_state(EQ, n=12, L=8.0, eps=1e-2)
-        st.t = 3.25
+        _, f = _pulse_state(EQ, n=12, L=8.0)
         path = str(tmp_path / "state.bin")
-        sim.dump_state(st, path)
-        back = sim.load_state(path, EQ)
-        assert back.n == st.n and back.L == st.L and back.t == st.t
-        assert np.array_equal(back.n_p, st.n_p)
-        assert np.array_equal(back.m_m, st.m_m)
+        sim.dump_state(f, 8.0, 3.25, path)
+        back, L, t = sim.load_state(path)
+        assert L == 8.0 and t == 3.25
+        assert back.dtype == np.float64 and np.array_equal(back, f)
+        # the header, then the state in its row order
+        with open(path, "rb") as fh:
+            assert fh.read() == (b"TFSIM001" + struct.pack("<3d", 12, 8, 3.25)
+                                 + f.astype("<f8").tobytes())
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a dump at all")
         with pytest.raises(ValueError):
-            sim.load_state(str(path), EQ)
+            sim.load_state(str(path))
 
     def _dump(self, tmp_path):
-        st = sim.make_sim_state(EQ, n=8, L=8.0, eps=1e-2)
+        _, f = _pulse_state(EQ, n=8, L=8.0)
         path = tmp_path / "state.bin"
-        sim.dump_state(st, str(path))
+        sim.dump_state(f, 8.0, 0.0, str(path))
         return path, path.read_bytes()
 
     @pytest.mark.parametrize("cut", [1, 8, 64 * 8 ** 3])
@@ -778,20 +808,20 @@ class TestStateDump:
         path, raw = self._dump(tmp_path)
         path.write_bytes(raw[:-cut])
         with pytest.raises(ValueError, match="bytes"):
-            sim.load_state(str(path), EQ)
+            sim.load_state(str(path))
 
     def test_rejects_padded(self, tmp_path):
         path, raw = self._dump(tmp_path)
         path.write_bytes(raw + bytes(8))
         with pytest.raises(ValueError, match="bytes"):
-            sim.load_state(str(path), EQ)
+            sim.load_state(str(path))
 
     @pytest.mark.parametrize("n_f", [8.5, 0.0, -8.0, math.nan, math.inf])
     def test_rejects_bad_grid_size(self, tmp_path, n_f):
         path, raw = self._dump(tmp_path)
         path.write_bytes(raw[:8] + struct.pack("<d", n_f) + raw[16:])
         with pytest.raises(ValueError, match="grid size"):
-            sim.load_state(str(path), EQ)
+            sim.load_state(str(path))
 
     @pytest.mark.parametrize("field", [1, 2])
     def test_rejects_non_finite_box_or_time(self, tmp_path, field):
@@ -800,4 +830,4 @@ class TestStateDump:
         path.write_bytes(raw[:at] + struct.pack("<d", math.nan)
                          + raw[at + 8:])
         with pytest.raises(ValueError, match="not finite"):
-            sim.load_state(str(path), EQ)
+            sim.load_state(str(path))

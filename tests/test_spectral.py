@@ -445,6 +445,31 @@ def test_seeded_sweep_of_the_series():
         assert sp.singular_combination_residual(eq) < 1e-6
 
 
+def test_spectrum_on_the_sweep_files(tmp_path):
+    # the default 400-point sweep on every file: finite, and every branch
+    # decays (largest Re lambda -3.5e-9 here, Re lambda / |lambda| at
+    # most -2.7e-5)
+    keys = ("A_plus", "A_minus", "gamma_plus", "gamma_minus", "mu_plus",
+            "mu_minus", "sigma_plus", "sigma_minus")
+    for idx, p in enumerate(_sweep_files()):
+        cfg = tmp_path / f"sweep{idx}.cfg"
+        cfg.write_text("".join(f"{key} = {float(getattr(p, key))!r}\n"
+                               for key in keys))
+        out = tmp_path / f"out{idx}"
+        assert main(["--params", str(cfg), "--out", str(out),
+                     "spectrum"]) == 0, idx
+        with open(out / "spectrum.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 400
+        re = np.array([[float(r[f"re_lambda{i}"]) for i in range(1, 5)]
+                       for r in rows])
+        im = np.array([[float(r[f"im_lambda{i}"]) for i in range(1, 5)]
+                       for r in rows])
+        assert np.isfinite(re).all() and np.isfinite(im).all()
+        assert (re < 0.0).all(), idx
+        assert (re / np.hypot(re, im)).max() <= -1e-6, idx
+
+
 class TestMidBandGap:
     def test_positive_and_grid_stable(self):
         b1 = sp.mid_band_gap(SYM_EQ, n_grid=2000)
