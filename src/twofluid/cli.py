@@ -32,8 +32,11 @@ __all__ = ["main"]
 # the Riesz constants
 RATIO_MAX = 2.0
 # the most wavenumbers a spectrum sweep takes: its peak grows by about
-# 2.1 KiB per k (279 MiB at 1e5, 2.2 GiB at 1e6), so 1.1 GiB here
+# 1.7 KiB per k, most of it the labelling's (nk, 24, 4) cost array (a
+# fresh process peaks at 199 MiB at 1e5), so 831 MiB here
 N_K_MAX = 500_000
+# rows per csv.writer call: a chunk's Python objects stay small
+CSV_CHUNK = 4096
 
 
 class UsageError(Exception):
@@ -106,11 +109,17 @@ def _write_json(payload: dict, path: str) -> None:
         fh.write(text + "\n")
 
 
-def _write_csv(rows: list[dict], header: list[str], path: str) -> None:
+def _write_csv(table: dict, path: str) -> None:
+    """Write a table, an insertion-ordered dict from column name to a 1-D
+    column, as CSV: the keys are the header, and each column's .tolist()
+    gives its values, CSV_CHUNK rows at a time."""
+    cols = [np.asarray(col) for col in table.values()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=header)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(table)
+        for start in range(0, len(cols[0]), CSV_CHUNK):
+            writer.writerows(zip(*(col[start:start + CSV_CHUNK].tolist()
+                                   for col in cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,22 +156,9 @@ def _cmd_spectrum(args) -> int:
                          "parameters")
     ks = np.logspace(math.log10(args.k_min), math.log10(args.k_max),
                      args.n_k)
-    rows = spectral.spectrum_rows(eq, ks)
-    header = (["k"] + [f"re_lambda{i}" for i in range(1, 5)]
-              + [f"im_lambda{i}" for i in range(1, 5)]
-              + ["band", "degenerate"]
-              + [f"expansion_err{i}" for i in range(1, 5)])
-    _write_csv(rows, header, os.path.join(args.out, "spectrum.csv"))
+    _write_csv(spectral.spectrum_table(eq, ks),
+               os.path.join(args.out, "spectrum.csv"))
     return 0
-
-
-def _default_envelopes(i: int, j: int, eq) -> list[waveconv.WavePattern]:
-    """Riesz-IV entries get the slow R4 term; the rest the generic pair."""
-    slow = {(1, 2), (3, 2), (1, 4), (3, 4)}
-    env_h = waveconv.WavePattern("H", a=2.0, p=2.0, speed=eq.c)
-    if (i, j) in slow:
-        return [waveconv.WavePattern("R4"), env_h]
-    return [waveconv.WavePattern("D", a=1.5, p=1.5), env_h]
 
 
 def _cmd_greens(args) -> int:
@@ -184,19 +180,19 @@ def _cmd_greens(args) -> int:
     recon = greens.GreenReconstructor(
         eq, ct_max=eq.c * max(t_list + [greens.T_ENVELOPE]))
     try:
-        rows = greens.kernel_csv_rows(recon, i, j, t_list,
-                                      r_max_factor=args.r_max_factor)
+        table = greens.kernel_table(recon, i, j, t_list,
+                                    r_max_factor=args.r_max_factor)
     except ParameterError:
         raise
     except ValueError as exc:
         raise UsageError(f"--t-list/--r-max-factor: {exc}") from None
     report = greens.verify_entry_envelope(
-        recon, i, j, _default_envelopes(i, j, eq), n_t=8, nr=128)
+        recon, i, j, greens.default_envelopes(i, j, eq.c), n_t=8, nr=128)
     path = os.path.join(args.out, "kernel.csv")
-    if not all(math.isfinite(r["value"]) for r in rows):
+    if not np.isfinite(table["value"]).all():
         raise UsageError(f"{path}: a computed value is not finite; "
                          "nothing written")
-    _write_csv(rows, ["r", "t", "value"], path)
+    _write_csv(table, path)
     report["pass"] = _check_record("envelope", report["trend_ratio"],
                                    RATIO_MAX, args.tol_scale)["pass"]
     _write_json(report, os.path.join(args.out, "envelope.json"))
@@ -233,16 +229,15 @@ def _cmd_simulate(args) -> int:
             t_final=args.t_final)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    out_rows = [{
-        "t": d.t, "mass_p": d.mass_p, "mass_m": d.mass_m,
-        "momentum": d.momentum_norm,
-        "l2_np": d.l2["n_p"], "l2_nm": d.l2["n_m"],
-        "l2_mp": d.l2["m_p"], "l2_mm": d.l2["m_m"],
-        "l2_combo": d.l2["combo"], "ring_r": d.ring_r,
-    } for d in rows]
-    header = ["t", "mass_p", "mass_m", "momentum", "l2_np", "l2_nm",
-              "l2_mp", "l2_mm", "l2_combo", "ring_r"]
-    _write_csv(out_rows, header, os.path.join(args.out, "diagnostics.csv"))
+    table = {"t": [d.t for d in rows],
+             "mass_p": [d.mass_p for d in rows],
+             "mass_m": [d.mass_m for d in rows],
+             "momentum": [d.momentum_norm for d in rows],
+             **{f"l2_{name}": [d.l2[key] for d in rows]
+                for name, key in (("np", "n_p"), ("nm", "n_m"), ("mp", "m_p"),
+                                  ("mm", "m_m"), ("combo", "combo"))},
+             "ring_r": [d.ring_r for d in rows]}
+    _write_csv(table, os.path.join(args.out, "diagnostics.csv"))
     sim.dump_state(final, args.box, rows[-1].t,
                    os.path.join(args.out, "state.bin"))
     return 0
@@ -363,10 +358,10 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     recon = greens.GreenReconstructor(eq, ct_max=greens.T_ENVELOPE * eq.c)
     env_kwargs = dict(n_t=8, nr=128)
     rep = greens.verify_entry_envelope(
-        recon, 1, 2, _default_envelopes(1, 2, eq), **env_kwargs)
+        recon, 1, 2, greens.default_envelopes(1, 2, eq.c), **env_kwargs)
     add("envelope_G12_riesz", rep["trend_ratio"], RATIO_MAX)
     rep = greens.verify_entry_envelope(
-        recon, 2, 2, _default_envelopes(2, 2, eq), **env_kwargs)
+        recon, 2, 2, greens.default_envelopes(2, 2, eq.c), **env_kwargs)
     add("envelope_G22", rep["trend_ratio"], RATIO_MAX)
     asym = solve_equilibrium(validate_params(
         ModelParams(A_minus=2.0, mu_minus=0.7, sigma_plus=0.02)))

@@ -395,6 +395,16 @@ def _certify(name: str, magnitude, envelopes: list[WavePattern], c: float,
             "growth_slope": slope}
 
 
+def default_envelopes(i: int, j: int, c: float) -> list[WavePattern]:
+    """The envelope pair entry (i, j) is certified against: the Riesz-IV
+    entries take the slow R4 term, the rest D(1.5, 1.5); both add the wave
+    term H(2, 2) at speed c."""
+    env_h = WavePattern("H", a=2.0, p=2.0, speed=c)
+    if (i, j) in {(1, 2), (3, 2), (1, 4), (3, 4)}:
+        return [WavePattern("R4"), env_h]
+    return [WavePattern("D", a=1.5, p=1.5), env_h]
+
+
 def verify_entry_envelope(recon: GreenReconstructor, i: int, j: int,
                           envelopes: list[WavePattern],
                           **grid_kwargs) -> dict:
@@ -419,8 +429,8 @@ def verify_cancellation(recon: GreenReconstructor, swap_weights: bool = False,
     w12, w32 = eq.rho_bar_minus, eq.rho_bar_plus
     if swap_weights:
         w12, w32 = w32, w12
-    envelopes = [WavePattern("D", a=1.5, p=1.5),
-                 WavePattern("H", a=2.0, p=2.0, speed=eq.c)]
+    # the combination has no Riesz-IV part: a generic entry's pair
+    envelopes = default_envelopes(2, 2, eq.c)
 
     def magnitude(rs, t):
         # G12 and G32 carry the same factor: combine the profiles in k
@@ -432,22 +442,21 @@ def verify_cancellation(recon: GreenReconstructor, swap_weights: bool = False,
     return _certify(name, magnitude, envelopes, eq.c, **grid_kwargs)
 
 
-def kernel_csv_rows(recon: GreenReconstructor, i: int, j: int,
-                    t_list, r_max_factor: float = R_MAX_FACTOR,
-                    nr: int = 256) -> list[dict]:
-    """|G_ij| on nr radii from 0 to r_max_factor c t at each t of t_list.
+def kernel_table(recon: GreenReconstructor, i: int, j: int,
+                 t_list, r_max_factor: float = R_MAX_FACTOR,
+                 nr: int = 256) -> dict:
+    """The kernel.csv table of |G_ij| on nr radii from 0 to r_max_factor
+    c t at each t of t_list in turn.
 
     A ParameterError refuses a time outside the reconstructor's range; a
     ValueError from entry_values a first radius below its floor.
     """
     check_times(recon.eq.c, t_list, recon.ct_max)
-    rows = []
-    for t in t_list:
-        rs = np.linspace(0.0, r_max_factor * recon.eq.c * t, nr)
-        vals = recon.entry_magnitude(i, j, rs, t)
-        for r, v in zip(rs, vals):
-            rows.append({"r": float(r), "t": float(t), "value": float(v)})
-    return rows
+    ts = [float(t) for t in t_list]
+    rs = [np.linspace(0.0, r_max_factor * recon.eq.c * t, nr) for t in ts]
+    return {"r": np.concatenate(rs), "t": np.repeat(ts, nr),
+            "value": np.concatenate([recon.entry_magnitude(i, j, r, t)
+                                     for r, t in zip(rs, ts)])}
 
 
 def double_riesz_check(t_list) -> dict:

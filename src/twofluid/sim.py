@@ -114,9 +114,11 @@ class _GridOps:
     ring diagnostic: n//2 equal bins on [0, L], built once per grid.
 
     Real fields transform onto the half grid (n, n, n//2+1).  The 2/3
-    rule's test |xi_d| <= (2/3) pi/dx keeps a box of it, the band: rows
-    ``rows`` (0..lo-1, n-nb..n-1) of the full axes and columns 0..h-1 of
-    the half axis, (33, 33, 17) at n = 48, indexed by ``band``.  The state,
+    rule |xi_d| <= (2/3) pi/dx, with xi_d = pi v / L, is decided on the
+    integer mode v as 3 |v| <= n, so no round-off in L moves the edge
+    mode.  It keeps a box of the half grid, the band: rows ``rows``
+    (0..lo-1, n-nb..n-1) of the full axes and columns 0..h-1 of the half
+    axis, (33, 33, 17) at n = 48, indexed by ``band``.  The state,
     ``xi``, ``k2``, ``khat`` and the unique-|k| index ``inv`` are
     band-shaped; the band holds no Nyquist mode.
     Every transform runs the rfftn or irfftn passes on the whole half
@@ -160,9 +162,8 @@ class _GridOps:
         full = np.fft.fftfreq(n, d=1.0 / n).astype(int)   # integer modes
         half = np.arange(n // 2 + 1)
         scale = math.pi / L
-        cut = (2.0 / 3.0) * (math.pi / self.dx)
-        self.rows = np.flatnonzero(np.abs(scale * full) <= cut)
-        self.h = int(np.count_nonzero(np.abs(scale * half) <= cut))
+        self.rows = np.flatnonzero(3 * np.abs(full) <= n)
+        self.h = int(np.count_nonzero(3 * half <= n))
         self.xf = tuple(
             np.where(2 * np.abs(v) == n, 0.0, scale * v).reshape(s)
             for v, s in ((full, (n, 1, 1)), (full, (1, n, 1)),

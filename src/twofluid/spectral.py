@@ -56,12 +56,9 @@ ETA1 = 0.1
 K_CUT = 10.0
 
 
-def band_of(k: float) -> str:
-    if k <= ETA1:
-        return "low"
-    if k >= K_CUT:
-        return "high"
-    return "middle"
+def band_of(k) -> np.ndarray:
+    """"low", "middle" or "high" for each k, an array of k's shape."""
+    return np.where(k <= ETA1, "low", np.where(k >= K_CUT, "high", "middle"))
 
 
 def symbol(k, eq: EquilibriumState) -> np.ndarray:
@@ -554,8 +551,10 @@ def decompose_symbol(ks: np.ndarray,
                                symbol(ks[bad], eq))
 
 
-def spectrum_rows(eq: EquilibriumState, k_grid: np.ndarray) -> list[dict]:
-    """Continuity-chained sweep producing one report row per k.
+def spectrum_table(eq: EquilibriumState, k_grid: np.ndarray) -> dict:
+    """Continuity-chained sweep as the spectrum.csv table, one 1-D column
+    each: k, the labelled eigenvalues' real and imaginary parts, the band,
+    the degenerate flag and the expansion errors (NaN in the middle band).
 
     A k is labelled against the last non-degenerate k before it (its
     reference), or as branches labels it where there is none.  The
@@ -587,15 +586,8 @@ def spectrum_rows(eq: EquilibriumState, k_grid: np.ndarray) -> list[dict]:
     errs[high] = np.abs(
         lams[high] - _assign(high_freq_expansion(ks[high], eq), lams[high]))
 
-    rows = []
-    for k, deg, re, im, err in zip(ks.tolist(), degenerate.tolist(),
-                                   lams.real.tolist(), lams.imag.tolist(),
-                                   errs.tolist()):
-        row = {"k": k, "band": band_of(k), "degenerate": int(deg)}
-        for i in range(4):
-            row[f"re_lambda{i+1}"] = re[i]
-            row[f"im_lambda{i+1}"] = im[i]
-        for i in range(4):
-            row[f"expansion_err{i+1}"] = err[i]
-        rows.append(row)
-    return rows
+    return {"k": ks,
+            **{f"re_lambda{i + 1}": lams.real[:, i] for i in range(4)},
+            **{f"im_lambda{i + 1}": lams.imag[:, i] for i in range(4)},
+            "band": band_of(ks), "degenerate": degenerate.astype(int),
+            **{f"expansion_err{i + 1}": errs[:, i] for i in range(4)}}

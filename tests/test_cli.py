@@ -11,6 +11,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import twofluid
@@ -38,6 +39,33 @@ def read_strict_json(path):
 def read_csv(path):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def write_csv_rows(rows: list[dict], header: list[str], path) -> None:
+    """The CSV writer of row dicts that cli._write_csv replaced, verbatim:
+    its oracle."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=header)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+class TestWriteCsv:
+    def test_same_bytes_as_the_row_writer(self, tmp_path):
+        # more rows than one chunk; round-off edge floats, Python and numpy
+        # ints, and strings, one of them quoted
+        n = 2 * cli.CSV_CHUNK + 3
+        table = {"x": np.resize([math.nan, -0.0, 1e-320, 1e300, 0.1], n),
+                 "i": list(range(-3, n - 3)),
+                 "flag": np.resize([0, 1], n),
+                 "band": np.resize(["low", "middle", 'a,"b"'], n)}
+        rows = [dict(zip(table, values)) for values in zip(
+            table["x"].tolist(), table["i"], table["flag"].tolist(),
+            table["band"].tolist())]
+        cli._write_csv(table, tmp_path / "table.csv")
+        write_csv_rows(rows, list(table), tmp_path / "rows.csv")
+        assert (tmp_path / "table.csv").read_bytes() \
+            == (tmp_path / "rows.csv").read_bytes()
 
 
 SCIPY_PROBE = """
@@ -444,14 +472,15 @@ class TestGreens:
                      "300"]) == 0
         eq = solve_equilibrium(ModelParams())
         recon = greens.GreenReconstructor(eq)
-        want = greens.kernel_csv_rows(recon, 1, 2, [300.0])
+        want = greens.kernel_table(recon, 1, 2, [300.0])
         got = read_csv(tmp_path / "kernel.csv")
-        assert [{k: float(v) for k, v in row.items()} for row in got] == want
+        assert {name: [float(row[name]) for row in got] for name in got[0]} \
+            == {name: col.tolist() for name, col in want.items()}
         rep = read_json(tmp_path / "envelope.json")
         assert rep["grid"] == {"low": [64, 32], "mid": [256, 64],
                                "ct_max": 600.0}
         want = greens.verify_entry_envelope(
-            recon, 1, 2, cli._default_envelopes(1, 2, eq), n_t=8, nr=128)
+            recon, 1, 2, greens.default_envelopes(1, 2, eq.c), n_t=8, nr=128)
         assert {k: v for k, v in rep.items() if k != "pass"} == want
 
     @pytest.mark.parametrize("argv", [["--t-list", "1e-7"],

@@ -500,8 +500,8 @@ class TestTimeRange:
             greens.verify_entry_envelope(
                 rec, 1, 2, [WavePattern("D", a=1.5, p=1.5)])
         with pytest.raises(ParameterError, match="outside"):
-            greens.kernel_csv_rows(rec, 1, 2, [10.0])
-        assert len(greens.kernel_csv_rows(rec, 1, 2, [6.0], nr=4)) == 4
+            greens.kernel_table(rec, 1, 2, [10.0])
+        assert len(greens.kernel_table(rec, 1, 2, [6.0], nr=4)["value"]) == 4
 
 
 # the middle-grid and band-overlap checks run at the defaults, an
@@ -621,10 +621,10 @@ class TestNearOrigin:
         for t_list, kw in (([t_floor / 2.0], {}), ([2.0, 1e-7], {}),
                            ([2.0], dict(r_max_factor=1e-300))):
             with pytest.raises(ValueError, match="first radius") as exc:
-                greens.kernel_csv_rows(sym_recon, 1, 2, t_list, **kw)
+                greens.kernel_table(sym_recon, 1, 2, t_list, **kw)
             assert not isinstance(exc.value, ParameterError)
-        rows = greens.kernel_csv_rows(sym_recon, 1, 2, [t_floor * 1.01])
-        assert len(rows) == 256
+        table = greens.kernel_table(sym_recon, 1, 2, [t_floor * 1.01])
+        assert len(table["value"]) == 256
 
 
 class TestBandOverlap:
@@ -936,8 +936,8 @@ class TestEnvelopeCertification:
         assert bad["trend_ratio"] > 2.0
         assert bad["C_est"] > 5 * rep["C_est"]
 
-    def test_kernel_csv_rows(self, sym_recon):
-        rows = greens.kernel_csv_rows(sym_recon, 1, 1, [1.0, 4.0], nr=16)
-        assert len(rows) == 32
-        assert set(rows[0]) == {"r", "t", "value"}
-        assert all(np.isfinite(row["value"]) for row in rows)
+    def test_kernel_table(self, sym_recon):
+        table = greens.kernel_table(sym_recon, 1, 1, [1.0, 4.0], nr=16)
+        assert list(table) == ["r", "t", "value"]
+        assert all(len(col) == 32 for col in table.values())
+        assert np.isfinite(table["value"]).all()

@@ -577,6 +577,20 @@ class TestStageMemory:
             ops.propagator(0.7)
 
 
+class TestBandEdge:
+    @pytest.mark.parametrize("n", [24, 48, 96])
+    def test_band_does_not_depend_on_the_box(self, n):
+        # the 2/3 rule keeps the integer modes with 3 |v| <= n at any L; a
+        # test on |pi v / L| <= (2/3) pi / dx kept 33 rows at n = 48 and
+        # L = 64 but 31 at L = 50, by round-off in L
+        base = sim._GridOps(n, 64.0, EQ)
+        assert (base.rows.size, base.h) == (2 * (n // 3) + 1, n // 3 + 1)
+        for s in (0.5, 50 / 64, 1 / 1.7, 2.0):
+            ops = sim._GridOps(n, s * 64.0, EQ)
+            assert np.array_equal(ops.rows, base.rows)
+            assert ops.h == base.h
+
+
 class TestBandTransforms:
     """The band transforms equal rfftn and irfftn bitwise."""
 

@@ -77,9 +77,20 @@ def shuffled_columns(a, seed):
     return np.take_along_axis(a, order, axis=-1)
 
 
-def row_lambdas(rows):
-    return np.array([[complex(r[f"re_lambda{i}"], r[f"im_lambda{i}"])
-                      for i in range(1, 5)] for r in rows])
+def table_lambdas(table):
+    """The (nk, 4) labelled eigenvalues of a spectrum table."""
+    lams = np.zeros((len(table["k"]), 4), dtype=complex)
+    for i in range(4):
+        lams.real[:, i] = table[f"re_lambda{i + 1}"]
+        lams.imag[:, i] = table[f"im_lambda{i + 1}"]
+    return lams
+
+
+def table_repr(table):
+    """repr of a table's columns as lists by sorted name: it round-trips
+    floats exactly and lets the middle band's NaN errors compare equal."""
+    return repr({name: np.asarray(table[name]).tolist()
+                 for name in sorted(table)})
 
 
 class TestAssignment:
@@ -92,10 +103,9 @@ class TestAssignment:
     def test_spectrum_sweep_labels_match_brute_force(self, eq):
         # the chained sweep of the spectrum subcommand's default grid, where
         # a changed label carries into every later row, against the per-k
-        # sweep labelled by the permutation search below; repr round-trips
-        # floats exactly and lets the middle band's NaN errors compare equal
-        assert repr(sp.spectrum_rows(eq, DEFAULT_KS)) \
-            == repr(spectrum_rows(eq, DEFAULT_KS))
+        # sweep labelled by the permutation search below
+        assert table_repr(sp.spectrum_table(eq, DEFAULT_KS)) \
+            == table_repr(spectrum_table(eq, DEFAULT_KS))
 
     @pytest.mark.parametrize("ref, roots, want", [
         # the sound pair past its exceptional point
@@ -117,8 +127,8 @@ class TestAssignment:
     @pytest.mark.parametrize("name", SPLIT_SETS)
     def test_labels_ignore_root_order(self, name, monkeypatch):
         eq = SPLIT_EQS[name]
-        rows = sp.spectrum_rows(eq, DEFAULT_KS)
-        lams = row_lambdas(rows)
+        table = sp.spectrum_table(eq, DEFAULT_KS)
+        lams = table_lambdas(table)
         ref, roots = lams[:-1], lams[1:]
         want = sp._assign(roots, ref)
         for seed in range(3):
@@ -132,7 +142,8 @@ class TestAssignment:
         quartic_roots = sp._quartic_roots
         monkeypatch.setattr(sp, "_quartic_roots", lambda ks, eq: (
             shuffled_columns(quartic_roots(ks, eq), 11)))
-        assert repr(sp.spectrum_rows(eq, DEFAULT_KS)) == repr(rows)
+        assert table_repr(sp.spectrum_table(eq, DEFAULT_KS)) \
+            == table_repr(table)
 
     @pytest.mark.parametrize("name, k_split, lam12", [
         ("default", 4.18, (-6.877, -10.626)),
@@ -142,7 +153,7 @@ class TestAssignment:
     def test_split_convention(self, name, k_split, lam12):
         # on the first row after the sound pair turns real, lambda1 is the
         # real root with the larger Re (the slower decay)
-        lams = row_lambdas(sp.spectrum_rows(SPLIT_EQS[name], DEFAULT_KS))
+        lams = table_lambdas(sp.spectrum_table(SPLIT_EQS[name], DEFAULT_KS))
         real = (lams[:, :2].imag == 0.0).all(axis=1)
         i = int(np.argmax(real))
         assert real[i:].all() and not real[:i].any()
@@ -377,6 +388,46 @@ class TestLeadingProjectors:
             assert np.array_equal(P[2], np.conj(P[3]))
             assert np.array_equal(P[0], np.conj(P[1]))
         assert np.abs(P0[2].imag).max() > 0.1
+
+    @pytest.mark.parametrize("name", ["default", "asym", "complex-pair"])
+    def test_series_matches_40_digit_projectors(self, name):
+        # the projectors of A(k) at k = 1e-8 in 40-digit arithmetic, each
+        # the product over the other roots m of (A - lam_m) / (lam - lam_m);
+        # float64 loses the diffusive pair there, whose gap is k^2
+        mpmath = pytest.importorskip("mpmath")
+        eq = SPLIT_EQS[name]
+        p = eq.params
+        P0, Pm1 = sp.leading_projectors(eq)
+        ref = sp.low_freq_expansion(1e-8, eq)
+        with mpmath.workdps(40):
+            f = mpmath.mpf
+            k = f("1e-8")
+            # beta2 beta3 = beta1 beta4 holds in float64 to round-off only,
+            # which at this k outweighs the k^6 term of det A that sets the
+            # diffusive pair; the matrix takes the identity exactly
+            b23 = mpmath.sqrt(f(eq.beta1) * f(eq.beta4))
+            A = mpmath.matrix(4, 4)
+            A[0, 1] = A[2, 3] = -k
+            A[1, 0] = f(eq.beta1) * k + f(p.sigma_plus) * k ** 3
+            A[1, 1] = -f(eq.nu_plus) * k ** 2
+            A[1, 2] = A[3, 0] = b23 * k
+            A[3, 2] = f(eq.beta4) * k + f(p.sigma_minus) * k ** 3
+            A[3, 3] = -f(eq.nu_minus) * k ** 2
+            lam = mpmath.eig(A, left=False, right=False)
+            eye = mpmath.eye(4)
+            for l in range(4):
+                # the root nearest the branch's closed-form expansion
+                i = min(range(4), key=lambda i: abs(complex(lam[i]) - ref[l]))
+                P = eye
+                for m in range(4):
+                    if m != i:
+                        P = P * (A - lam[m] * eye) / (lam[i] - lam[m])
+                P = np.array(P.tolist(), dtype=complex)
+                assert np.abs(P0[l] + Pm1[l] / 1e-8 - P).max() \
+                    <= 1e-6 * max(1.0, np.abs(P).max())
+                # and the k^0 term on its own, below the 1/k term's size
+                assert np.abs(P - Pm1[l] / 1e-8 - P0[l]).max() \
+                    <= 1e-6 * max(1.0, np.abs(P0[l]).max())
 
     @pytest.mark.parametrize("kw,miss", [
         (dict(A_plus=1e-50), 6.99), (dict(A_plus=1e-300), 10.0),
@@ -803,12 +854,13 @@ class TestClosedFormEigenvectors:
 class TestSpectrumRows:
     def test_sweep_structure(self):
         ks = np.logspace(-2, 1.5, 40)
-        rows = sp.spectrum_rows(SYM_EQ, ks)
-        assert len(rows) == 40
-        bands = {r["band"] for r in rows}
+        table = sp.spectrum_table(SYM_EQ, ks)
+        assert list(table) == SPECTRUM_COLUMNS
+        assert all(len(col) == 40 for col in table.values())
+        bands = set(table["band"].tolist())
         assert bands == {"low", "middle", "high"}
-        low = [r for r in rows if r["band"] == "low"]
-        assert all(np.isfinite(r["expansion_err1"]) for r in low)
+        low = table["band"] == "low"
+        assert np.isfinite(table["expansion_err1"][low]).all()
 
     @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ], ids=["sym", "asym"])
     def test_rows_follow_the_eigen_branches_chain(self, eq):
@@ -816,22 +868,24 @@ class TestSpectrumRows:
         # row's labels and flag are those of the oracle's per-k labelling
         # chained over the grid, each k against the last non-degenerate one
         ks = np.logspace(-3, 2, 120)
-        rows = sp.spectrum_rows(eq, ks)
-        assert np.array_equal(row_lambdas(rows[:1]), sp.branches(ks[0], eq))
+        table = sp.spectrum_table(eq, ks)
+        lams = table_lambdas(table)
+        assert np.array_equal(lams[:1], sp.branches(ks[0], eq))
         prev = None
-        for k, row in zip(ks.tolist(), rows):
+        for k, band, flag, row_lam in zip(ks.tolist(), table["band"].tolist(),
+                                          table["degenerate"].tolist(), lams):
             lam, _, degenerate = _labelled_roots(k, eq, prev)
             if not degenerate:
                 prev = lam
-            assert (row["band"], row["degenerate"]) \
-                == (band_of(k), int(degenerate))
-            assert np.array_equal(row_lambdas([row])[0], lam)
+            assert (band, flag) == (band_of(k), int(degenerate))
+            assert np.array_equal(row_lam, lam)
 
 
 # ---------------------------------------------------------------------------
 # The per-k sweep: np.roots and one _assign call per k, verbatim as spectral
 # computed it before the batched sweep, with _assign a search over every
-# permutation under the stated rule.  It is the oracle of spectrum_rows.
+# permutation under the stated rule.  It is the oracle of spectrum_table,
+# whose columns spectrum_table below takes from its rows in the CSV order.
 
 ComplexArray = np.ndarray
 
@@ -953,6 +1007,20 @@ def spectrum_rows(eq: EquilibriumState, k_grid: np.ndarray) -> list[dict]:
     return rows
 
 
+# the spectrum.csv header: the oracle of spectrum_table's column order
+SPECTRUM_COLUMNS = (["k"] + [f"re_lambda{i}" for i in range(1, 5)]
+                    + [f"im_lambda{i}" for i in range(1, 5)]
+                    + ["band", "degenerate"]
+                    + [f"expansion_err{i}" for i in range(1, 5)])
+
+
+def spectrum_table(eq: EquilibriumState, k_grid: np.ndarray) -> dict:
+    """The per-k oracle's rows as a table in the CSV order."""
+    rows = spectrum_rows(eq, k_grid)
+    return {name: np.array([row[name] for row in rows])
+            for name in SPECTRUM_COLUMNS}
+
+
 class TestBatchedSweep:
     @pytest.mark.parametrize("cfg, k_range", [
         ("", ()),
@@ -975,14 +1043,14 @@ class TestBatchedSweep:
             # directly: on the subcommand's 400-point grid
             ks = np.logspace(math.log10(k_range[0]), math.log10(k_range[1]),
                              400)
-            assert repr(sp.spectrum_rows(SYM_EQ, ks)) \
-                == repr(spectrum_rows(SYM_EQ, ks))
+            assert table_repr(sp.spectrum_table(SYM_EQ, ks)) \
+                == table_repr(spectrum_table(SYM_EQ, ks))
             return
         params = tmp_path / "params.cfg"
         params.write_text(cfg)
         argv = ["--params", str(params), "spectrum"]
         assert main(["--out", str(tmp_path / "batched"), *argv]) == 0
-        monkeypatch.setattr(sp, "spectrum_rows", spectrum_rows)
+        monkeypatch.setattr(sp, "spectrum_table", spectrum_table)
         assert main(["--out", str(tmp_path / "per_k"), *argv]) == 0
         assert (tmp_path / "batched" / "spectrum.csv").read_bytes() \
             == (tmp_path / "per_k" / "spectrum.csv").read_bytes()
@@ -992,7 +1060,7 @@ class TestBatchedSweep:
         eigvals = np.linalg.eigvals
         monkeypatch.setattr(np.linalg, "eigvals",
                             lambda a: shapes.append(a.shape) or eigvals(a))
-        sp.spectrum_rows(SYM_EQ, np.logspace(-3, 2, 400))
+        sp.spectrum_table(SYM_EQ, np.logspace(-3, 2, 400))
         assert shapes == [(400, 4, 4)]
 
     def test_overflowing_newton_step_is_skipped(self, tmp_path):
@@ -1004,7 +1072,7 @@ class TestBatchedSweep:
             spectrum_rows(SYM_EQ, ks)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = sp.spectrum_rows(SYM_EQ, ks)
-        lams = np.array([[r[f"{part}_lambda{i}"] for part in ("re", "im")
-                          for i in range(1, 5)] for r in rows])
+            table = sp.spectrum_table(SYM_EQ, ks)
+        lams = np.array([table[f"{part}_lambda{i}"] for part in ("re", "im")
+                         for i in range(1, 5)])
         assert np.isfinite(lams).all()
