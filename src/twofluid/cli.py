@@ -32,8 +32,7 @@ __all__ = ["main"]
 # the Riesz constants
 RATIO_MAX = 2.0
 # the most wavenumbers a spectrum sweep takes: its peak grows by about
-# 1.7 KiB per k, most of it the labelling's (nk, 24, 4) cost array (a
-# fresh process peaks at 199 MiB at 1e5), so 831 MiB here
+# 0.6 KiB per k (a fresh process peaks at 150 MiB at 1e5), so 373 MiB here
 N_K_MAX = 500_000
 # rows per csv.writer call: a chunk's Python objects stay small
 CSV_CHUNK = 4096
@@ -224,21 +223,13 @@ def _cmd_convolve(args) -> int:
 def _cmd_simulate(args) -> int:
     eq = solve_equilibrium(_load(args))
     try:
-        rows, final = sim.run_simulation(
+        table, final = sim.run_simulation(
             eq, mode=args.mode, n=args.grid, L=args.box, eps=args.eps,
             t_final=args.t_final)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    table = {"t": [d.t for d in rows],
-             "mass_p": [d.mass_p for d in rows],
-             "mass_m": [d.mass_m for d in rows],
-             "momentum": [d.momentum_norm for d in rows],
-             **{f"l2_{name}": [d.l2[key] for d in rows]
-                for name, key in (("np", "n_p"), ("nm", "n_m"), ("mp", "m_p"),
-                                  ("mm", "m_m"), ("combo", "combo"))},
-             "ring_r": [d.ring_r for d in rows]}
     _write_csv(table, os.path.join(args.out, "diagnostics.csv"))
-    sim.dump_state(final, args.box, rows[-1].t,
+    sim.dump_state(final, args.box, table["t"][-1],
                    os.path.join(args.out, "state.bin"))
     return 0
 
@@ -406,21 +397,22 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     add("decay_slope_momentum", abs(slopes["m_p"] + 0.75), 0.05)
     add("decay_slope_combination", abs(slopes["combo"] + 0.75), 0.05)
     try:
-        rows, _ = sim.run_simulation(eq, mode="nonlinear", n=24, L=24.0,
-                                     eps=1e-3, t_final=6.0)
-        lrows, _ = sim.run_simulation(eq, mode="linear", n=32, L=64.0,
-                                      eps=1e-3, t_final=8.0)
+        run, _ = sim.run_simulation(eq, mode="nonlinear", n=24, L=24.0,
+                                    eps=1e-3, t_final=6.0)
+        lin, _ = sim.run_simulation(eq, mode="linear", n=32, L=64.0,
+                                    eps=1e-3, t_final=8.0)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     scale = 1e-3 * (2 * 24.0) ** 3
-    drift = max(abs(r.mass_p - rows[0].mass_p)
-                + abs(r.mass_m - rows[0].mass_m) for r in rows)
+    mass_p, mass_m = run["mass_p"], run["mass_m"]
+    drift = np.max(np.abs(mass_p - mass_p[0]) + np.abs(mass_m - mass_m[0]))
     add("mass_conservation", drift / scale, 1e-12)
-    mscale = max(rows[0].l2["m_p"] * (2 * 24.0) ** 1.5, 1e-30)
-    drift = max(np.abs(r.momentum - rows[0].momentum).max() for r in rows)
+    mscale = max(run["l2_mp"][0] * (2 * 24.0) ** 1.5, 1e-30)
+    momentum = np.stack([run[f"momentum_{x}"] for x in "xyz"], axis=1)
+    drift = np.abs(momentum - momentum[0]).max()
     add("momentum_conservation", drift / mscale, 1e-10)
-    t = lrows[-1].t
-    add("huygens_ring_radius", abs(lrows[-1].ring_r - eq.c * t),
+    t = lin["t"][-1]
+    add("huygens_ring_radius", abs(lin["ring_r"][-1] - eq.c * t),
         math.sqrt(1.0 + t))
     return checks
 

@@ -241,8 +241,7 @@ class GreenReconstructor:
     smaller grid is never used past the range it resolves.
     """
 
-    def __init__(self, eq: EquilibriumState,
-                 low_panels: int = 64, low_nodes: int = 32,
+    def __init__(self, eq: EquilibriumState, low_panels: int = 64,
                  mid_panels: int = 256, ct_max: float = CT_MAX):
         mid_nodes = next((n for ct, n in MID_NODES if 0.0 < ct_max <= ct),
                          None)
@@ -255,7 +254,7 @@ class GreenReconstructor:
         self.ct_max = ct_max
         # the low and middle grids as one quadrature of two blocks (their
         # half-widths differ), with their windows
-        low = composite_gl(1e-10, ETA1, low_panels, low_nodes)
+        low = composite_gl(1e-10, ETA1, low_panels, 32)
         mid = composite_gl(0.5 * ETA1, 1.2 * K_CUT, mid_panels, mid_nodes)
         self.rules = (low, mid)
         self.kl, self.km = low.nodes, mid.nodes
@@ -416,8 +415,8 @@ def verify_entry_envelope(recon: GreenReconstructor, i: int, j: int,
             "grid": recon.grid}
 
 
-def verify_cancellation(recon: GreenReconstructor, swap_weights: bool = False,
-                        **grid_kwargs) -> dict:
+def verify_cancellation(recon: GreenReconstructor,
+                        swap_weights: bool = False) -> dict:
     """Certify the weighted combination of the two Riesz-IV entries.
 
     The combination rho_bar_minus * G12 + rho_bar_plus * G32 kills the 1/k
@@ -439,7 +438,7 @@ def verify_cancellation(recon: GreenReconstructor, swap_weights: bool = False,
         return np.abs(_transform(tensor_kind(1, 2), recon.rules, p, rs)["amp"])
 
     name = "combo_swapped" if swap_weights else "combo"
-    return _certify(name, magnitude, envelopes, eq.c, **grid_kwargs)
+    return _certify(name, magnitude, envelopes, eq.c)
 
 
 def kernel_table(recon: GreenReconstructor, i: int, j: int,

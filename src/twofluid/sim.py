@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .model import (AdmissibilityError, EquilibriumState, solve_fraction_map)
 from .spectral import decompose_symbol
 
 __all__ = [
-    "Diagnostics", "fit_decay_slope", "decay_slope_table", "make_sim_state",
+    "fit_decay_slope", "decay_slope_table", "make_sim_state",
     "diagnostics", "shell_profile", "dump_state", "load_state",
     "run_simulation",
 ]
@@ -64,9 +63,9 @@ def fit_decay_slope(times, norms) -> tuple[float, float]:
     return float(slope), float(math.sqrt(cov[0, 0]))
 
 
-def decay_slope_table(eq: EquilibriumState, t_lo: float = 1e2,
-                      t_hi: float = 1e4, n_t: int = 12) -> dict[str, float]:
-    """Measured L2 decay slopes of the linear evolution from momentum data.
+def decay_slope_table(eq: EquilibriumState) -> dict[str, float]:
+    """Measured L2 decay slopes of the linear evolution from momentum data,
+    fitted over 12 log-spaced times in [1e2, 1e4].
 
     The data is smooth plus-phase momentum, m0_hat = e^{-k^2/2} and n0 = 0,
     on 800 log-spaced k in [1e-4, 10]; equal data in both phases would
@@ -75,7 +74,7 @@ def decay_slope_table(eq: EquilibriumState, t_lo: float = 1e2,
     m the longitudinal momentum, is m0_hat times column 1 of e^{tA(k)},
     from one decomposition of the grid for all times.
     """
-    ts = np.logspace(math.log10(t_lo), math.log10(t_hi), n_t)
+    ts = np.logspace(2.0, 4.0, 12)
     ks = np.logspace(-4.0, 1.0, 800)
     m0 = np.exp(-0.5 * ks ** 2)
     dec = decompose_symbol(ks, eq)
@@ -92,20 +91,6 @@ def decay_slope_table(eq: EquilibriumState, t_lo: float = 1e2,
 
 # ---------------------------------------------------------------------------
 # periodic-box state and grid machinery
-
-@dataclass(frozen=True)
-class Diagnostics:
-    mass_p: float
-    mass_m: float
-    momentum: np.ndarray        # (3,) total momentum integral
-    l2: dict[str, float]
-    ring_r: float
-    t: float
-
-    @property
-    def momentum_norm(self) -> float:
-        return float(np.linalg.norm(self.momentum))
-
 
 class _GridOps:
     """Box grid, spectral machinery and workspace of one (n, L, eq) grid;
@@ -536,23 +521,23 @@ def shell_profile(ops: _GridOps, f: np.ndarray):
     return ops.shell_r, sums / ops.shell_count
 
 
-def diagnostics(ops: _GridOps, f: np.ndarray, t: float) -> Diagnostics:
-    """Masses, total momentum, L2 norms and ring radius of f at time t."""
+def diagnostics(ops: _GridOps, f: np.ndarray, t: float) -> dict:
+    """The diagnostics.csv row of real state f at time t, a dict from column
+    name to value: masses, the total momentum's norm, L2 norms, ring
+    radius, then the total momentum's components."""
     dV = ops.dx ** 3
     n_p, m_p, n_m, m_m = f[0], f[1:4], f[4], f[5:8]
-    mass_p = float(np.sum(n_p) * dV)
-    mass_m = float(np.sum(n_m) * dV)
     momentum = np.sum(m_p + m_m, axis=(1, 2, 3)) * dV
-
-    def l2(g) -> float:
-        return float(math.sqrt(np.sum(g ** 2) * dV))
-
+    l2 = lambda g: float(math.sqrt(np.sum(g ** 2) * dV))
     combo = ops.eq.rho_bar_minus * n_p + ops.eq.rho_bar_plus * n_m
-    norms = {"n_p": l2(n_p), "n_m": l2(n_m), "m_p": l2(m_p), "m_m": l2(m_m),
-             "combo": l2(combo)}
     radii, prof = shell_profile(ops, f)
-    ring_r = float(radii[int(np.argmax(prof))])
-    return Diagnostics(mass_p, mass_m, momentum, norms, ring_r, t)
+    return {"t": t, "mass_p": float(np.sum(n_p) * dV),
+            "mass_m": float(np.sum(n_m) * dV),
+            "momentum": float(np.linalg.norm(momentum)),
+            "l2_np": l2(n_p), "l2_nm": l2(n_m), "l2_mp": l2(m_p),
+            "l2_mm": l2(m_m), "l2_combo": l2(combo),
+            "ring_r": float(radii[int(np.argmax(prof))]),
+            **{f"momentum_{x}": float(v) for x, v in zip("xyz", momentum)}}
 
 
 # ---------------------------------------------------------------------------
@@ -594,14 +579,17 @@ def load_state(path: str):
 def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
                    n: int = 48, L: float = 64.0, eps: float = 1e-3,
                    t_final: float | None = None):
-    """Time loop with per-step diagnostics; returns (rows, f), f the final
-    real state at time rows[-1].t.
+    """Time loop with per-step diagnostics; returns (table, f).  table is
+    the diagnostics.csv table, a dict from column name to a 1-D column
+    with one row at t = 0 and one per step (see diagnostics), and f is the
+    final real state, at time table["t"][-1].
 
-    The state enters the band once and stays there.  Each step's
-    diagnostics row reads the real state that the run's _GridOps writes
-    into its ``real`` buffer, and f is that buffer itself.  The run's
-    memory is the grid's buffers (29.4 MiB at n = 48, 234 MiB at n = 96;
-    see _GridOps) and a few band states (see step).
+    The state enters the band once and stays there.  Every diagnostics
+    row, the first too, reads the real state that the run's _GridOps
+    writes into its ``real`` buffer from the band state, and f is that
+    buffer itself.  The run's memory is the grid's buffers (29.4 MiB at
+    n = 48, 234 MiB at n = 96; see _GridOps) and a few band states (see
+    step).
 
     The box only represents free space until the fastest front wraps;
     t_final beyond the pre-wrap horizon (L - R_PULSE) / c is rejected,
@@ -631,15 +619,14 @@ def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
                                           / eq.c))))
     dt = t_final / n_steps
     ops = _GridOps(n, L, eq)
-    f = make_sim_state(ops, eps)
-    rows = [diagnostics(ops, f, 0.0)]
+    Y = ops.to_band(make_sim_state(ops, eps))
+    rows = [diagnostics(ops, ops.to_real(Y), 0.0)]
     nonlinear = mode == "nonlinear"
     prop = ops.propagator(0.5 * dt if nonlinear else dt)   # dt is constant
-    Y = ops.to_band(f)
-    del f
     t = 0.0
     for _ in range(n_steps):
         Y = step(ops, Y, dt, prop, nonlinear)
         t += dt
         rows.append(diagnostics(ops, ops.to_real(Y), t))
-    return rows, ops.real
+    table = {key: np.array([row[key] for row in rows]) for key in rows[0]}
+    return table, ops.real

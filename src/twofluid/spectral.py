@@ -211,6 +211,9 @@ _PERMS = np.array(list(itertools.permutations(range(4))))
 # assignment totals within this relative distance of the least are tied:
 # a four-term sum rounds differently by summation order
 TIE_REL = 1e-14
+# rows per _assign_cols call of a sweep: its (rows, 24, 4) cost array stays
+# at 48 MiB however many k the sweep takes
+LABEL_CHUNK = 65_536
 
 
 def _assign_cols(roots: ComplexArray, reference: ComplexArray) -> np.ndarray:
@@ -559,9 +562,9 @@ def spectrum_table(eq: EquilibriumState, k_grid: np.ndarray) -> dict:
     A k is labelled against the last non-degenerate k before it (its
     reference), or as branches labels it where there is none.  The
     degenerate flag depends on the roots alone, so every reference is known
-    before any label: one assignment call labels all (k, unlabelled
-    reference) pairs, and one walk over the grid composes each k's
-    permutation with its reference's.
+    before any label: assignment calls over chunks of LABEL_CHUNK label
+    all (k, unlabelled reference) pairs, and one walk over the grid
+    composes each k's permutation with its reference's.
     """
     ks = np.asarray(k_grid, dtype=float)
     roots = _quartic_roots(ks, eq)
@@ -574,7 +577,9 @@ def spectrum_table(eq: EquilibriumState, k_grid: np.ndarray) -> dict:
     first = np.flatnonzero(ref < 0)
     perm[first] = _first_cols(ks[first], roots[first], eq)
     chained = np.flatnonzero(ref >= 0)
-    cols = _assign_cols(roots[chained], roots[ref[chained]])
+    cols = np.concatenate([
+        _assign_cols(roots[rows], roots[ref[rows]]) for rows in
+        np.split(chained, range(LABEL_CHUNK, chained.size, LABEL_CHUNK))])
     for row, m, c in zip(chained.tolist(), ref[chained].tolist(), cols):
         # label i of row m is its raw root perm[m][i]
         perm[row] = c[perm[m]]

@@ -168,7 +168,6 @@ def region_tag(r: float, t: float, c: float) -> str:
 
 _GL8 = np.polynomial.legendre.leggauss(8)
 _GL16 = np.polynomial.legendre.leggauss(16)
-_GL48 = np.polynomial.legendre.leggauss(48)
 _NODES = np.concatenate([_GL8[0], _GL16[0]])
 
 
@@ -295,9 +294,8 @@ def _angular_batch(r, F, G, F_int, splits, U0, rel_tol, abs_tol, stats):
 
     int F(|x-y|) G(|y|) dy = (2 pi / r) int_0^inf u G(u)
                               int_{|r-u|}^{r+u} z F(z) dz du,
-    the spherical-coordinate substitution z^2 = r^2 + u^2 - 2ru cos(theta).
-    F_int, when given, is the inner integral in closed form; otherwise it
-    is evaluated by 48-point Gauss-Legendre.  At r = 0 the reduction
+    the spherical-coordinate substitution z^2 = r^2 + u^2 - 2ru cos(theta),
+    with the inner integral F_int in closed form.  At r = 0 the reduction
     degenerates to the overlap integral 4 pi int u^2 F(u) G(u) du.
 
     F(z, j), G(u, j) and F_int(r, u, j) evaluate the functions of integral
@@ -316,14 +314,8 @@ def _angular_batch(r, F, G, F_int, splits, U0, rel_tol, abs_tol, stats):
         if off.any():
             u1, j1 = u[off], j[off]
             r1 = r[j1]
-            if F_int is None:
-                lo, hi = np.abs(r1 - u1), r1 + u1
-                half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-                zz = mid[..., None] + half[..., None] * _GL48[0]
-                inner = half * ((zz * F(zz, j1[..., None])) @ _GL48[1])
-            else:
-                inner = F_int(r1, u1, j1)
-            out[off] = (2.0 * math.pi / r1) * u1 * G(u1, j1) * inner
+            out[off] = (2.0 * math.pi / r1) * u1 * G(u1, j1) \
+                * F_int(r1, u1, j1)
         return out
 
     U = np.where(near, U0, np.maximum(U0, 2.0 * r))
@@ -578,14 +570,13 @@ def _constants_report(t_list, Cs: list) -> dict:
             "C_est": float(max(Cs)), "ratio": float(max(Cs) / min(Cs))}
 
 
-def riesz_potential_check(f_pattern: WavePattern, t_list,
-                          nr: int = 400) -> dict:
+def riesz_potential_check(f_pattern: WavePattern, t_list) -> dict:
     """Certify |grad (-Delta)^{-1} f| <= C (1+t)^{1/2} (1+r^2/(1+t))^{-1}."""
     if f_pattern.kind != "D" or f_pattern.p <= 1.5:
         raise ValueError("pattern must be D(0, r) with r > 3/2")
     Cs, sups = [], []
     for t in t_list:
-        rs = np.linspace(1e-6, 60.0 * math.sqrt(1.0 + t), nr)
+        rs = np.linspace(1e-6, 60.0 * math.sqrt(1.0 + t), 400)
         g = riesz_gradient(lambda s: f_pattern.spatial(s, t), rs)
         bound = math.sqrt(1.0 + t) * (1.0 + rs ** 2 / (1.0 + t)) ** -1.0
         Cs.append(float((g / bound).max()))

@@ -189,7 +189,7 @@ def test_riesz_potential_lemmas():
 
 
 def test_linear_decay_slopes():
-    slopes = sim.decay_slope_table(SYM_EQ, t_lo=1e2, t_hi=1e4)
+    slopes = sim.decay_slope_table(SYM_EQ)
     assert slopes["n_p"] == pytest.approx(-0.25, abs=0.05)
     assert slopes["n_m"] == pytest.approx(-0.25, abs=0.05)
     assert slopes["m_p"] == pytest.approx(-0.75, abs=0.05)
@@ -199,22 +199,24 @@ def test_linear_decay_slopes():
 
 def test_nonlinear_simulator():
     L, n, eps = 64.0, 48, 1e-3
-    rows, final = sim.run_simulation(SYM_EQ, mode="nonlinear", n=n, L=L,
-                                     eps=eps)
+    table, final = sim.run_simulation(SYM_EQ, mode="nonlinear", n=n, L=L,
+                                      eps=eps)
+    ts = table["t"]
     assert final.shape == (8, n, n, n)
-    assert rows[-1].t == pytest.approx(L / (2.0 * SYM_EQ.c))
+    assert ts[-1] == pytest.approx(L / (2.0 * SYM_EQ.c))
     mass_scale = eps * (2 * L) ** 3
-    drift = max(abs(r.mass_p - rows[0].mass_p)
-                + abs(r.mass_m - rows[0].mass_m) for r in rows)
+    mass_p, mass_m = table["mass_p"], table["mass_m"]
+    drift = np.max(np.abs(mass_p - mass_p[0]) + np.abs(mass_m - mass_m[0]))
     assert drift / mass_scale < 1e-12
-    mom_scale = rows[0].l2["m_p"] * (2 * L) ** 1.5
-    drift = max(np.abs(r.momentum - rows[0].momentum).max() for r in rows)
+    mom_scale = table["l2_mp"][0] * (2 * L) ** 1.5
+    momentum = np.stack([table[f"momentum_{x}"] for x in "xyz"], axis=1)
+    drift = np.abs(momentum - momentum[0]).max()
     assert drift / mom_scale < 1e-10
     # Huygens ring at two checkpoints
     hits = 0
-    for r in rows:
-        if r.t in (8.0, 16.0):
-            assert abs(r.ring_r - SYM_EQ.c * r.t) <= math.sqrt(1.0 + r.t)
+    for t, ring_r in zip(ts, table["ring_r"]):
+        if t in (8.0, 16.0):
+            assert abs(ring_r - SYM_EQ.c * t) <= math.sqrt(1.0 + t)
             hits += 1
     assert hits == 2
 

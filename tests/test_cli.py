@@ -520,10 +520,24 @@ class TestSimulate:
         rows = read_csv(tmp_path / "diagnostics.csv")
         assert list(rows[0].keys()) == [
             "t", "mass_p", "mass_m", "momentum", "l2_np", "l2_nm",
-            "l2_mp", "l2_mm", "l2_combo", "ring_r"]
+            "l2_mp", "l2_mm", "l2_combo", "ring_r", "momentum_x",
+            "momentum_y", "momentum_z"]
         final, L, t = sim.load_state(str(tmp_path / "state.bin"))
         assert final.shape == (8, 16, 16, 16)
         assert L == 16.0 and t == pytest.approx(2.0)
+
+    def test_diagnostics_csv_is_the_simulator_table(self, tmp_path):
+        assert main(["--out", str(tmp_path), "simulate", "--mode", "linear",
+                     "--grid", "16", "--box", "16", "--t-final", "2"]) == 0
+        table, final = sim.run_simulation(
+            solve_equilibrium(ModelParams()), mode="linear", n=16, L=16.0,
+            t_final=2.0)
+        rows = read_csv(tmp_path / "diagnostics.csv")
+        assert list(rows[0]) == list(table)
+        for key, col in table.items():
+            assert [float(row[key]) for row in rows] == col.tolist()
+        dumped, _, t = sim.load_state(str(tmp_path / "state.bin"))
+        assert np.array_equal(dumped, final) and t == table["t"][-1]
 
     def test_horizon_rejected(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "simulate", "--grid", "8",

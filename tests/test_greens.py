@@ -929,6 +929,19 @@ class TestEnvelopeCertification:
         assert rep["trend_ratio"] > 2.0
         assert 0.3 <= rep["growth_slope"] <= 0.65
 
+    def test_eight_times_by_256_radii_reject_the_fast_pair(self, sym_recon):
+        # at t = 100 the core r <= sqrt(1 + t) holds about two of 128 radii,
+        # and G12 against the fast pair then reads 1.43; 256 radii at the
+        # same 8 times reject that pair and keep both default pairs
+        c, grid = SYM_EQ.c, dict(n_t=8, nr=256)
+        fast = greens.verify_entry_envelope(
+            sym_recon, 1, 2, greens.default_envelopes(2, 2, c), **grid)
+        assert fast["trend_ratio"] > 2.0
+        for i, j in ((1, 2), (2, 2)):
+            rep = greens.verify_entry_envelope(
+                sym_recon, i, j, greens.default_envelopes(i, j, c), **grid)
+            assert rep["trend_ratio"] <= 2.0
+
     def test_cancellation_combination(self, asym_recon):
         rep = greens.verify_cancellation(asym_recon)
         assert rep["trend_ratio"] <= 2.0

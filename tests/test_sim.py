@@ -496,7 +496,7 @@ class TestStepCost:
     @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
     def test_band_transforms_outside_step(self, monkeypatch, mode):
         # the state enters the band once per run and leaves it once per
-        # diagnostics row after the first
+        # diagnostics row, the initial one too
         calls = {"forward_band": 0, "inverse_band": 0}
         inside = dict(calls)
 
@@ -529,12 +529,12 @@ class TestStepCost:
             return propagator(self, t)
 
         monkeypatch.setattr(sim._GridOps, "propagator", counted_propagator)
-        rows, _ = sim.run_simulation(EQ, mode=mode, n=16, L=16.0,
-                                     t_final=3.0)
-        assert len(rows) == 3
+        table, _ = sim.run_simulation(EQ, mode=mode, n=16, L=16.0,
+                                      t_final=3.0)
+        assert len(table["t"]) == 3
         assert built == [1.5 if mode == "linear" else 0.75]
         assert calls["forward_band"] - inside["forward_band"] == 8
-        assert calls["inverse_band"] - inside["inverse_band"] == 8 * 2
+        assert calls["inverse_band"] - inside["inverse_band"] == 8 * 3
 
 
 class TestStageMemory:
@@ -688,6 +688,12 @@ class TestStep:
         assert order == pytest.approx(4.0, abs=0.3)
 
 
+def _momentum(table) -> np.ndarray:
+    """The total momentum's components of a diagnostics table, one row per
+    step."""
+    return np.stack([table[f"momentum_{x}"] for x in "xyz"], axis=1)
+
+
 @pytest.fixture(scope="module")
 def run():
     return sim.run_simulation(EQ, mode="nonlinear", n=32, L=32.0,
@@ -696,24 +702,25 @@ def run():
 
 class TestConservationAndRun:
     def test_mass_conserved(self, run):
-        rows, _ = run
+        table, _ = run
         scale = 1e-3 * (2 * 32.0) ** 3
-        drift = max(abs(r.mass_p - rows[0].mass_p)
-                    + abs(r.mass_m - rows[0].mass_m) for r in rows)
+        mass_p, mass_m = table["mass_p"], table["mass_m"]
+        drift = np.max(np.abs(mass_p - mass_p[0]) + np.abs(mass_m - mass_m[0]))
         assert drift / scale < 1e-12
 
     def test_momentum_conserved(self, run):
-        rows, _ = run
-        scale = rows[0].l2["m_p"] * (2 * 32.0) ** 1.5
-        drift = max(np.abs(r.momentum - rows[0].momentum).max() for r in rows)
+        table, _ = run
+        scale = table["l2_mp"][0] * (2 * 32.0) ** 1.5
+        momentum = _momentum(table)
+        drift = np.abs(momentum - momentum[0]).max()
         assert drift / scale < 1e-10
 
     def test_perturbative_regime(self, run):
-        rows_n, _ = run
-        rows_l, _ = sim.run_simulation(EQ, mode="linear", n=32, L=32.0,
-                                       eps=1e-3, t_final=8.0)
-        for a, b in zip(rows_n, rows_l):
-            assert abs(a.l2["m_p"] - b.l2["m_p"]) <= 0.1 * b.l2["m_p"]
+        table_n, _ = run
+        table_l, _ = sim.run_simulation(EQ, mode="linear", n=32, L=32.0,
+                                        eps=1e-3, t_final=8.0)
+        a, b = table_n["l2_mp"], table_l["l2_mp"]
+        assert np.all(np.abs(a - b) <= 0.1 * b)
 
     def test_horizon_enforced(self):
         with pytest.raises(ValueError):
@@ -759,15 +766,40 @@ def _ref_shell_profile(L, f):
 class TestDiagnostics:
     def test_equilibrium_zero_norms(self):
         d = sim.diagnostics(*_pulse_state(EQ, eps=0.0), 0.0)
-        assert all(v == 0.0 for v in d.l2.values())
-        assert d.mass_p == 0.0 and d.momentum_norm == 0.0
+        assert all(d[key] == 0.0 for key in d if key.startswith("l2_"))
+        assert d["mass_p"] == 0.0 and d["momentum"] == 0.0
 
     def test_huygens_ring_linear(self):
-        rows, final = sim.run_simulation(EQ, mode="linear", n=32, L=64.0,
-                                         eps=1e-3, t_final=8.0)
-        d = rows[-1]
+        table, final = sim.run_simulation(EQ, mode="linear", n=32, L=64.0,
+                                          eps=1e-3, t_final=8.0)
+        t = table["t"][-1]
         assert final.shape == (8, 32, 32, 32)
-        assert abs(d.ring_r - EQ.c * d.t) <= math.sqrt(1.0 + d.t)
+        assert abs(table["ring_r"][-1] - EQ.c * t) <= math.sqrt(1.0 + t)
+
+    def test_momentum_is_the_norm_of_its_components(self, run):
+        table, _ = run
+        assert list(table) == [
+            "t", "mass_p", "mass_m", "momentum", "l2_np", "l2_nm", "l2_mp",
+            "l2_mm", "l2_combo", "ring_r", "momentum_x", "momentum_y",
+            "momentum_z"]
+        assert all(col.shape == table["t"].shape for col in table.values())
+        norms = [np.linalg.norm(row) for row in _momentum(table)]
+        assert np.array_equal(table["momentum"], norms)
+        assert np.any(_momentum(table) != 0.0)
+
+    def test_initial_row_is_the_band_state(self):
+        # row 0 measures the state the run advances, the band projection of
+        # the pulse, not the pulse itself
+        n, L = 32, 64.0
+        table, _ = sim.run_simulation(EQ, mode="linear", n=n, L=L,
+                                      eps=1e-3, t_final=1.0)
+        ops, f = _pulse_state(EQ, n=n, L=L, eps=1e-3)
+        dV = ops.dx ** 3
+        pulse = math.sqrt(np.sum(f[1:4] ** 2) * dV)
+        band = ops.to_real(ops.to_band(f))
+        want = math.sqrt(np.sum(band[1:4] ** 2) * dV)
+        assert table["l2_mp"][0] == want
+        assert abs(pulse - want) > 0.1 * want
 
     @pytest.mark.parametrize("n, L", [(16, 16.0), (17, 20.0), (24, 9.0)])
     def test_shell_profile_matches_per_row_bins(self, n, L):
@@ -786,9 +818,9 @@ class TestDiagnostics:
             return digitize(*args, **kwargs)
 
         monkeypatch.setattr(np, "digitize", counted)
-        rows, _ = sim.run_simulation(EQ, mode="linear", n=16, L=16.0,
-                                     t_final=3.0)
-        assert len(rows) == 3
+        table, _ = sim.run_simulation(EQ, mode="linear", n=16, L=16.0,
+                                      t_final=3.0)
+        assert len(table["t"]) == 3
         assert len(calls) == 1
 
 

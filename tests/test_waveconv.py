@@ -79,16 +79,7 @@ def _ref_angular_reduce(r: float, F, G, F_prim=None, splits=(),
                                          rel_tol, abs_tol)
 
     if F_prim is None:
-        zg = np.polynomial.legendre.leggauss(48)
-
-        def inner(u):
-            out = np.empty_like(u)
-            for idx, uu in enumerate(u):
-                lo, hi = abs(r - uu), r + uu
-                half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-                zz = mid + half * zg[0]
-                out[idx] = half * (zg[1] @ (zz * F(zz)))
-            return out
+        inner = lambda u: _ref_inner_integral(F, r, u)
     else:
         def inner(u):
             return F_prim(r + u) - F_prim(np.abs(r - u))
@@ -98,14 +89,30 @@ def _ref_angular_reduce(r: float, F, G, F_prim=None, splits=(),
                                      splits, rel_tol, abs_tol)
 
 
+def _ref_inner_integral(F, r: float, u) -> np.ndarray:
+    """int_{|r-u|}^{r+u} z F(z) dz at each entry of the array u, by
+    48-point Gauss-Legendre."""
+    zg = np.polynomial.legendre.leggauss(48)
+    out = np.empty_like(u)
+    for idx, uu in np.ndenumerate(u):
+        lo, hi = abs(r - uu), r + uu
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        zz = mid + half * zg[0]
+        out[idx] = half * (zg[1] @ (zz * F(zz)))
+    return out
+
+
 def angular_reduce(r: float, F, G, F_int=None, splits=(),
                    U0: float = 64.0, rel_tol: float = 1e-7,
                    abs_tol: float = 1e-13) -> float:
     """The batched angular reduction at one radius r, with radial functions
-    F(z), G(u) and the inner integral F_int(r, u)."""
-    inner = None if F_int is None else (lambda x, u, j: F_int(x, u))
+    F(z), G(u) and the inner integral F_int(r, u); without F_int, the
+    reference's 48-point Gauss-Legendre inner integral."""
+    if F_int is None:
+        F_int = lambda x, u: _ref_inner_integral(F, float(r), u)
     out = wc._angular_batch(
-        np.array([float(r)]), lambda z, j: F(z), lambda u, j: G(u), inner,
+        np.array([float(r)]), lambda z, j: F(z), lambda u, j: G(u),
+        lambda x, u, j: F_int(x, u),
         np.array([list(splits)], dtype=float).reshape(1, -1),
         np.array([float(U0)]), rel_tol, np.array([float(abs_tol)]),
         wc.QuadStats())
