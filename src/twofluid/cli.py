@@ -22,7 +22,7 @@ from . import greens, sim, spectral, waveconv
 from .model import (AdmissibilityError, ConvergenceError, ModelParams,
                     ParameterError, equilibrium_report, load_params,
                     pressure_law, solve_equilibrium, solve_fraction_map,
-                    validate_params, wave_speed_alt)
+                    wave_speed_alt)
 
 __all__ = ["main"]
 
@@ -36,6 +36,9 @@ RATIO_MAX = 2.0
 N_K_MAX = 500_000
 # rows per csv.writer call: a chunk's Python objects stay small
 CSV_CHUNK = 4096
+# every envelope check's (times, radii) grid; 256 radii would reject G12 on
+# G22's pair but move the benchmark's greens --entry 2,2 (FOUND:, ROADMAP S9)
+ENVELOPE_GRID = dict(n_t=8, nr=128)
 
 
 class UsageError(Exception):
@@ -91,12 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> ModelParams:
-    if args.params:
-        return load_params(args.params)
-    return validate_params(ModelParams())
-
-
 def _write_json(payload: dict, path: str) -> None:
     """Write payload as strict JSON; a NaN or infinite value writes nothing."""
     try:
@@ -124,21 +121,19 @@ def _write_csv(table: dict, path: str) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_equilibrium(args) -> int:
-    eq = solve_equilibrium(_load(args))
+def _cmd_equilibrium(args, eq) -> int:
     report = equilibrium_report(eq)
     report["schema"] = 1
     _write_json(report, os.path.join(args.out, "equilibrium.json"))
     return 0
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args, eq) -> int:
     if not 1 <= args.n_k <= N_K_MAX:
         raise UsageError(f"--n-k must lie in [1, {N_K_MAX}]")
     if not all(math.isfinite(k) and k > 0.0
                for k in (args.k_min, args.k_max)):
         raise UsageError("--k-min and --k-max must be finite and positive")
-    eq = solve_equilibrium(_load(args))
     # every coefficient c_j of the characteristic quartic grows with k, and
     # so does the Fujiwara bound 2 max |c_j|^(1/(4-j)) on its roots; the
     # roots' Newton polish evaluates terms up to the bound's fourth power
@@ -160,8 +155,7 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_greens(args) -> int:
-    eq = solve_equilibrium(_load(args))
+def _cmd_greens(args, eq) -> int:
     try:
         i, j = (int(s) for s in args.entry.split(","))
         t_list = [float(s) for s in args.t_list.split(",")]
@@ -186,7 +180,7 @@ def _cmd_greens(args) -> int:
     except ValueError as exc:
         raise UsageError(f"--t-list/--r-max-factor: {exc}") from None
     report = greens.verify_entry_envelope(
-        recon, i, j, greens.default_envelopes(i, j, eq.c), n_t=8, nr=128)
+        recon, i, j, greens.default_envelopes(i, j, eq.c), **ENVELOPE_GRID)
     path = os.path.join(args.out, "kernel.csv")
     if not np.isfinite(table["value"]).all():
         raise UsageError(f"{path}: a computed value is not finite; "
@@ -198,8 +192,7 @@ def _cmd_greens(args) -> int:
     return 0 if report["pass"] else 1
 
 
-def _cmd_convolve(args) -> int:
-    eq = solve_equilibrium(_load(args))
+def _cmd_convolve(args, eq) -> int:
     cases = waveconv.make_cases(eq.c)
     if args.case not in cases:
         raise UsageError(f"unknown case {args.case!r}; choose from "
@@ -220,8 +213,7 @@ def _cmd_convolve(args) -> int:
     return 0 if report["pass"] else 1
 
 
-def _cmd_simulate(args) -> int:
-    eq = solve_equilibrium(_load(args))
+def _cmd_simulate(args, eq) -> int:
     try:
         table, final = sim.run_simulation(
             eq, mode=args.mode, n=args.grid, L=args.box, eps=args.eps,
@@ -287,13 +279,12 @@ def _fraction_map_roundtrip(eq) -> float:
     alpha_p = eq.alpha_bar_plus + 0.04 * min(eq.alpha_bar_plus,
                                              eq.alpha_bar_minus)
     rp, rm, _, _ = solve_fraction_map(alpha_p * rho_p,
-                                      (1.0 - alpha_p) * rho_m, params, eq=eq)
+                                      (1.0 - alpha_p) * rho_m, eq)
     return max(abs(rp - rho_p) / rho_p, abs(rm - rho_m) / rho_m)
 
 
-def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
-    """Build the list of {name, pass, metric, tolerance} check records."""
-    eq = solve_equilibrium(params)
+def _certification_checks(eq, tol_scale: float = 1.0):
+    """The {name, pass, metric, tolerance} check records of the state eq."""
     checks = []
 
     def add(name: str, metric: float, tol: float, invert: bool = False):
@@ -302,19 +293,17 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     # background state
     for name, metric in _equilibrium_metrics(eq).items():
         add(name, metric, 1e-10)
-    eq_asym = solve_equilibrium(
-        validate_params(ModelParams(A_minus=2.0)))
+    eq_asym = solve_equilibrium(ModelParams(A_minus=2.0))
     add("equilibrium_asymmetric",
         abs(eq_asym.rho_bar_plus - (1.0 + math.sqrt(2.0))), 1e-10)
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(20):
-        p = validate_params(ModelParams(
+        e = solve_equilibrium(ModelParams(
             A_plus=float(rng.uniform(0.5, 2.0)),
             A_minus=float(rng.uniform(0.5, 2.0)),
             gamma_plus=float(rng.uniform(1.2, 3.0)),
             gamma_minus=float(rng.uniform(1.2, 3.0))))
-        e = solve_equilibrium(p)
         worst = max(worst, abs(e.beta1 * e.beta4 - e.beta2 ** 2))
     add("beta_product_identity", worst, 1e-13)
     add("fraction_map_roundtrip", _fraction_map_roundtrip(eq), 1e-10)
@@ -333,10 +322,9 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     for _ in range(10):
         k = float(rng.uniform(1e-3, 20.0))
         t = float(rng.uniform(0.1, 10.0))
-        a = spectral.semigroup(k, t, eq)
-        b = spectral.semigroup(k, t / 2, eq) @ spectral.semigroup(k, t / 2,
-                                                                  eq)
-        worst = max(worst, float(np.abs(a - b).max()))
+        S = spectral.decompose_symbol(np.array([k]), eq).semigroup
+        a, b = S(t)[0], S(t / 2)[0]
+        worst = max(worst, float(np.abs(a - b @ b).max()))
     add("semigroup_dual_path", worst, 1e-8)
     add("singular_combination_cancels",
         spectral.singular_combination_residual(eq), 1e-6)
@@ -347,15 +335,14 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
         float(np.abs(P0.sum(axis=0) - np.eye(4)).max()), 1e-12)
     # both reconstructors serve only the envelope grid's times
     recon = greens.GreenReconstructor(eq, ct_max=greens.T_ENVELOPE * eq.c)
-    env_kwargs = dict(n_t=8, nr=128)
     rep = greens.verify_entry_envelope(
-        recon, 1, 2, greens.default_envelopes(1, 2, eq.c), **env_kwargs)
+        recon, 1, 2, greens.default_envelopes(1, 2, eq.c), **ENVELOPE_GRID)
     add("envelope_G12_riesz", rep["trend_ratio"], RATIO_MAX)
     rep = greens.verify_entry_envelope(
-        recon, 2, 2, greens.default_envelopes(2, 2, eq.c), **env_kwargs)
+        recon, 2, 2, greens.default_envelopes(2, 2, eq.c), **ENVELOPE_GRID)
     add("envelope_G22", rep["trend_ratio"], RATIO_MAX)
-    asym = solve_equilibrium(validate_params(
-        ModelParams(A_minus=2.0, mu_minus=0.7, sigma_plus=0.02)))
+    asym = solve_equilibrium(
+        ModelParams(A_minus=2.0, mu_minus=0.7, sigma_plus=0.02))
     recon_a = greens.GreenReconstructor(asym,
                                         ct_max=greens.T_ENVELOPE * asym.c)
     rep = greens.verify_cancellation(recon_a)
@@ -417,8 +404,8 @@ def _certification_checks(params: ModelParams, tol_scale: float = 1.0):
     return checks
 
 
-def _cmd_certify_all(args) -> int:
-    checks = _certification_checks(_load(args), tol_scale=args.tol_scale)
+def _cmd_certify_all(args, eq) -> int:
+    checks = _certification_checks(eq, tol_scale=args.tol_scale)
     payload = {
         "schema": 1,
         "checks": checks,
@@ -452,7 +439,10 @@ def main(argv=None) -> int:
         if not (math.isfinite(args.tol_scale) and args.tol_scale > 0.0):
             raise UsageError("--tol-scale must be finite and positive")
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](args)
+        # the command's one background state; solve_equilibrium validates
+        eq = solve_equilibrium(load_params(args.params) if args.params
+                               else ModelParams())
+        return _COMMANDS[args.command](args, eq)
     except (UsageError, ParameterError, AdmissibilityError,
             ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

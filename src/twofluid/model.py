@@ -29,8 +29,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-FloatArray = np.ndarray
-
 # config keys accepted by load_params, in file order
 _CONFIG_KEYS = (
     "mu_plus", "mu_minus", "lambda_plus", "lambda_minus",
@@ -234,11 +232,10 @@ def wave_speed_alt(eq: EquilibriumState) -> float:
     return math.sqrt(C2 * ratio)
 
 
-def solve_fraction_map(R_plus, R_minus, p: ModelParams,
-                       eq: EquilibriumState):
+def solve_fraction_map(R_plus, R_minus, eq: EquilibriumState):
     """Invert the fraction densities: (R+, R-) -> (rho+, rho-, alpha+, C2).
 
-    Solves the pressure-matching scalar equation
+    Solves the pressure-matching scalar equation, with eq.params' laws,
         phi(x) = P_plus(x) - P_minus(R- x / (x - R+)) = 0
     for rho+ = x > R+ by _match_pressures, to |phi| < 1e-13 (|P| + 1) with
     P the equilibrium pressure.  Accepts scalars or broadcastable arrays.
@@ -264,6 +261,7 @@ def solve_fraction_map(R_plus, R_minus, p: ModelParams,
             "admissibility violated: |R - 1| > 0.5 or not finite, outside "
             "the certified box")
 
+    p = eq.params
     rbp, rbm = eq.rho_bar_plus, eq.rho_bar_minus
     # d rho+ / d R+- at the equilibrium, from phi_x dx + phi_R+- dR+- = 0
     den = eq.s2_plus * rbp ** 2 + eq.s2_minus * rbm ** 2

@@ -432,7 +432,7 @@ def _rhs_hat(ops: _GridOps, Y: np.ndarray) -> np.ndarray:
     R_p, R_m = W.R
     np.add(n_p, 1.0, out=R_p)
     np.add(n_m, 1.0, out=R_m)
-    rho_p, rho_m, _, C2c = solve_fraction_map(R_p, R_m, p, eq=eq)
+    rho_p, rho_m, _, C2c = solve_fraction_map(R_p, R_m, eq)
 
     out = np.zeros_like(Y)
     gnp, gnm = W.grad
@@ -592,11 +592,13 @@ def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
     step).
 
     The box only represents free space until the fastest front wraps;
-    t_final beyond the pre-wrap horizon (L - R_PULSE) / c is rejected,
-    and so are n outside [4, N_MAX], a box size L outside (R_PULSE,
-    L_MAX], an eps outside [-EPS_MAX, EPS_MAX] and a t_final that is not
-    finite and positive, all before any array is built.
+    t_final beyond the pre-wrap horizon (L - R_PULSE) / c is a ValueError,
+    and so are a mode not linear or nonlinear, n outside [4, N_MAX], L
+    outside (R_PULSE, L_MAX], eps outside [-EPS_MAX, EPS_MAX] and a
+    t_final that is not finite and positive, all before any array is built.
     """
+    if mode not in ("linear", "nonlinear"):
+        raise ValueError(f"mode {mode!r} is neither 'linear' nor 'nonlinear'")
     if not 4 <= n <= N_MAX:
         raise ValueError(f"grid size {n} must be at least 4 and at most "
                          f"{N_MAX}")

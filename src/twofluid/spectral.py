@@ -8,10 +8,10 @@ eigenvalue branches and their projectors, the closed-form low- and
 high-frequency expansions, the low band as the projectors' k-series
 P0 + Pm1/k (leading_projectors), the certified middle-band decay gap, and
 the semigroup e^{tA(k)} from a decomposition of a k-grid
-(decompose_symbol), built once and applied per t.  Every eigenvalue is a
-Newton-polished root of the quartic (_quartic_roots), which holds the
-diffusive pair lambda3,4 ~ lambda3,4_tilde k^2 to relative round-off at
-small k.
+(decompose_symbol, its one entry), built once and applied per t.  Every
+eigenvalue is a Newton-polished root of the quartic (_quartic_roots), which
+holds the diffusive pair lambda3,4 ~ lambda3,4_tilde k^2 to relative
+round-off at small k.
 Projectors and semigroup use closed-form eigenvectors (see _right and
 _left): no eigenvector matrix is formed or inverted.  scipy is imported
 only for expm on ill-conditioned modes.
@@ -429,11 +429,6 @@ def _expm(M: np.ndarray) -> np.ndarray:
         raise ParameterError("scaling and squaring of e^(t A) overflows "
                              "at these parameters")
     return out
-
-
-def semigroup(k: float, t: float, eq: EquilibriumState) -> ComplexArray:
-    """e^{t A(k)} at one k: decompose_symbol on the one-point grid."""
-    return decompose_symbol(np.array([float(k)]), eq).semigroup(t)[0]
 
 
 def check_growth(lam: ComplexArray, t: float) -> None:

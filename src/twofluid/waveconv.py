@@ -462,7 +462,7 @@ def verify_case(case: ConvCase, t_list=(4.0, 16.0, 64.0)) -> dict:
     if np.count_nonzero(in_decade) < 2:
         raise ValueError("need at least two distinct sample times in the "
                          "final decade [t_max/10, t_max]")
-    points = [(r, t) for t in t_list for r in sample_radii(t, case.speed)]
+    points = [(r, t) for t in t_arr for r in sample_radii(t, case.speed)]
     stats = QuadStats()
     lhs = eval_spacetime_conv(case, [r for r, _ in points],
                               [t for _, t in points], stats=stats)

@@ -614,7 +614,7 @@ class TestFractionMapRoundtrip:
                                        ConvergenceError])
     def test_model_errors_exit_2(self, monkeypatch, tmp_path, capsys,
                                  error):
-        def fail(args):
+        def fail(args, eq):
             raise error("state left the model")
 
         monkeypatch.setitem(cli._COMMANDS, "equilibrium", fail)

@@ -192,7 +192,7 @@ class TestFractionMap:
         # one solver: the equilibrium is the fraction map at R+ = R- = 1
         for p in FRACTION_SETS.values():
             eq = solve_equilibrium(p)
-            rho_p, rho_m, alpha_p, C2 = solve_fraction_map(1.0, 1.0, p, eq)
+            rho_p, rho_m, alpha_p, C2 = solve_fraction_map(1.0, 1.0, eq)
             assert abs(rho_p - eq.rho_bar_plus) \
                 <= 2.0 * np.spacing(eq.rho_bar_plus)
             assert abs(rho_m - eq.rho_bar_minus) \
@@ -201,7 +201,7 @@ class TestFractionMap:
             assert C2 == pytest.approx(eq.C2, rel=1e-14)
 
     def test_off_equilibrium_residuals(self):
-        rho_p, rho_m, alpha_p, _ = solve_fraction_map(1.1, 0.9, SYM, SYM_EQ)
+        rho_p, rho_m, alpha_p, _ = solve_fraction_map(1.1, 0.9, SYM_EQ)
         # defining equations as the oracle
         assert 1.1 / rho_p + 0.9 / rho_m == pytest.approx(1.0, abs=1e-12)
         Pp = pressure_law(rho_p, SYM.A_plus, SYM.gamma_plus)
@@ -211,11 +211,11 @@ class TestFractionMap:
 
     def test_vacuum_rejected(self):
         with pytest.raises(AdmissibilityError):
-            solve_fraction_map(0.0, 1.0, SYM, SYM_EQ)
+            solve_fraction_map(0.0, 1.0, SYM_EQ)
 
     def test_far_from_equilibrium_rejected(self):
         with pytest.raises(AdmissibilityError):
-            solve_fraction_map(1.6, 1.0, SYM, SYM_EQ)
+            solve_fraction_map(1.6, 1.0, SYM_EQ)
 
     def test_nan_rejected_before_newton(self, monkeypatch):
         calls = []
@@ -228,18 +228,17 @@ class TestFractionMap:
         Rp = np.ones(8)
         Rp[3] = np.nan
         with pytest.raises(AdmissibilityError):
-            solve_fraction_map(Rp, np.ones(8), SYM, SYM_EQ)
+            solve_fraction_map(Rp, np.ones(8), SYM_EQ)
         with pytest.raises(AdmissibilityError):
-            solve_fraction_map(1.0, np.inf, SYM, SYM_EQ)
+            solve_fraction_map(1.0, np.inf, SYM_EQ)
         assert calls == []
 
     def test_array_matches_scalar(self):
         Rp = np.array([0.95, 1.0, 1.12])
         Rm = np.array([1.05, 1.0, 0.9])
-        rho_p, rho_m, alpha_p, C2 = solve_fraction_map(Rp, Rm, SYM, SYM_EQ)
+        rho_p, rho_m, alpha_p, C2 = solve_fraction_map(Rp, Rm, SYM_EQ)
         for i in range(3):
-            ref = solve_fraction_map(float(Rp[i]), float(Rm[i]), SYM,
-                                     SYM_EQ)
+            ref = solve_fraction_map(float(Rp[i]), float(Rm[i]), SYM_EQ)
             assert rho_p[i] == pytest.approx(ref[0], rel=1e-12)
             assert C2[i] == pytest.approx(ref[3], rel=1e-12)
 
@@ -257,7 +256,7 @@ class TestFractionMap:
         rng = np.random.default_rng(0)
         Rp = 1.0 + 2e-3 * rng.uniform(-1.0, 1.0, 4096)
         Rm = 1.0 + 2e-3 * rng.uniform(-1.0, 1.0, 4096)
-        rho_p, rho_m, _, _ = solve_fraction_map(Rp, Rm, SYM, eq=eq)
+        rho_p, rho_m, _, _ = solve_fraction_map(Rp, Rm, eq)
         # two calls per residual evaluation; the bracket is not needed
         assert len(calls) <= 2 + 2 * 6
         assert np.abs(Rp / rho_p + Rm / rho_m - 1.0).max() < 1e-12
@@ -294,7 +293,7 @@ class TestFractionMapGrid:
     def solved(self, request):
         p = FRACTION_SETS[request.param]
         eq = solve_equilibrium(p)
-        return p, eq, solve_fraction_map(*self.GRID, p, eq=eq)
+        return p, eq, solve_fraction_map(*self.GRID, eq)
 
     def test_residual(self, solved):
         p, eq, (rho_p, rho_m, alpha_p, C2) = solved
@@ -328,8 +327,7 @@ class TestFractionMapGrid:
 
         monkeypatch.setattr(model, "_bracket_top", spy)
         p = FRACTION_SETS["far"]
-        rho_p, _, _, _ = solve_fraction_map(*self.GRID, p,
-                                            solve_equilibrium(p))
+        rho_p, _, _, _ = solve_fraction_map(*self.GRID, solve_equilibrium(p))
         assert sum(tops) > 0
         Rp, Rm = self.GRID
         assert rho_p[0, 0] == pytest.approx(
@@ -350,7 +348,7 @@ class TestFractionMapGrid:
             return pressure_law(rho, A, gamma)
 
         monkeypatch.setattr(model, "pressure_law", counting)
-        rho_p, _, _, _ = solve_fraction_map(*self.GRID, p, eq=eq)
+        rho_p, _, _, _ = solve_fraction_map(*self.GRID, eq)
         assert len(calls) == 2
         kappa = (p.A_minus / p.A_plus) ** (1.0 / p.gamma_plus)
         exact = self.GRID[0] + kappa * self.GRID[1]

@@ -104,7 +104,7 @@ def _ref_nonlinear_rhs(eq, L, f):
     ops = _RefGridOps(f.shape[-1], L, eq)
     n_p, m_p, n_m, m_m = f[0], f[1:4], f[4], f[5:8]
     p = eq.params
-    rho_p, rho_m, _, C2c = solve_fraction_map(n_p + 1.0, n_m + 1.0, p, eq=eq)
+    rho_p, rho_m, _, C2c = solve_fraction_map(n_p + 1.0, n_m + 1.0, eq)
 
     F1 = _ref_phase_rhs(ops, n_p, m_p, rho_p, eq.rho_bar_plus,
                         p.mu_plus, p.lambda_plus, p.sigma_plus)
@@ -725,6 +725,13 @@ class TestConservationAndRun:
     def test_horizon_enforced(self):
         with pytest.raises(ValueError):
             sim.run_simulation(EQ, n=8, L=16.0, t_final=100.0)
+
+    @pytest.mark.parametrize("mode", ["Nonlinear", "", "both"])
+    def test_unknown_mode_rejected(self, monkeypatch, mode):
+        # refused before any array is built, naming the two modes
+        monkeypatch.setattr(sim, "_GridOps", None)
+        with pytest.raises(ValueError, match="'linear' nor 'nonlinear'"):
+            sim.run_simulation(EQ, mode=mode, n=8, L=16.0, t_final=0.1)
 
     def test_grid_size_limits(self, monkeypatch):
         # refused before any array is built: no grid is ever made

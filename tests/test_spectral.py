@@ -558,7 +558,7 @@ class TestMidBandGap:
 
 class TestSemigroup:
     def test_identity_at_t_zero(self):
-        S = sp.semigroup(0.7, 0.0, SYM_EQ)
+        S = sp.decompose_symbol(np.array([0.7]), SYM_EQ).semigroup(0.0)[0]
         assert np.abs(S - np.eye(4)).max() < 1e-12
 
     def test_dual_path_agreement(self):
@@ -567,7 +567,7 @@ class TestSemigroup:
             for _ in range(50):
                 k = rng.uniform(1e-3, 20.0)
                 t = rng.uniform(1e-3, 10.0)
-                S1 = sp.semigroup(k, t, eq)
+                S1 = sp.decompose_symbol(np.array([k]), eq).semigroup(t)[0]
                 S2 = scipy.linalg.expm(t * sp.symbol(k, eq))
                 assert np.abs(S1 - S2).max() < 1e-8
 
@@ -683,16 +683,18 @@ class TestSemigroup:
             dec.entry(1, 1, 1.0)
 
     def test_scalar_identity_at_k_zero(self):
+        dec = sp.decompose_symbol(np.array([0.0]), SYM_EQ)
         for t in (0.0, 1.0, 1e3):
-            S = sp.semigroup(0.0, t, SYM_EQ)
+            S = dec.semigroup(t)[0]
             assert S.dtype == complex
             assert np.array_equal(S, np.eye(4))
 
     def test_entry_boundedness(self):
         # no entry blow-up on a broad (k, t) sweep
         for k in (0.01, 0.1, 1.0, 10.0):
+            dec = sp.decompose_symbol(np.array([k]), SYM_EQ)
             for t in (0.1, 1.0, 10.0, 100.0):
-                S = sp.semigroup(k, t, SYM_EQ)
+                S = dec.semigroup(t)[0]
                 assert np.abs(S).max() < 1.0 + 10.0 * k * t
 
 

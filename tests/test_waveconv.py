@@ -455,6 +455,14 @@ class TestVerifyCases:
             assert isinstance(one, float)
             assert one == pytest.approx(row["lhs"], rel=1e-13)
 
+    def test_each_time_evaluated_once(self):
+        # a repeated time adds no samples and no panels, and the samples
+        # come in increasing t whatever the order of t_list
+        case = wc.make_cases(C_SND)["I1"]
+        ref = wc.verify_case(case, t_list=(4.0, 16.0, 64.0))
+        for t_list in [(4.0, 16.0, 64.0, 64.0), (64.0, 4.0, 16.0, 4.0)]:
+            assert wc.verify_case(case, t_list=t_list) == ref
+
     def test_quadrature_counters(self):
         rep = wc.verify_case(wc.make_cases(C_SND)["K4"])
         quad = rep["quadrature"]
