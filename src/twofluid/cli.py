@@ -95,14 +95,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_json(payload: dict, path: str) -> None:
-    """Write payload as strict JSON; a NaN or infinite value writes nothing."""
+    """Write payload and the output schema version, "schema": 1, as strict
+    JSON; a NaN or infinite value writes nothing."""
     try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps({"schema": 1, **payload}, indent=2, sort_keys=True,
+                          allow_nan=False)
     except ValueError:
         raise UsageError(f"{path}: a computed value is not finite; "
                          "nothing written") from None
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+def _check_finite(table: dict, path: str) -> None:
+    """Refuse a table with a value that is not finite: nothing written."""
+    if not all(np.isfinite(col).all() for col in table.values()):
+        raise UsageError(f"{path}: a computed value is not finite; "
+                         "nothing written")
 
 
 def _write_csv(table: dict, path: str) -> None:
@@ -122,9 +131,8 @@ def _write_csv(table: dict, path: str) -> None:
 # subcommands
 
 def _cmd_equilibrium(args, eq) -> int:
-    report = equilibrium_report(eq)
-    report["schema"] = 1
-    _write_json(report, os.path.join(args.out, "equilibrium.json"))
+    _write_json(equilibrium_report(eq),
+                os.path.join(args.out, "equilibrium.json"))
     return 0
 
 
@@ -169,7 +177,7 @@ def _cmd_greens(args, eq) -> int:
                          f"(0, {greens.R_MAX_FACTOR:g}]")
     # both stages run before anything is written, on a middle grid sized
     # for the largest c t either evaluates; the reconstructor refuses a c t
-    # beyond every grid, greens.check_times any other time out of range
+    # beyond every grid, entry_profile any other time out of range
     recon = greens.GreenReconstructor(
         eq, ct_max=eq.c * max(t_list + [greens.T_ENVELOPE]))
     try:
@@ -182,9 +190,7 @@ def _cmd_greens(args, eq) -> int:
     report = greens.verify_entry_envelope(
         recon, i, j, greens.default_envelopes(i, j, eq.c), **ENVELOPE_GRID)
     path = os.path.join(args.out, "kernel.csv")
-    if not np.isfinite(table["value"]).all():
-        raise UsageError(f"{path}: a computed value is not finite; "
-                         "nothing written")
+    _check_finite(table, path)
     _write_csv(table, path)
     report["pass"] = _check_record("envelope", report["trend_ratio"],
                                    RATIO_MAX, args.tol_scale)["pass"]
@@ -220,7 +226,10 @@ def _cmd_simulate(args, eq) -> int:
             t_final=args.t_final)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    _write_csv(table, os.path.join(args.out, "diagnostics.csv"))
+    # finite diagnostics, the L2 norms among them, imply a finite state
+    path = os.path.join(args.out, "diagnostics.csv")
+    _check_finite(table, path)
+    _write_csv(table, path)
     sim.dump_state(final, args.box, table["t"][-1],
                    os.path.join(args.out, "state.bin"))
     return 0
@@ -407,7 +416,6 @@ def _certification_checks(eq, tol_scale: float = 1.0):
 def _cmd_certify_all(args, eq) -> int:
     checks = _certification_checks(eq, tol_scale=args.tol_scale)
     payload = {
-        "schema": 1,
         "checks": checks,
         "pass_count": sum(c["pass"] for c in checks),
         "fail_count": sum(not c["pass"] for c in checks),

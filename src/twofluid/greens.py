@@ -323,7 +323,8 @@ class GreenReconstructor:
         """(p, h): the windowed low+middle profile of entry (i, j) on k_all,
         and the windowed heat profile of the shear entries (2,2) and (4,4)
         (None for the others).  The low part is the leading-order
-        decomposition, the middle part entry (i, j) of the exact semigroup."""
+        decomposition, the middle part entry (i, j) of the exact semigroup.
+        Every evaluated time passes here: the one check_times gate."""
         check_times(self.eq.c, [t], self.ct_max)
         low = self._leading_profile(i, j, self.kl, self.lam_l, t) * self.chi_l
         mid = self.mid.entry(i - 1, j - 1, t).real * self.mu_m
@@ -369,7 +370,6 @@ def _certify(name: str, magnitude, envelopes: list[WavePattern], c: float,
     an (r,t) grid; trend_ratio is the late half of the t-grid's largest
     ratio over the early half's."""
     ts = np.logspace(math.log10(t_lo), math.log10(t_hi), n_t)
-    check_times(c, ts)
     C_by_region = {"core": 0.0, "front": 0.0, "elsewhere": 0.0}
     C_slices = []
     for t in ts:
@@ -389,7 +389,7 @@ def _certify(name: str, magnitude, envelopes: list[WavePattern], c: float,
     last = C_slices_arr[ts > math.sqrt(t_lo * t_hi)]
     trend = float(last.max() / first.max())
     slope = float(np.polyfit(np.log(1.0 + ts), np.log(C_slices_arr), 1)[0])
-    return {"schema": 1, "entry": name, "region": C_by_region,
+    return {"entry": name, "region": C_by_region,
             "C_est": float(C_slices_arr.max()), "trend_ratio": trend,
             "growth_slope": slope}
 
@@ -445,14 +445,15 @@ def kernel_table(recon: GreenReconstructor, i: int, j: int,
                  t_list, r_max_factor: float = R_MAX_FACTOR,
                  nr: int = 256) -> dict:
     """The kernel.csv table of |G_ij| on nr radii from 0 to r_max_factor
-    c t at each t of t_list in turn.
+    c t at each distinct t of t_list, in the order given.
 
-    A ParameterError refuses a time outside the reconstructor's range; a
-    ValueError from entry_values a first radius below its floor.
+    entry_values refuses a first radius below its floor (ValueError) and
+    entry_profile a time outside the reconstructor's range (ParameterError).
     """
-    check_times(recon.eq.c, t_list, recon.ct_max)
-    ts = [float(t) for t in t_list]
-    rs = [np.linspace(0.0, r_max_factor * recon.eq.c * t, nr) for t in ts]
+    ts = list(dict.fromkeys(float(t) for t in t_list))
+    # a time that entry_profile refuses may have no finite radii
+    with np.errstate(invalid="ignore"):
+        rs = [np.linspace(0.0, r_max_factor * recon.eq.c * t, nr) for t in ts]
     return {"r": np.concatenate(rs), "t": np.repeat(ts, nr),
             "value": np.concatenate([recon.entry_magnitude(i, j, r, t)
                                      for r, t in zip(rs, ts)])}

@@ -25,16 +25,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
-
-# config keys accepted by load_params, in file order
-_CONFIG_KEYS = (
-    "mu_plus", "mu_minus", "lambda_plus", "lambda_minus",
-    "sigma_plus", "sigma_minus", "a_plus", "a_minus",
-    "gamma_plus", "gamma_minus",
-)
 
 
 class ParameterError(ValueError):
@@ -152,8 +145,9 @@ def solve_equilibrium(p: ModelParams) -> EquilibriumState:
 
     The background is the fraction map at R+ = R- = 1: rho_bar+ solves
     P_plus(x) = P_minus(x / (x - 1)) by the fraction map's iteration, from
-    x = 1 + (A-/A+)^(1/gamma+), the root when gamma+ = gamma-.  A derived
-    coefficient that overflows (or C2 underflowing) raises ParameterError.
+    x = 1 + (A-/A+)^(1/gamma+), the root when gamma+ = gamma-.  p is
+    validated here and nowhere else; an inadmissible p, a derived
+    coefficient that overflows or C2 underflowing raises ParameterError.
     """
     validate_params(p)
     one = np.ones(1)
@@ -252,8 +246,6 @@ def solve_fraction_map(R_plus, R_minus, eq: EquilibriumState):
     Rm = np.asarray(R_minus, dtype=float)
     scalar = (Rp.ndim == 0 and Rm.ndim == 0)
     Rp, Rm = np.broadcast_arrays(np.atleast_1d(Rp), np.atleast_1d(Rm))
-    if np.any(Rp <= 0.0) or np.any(Rm <= 0.0):
-        raise AdmissibilityError("admissibility violated: fraction density <= 0")
     # written so that NaN fails the test as well
     if not (np.all(np.abs(Rp - 1.0) <= 0.5)
             and np.all(np.abs(Rm - 1.0) <= 0.5)):
@@ -383,7 +375,9 @@ def _bracket_top(x, Rp, Rm, p: ModelParams, what: str):
 
 
 def load_params(path: str) -> ModelParams:
-    """Read ModelParams from a plain-text config of `key = value` lines."""
+    """Parse ModelParams from `key = value` lines, each key a field name in
+    lower case; solve_equilibrium validates the values."""
+    names = {f.name.lower(): f.name for f in fields(ModelParams)}
     values: dict[str, float] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -394,18 +388,14 @@ def load_params(path: str) -> ModelParams:
                 raise ParameterError(f"{path}:{lineno}: expected key = value")
             key, _, val = line.partition("=")
             key = key.strip().lower()
-            if key not in _CONFIG_KEYS:
+            if key not in names:
                 raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = float(val.strip())
+                values[names[key]] = float(val.strip())
             except ValueError as exc:
                 raise ParameterError(
                     f"{path}:{lineno}: bad value for {key}") from exc
-    kwargs = {}
-    for key, val in values.items():
-        name = {"a_plus": "A_plus", "a_minus": "A_minus"}.get(key, key)
-        kwargs[name] = val
-    return validate_params(ModelParams(**kwargs))
+    return ModelParams(**values)
 
 
 def equilibrium_report(eq: EquilibriumState) -> dict:
@@ -413,7 +403,7 @@ def equilibrium_report(eq: EquilibriumState) -> dict:
 
     R_disc is None when disc < 0 (the diffusive pair is then complex).
     """
-    out = {"schema": 1}
+    out = {}
     for key, val in asdict(eq).items():
         if key == "R_disc" and eq.disc < 0.0:
             out[key] = None

@@ -484,7 +484,7 @@ def verify_case(case: ConvCase, t_list=(4.0, 16.0, 64.0)) -> dict:
                                        row["ratio"])
     max_per_t = np.array([max(row["ratio"] for row in samples
                               if row["t"] == t) for t in t_arr])
-    return {"schema": 1, "case": case.name, "samples": samples,
+    return {"case": case.name, "samples": samples,
             "c_est_by_region": by_region,
             "trend_ratio": float(max_per_t[-1] / max_per_t[in_decade][0]),
             "quadrature": {"panels": stats.panels,

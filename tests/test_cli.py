@@ -18,8 +18,8 @@ import twofluid
 from twofluid import cli, greens, sim, waveconv
 from twofluid.cli import (_check_record, _equilibrium_metrics,
                           _fraction_map_roundtrip, main)
-from twofluid.model import (_CONFIG_KEYS, AdmissibilityError,
-                            ConvergenceError, ModelParams, solve_equilibrium)
+from twofluid.model import (AdmissibilityError, ConvergenceError,
+                            ModelParams, solve_equilibrium)
 
 
 def read_json(path):
@@ -164,12 +164,13 @@ def test_newly_solved_files_end_in_an_exit_code(cfg, tmp_path, capsys):
         assert len(capsys.readouterr().err.splitlines()) <= 1, argv
 
 
-# each field of a parameter file at 1e-300, 1e-50, 1e50 and 1e300 (gamma at
-# 1.0000001 in place of the small values, since it must exceed 1), and an
-# underflowing C2
+# each field of a parameter file, its key the ModelParams field in lower
+# case, at 1e-300, 1e-50, 1e50 and 1e300 (gamma at 1.0000001 in place of the
+# small values, since it must exceed 1), and an underflowing C2
 EXTREME = list(dict.fromkeys(
     f"{key} = {1.0000001 if key.startswith('gamma') and v < 1.0 else v!r}"
-    for key in _CONFIG_KEYS for v in (1e-300, 1e-50, 1e50, 1e300)))
+    for key in (f.name.lower() for f in dataclasses.fields(ModelParams))
+    for v in (1e-300, 1e-50, 1e50, 1e300)))
 EXTREME.append("a_plus = 1e-300\na_minus = 1e-300\ngamma_minus = 2.6")
 # the files certify-all runs on too: 0.0 to 1.6 s of CPU each
 CERTIFY_EXTREME = {"mu_plus = 1e-50", "sigma_minus = 1e-300",
@@ -259,6 +260,8 @@ MALFORMED = [
     ["greens", "--t-list", "nan"],
     ["greens", "--t-list", "inf"],
     ["greens", "--t-list=2,-10,50"],
+    # the radii of t = -inf are not finite: the time is refused, not warned
+    ["greens", "--t-list", "2,-inf"],
     ["greens", "--t-list", "301"],
     ["greens", "--t-list", "1000"],
     ["greens", "--t-list", "2,1e6"],
@@ -481,7 +484,10 @@ class TestGreens:
                                "ct_max": 600.0}
         want = greens.verify_entry_envelope(
             recon, 1, 2, greens.default_envelopes(1, 2, eq.c), n_t=8, nr=128)
-        assert {k: v for k, v in rep.items() if k != "pass"} == want
+        # cli adds the verdict and the schema version to the record
+        assert rep["schema"] == 1
+        assert {k: v for k, v in rep.items()
+                if k not in ("pass", "schema")} == want
 
     @pytest.mark.parametrize("argv", [["--t-list", "1e-7"],
                                       ["--r-max-factor", "1e-300"]])
@@ -542,6 +548,26 @@ class TestSimulate:
     def test_horizon_rejected(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "simulate", "--grid", "8",
                      "--box", "16", "--t-final", "100"]) == 2
+
+    @pytest.mark.parametrize("cfg", ["sigma_plus = 1e35\nmu_plus = 1e-40",
+                                     "sigma_plus = 1e35\na_plus = 1e-55"],
+                             ids=["mu_plus", "a_plus"])
+    def test_non_finite_table_writes_nothing(self, cfg, tmp_path, capsys):
+        # the linear flow overflows: diagnostics.csv would hold inf
+        params = tmp_path / "params.cfg"
+        params.write_text(cfg + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            # numpy's overflow warnings, which the test settings make errors
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["--params", str(params), "--out", str(out),
+                         "simulate", "--mode", "linear", "--grid", "8",
+                         "--box", "20", "--t-final", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.endswith(
+            "diagnostics.csv: a computed value is not finite; "
+            "nothing written\n")
+        assert not list(out.iterdir())
 
 
 class TestCheckRecord:
@@ -628,3 +654,5 @@ class TestFractionMapRoundtrip:
                      "--box", "16", "--eps", "5", "--t-final", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        # the fraction map's box test is the one admissibility test
+        assert "admissibility violated: |R - 1| > 0.5" in err

@@ -954,3 +954,11 @@ class TestEnvelopeCertification:
         assert list(table) == ["r", "t", "value"]
         assert all(len(col) == 32 for col in table.values())
         assert np.isfinite(table["value"]).all()
+
+    def test_kernel_table_takes_each_time_once(self, sym_recon):
+        # a repeated time is evaluated once, where it first appears
+        once = greens.kernel_table(sym_recon, 1, 1, [4.0, 1.0], nr=16)
+        table = greens.kernel_table(sym_recon, 1, 1, [4.0, 1.0, 4.0, 1.0],
+                                    nr=16)
+        assert {name: col.tolist() for name, col in table.items()} \
+            == {name: col.tolist() for name, col in once.items()}

@@ -172,13 +172,13 @@ def _mode_state(eq, n=16, L=16.0, eps=1e-2):
     return ops, f
 
 
-def _advance(ops, f, dt, T, nonlinear=True):
-    """The real state f advanced by round(T / dt) steps of the band state,
-    as run_simulation does."""
+def _advance(ops, f, dt, T):
+    """The real state f advanced by round(T / dt) RK4 steps of the band
+    state, as a nonlinear run_simulation does."""
     Y = ops.to_band(f)
-    prop = ops.propagator(0.5 * dt if nonlinear else dt)
+    prop = ops.propagator(0.5 * dt)
     for _ in range(int(round(T / dt))):
-        Y = sim.step(ops, Y, dt, prop, nonlinear)
+        Y = sim.step(ops, Y, dt, prop)
     return ops.to_real(Y).copy()
 
 
@@ -424,10 +424,17 @@ class TestNonlinearRhs:
         assert np.abs(tot).max() < 1e-14
 
     def test_vacuum_guard(self):
-        _, f = _pulse_state(EQ, n=8, L=8.0, eps=0.0)
-        f[0, 0, 0, 0] = -0.95
-        with pytest.raises(AdmissibilityError):
-            sim._check_fields(f)
+        # one smooth mode, which the band keeps: min n = -0.97 at x = -L,
+        # in either phase; the fraction map's box test refuses it
+        ops, mode = _mode_state(EQ, n=8, L=8.0, eps=0.97)
+        for row in (0, 4):
+            f = np.zeros_like(mode)
+            f[row] = mode[0]
+            Y = ops.to_band(f)
+            assert ops.to_real(Y)[row].min() <= -0.95
+            with pytest.raises(AdmissibilityError,
+                               match=r"\|R - 1\| > 0\.5"):
+                sim._rhs_hat(ops, Y)
 
     @pytest.mark.parametrize("field", list(FIELDS))
     def test_nonfinite_guard(self, field):
@@ -558,13 +565,15 @@ class TestStageMemory:
         # a stage that allocated its real-space products took 17
         assert peak - out.nbytes <= 4 * Y.nbytes
 
-    def test_linear_run_builds_no_stage_workspace(self):
-        ops, f = _pulse_state(EQ, n=8, eps=1e-3)
-        sim.step(ops, ops.to_band(f), 0.5, ops.propagator(0.5),
-                 nonlinear=False)
-        assert ops._work is None
-        sim.step(ops, ops.to_band(f), 0.5, ops.propagator(0.25))
-        assert ops._work is not None
+    def test_linear_run_builds_no_stage_workspace(self, monkeypatch):
+        built = []
+        work = sim._StageWork
+        monkeypatch.setattr(sim, "_StageWork",
+                            lambda ops: built.append(ops) or work(ops))
+        sim.run_simulation(EQ, mode="linear", n=8, L=16.0, t_final=1.0)
+        assert built == []
+        sim.run_simulation(EQ, mode="nonlinear", n=8, L=16.0, t_final=1.0)
+        assert len(built) == 1
 
     def test_propagator_is_real(self, monkeypatch):
         ops = sim._GridOps(16, 16.0, EQ_ASYM)
@@ -668,7 +677,8 @@ class TestStep:
     def test_linear_step_matches_exact_flow(self):
         # the reference complex-grid semigroup on the same dealiased state
         ops, f = _pulse_state(EQ)
-        a = _advance(ops, f, 0.5, 0.5, nonlinear=False)
+        a = ops.to_real(ops.apply_semigroup(ops.to_band(f),
+                                            ops.propagator(0.5)))
         ref = _RefGridOps(16, 16.0, EQ)
         Y = np.stack([np.fft.fftn(g) for g in f]) * ref.dealias
         b = np.stack([np.fft.ifftn(Z).real

@@ -38,3 +38,40 @@ def test_unreferenced_definitions_are_the_test_oracles():
     unreferenced = {q for q, name in defs.items() if name not in refs}
     assert unreferenced == {"sim.load_state",
                             "GreenReconstructor.full_profile"}
+
+
+def _call_sites(callee: str) -> list[str]:
+    """The function around each call of `callee`, by bare or attribute
+    name, in src/twofluid/*.py, a raise of it included: "module.function"
+    or "Class.method" (a nested function is "outer.inner")."""
+    sites = []
+
+    class Visitor(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_ClassDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_FunctionDef = visit_ClassDef
+
+        def visit_Call(self, node):
+            if callee in (getattr(node.func, "id", None),
+                          getattr(node.func, "attr", None)):
+                sites.append(".".join(self.scope[-2:]))
+            self.generic_visit(node)
+
+    for path in sorted(SRC.glob("*.py")):
+        Visitor(path.stem).visit(
+            ast.parse(path.read_text(encoding="utf-8")))
+    return sites
+
+
+def test_each_input_is_checked_in_one_place():
+    # parameter files, Green times and simulator states each pass one gate,
+    # in the layer that owns them
+    assert _call_sites("validate_params") == ["model.solve_equilibrium"]
+    assert _call_sites("check_times") == ["GreenReconstructor.entry_profile"]
+    assert _call_sites("AdmissibilityError") == ["model.solve_fraction_map"]
