@@ -134,10 +134,18 @@ def validate_params(p: ModelParams) -> ModelParams:
 
 def _common_c2(rho_p: float, rho_m: float, alpha_p: float, alpha_m: float,
                p: ModelParams) -> float:
-    """Common coefficient C^2 = s+^2 s-^2 / (a- rho+ s+^2 + a+ rho- s-^2)."""
+    """Common coefficient C^2 = s+^2 s-^2 / (a- rho+ s+^2 + a+ rho- s-^2),
+    summed in place for arrays (augmented assignment keeps floats too)."""
     s2p = pressure_law_prime(rho_p, p.A_plus, p.gamma_plus)
     s2m = pressure_law_prime(rho_m, p.A_minus, p.gamma_minus)
-    return s2p * s2m / (alpha_m * rho_p * s2p + alpha_p * rho_m * s2m)
+    den = alpha_m * rho_p
+    den *= s2p
+    term = alpha_p * rho_m
+    term *= s2m
+    den += term
+    s2p *= s2m
+    s2p /= den
+    return s2p
 
 
 def solve_equilibrium(p: ModelParams) -> EquilibriumState:
@@ -263,6 +271,7 @@ def solve_fraction_map(R_plus, R_minus, eq: EquilibriumState):
     x += rbp
     rho_p, rho_m = _match_pressures(Rp, Rm, x, abs(eq.pressure) + 1.0, p,
                                     "fraction map")
+    del x                       # the start, one real field, is dead
     alpha_p = Rp / rho_p
     C2 = _common_c2(rho_p, rho_m, alpha_p, Rm / rho_m, p)
     if scalar:

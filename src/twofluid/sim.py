@@ -14,7 +14,7 @@ time loop keeps it in Fourier space, on the band of the real-FFT half grid
 that the 2/3 rule (Orszag 1971) retains: it enters once per run and leaves
 once per diagnostics row (8 transforms each).  Each RK4 stage transforms
 to real space only what its products need and forms every derivative as
-one spectral multiply: 52 real 3-D transforms per stage, 208 per step.
+one spectral multiply: 52 real 3-D transforms per stage, 200 per step.
 The full-step propagator is applied as two half steps of one real
 propagator on the unique |k|, built once per run.  The run's _GridOps owns
 the box grid and every buffer that the transforms, the stages and the
@@ -96,7 +96,8 @@ class _GridOps:
     """Box grid, spectral machinery and workspace of one (n, L, eq) grid;
     run_simulation owns one per run.  The box points are -L + i dx on each
     axis (coords), and ``shell`` holds each point's radius bin for the
-    ring diagnostic: n//2 equal bins on [0, L], built once per grid.
+    ring diagnostic: n//2 equal bins on [0, L], built once per grid in
+    the smallest unsigned type (uint8 up to N_MAX).
 
     Real fields transform onto the half grid (n, n, n//2+1).  The 2/3
     rule |xi_d| <= (2/3) pi/dx, with xi_d = pi v / L, is decided on the
@@ -106,10 +107,12 @@ class _GridOps:
     axis, (33, 33, 17) at n = 48, indexed by ``band``.  The state,
     ``xi``, ``k2``, ``khat`` and the unique-|k| index ``inv`` are
     band-shaped; the band holds no Nyquist mode.
-    Every transform runs the rfftn or irfftn passes on the whole half
-    grid, so its result is bitwise rfftn or irfftn; forward_band gathers
-    the band from it and inverse_band scatters the band into a zeroed
-    half grid, both through one flat index built here.
+    forward and inverse run the rfftn and irfftn passes on the whole half
+    grid; forward_band prunes its axis-1 and axis-0 passes to the lines
+    that reach the band (Markel 1971) and gathers the band, inverse_band
+    mirrors it from a zeroed half grid, both through one flat index built
+    here.  Each 1-D line is transformed as in rfftn or irfftn, so every
+    result is bitwise theirs.
 
     One RHS stage costs 52 transforms: 8 inverse for n and m of both
     phases, then per phase 19 -- 3 forward for w = n u, 6 inverse for the
@@ -127,17 +130,17 @@ class _GridOps:
     The grid owns every buffer its transforms and stages write, and every
     transform writes through ``out=``.  Sizes scale with n^3:
     - transform scratch, built here: one half-grid array, in which the
-      band transforms and the inverse passes run, and the band's flat
-      index, about 0.6 n^3 complex numbers (1.0 MiB at n = 48); forward
-      runs its passes in place in its output;
+      band transforms, the inverse passes and a symmetric gradient's sum
+      run, and the band's flat index, about 0.6 n^3 complex numbers
+      (1.0 MiB at n = 48); forward runs its passes in place in its output;
     - ``real``, the real state (8, n, n, n) of a band state, 64 n^3
-      bytes (6.8 MiB at n = 48), built on the first to_real; each stage
-      and each diagnostics row of run_simulation overwrite it;
-    - the stage workspace (_StageWork), 19 real fields and 5 half-grid
-      arrays, about 190 n^3 bytes (20.7 MiB at n = 48), built on the first
+      bytes (6.8 MiB at n = 48), built on the first to_real; stages 2-4
+      of a step and each diagnostics row of run_simulation overwrite it;
+    - the stage workspace (_StageWork), 18 real fields and 4 half-grid
+      arrays, about 180 n^3 bytes (19.0 MiB at n = 48), built on the first
       nonlinear stage, so linear runs never allocate it.
     Once a nonlinear stage has run, these buffers and the shell index
-    (8 n^3 bytes) hold 29.4 MiB at n = 48 and 234 MiB at n = 96.
+    (n^3 bytes) hold 26.9 MiB at n = 48 and 214 MiB at n = 96.
     """
 
     def __init__(self, n: int, L: float, eq: EquilibriumState):
@@ -168,10 +171,14 @@ class _GridOps:
             self.khat = np.where(k > 0.0, self.xi / np.maximum(k, 1e-300), 0.0)
         self._half = np.empty((n, n, half.size), dtype=complex)
         self._flat = np.ravel_multi_index(self.band[1:], self._half.shape)
+        # the band's columns of the scratch, and those in its two row slices
+        nb = self.rows.size - self.h
+        self._cols = self._half[:, :, :self.h]
+        self._lines = (self._cols[:, :self.h], self._cols[:, n - nb:])
         nbins = n // 2
         edges = np.linspace(0.0, L, nbins + 1)
         self.shell = np.clip(np.digitize(self.radius().ravel(), edges) - 1,
-                             0, nbins - 1)
+                             0, nbins - 1).astype(np.min_scalar_type(nbins))
         self.shell_count = np.maximum(np.bincount(self.shell,
                                                   minlength=nbins), 1)
         self.shell_r = 0.5 * (edges[:-1] + edges[1:])
@@ -205,33 +212,37 @@ class _GridOps:
         return G.real, heat_p, heat_m
 
     # transforms between real fields and half-grid or band coefficients ----
-    def _rfftn(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def forward(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
         """rfftn(f), pass by pass in place in the half-grid array out."""
         np.fft.rfft(f, axis=2, out=out)
         np.fft.fft(out, axis=1, out=out)
         return np.fft.fft(out, axis=0, out=out)
 
-    def _irfftn(self, f_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def inverse(self, f_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """irfftn(f_hat) into out, the complex passes in the scratch."""
         np.fft.ifft(f_hat, axis=0, out=self._half)
         np.fft.ifft(self._half, axis=1, out=self._half)
         return np.fft.irfft(self._half, n=self.n, axis=2, out=out)
 
-    # the band transforms call the passes by their private names, so that
-    # counting the calls of forward and inverse counts full transforms only
-    forward, inverse = _rfftn, _irfftn
-
     def forward_band(self, f: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """rfftn(f) on the band: the half grid, then one gather (mode="clip"
-        keeps np.take from buffering out)."""
-        self._rfftn(f, self._half)
+        """rfftn(f) on the band: the rfft pass, the axis-1 and axis-0 passes
+        on the band's lines only, then one gather (mode="clip" keeps
+        np.take from buffering out)."""
+        np.fft.rfft(f, axis=2, out=self._half)
+        np.fft.fft(self._cols, axis=1, out=self._cols)
+        for lines in self._lines:
+            np.fft.fft(lines, axis=0, out=lines)
         return np.take(self._half, self._flat, out=out, mode="clip")
 
     def inverse_band(self, f_hat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """irfftn of the half grid zero-filled from the band f_hat."""
+        """irfftn of the half grid zero-filled from the band f_hat, its
+        complex passes pruned as in forward_band."""
         self._half.fill(0.0)
         np.put(self._half, self._flat, f_hat)
-        return self._irfftn(self._half, out)
+        for lines in self._lines:
+            np.fft.ifft(lines, axis=0, out=lines)
+        np.fft.ifft(self._cols, axis=1, out=self._cols)
+        return np.fft.irfft(self._half, n=self.n, axis=2, out=out)
 
     def to_band(self, f: np.ndarray) -> np.ndarray:
         """The band state of real state f (the band holds no Nyquist mode,
@@ -256,12 +267,14 @@ class _GridOps:
             self._work = _StageWork(self)
         return self._work
 
-    def apply_semigroup(self, Y: np.ndarray, prop) -> np.ndarray:
+    def apply_semigroup(self, Y: np.ndarray, prop,
+                        out: np.ndarray | None = None) -> np.ndarray:
         """Advance stacked band transforms (8, *band shape) by the exact
-        linear flow of a propagator(t).  G reaches the band one entry at a
-        time, so no band-sized (..., 4, 4) array is formed."""
+        linear flow of a propagator(t), into out, a new array if None; out
+        may be Y.  G reaches the band one entry at a time, so no
+        band-sized (..., 4, 4) array is formed."""
         G, heat_p, heat_m = prop
-        out = np.empty_like(Y)
+        out = np.empty_like(Y) if out is None else out
         mL_p = np.sum(self.khat * Y[1:4], axis=0)
         mL_m = np.sum(self.khat * Y[5:8], axis=0)
         out[1:4] = heat_p * (Y[1:4] - self.khat * mL_p)
@@ -288,11 +301,11 @@ class _StageWork:
         self.R = np.empty((2,) + shape)         # n + 1 of both phases
         self.grad = np.empty((2, 3) + shape)    # grad n of both phases
         self.u = np.empty((3,) + shape)
-        self.sym = np.empty((3,) + shape)       # c S[u]_dd, d = 0, 1, 2
+        self.sym = np.empty((3,) + shape)       # c S[u]_dd, then c S[u]_de
         self.c = np.empty(shape)
-        self.tmp = np.empty((4,) + shape)
+        self.tmp = np.empty((3,) + shape)
         self.w_hat = np.empty((3,) + ops._half.shape, dtype=complex)
-        self.spec = np.empty((2,) + ops._half.shape, dtype=complex)
+        self.spec = np.empty(ops._half.shape, dtype=complex)
         self.T_hat = np.empty(ops.band_shape, dtype=complex)
 
 
@@ -300,9 +313,9 @@ class _StageWork:
 # box size and amplitude a run takes: up to 1e6 its squares, cell volumes
 # and transform sums stay far inside float64 (at 1e300 they overflowed)
 R_PULSE, L_MAX, EPS_MAX = 8.0, 1e6, 1e6
-# the largest grid a run takes: a nonlinear run's peak is near 33 MiB plus
-# 470 bytes per point (83 MiB at n = 48, 146 MiB at n = 64), 3.1 GiB at
-# n = 192, and a linear run's is lower
+# the largest grid a run takes: a nonlinear run's peak is near 35 MiB plus
+# 395 bytes per point (77 MiB at n = 48, 133 MiB at n = 64, 368 MiB at
+# n = 96), 2.6 GiB at n = 192, and a linear run's is lower
 N_MAX = 192
 
 
@@ -328,17 +341,17 @@ _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
 def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, R, rho, rho_bar, mu, lam,
-               sigma, grad_n, F):
+               sigma, grad_n):
     """Divergence-form momentum increments of one phase (without Q).
 
     Takes the phase's real fields, R = n + 1 and their band transforms;
-    writes the band-transformed increments into F (3, *band shape), zero on
-    entry, and grad n into grad_n (3, n, n, n), which the pressure terms
+    writes the band-transformed increments over m_hat once it has read
+    it, and grad n into grad_n (3, n, n, n), which the pressure terms
     reuse.  Every real-space product runs in place in the stage workspace.
     """
     W = ops.work()
     u, sym, c = W.u, W.sym, W.c
-    t0, t1, t2, t3 = W.tmp
+    t0, t1, t2 = W.tmp
     np.divide(m, R, out=u)
     # the viscous tensor visc = (n/rho) J[u] - J[w]/rho + drop J[m], with
     # J[f]_{d,e} = d_e f_d, w = n u and drop = 1/rho - 1/rho_bar, enters
@@ -355,12 +368,26 @@ def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, R, rho, rho_bar, mu, lam,
     w_band = w_hat[ops.band]
     u_hat = np.negative(w_hat, out=w_hat)
     u_hat[ops.band] += m_hat
-    xf = ops.xf
-    s, s2 = W.spec
+    F = m_hat                   # read for the last time above
+    F.fill(0.0)
+    xi = ops.xi
+    for d in range(3):
+        ops.inverse_band(1j * xi[d] * n_hat, out=grad_n[d])
+    lap_n_hat = -ops.k2 * n_hat
+    lap_n = ops.inverse_band(lap_n_hat, out=t0)
+    # Korteweg form of R grad(Lap R) minus its linear part (lam tr below)
+    diag = np.multiply(grad_n[0], grad_n[0], out=t1)
+    for g in grad_n[1:]:
+        diag += np.multiply(g, g, out=t2)
+    diag *= 0.5
+    diag += np.multiply(R, lap_n, out=t2)
+    diag *= sigma
+    xf, s = ops.xf, W.spec
 
     def sym_grad(d, e, out):
+        # the second product in the scratch, free until inverse's first pass
         np.multiply(xf[e], u_hat[d], out=s)
-        np.add(s, np.multiply(xf[d], u_hat[e], out=s2), out=s)
+        np.add(s, np.multiply(xf[d], u_hat[e], out=ops._half), out=s)
         np.multiply(s, 1j, out=s)
         return np.multiply(c, ops.inverse(s, out=out), out=out)
 
@@ -369,27 +396,16 @@ def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, R, rho, rho_bar, mu, lam,
     tr = np.add(sym[0], sym[1], out=t0)
     tr += sym[2]
     tr *= 0.5
-    xi = ops.xi
-    for d in range(3):
-        ops.inverse_band(1j * xi[d] * n_hat, out=grad_n[d])
-    lap_n_hat = -ops.k2 * n_hat
-    lap_n = ops.inverse_band(lap_n_hat, out=t1)
-    # Korteweg form of R grad(Lap R) minus its linear part
-    diag = np.multiply(grad_n[0], grad_n[0], out=t2)
-    for g in grad_n[1:]:
-        diag += np.multiply(g, g, out=t3)
-    diag *= 0.5
-    diag += np.multiply(R, lap_n, out=t3)
-    diag *= sigma
-    diag += np.multiply(lam, tr, out=t3)
-    # F_d = d_e T_{d e}, summed as the pairs' transforms arrive
-    T, sym_de, T_hat = t0, t1, W.T_hat
+    diag += np.multiply(lam, tr, out=t2)
+    # F_d = d_e T_{d e}, summed as the pairs' transforms arrive; pair (d, e)
+    # writes c S[u]_de over sym[d], which pair (d, d) has read
+    T, T_hat = t0, W.T_hat
     for d, e in _PAIRS:
         np.negative(np.multiply(m[d], u[e], out=T), out=T)
-        T += np.multiply(mu, sym[d] if d == e else sym_grad(d, e, sym_de),
-                         out=t3)
-        T -= np.multiply(sigma, np.multiply(grad_n[d], grad_n[e], out=t3),
-                         out=t3)
+        T += np.multiply(mu, sym[d] if d == e else sym_grad(d, e, sym[d]),
+                         out=t2)
+        T -= np.multiply(sigma, np.multiply(grad_n[d], grad_n[e], out=t2),
+                         out=t2)
         if d == e:
             T += diag
         ops.forward_band(T, out=T_hat)
@@ -413,16 +429,15 @@ def _check_fields(f: np.ndarray) -> None:
         raise RuntimeError("non-finite fields: instability detected")
 
 
-def _rhs_hat(ops: _GridOps, Y: np.ndarray) -> np.ndarray:
-    """Stacked band RHS: zero continuity rows, dealiased momentum.
+def _rhs_hat(ops: _GridOps, Y: np.ndarray, real: np.ndarray) -> np.ndarray:
+    """Stacked band RHS of band state Y with real state real: zero
+    continuity rows, dealiased momentum, written over Y and returned.
 
-    The real fields go to the grid's ``real`` buffer and every other
-    real-space or half-grid intermediate to its stage workspace; what the
-    stage allocates is its output, band-sized arithmetic and the fraction
+    Every real-space or half-grid intermediate goes to the grid's stage
+    workspace; the stage allocates band-sized arithmetic and the fraction
     map's solve.  The fraction map's box test refuses a state near vacuum
     or with a non-finite density, _check_fields any other non-finite field.
     """
-    real = ops.to_real(Y)
     n_p, m_p, n_m, m_m = real[0], real[1:4], real[4], real[5:8]
     eq = ops.eq
     p = eq.params
@@ -430,15 +445,16 @@ def _rhs_hat(ops: _GridOps, Y: np.ndarray) -> np.ndarray:
     R_p, R_m = W.R
     np.add(n_p, 1.0, out=R_p)
     np.add(n_m, 1.0, out=R_m)
-    rho_p, rho_m, _, C2c = solve_fraction_map(R_p, R_m, eq)
+    rho_p, rho_m, alpha_p, C2c = solve_fraction_map(R_p, R_m, eq)
+    del alpha_p                 # one real field less at the stage's peak
     _check_fields(real)
 
-    out = np.zeros_like(Y)
     gnp, gnm = W.grad
     _phase_rhs(ops, n_p, m_p, Y[0], Y[1:4], R_p, rho_p, eq.rho_bar_plus,
-               p.mu_plus, p.lambda_plus, p.sigma_plus, gnp, out[1:4])
+               p.mu_plus, p.lambda_plus, p.sigma_plus, gnp)
     _phase_rhs(ops, n_m, m_m, Y[4], Y[5:8], R_m, rho_m, eq.rho_bar_minus,
-               p.mu_minus, p.lambda_minus, p.sigma_minus, gnm, out[5:8])
+               p.mu_minus, p.lambda_minus, p.sigma_minus, gnm)
+    Y[0] = Y[4] = 0.0
     # the pressure terms, one component at a time:
     # Q1 = C2c n+ ((rho-/rho+) grad n+ + grad n-)
     #      + (C2c rho-/rho+ - beta1) grad n+ + (C2c - C2) grad n-,
@@ -447,8 +463,8 @@ def _rhs_hat(ops: _GridOps, Y: np.ndarray) -> np.ndarray:
     amp, ratio, lin = W.u
     q, t = W.tmp[:2]
     for (nf, rho_a, rho_b, beta, ga, gb, F) in (
-            (n_p, rho_p, rho_m, eq.beta1, gnp, gnm, out[1:4]),
-            (n_m, rho_m, rho_p, eq.beta4, gnm, gnp, out[5:8])):
+            (n_p, rho_p, rho_m, eq.beta1, gnp, gnm, Y[1:4]),
+            (n_m, rho_m, rho_p, eq.beta4, gnm, gnp, Y[5:8])):
         np.multiply(C2c, nf, out=amp)
         np.divide(rho_b, rho_a, out=ratio)
         np.multiply(C2c, rho_b, out=lin)
@@ -461,45 +477,49 @@ def _rhs_hat(ops: _GridOps, Y: np.ndarray) -> np.ndarray:
             q += np.multiply(lin, ga[d], out=t)
             q += np.multiply(shift, gb[d], out=t)
             F[d] -= ops.forward_band(q, out=W.T_hat)
-    return out
+    return Y
 
 
-def step(ops: _GridOps, Y: np.ndarray, dt: float, prop) -> np.ndarray:
-    """One integrating-factor RK4 step of length dt of the band state Y.
+def step(ops: _GridOps, Y: np.ndarray, f: np.ndarray, dt: float,
+         prop) -> np.ndarray:
+    """One integrating-factor RK4 step of length dt of the band state Y
+    with real state f, written over Y and returned; the stages overwrite
+    the grid's ``real`` buffer, which f may be.
 
     prop is ops.propagator(dt / 2).  Each stage transforms to real space
-    only what its products need (see _GridOps): 208 transforms per step,
-    136 of them band transforms.  The flow is linear and E(dt) =
+    only what its products need (see _GridOps), the first takes f as its
+    state: 200 transforms per step, 128 of them band transforms.  E(dt) =
     E(dt/2) E(dt/2), so the stage-4 input E Y + dt E(dt/2) k3 is
     E(dt/2)(E(dt/2) Y + dt k3) and the update is folded the same way: 4
     half-step propagations with one float64 propagator on the unique |k|.
 
-    The folded update is summed as its terms arrive, and k1, E(dt/2) k1
-    and k2 are released as soon as it has used them: while a stage runs,
-    the step holds E(dt/2) Y, the update and the stage input besides Y,
-    each a band state of about 1.3 n^3 complex numbers (2.3 MiB at
-    n = 48).  The stages write everything else into the grid's buffers.
+    Each stage and each propagation but E(dt/2) Y write over their input:
+    k1, E(dt/2) k1 and the update, summed as its terms arrive, take Y's
+    storage, and each next stage input is built in the last k.  So a
+    stage runs beside three band states, E(dt/2) Y, the update and its
+    input, each 1.3 n^3 complex numbers (2.3 MiB at n = 48); the stages
+    write everything else into the grid's buffers.
     """
-    Eh = lambda Z: ops.apply_semigroup(Z, prop)
-    k1 = _rhs_hat(ops, Y)
-    EhY, Ehk1 = Eh(Y), Eh(k1)
-    del k1
-    Z = EhY + 0.5 * dt * Ehk1
-    acc = EhY + dt / 6.0 * Ehk1
-    del Ehk1
-    k2 = _rhs_hat(ops, Z)
-    np.add(EhY, np.multiply(0.5 * dt, k2, out=Z), out=Z)
-    acc += dt / 3.0 * k2
-    del k2
-    k3 = _rhs_hat(ops, Z)
-    acc += dt / 3.0 * k3
-    Z = Eh(np.add(EhY, np.multiply(dt, k3, out=k3), out=Z))
-    del EhY, k3
-    k4 = _rhs_hat(ops, Z)
-    del Z
+    Eh = lambda Z: ops.apply_semigroup(Z, prop, out=Z)
+    EhY = ops.apply_semigroup(Y, prop)
+    acc = Eh(_rhs_hat(ops, Y, f))               # E(dt/2) k1
+    k = np.multiply(0.5 * dt, acc)
+    k += EhY
+    acc *= dt / 6.0
+    acc += EhY
+    k = _rhs_hat(ops, k, ops.to_real(k))        # k2
+    acc += dt / 3.0 * k
+    k *= 0.5 * dt
+    k += EhY
+    k = _rhs_hat(ops, k, ops.to_real(k))        # k3
+    acc += dt / 3.0 * k
+    k *= dt
+    k += EhY
+    del EhY
+    k = Eh(k)
+    k = _rhs_hat(ops, k, ops.to_real(k))        # k4
     Yn = Eh(acc)
-    del acc
-    Yn += dt / 6.0 * k4
+    Yn += dt / 6.0 * k
     if not np.all(np.isfinite(Yn)):
         raise RuntimeError("non-finite update: instability detected")
     return Yn
@@ -579,12 +599,13 @@ def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
     with one row at t = 0 and one per step (see diagnostics), and f is the
     final real state, at time table["t"][-1].
 
-    The state enters the band once and stays there.  Every diagnostics
+    The state enters the band once and stays there, in one band state Y
+    that each step or linear propagation overwrites.  Every diagnostics
     row, the first too, reads the real state that the run's _GridOps
-    writes into its ``real`` buffer from the band state, and f is that
-    buffer itself.  The run's memory is the grid's buffers (29.4 MiB at
-    n = 48, 234 MiB at n = 96; see _GridOps) and a few band states (see
-    step).
+    writes into its ``real`` buffer from Y; the next step's first stage
+    reads it too, and f is that buffer itself.  The run's memory is the
+    grid's buffers (26.9 MiB at n = 48, 214 MiB at n = 96; see _GridOps)
+    and Y, and a nonlinear step's two more band states (see step).
 
     The box only represents free space until the fastest front wraps;
     t_final beyond the pre-wrap horizon (L - R_PULSE) / c is a ValueError,
@@ -617,14 +638,16 @@ def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
     dt = t_final / n_steps
     ops = _GridOps(n, L, eq)
     Y = ops.to_band(make_sim_state(ops, eps))
-    rows = [diagnostics(ops, ops.to_real(Y), 0.0)]
+    f = ops.to_real(Y)
+    rows = [diagnostics(ops, f, 0.0)]
     nonlinear = mode == "nonlinear"
     prop = ops.propagator(0.5 * dt if nonlinear else dt)   # dt is constant
     t = 0.0
     for _ in range(n_steps):
-        Y = (step(ops, Y, dt, prop) if nonlinear
-             else ops.apply_semigroup(Y, prop))     # the exact linear flow
+        Y = (step(ops, Y, f, dt, prop) if nonlinear
+             else ops.apply_semigroup(Y, prop, out=Y))  # the exact linear flow
         t += dt
-        rows.append(diagnostics(ops, ops.to_real(Y), t))
+        f = ops.to_real(Y)
+        rows.append(diagnostics(ops, f, t))
     table = {key: np.array([row[key] for row in rows]) for key in rows[0]}
-    return table, ops.real
+    return table, f

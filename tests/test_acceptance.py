@@ -228,7 +228,7 @@ def test_nonlinear_simulator():
         Y = ops.to_band(f0)
         half = ops.propagator(0.5 / m)
         for _ in range(m):
-            Y = sim.step(ops, Y, 1.0 / m, half)
+            Y = sim.step(ops, Y, ops.to_real(Y), 1.0 / m, half)
         return ops.to_real(Y).copy()
 
     ref = advance(32)
