@@ -218,7 +218,7 @@ KR_MIN = 4e-3
 T_ENVELOPE = 100.0
 
 
-def check_times(c: float, ts, ct_max: float = CT_MAX) -> None:
+def check_times(c: float, ts, ct_max: float) -> None:
     """ParameterError unless every t of ts has 0 < c t <= ct_max, the range
     a grid resolves at speed c (NaN fails the comparison too)."""
     for t in ts:

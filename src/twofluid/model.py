@@ -388,22 +388,26 @@ def load_params(path: str) -> ModelParams:
     lower case; solve_equilibrium validates the values."""
     names = {f.name.lower(): f.name for f in fields(ModelParams)}
     values: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected key = value")
-            key, _, val = line.partition("=")
-            key = key.strip().lower()
-            if key not in names:
-                raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[names[key]] = float(val.strip())
-            except ValueError as exc:
-                raise ParameterError(
-                    f"{path}:{lineno}: bad value for {key}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ParameterError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected key = value")
+        key, _, val = line.partition("=")
+        key = key.strip().lower()
+        if key not in names:
+            raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[names[key]] = float(val.strip())
+        except ValueError as exc:
+            raise ParameterError(
+                f"{path}:{lineno}: bad value for {key}") from exc
     return ModelParams(**values)
 
 

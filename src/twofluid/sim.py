@@ -319,7 +319,7 @@ R_PULSE, L_MAX, EPS_MAX = 8.0, 1e6, 1e6
 N_MAX = 192
 
 
-def make_sim_state(ops: _GridOps, eps: float = 1e-3) -> np.ndarray:
+def make_sim_state(ops: _GridOps, eps: float) -> np.ndarray:
     """Compactly supported initial perturbation on the box of ops, as a
     real state (8, n, n, n): a radial momentum pulse of radius R_PULSE in
     both phases, which launches a Huygens ring."""

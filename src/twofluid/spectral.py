@@ -13,8 +13,8 @@ eigenvalue is a Newton-polished root of the quartic (_quartic_roots), which
 holds the diffusive pair lambda3,4 ~ lambda3,4_tilde k^2 to relative
 round-off at small k.
 Projectors and semigroup use closed-form eigenvectors (see _right and
-_left): no eigenvector matrix is formed or inverted.  scipy is imported
-only for expm on ill-conditioned modes.
+_left): no eigenvector matrix is formed or inverted, and a grid where
+they are ill-conditioned is refused (ParameterError).
 
 Roots are labelled against a reference (the previous k of a sweep, or a
 closed-form expansion) by the assignment of least total squared distance
@@ -415,22 +415,6 @@ def mid_band_gap(eq: EquilibriumState, n_grid: int = 2000) -> float:
     return -float(best)
 
 
-def _expm(M: np.ndarray) -> np.ndarray:
-    """scipy's scaling-and-squaring e^M, imported on first use only.
-
-    e^{tA} of the dissipative symbol is bounded, so a result that is not
-    finite means the squarings overflowed (at a capillarity near 1e50):
-    ParameterError, without numpy's warnings.
-    """
-    from scipy.linalg import expm
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = expm(M)
-    if not np.isfinite(out).all():
-        raise ParameterError("scaling and squaring of e^(t A) overflows "
-                             "at these parameters")
-    return out
-
-
 def check_growth(lam: ComplexArray, t: float) -> None:
     """Raise ParameterError where exp(lam t) overflows.
 
@@ -444,7 +428,7 @@ def check_growth(lam: ComplexArray, t: float) -> None:
             "to round-off: e^(lambda t) overflows at these parameters")
 
 
-COND_MAX = 1e8      # 1/s beyond this sends a mode to expm
+COND_MAX = 1e8      # 1/s beyond this refuses a grid
 
 
 def _q_plus(k, lam, eq: EquilibriumState):
@@ -481,16 +465,13 @@ def _vectors(k, lam, q, eq: EquilibriumState):
 class SymbolDecomposition:
     """The t-independent part of e^{t A(k)} on a k-grid, where
     e^{tA} = sum_l e^{lam_l t} v_l w_l^T / (w_l^T v_l): the eigenvectors
-    are rebuilt per call from lam and q = q+(lam).  The modes in bad keep
-    their symbols A_bad for scaling-and-squaring; k = 0 gives I exactly."""
+    are rebuilt per call from lam and q = q+(lam).  k = 0 gives I exactly."""
 
     k: np.ndarray            # (nk, 1)
     lam: ComplexArray        # (nk, 4)
-    q: ComplexArray          # (nk, 4), zero on the bad modes
-    inv_wv: ComplexArray     # (nk, 4), zero on the bad and k = 0 modes
+    q: ComplexArray          # (nk, 4)
+    inv_wv: ComplexArray     # (nk, 4), zero on the k = 0 modes
     eq: EquilibriumState
-    bad: np.ndarray          # indices of the expm modes
-    A_bad: np.ndarray        # (len(bad), 4, 4)
 
     def _weights(self, t: float) -> ComplexArray:
         check_growth(self.lam, t)
@@ -501,8 +482,6 @@ class SymbolDecomposition:
         v, w = _vectors(self.k, self.lam, self.q, self.eq)
         out = (v * self._weights(t)[:, None, :]) @ np.swapaxes(w, 1, 2)
         out[self.k[:, 0] == 0.0] = np.eye(4)
-        for idx, A in zip(self.bad, self.A_bad):
-            out[idx] = _expm(t * A)
         return out
 
     def entry(self, i: int, j: int, t: float) -> ComplexArray:
@@ -512,8 +491,6 @@ class SymbolDecomposition:
         out = (_right(i, *args) * self._weights(t)
                * _left(j, *args)).sum(axis=1)
         out[self.k[:, 0] == 0.0] = float(i == j)
-        for idx, A in zip(self.bad, self.A_bad):
-            out[idx] = _expm(t * A)[i, j]
         return out
 
 
@@ -524,10 +501,11 @@ def decompose_symbol(ks: np.ndarray,
     Rows 0, 2 and 1 of A v = lam v give v1 = -lam v0 / k, v3 = -lam v2 / k
     and v2 = -q+ v0 / (beta2 k^2); columns 1, 3 and 0 give the left
     eigenvector the same way through beta3 k^2.  beta2 = beta3 = C^2 > 0,
-    so both are nonzero for k > 0.  A mode goes to expm where an
-    eigenvalue's s = |w^T v| / (|v| |w|) (Golub and Van Loan, Matrix
-    Computations, 7.2.2) is below 1 / COND_MAX or a value is not finite
-    (q+ overflows at a capillarity near 1e100).
+    so both are nonzero for k > 0.  A mode k > 0 with an eigenvalue whose
+    s = |w^T v| / (|v| |w|) (Golub and Van Loan, Matrix Computations,
+    7.2.2) is below 1 / COND_MAX, or with a value that is not finite (q+
+    overflows at a capillarity near 1e100), is a ParameterError: the
+    eigenvector sum does not resolve e^{tA} there (Moler and Van Loan 2003).
     """
     ks = np.asarray(ks, dtype=float)
     lam = _quartic_roots(ks, eq)
@@ -542,11 +520,13 @@ def decompose_symbol(ks: np.ndarray,
         s = np.abs(wv) / (np.sqrt(nv) * np.sqrt(nw))
         inv_wv = 1.0 / wv
     # NaN fails the comparison
-    ok = (s >= 1.0 / COND_MAX) & np.isfinite(inv_wv)
-    bad = np.flatnonzero(~ok.all(axis=1) & ~zero)
-    q[bad] = inv_wv[bad] = inv_wv[zero] = 0.0
-    return SymbolDecomposition(k, lam, q, inv_wv, eq, bad,
-                               symbol(ks[bad], eq))
+    ok = ((s >= 1.0 / COND_MAX) & np.isfinite(inv_wv)).all(axis=1) | zero
+    if not ok.all():
+        raise ParameterError(f"ill-conditioned eigenvectors of A(k) at k = "
+                             f"{ks[np.argmin(ok)]:g}: e^(t A) is not "
+                             "resolved there at these parameters")
+    inv_wv[zero] = 0.0
+    return SymbolDecomposition(k, lam, q, inv_wv, eq)
 
 
 def spectrum_table(eq: EquilibriumState, k_grid: np.ndarray) -> dict:

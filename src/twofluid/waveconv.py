@@ -507,7 +507,7 @@ def false_case(c: float) -> ConvCase:
 # ---------------------------------------------------------------------------
 # logarithmic obstruction
 
-def log_obstruction(t_list, c: float = 2.0) -> dict:
+def log_obstruction(t_list, c: float) -> dict:
     """Quantify the log growth of the unrefined pressure convolution.
 
     The Riesz-IV Green factor against a source with time exponent -7/2

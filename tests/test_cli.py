@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -95,9 +96,10 @@ def test_public_names_resolve(module):
 
 
 def test_cli_path_loads_no_scipy(tmp_path):
-    # importing scipy costs a CLI process about 0.7 s of CPU; only expm on
-    # ill-conditioned modes loads it.  The package defaults OpenBLAS to one
-    # thread and keeps a value the user set.
+    # importing scipy costs a CLI process about 0.7 s of CPU; the package
+    # imports it nowhere (test_source.test_src_imports_no_scipy), and no
+    # module it imports loads it either.  The package defaults OpenBLAS to
+    # one thread and keeps a value the user set.
     src = os.path.dirname(os.path.dirname(os.path.abspath(twofluid.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("OPENBLAS_NUM_THREADS", None)
@@ -115,9 +117,10 @@ def test_cli_path_loads_no_scipy(tmp_path):
 
 @pytest.mark.parametrize("cfg", ["mu_plus = 1e50", "sigma_plus = 1e50"])
 def test_round_off_overflow_is_one_error_line(cfg, tmp_path):
-    # at mu_plus = 1e50 round-off gives the slow branches a growth
-    # e^(lambda t) beyond the float range, and at sigma_plus = 1e50 the
-    # squarings of expm overflow; numpy must not warn before the error line
+    # at mu_plus = 1e50 and at sigma_plus = 1e50 the low band's projector
+    # series misses the projectors, and past that check the middle grid's
+    # eigenvectors are ill-conditioned; numpy must not warn before the
+    # error line
     params = tmp_path / "params.cfg"
     params.write_text(cfg + "\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(twofluid.__file__)))
@@ -213,6 +216,13 @@ class TestUsageErrors:
         assert main(["--params", str(cfg), "--out", str(tmp_path),
                      "equilibrium"]) == 2
 
+    def test_non_utf8_params_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"mu_plus = 1.0\n\xff = 2\n")
+        assert main(["--params", str(cfg), "--out", str(tmp_path),
+                     "equilibrium"]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: not UTF-8 text\n"
+
     def test_bad_tol_scale(self, tmp_path, capsys):
         assert main(["--tol-scale", "-1", "--out", str(tmp_path),
                      "equilibrium"]) == 2
@@ -305,8 +315,8 @@ MALFORMED = [
     ["--params", "@sigma_minus=1e300", "spectrum"],
     ["--params", "@mu_plus=1e100", "spectrum"],
     ["spectrum", "--k-min", "1e150", "--k-max", "1e151"],
-    # every middle-band mode fails the eigenvector test, and round-off
-    # gives the slow branches a growth beyond exp's range
+    # every middle-band mode fails the eigenvector test: the grid is
+    # refused
     ["--params", "@sigma_minus=1e100", "greens", "--entry", "2,2"],
     # the projectors' k-series misses the exact projectors at k = ETA1/2
     # by a relative 7: the low band is not asymptotic
@@ -553,21 +563,28 @@ class TestSimulate:
                                      "sigma_plus = 1e35\na_plus = 1e-55"],
                              ids=["mu_plus", "a_plus"])
     def test_non_finite_table_writes_nothing(self, cfg, tmp_path, capsys):
-        # the linear flow overflows: diagnostics.csv would hold inf
+        # the symbol's eigenvectors are ill-conditioned on every nonzero |k|
+        # of the grid: the propagator is refused before any step
         params = tmp_path / "params.cfg"
         params.write_text(cfg + "\n")
         out = tmp_path / "out"
-        with warnings.catch_warnings():
-            # numpy's overflow warnings, which the test settings make errors
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = main(["--params", str(params), "--out", str(out),
-                         "simulate", "--mode", "linear", "--grid", "8",
-                         "--box", "20", "--t-final", "1"])
+        code = main(["--params", str(params), "--out", str(out),
+                     "simulate", "--mode", "linear", "--grid", "8",
+                     "--box", "20", "--t-final", "1"])
         assert code == 2
-        assert capsys.readouterr().err.endswith(
-            "diagnostics.csv: a computed value is not finite; "
-            "nothing written\n")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ill-conditioned eigenvectors ")
+        assert err.count("\n") == 1
         assert not list(out.iterdir())
+
+    def test_check_finite_refuses_inf(self, tmp_path):
+        path = str(tmp_path / "diagnostics.csv")
+        cli._check_finite({"t": np.array([0.0, 1.0])}, path)
+        with pytest.raises(cli.UsageError, match=re.escape(
+                f"{path}: a computed value is not finite")):
+            cli._check_finite({"t": np.array([0.0, 1.0]),
+                               "l2": np.array([1.0, np.inf])}, path)
+        assert not list(tmp_path.iterdir())
 
 
 class TestCheckRecord:

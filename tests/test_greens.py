@@ -485,11 +485,11 @@ class TestTimeRange:
     def test_limit_is_on_c_t(self):
         # the defaults (c = 2) keep --t-list in (0, 300]
         assert SYM_EQ.c == 2.0
-        greens.check_times(SYM_EQ.c, [1e-9, 2.0, 300.0])
+        greens.check_times(SYM_EQ.c, [1e-9, 2.0, 300.0], greens.CT_MAX)
         for c, t in ((2.0, 301.0), (87.0, 100.0), (2.0, 0.0), (2.0, -2.0),
                      (2.0, math.nan), (2.0, math.inf)):
             with pytest.raises(ParameterError, match="c t up to 600"):
-                greens.check_times(c, [2.0, t])
+                greens.check_times(c, [2.0, t], greens.CT_MAX)
 
     def test_envelope_grid_is_checked(self):
         # c = 87 at gamma_minus = 100: the envelope grid's t = 100 is

@@ -75,3 +75,20 @@ def test_each_input_is_checked_in_one_place():
     assert _call_sites("validate_params") == ["model.solve_equilibrium"]
     assert _call_sites("check_times") == ["GreenReconstructor.entry_profile"]
     assert _call_sites("AdmissibilityError") == ["model.solve_fraction_map"]
+
+
+def test_src_imports_no_scipy():
+    # scipy is a test oracle only: no module of the package imports it, at
+    # the top or inside a function
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.stem}: {name}" for name in names
+                        if name.split(".")[0] == "scipy"]
+    assert imports == []

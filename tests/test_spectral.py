@@ -2,8 +2,9 @@
 
 Oracles: numpy's own characteristic polynomial of the assembled matrix
 (np.poly), batched eigensolves, scipy's scaling-and-squaring matrix
-exponential as the independent semigroup route, and a brute-force search
-over the 24 permutations for the root labelling.
+exponential as the independent semigroup route on every grid
+decompose_symbol keeps, and a brute-force search over the 24 permutations
+for the root labelling.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -601,8 +603,6 @@ class TestSemigroup:
         ks = np.concatenate([[0.0], np.logspace(-3, 1.3, 23),
                              np.logspace(-4, 1, 800)])
         dec = sp.decompose_symbol(ks, eq)
-        assert len(dec.bad) == 0             # A(0) = 0 needs no expm
-        assert dec.A_bad.shape == (0, 4, 4)
         for t in (0.0, 0.3, 2.0, 25.0, 1e2, 1e3, 1e4):
             B = dec.semigroup(t)
             assert np.array_equal(B[0], np.eye(4))
@@ -615,25 +615,29 @@ class TestSemigroup:
                              ids=["sym", "asym", "bulk", "complex-pair"])
     def test_small_k_matches_expm(self, eq):
         # the polished roots hold the diffusive pair ~ k^2 to relative
-        # round-off: at most 3.2e-8 on [1e-9, 1e-4], and below 1e-9 the
-        # s test sends every mode to expm
+        # round-off: at most 3.2e-8 on the modes of [1e-9, 1e-4] that the
+        # s test keeps; it refuses the smallest of them and all of
+        # [1e-12, 1e-9]
         mid, low = np.geomspace(1e-9, 1e-4, 200), np.geomspace(1e-12, 1e-9, 64)
-        dec_mid, dec_low = (sp.decompose_symbol(ks, eq) for ks in (mid, low))
-        assert np.array_equal(dec_low.bad, np.arange(low.size))
+        refused = refused_modes(mid, eq)
+        kept = mid[~refused]
+        assert 0 < kept.size < mid.size
+        assert refused_modes(low, eq).all()
+        for grid, first in ((mid, mid[refused][0]), (low, low[0])):
+            with pytest.raises(ParameterError, match=refusal(first)):
+                sp.decompose_symbol(grid, eq)
+        dec = sp.decompose_symbol(kept, eq)
         for t in (1.0, 100.0, 1e4):
-            S = scipy.linalg.expm(t * sp.symbol(mid, eq))
+            S = scipy.linalg.expm(t * sp.symbol(kept, eq))
             scale = np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
-            err = np.abs(dec_mid.semigroup(t) - S).max(axis=(1, 2))
+            err = np.abs(dec.semigroup(t) - S).max(axis=(1, 2))
             assert (err <= 1e-7 * scale).all()
-            assert np.array_equal(dec_low.semigroup(t),
-                                  scipy.linalg.expm(t * sp.symbol(low, eq)))
 
     @pytest.mark.parametrize("eq", [SYM_EQ, ASYM_EQ], ids=["sym", "asym"])
     def test_entry_matches_semigroup(self, eq):
         # one entry without the full product, the k = 0 mode exactly I
         ks = np.concatenate([[0.0], np.linspace(0.05, 12.0, 97)])
         dec = sp.decompose_symbol(ks, eq)
-        assert len(dec.bad) == 0
         for t in (0.0, 0.3, 7.0, 100.0):
             S = dec.semigroup(t)
             assert np.array_equal(S[0], np.eye(4))
@@ -645,42 +649,40 @@ class TestSemigroup:
                     assert got[0] == S[0, i, j]
                     assert np.abs(got - S[:, i, j]).max() <= 1e-14 * scale
 
-    def test_ill_conditioned_modes_fall_back(self):
+    def test_ill_conditioned_modes_are_refused(self):
         # exactly the modes whose s = |w^T v| / (|v| |w|) at the polished
-        # roots is below 1 / COND_MAX fall back; s ~ k there, so all of
-        # k in [1e-12, 1e-9] does and k = 0.5 does not
+        # roots is below 1 / COND_MAX are refused; s ~ k there, so all of
+        # k in [1e-12, 1e-9] is and k = 0.5 is not.  Each k on its own, and
+        # the grid in either order names its first refused k
         ks = np.append(np.geomspace(1e-12, 1e-9, 64), 0.5)
-        dec = sp.decompose_symbol(ks, SYM_EQ)
-        s = eigenvalue_s(ks, SYM_EQ).min(axis=1)
-        below = np.flatnonzero(s < (1.0 - 1e-9) / sp.COND_MAX)
-        above = np.flatnonzero(s > (1.0 + 1e-9) / sp.COND_MAX)
-        assert below.size + above.size == ks.size
-        assert np.array_equal(dec.bad, below)
-        assert np.array_equal(dec.bad, np.arange(ks.size - 1))
-        for t in (1.0, 100.0):
-            S = scipy.linalg.expm(t * sp.symbol(ks[dec.bad], SYM_EQ))
-            assert np.abs(dec.semigroup(t)[dec.bad] - S).max() < 1e-14
-            assert np.abs(dec.entry(1, 2, t)[dec.bad]
-                          - S[:, 1, 2]).max() < 1e-14
+        refused = refused_modes(ks, SYM_EQ)
+        assert np.array_equal(np.flatnonzero(refused), np.arange(ks.size - 1))
+        for k, is_refused in zip(ks, refused):
+            if is_refused:
+                with pytest.raises(ParameterError, match=refusal(k)):
+                    sp.decompose_symbol(np.array([k]), SYM_EQ)
+            else:
+                sp.decompose_symbol(np.array([k]), SYM_EQ)
+        for grid in (ks, ks[::-1]):
+            first = grid[refused_modes(grid, SYM_EQ)][0]
+            with pytest.raises(ParameterError, match=refusal(first)):
+                sp.decompose_symbol(grid, SYM_EQ)
 
-    def test_singular_eigenvectors_fall_back(self):
+    def test_singular_eigenvectors_are_refused(self):
         # at sigma_minus = 1e100 eig returns exactly singular eigenvector
         # matrices on some nodes of the reconstructor's middle grid and its
-        # oracle sends every node to expm; the closed forms' s fails on
-        # the same nodes, and the expm route then overflows
+        # oracle's conditioning test fails on every node; the closed forms'
+        # s fails on the same nodes, so the grid is refused at its first
         eq = solve_equilibrium(ModelParams(sigma_minus=1e100))
         ks = composite_gl(0.5 * sp.ETA1, 1.2 * sp.K_CUT, 256, 64).nodes
-        dec = sp.decompose_symbol(ks, eq)
         oracle = eig_inv_decomposition(ks, eq)
         zero = np.flatnonzero(np.linalg.det(oracle.V) == 0.0)
         assert zero.size > 0
-        assert np.array_equal(dec.bad, oracle.bad)
-        assert np.array_equal(dec.bad, np.arange(ks.size))
+        assert np.array_equal(oracle.bad, np.arange(ks.size))
         with np.errstate(invalid="ignore", over="ignore"):
-            s = eigenvalue_s(ks, eq)
-        assert not (s.min(axis=1) >= 1.0 / sp.COND_MAX).any()
-        with pytest.raises(ParameterError):
-            dec.entry(1, 1, 1.0)
+            assert refused_modes(ks, eq).all()
+        with pytest.raises(ParameterError, match=refusal(ks[0])):
+            sp.decompose_symbol(ks, eq)
 
     def test_scalar_identity_at_k_zero(self):
         dec = sp.decompose_symbol(np.array([0.0]), SYM_EQ)
@@ -705,34 +707,27 @@ class TestSemigroup:
 class EigInvDecomposition:
     """The t-independent part of e^{t A(k)} on a k-grid.
 
-    A = V diag(lam) V^-1 except on the modes in bad (an eigenvector matrix
-    whose 1-norm condition number exceeds 1e8); those keep their symbols
-    A_bad for scaling-and-squaring.  k = 0 has A = 0: lam = 0 and V = I.
+    A = V diag(lam) V^-1, resolved except on the modes in bad (an
+    eigenvector matrix whose 1-norm condition number exceeds 1e8).  k = 0
+    has A = 0: lam = 0 and V = I.
     """
 
     lam: np.ndarray          # (nk, 4)
     V: np.ndarray            # (nk, 4, 4)
     V_inv: np.ndarray        # (nk, 4, 4)
-    bad: np.ndarray          # indices of the expm modes
-    A_bad: np.ndarray        # (len(bad), 4, 4)
+    bad: np.ndarray          # indices of the unresolved modes
 
     def semigroup(self, t: float) -> np.ndarray:
         """e^{t A(k)} on the grid, shape (nk, 4, 4)."""
         sp.check_growth(self.lam, t)
-        out = (self.V * np.exp(self.lam * t)[:, None, :]) @ self.V_inv
-        for idx, A in zip(self.bad, self.A_bad):
-            out[idx] = sp._expm(t * A)
-        return out
+        return (self.V * np.exp(self.lam * t)[:, None, :]) @ self.V_inv
 
     def entry(self, i: int, j: int, t: float) -> np.ndarray:
         """Entry (i, j) of e^{t A(k)} on the grid, shape (nk,), without the
         full product."""
         sp.check_growth(self.lam, t)
-        out = (self.V[:, i, :] * np.exp(self.lam * t)
-               * self.V_inv[:, :, j]).sum(axis=1)
-        for idx, A in zip(self.bad, self.A_bad):
-            out[idx] = sp._expm(t * A)[i, j]
-        return out
+        return (self.V[:, i, :] * np.exp(self.lam * t)
+                * self.V_inv[:, :, j]).sum(axis=1)
 
 
 def eig_inv_decomposition(ks: np.ndarray,
@@ -748,8 +743,8 @@ def eig_inv_decomposition(ks: np.ndarray,
         V_inv = np.linalg.inv(V)
     except np.linalg.LinAlgError:
         # an exactly singular V (a defective symbol, e.g. a capillarity
-        # near 1e100) gets a NaN inverse and so joins the expm modes;
-        # a determinant that underflows sends an invertible V there too
+        # near 1e100) gets a NaN inverse and so joins the bad modes; a
+        # determinant that underflows sends an invertible V there too
         V_inv = np.full_like(V, np.nan)
         ok = np.abs(np.linalg.det(V)) > 0.0
         V_inv[ok] = np.linalg.inv(V[ok])
@@ -758,7 +753,7 @@ def eig_inv_decomposition(ks: np.ndarray,
     cond = np.abs(V).sum(axis=1).max(axis=1) \
         * np.abs(V_inv).sum(axis=1).max(axis=1)
     bad = np.nonzero(~np.isfinite(cond) | (cond > 1e8))[0]
-    return EigInvDecomposition(lam, V, V_inv, bad, A[bad])
+    return EigInvDecomposition(lam, V, V_inv, bad)
 
 
 def closed_form_vectors(ks, lam, eq):
@@ -775,6 +770,21 @@ def eigenvalue_s(ks, eq):
     V, W = closed_form_vectors(ks, lam, eq)
     return np.abs((V * W).sum(axis=1)) / (np.linalg.norm(V, axis=1)
                                           * np.linalg.norm(W, axis=1))
+
+
+def refused_modes(ks, eq):
+    """Whether eigenvalue_s puts each k > 0 of ks below 1 / COND_MAX: the
+    modes decompose_symbol refuses.  No s lies within 1e-9 of the
+    threshold, where the two computations of s could differ."""
+    s = eigenvalue_s(ks, eq).min(axis=1)
+    # NaN is neither above nor near the threshold: refused
+    assert not (np.abs(s * sp.COND_MAX - 1.0) < 1e-9).any()
+    return ~(s >= 1.0 / sp.COND_MAX) & (np.asarray(ks) > 0.0)
+
+
+def refusal(k):
+    """The pattern of decompose_symbol's refusal at k."""
+    return re.escape(f"ill-conditioned eigenvectors of A(k) at k = {k:g}:")
 
 
 # the parameter sets the closed forms are checked at: the defaults, unequal
@@ -826,7 +836,7 @@ class TestClosedFormEigenvectors:
         ks = composite_gl(0.5 * sp.ETA1, 1.2 * sp.K_CUT, 256, 64).nodes
         dec = sp.decompose_symbol(ks, eq)
         oracle = eig_inv_decomposition(ks, eq)
-        assert len(dec.bad) == len(oracle.bad) == 0
+        assert len(oracle.bad) == 0
         for t in (1.0, 2.0, 10.0, 50.0, 100.0, 300.0):
             want = oracle.semigroup(t)
             tol = 1e-12 * np.abs(want).max()
