@@ -111,7 +111,8 @@ class _GridOps:
     grid; forward_band prunes its axis-1 and axis-0 passes to the lines
     that reach the band (Markel 1971) and gathers the band, inverse_band
     mirrors it from a zeroed half grid, both through one flat index built
-    here.  Each 1-D line is transformed as in rfftn or irfftn, so every
+    here, ``_flat``, through which a stage also gathers and scatters the
+    band of w.  Each 1-D line is transformed as in rfftn or irfftn, so every
     result is bitwise theirs.
 
     One RHS stage costs 52 transforms: 8 inverse for n and m of both
@@ -134,13 +135,16 @@ class _GridOps:
       run, and the band's flat index, about 0.6 n^3 complex numbers
       (1.0 MiB at n = 48); forward runs its passes in place in its output;
     - ``real``, the real state (8, n, n, n) of a band state, 64 n^3
-      bytes (6.8 MiB at n = 48), built on the first to_real; stages 2-4
-      of a step and each diagnostics row of run_simulation overwrite it;
-    - the stage workspace (_StageWork), 18 real fields and 4 half-grid
-      arrays, about 180 n^3 bytes (19.0 MiB at n = 48), built on the first
-      nonlinear stage, so linear runs never allocate it.
+      bytes (6.8 MiB at n = 48), built on the first to_real; each stage
+      overwrites its m+ rows (see _rhs_hat), and stages 2-4 of a step and
+      each diagnostics row of run_simulation all of it;
+    - the stage workspace (_StageWork), 17 real fields, 4 half-grid
+      arrays and 4 band arrays, about 180 n^3 bytes (19.0 MiB at n = 48),
+      built on the first nonlinear stage, so linear runs never allocate
+      it.
     Once a nonlinear stage has run, these buffers and the shell index
-    (n^3 bytes) hold 26.9 MiB at n = 48 and 214 MiB at n = 96.
+    (n^3 bytes) hold 26.9 MiB at n = 48 and 214 MiB at n = 96; a stage's
+    own allocations are band-sized, or slab-sized in the fraction map.
     """
 
     def __init__(self, n: int, L: float, eq: EquilibriumState):
@@ -289,23 +293,25 @@ class _GridOps:
 
 
 class _StageWork:
-    """Real-space and half-grid buffers of the nonlinear RHS stages.
+    """Real-space, half-grid and band buffers of the nonlinear RHS stages.
 
-    Both phases use them in turn, except R = n + 1 and grad n, which the
-    pressure terms need for both phases; the pressure terms then reuse the
-    per-phase buffers for their coefficient fields.
+    rho, C2c and grad n hold what the pressure terms need of both phases;
+    the other buffers serve each phase in turn, and then the pressure
+    terms' coefficient fields.
     """
 
     def __init__(self, ops: _GridOps):
         shape = ops.shape
-        self.R = np.empty((2,) + shape)         # n + 1 of both phases
+        self.R = np.empty(shape)                # n + 1 of the running phase
+        self.rho = np.empty((2,) + shape)       # rho+ and rho-
+        self.C2c = np.empty(shape)              # the common coefficient C^2
         self.grad = np.empty((2, 3) + shape)    # grad n of both phases
         self.u = np.empty((3,) + shape)
         self.sym = np.empty((3,) + shape)       # c S[u]_dd, then c S[u]_de
         self.c = np.empty(shape)
-        self.tmp = np.empty((3,) + shape)
         self.w_hat = np.empty((3,) + ops._half.shape, dtype=complex)
         self.spec = np.empty(ops._half.shape, dtype=complex)
+        self.w_band = np.empty((3,) + ops.band_shape, dtype=complex)
         self.T_hat = np.empty(ops.band_shape, dtype=complex)
 
 
@@ -314,8 +320,9 @@ class _StageWork:
 # and transform sums stay far inside float64 (at 1e300 they overflowed)
 R_PULSE, L_MAX, EPS_MAX = 8.0, 1e6, 1e6
 # the largest grid a run takes: a nonlinear run's peak is near 35 MiB plus
-# 395 bytes per point (77 MiB at n = 48, 133 MiB at n = 64, 368 MiB at
-# n = 96), 2.6 GiB at n = 192, and a linear run's is lower
+# 350 to 365 bytes per point (73 MiB at n = 48, 123 MiB at n = 64, 331 MiB
+# at n = 96, 752 MiB at n = 128), 2.4 GiB at n = 192, and a linear run's
+# is lower
 N_MAX = 192
 
 
@@ -340,18 +347,20 @@ def make_sim_state(ops: _GridOps, eps: float) -> np.ndarray:
 _PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, R, rho, rho_bar, mu, lam,
-               sigma, grad_n):
+def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, rho, rho_bar, mu, lam,
+               sigma, grad_n, scratch):
     """Divergence-form momentum increments of one phase (without Q).
 
-    Takes the phase's real fields, R = n + 1 and their band transforms;
-    writes the band-transformed increments over m_hat once it has read
-    it, and grad n into grad_n (3, n, n, n), which the pressure terms
-    reuse.  Every real-space product runs in place in the stage workspace.
+    Takes the phase's real fields and their band transforms; writes the
+    band-transformed increments over m_hat once it has read it, and
+    grad n into grad_n (3, n, n, n), which the pressure terms reuse.
+    Every real-space product runs in place, in the stage workspace and
+    in scratch, three real fields the phase may overwrite.
     """
     W = ops.work()
     u, sym, c = W.u, W.sym, W.c
-    t0, t1, t2 = W.tmp
+    t0, t1, t2 = scratch
+    R = np.add(n, 1.0, out=W.R)
     np.divide(m, R, out=u)
     # the viscous tensor visc = (n/rho) J[u] - J[w]/rho + drop J[m], with
     # J[f]_{d,e} = d_e f_d, w = n u and drop = 1/rho - 1/rho_bar, enters
@@ -362,12 +371,15 @@ def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, R, rho, rho_bar, mu, lam,
     # constant-coefficient one never leaves Fourier space
     np.divide(R, rho, out=c)
     c -= 1.0 / rho_bar
-    w_hat = W.w_hat
+    w_hat, w_band = W.w_hat, W.w_band
     for d in range(3):
         ops.forward(np.multiply(n, u[d], out=t0), out=w_hat[d])
-    w_band = w_hat[ops.band]
+        np.take(w_hat[d], ops._flat, out=w_band[d], mode="clip")
+    # u_hat = m_hat - w_hat: -w_hat off the band, m_hat - w_hat on it
     u_hat = np.negative(w_hat, out=w_hat)
-    u_hat[ops.band] += m_hat
+    for d in range(3):
+        np.put(u_hat[d], ops._flat,
+               np.subtract(m_hat[d], w_band[d], out=W.T_hat))
     F = m_hat                   # read for the last time above
     F.fill(0.0)
     xi = ops.xi
@@ -415,7 +427,9 @@ def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, R, rho, rho_bar, mu, lam,
     # then F_d -= sigma d_d (Lap n); the w part of T,
     # -(mu/rho_bar) S[w] - delta (lam/rho_bar) div w, differentiates to
     # (mu/rho_bar)(|xi|^2 w_d + xi_d xi.w) + (lam/rho_bar) xi_d xi.w
-    div_w_hat = np.sum(xi * w_band, axis=0)
+    div_w_hat = np.multiply(xi[0], w_band[0], out=T_hat)
+    for d in (1, 2):
+        div_w_hat += xi[d] * w_band[d]
     for d in range(3):
         F[d] *= 1j
         F[d] -= sigma * 1j * xi[d] * lap_n_hat
@@ -424,36 +438,52 @@ def _phase_rhs(ops: _GridOps, n, m, n_hat, m_hat, R, rho, rho_bar, mu, lam,
 
 
 def _check_fields(f: np.ndarray) -> None:
-    """Refuse a real state with a non-finite value."""
-    if not np.isfinite(f).all():
-        raise RuntimeError("non-finite fields: instability detected")
+    """Refuse a real state with a non-finite value, row by row."""
+    for row in f:
+        if not np.isfinite(row).all():
+            raise RuntimeError("non-finite fields: instability detected")
+
+
+# the fraction map runs on slabs of whole axis-0 planes, of at most this
+# many cells or one plane (8 planes at n = 16, one from n = 46 on): the
+# solve's arrays stay in cache, and a stage allocates no real field
+_SLAB_CELLS = 2048
 
 
 def _rhs_hat(ops: _GridOps, Y: np.ndarray, real: np.ndarray) -> np.ndarray:
     """Stacked band RHS of band state Y with real state real: zero
     continuity rows, dealiased momentum, written over Y and returned.
+    The m+ rows of real (1-3), which nothing reads after the + phase,
+    serve the - phase and the pressure terms as scratch and are
+    overwritten; rows 0 and 4-7 are left as they are.
 
-    Every real-space or half-grid intermediate goes to the grid's stage
-    workspace; the stage allocates band-sized arithmetic and the fraction
-    map's solve.  The fraction map's box test refuses a state near vacuum
-    or with a non-finite density, _check_fields any other non-finite field.
+    Every field-sized intermediate goes to the grid's stage workspace or
+    to those rows; the stage allocates only band-sized arithmetic and the
+    fraction map's solve on one slab at a time (see _SLAB_CELLS).  The
+    solve works cell by cell, so each slab's results are bitwise the
+    whole field's.  The fraction map's box test refuses a state near
+    vacuum or with a non-finite density, _check_fields any other
+    non-finite field.
     """
     n_p, m_p, n_m, m_m = real[0], real[1:4], real[4], real[5:8]
     eq = ops.eq
     p = eq.params
     W = ops.work()
-    R_p, R_m = W.R
-    np.add(n_p, 1.0, out=R_p)
-    np.add(n_m, 1.0, out=R_m)
-    rho_p, rho_m, alpha_p, C2c = solve_fraction_map(R_p, R_m, eq)
-    del alpha_p                 # one real field less at the stage's peak
+    rho_p, rho_m = W.rho
+    C2c = W.C2c
+    width = max(1, _SLAB_CELLS // (ops.n * ops.n))
+    for i in range(0, ops.n, width):
+        sl = slice(i, i + width)
+        rho_p[sl], rho_m[sl], _, C2c[sl] = solve_fraction_map(
+            n_p[sl] + 1.0, n_m[sl] + 1.0, eq)
     _check_fields(real)
 
     gnp, gnm = W.grad
-    _phase_rhs(ops, n_p, m_p, Y[0], Y[1:4], R_p, rho_p, eq.rho_bar_plus,
-               p.mu_plus, p.lambda_plus, p.sigma_plus, gnp)
-    _phase_rhs(ops, n_m, m_m, Y[4], Y[5:8], R_m, rho_m, eq.rho_bar_minus,
-               p.mu_minus, p.lambda_minus, p.sigma_minus, gnm)
+    # the + phase works in grad n-, which the - phase writes first
+    _phase_rhs(ops, n_p, m_p, Y[0], Y[1:4], rho_p, eq.rho_bar_plus,
+               p.mu_plus, p.lambda_plus, p.sigma_plus, gnp, gnm)
+    _phase_rhs(ops, n_m, m_m, Y[4], Y[5:8], rho_m, eq.rho_bar_minus,
+               p.mu_minus, p.lambda_minus, p.sigma_minus, gnm, m_p)
     Y[0] = Y[4] = 0.0
     # the pressure terms, one component at a time:
     # Q1 = C2c n+ ((rho-/rho+) grad n+ + grad n-)
@@ -461,7 +491,7 @@ def _rhs_hat(ops: _GridOps, Y: np.ndarray, real: np.ndarray) -> np.ndarray:
     # Q2 the same with the phases swapped and beta4
     shift = np.subtract(C2c, eq.C2, out=W.c)
     amp, ratio, lin = W.u
-    q, t = W.tmp[:2]
+    q, t = m_p[:2]
     for (nf, rho_a, rho_b, beta, ga, gb, F) in (
             (n_p, rho_p, rho_m, eq.beta1, gnp, gnm, Y[1:4]),
             (n_m, rho_m, rho_p, eq.beta4, gnm, gnp, Y[5:8])):
@@ -483,8 +513,9 @@ def _rhs_hat(ops: _GridOps, Y: np.ndarray, real: np.ndarray) -> np.ndarray:
 def step(ops: _GridOps, Y: np.ndarray, f: np.ndarray, dt: float,
          prop) -> np.ndarray:
     """One integrating-factor RK4 step of length dt of the band state Y
-    with real state f, written over Y and returned; the stages overwrite
-    the grid's ``real`` buffer, which f may be.
+    with real state f, written over Y and returned; the first stage
+    overwrites f's m+ rows and the others the grid's ``real`` buffer,
+    which f may be.
 
     prop is ops.propagator(dt / 2).  Each stage transforms to real space
     only what its products need (see _GridOps), the first takes f as its
@@ -605,7 +636,8 @@ def run_simulation(eq: EquilibriumState, mode: str = "nonlinear",
     writes into its ``real`` buffer from Y; the next step's first stage
     reads it too, and f is that buffer itself.  The run's memory is the
     grid's buffers (26.9 MiB at n = 48, 214 MiB at n = 96; see _GridOps)
-    and Y, and a nonlinear step's two more band states (see step).
+    and Y, and a nonlinear step's two more band states (see step) and its
+    stages' band- and slab-sized arithmetic.
 
     The box only represents free space until the fastest front wraps;
     t_final beyond the pre-wrap horizon (L - R_PULSE) / c is a ValueError,

@@ -117,10 +117,11 @@ def test_cli_path_loads_no_scipy(tmp_path):
 
 @pytest.mark.parametrize("cfg", ["mu_plus = 1e50", "sigma_plus = 1e50"])
 def test_round_off_overflow_is_one_error_line(cfg, tmp_path):
-    # at mu_plus = 1e50 and at sigma_plus = 1e50 the low band's projector
-    # series misses the projectors, and past that check the middle grid's
-    # eigenvectors are ill-conditioned; numpy must not warn before the
-    # error line
+    # at mu_plus = 1e50 and at sigma_plus = 1e50 the run stops at the low
+    # band's projector-series check ("misses the projectors at k = 0.05"),
+    # before any e^(lambda t) is formed, so check_growth's refusal is not
+    # reached here (tests/test_spectral.py tests it); numpy must not warn
+    # before the error line
     params = tmp_path / "params.cfg"
     params.write_text(cfg + "\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(twofluid.__file__)))

@@ -691,6 +691,26 @@ class TestSemigroup:
             assert S.dtype == complex
             assert np.array_equal(S, np.eye(4))
 
+    @pytest.mark.parametrize("t", [0.5, 2.5, 1e3])
+    def test_growth_check_refuses_only_an_overflow(self, t):
+        # Re lambda t against log(float max): a hair above it
+        # |e^(lambda t)| = e^(Re lambda t) overflows and the check names t,
+        # a hair below it both pass
+        edge = math.log(np.finfo(float).max)
+        lam = np.full((3, 4), -1.0 + 0.5j)
+        for scale, refused in ((1.0 + 1e-12, True), (1.0 - 1e-12, False)):
+            lam[1, 2] = scale * edge / t + 2.0j
+            with np.errstate(over="ignore"):
+                overflows = not np.isfinite(np.exp(lam.real * t)).all()
+            assert overflows == refused
+            if refused:
+                with pytest.raises(ParameterError,
+                                   match=rf"eigenvalues at t = {t:g} have "
+                                   "lost their sign to round-off"):
+                    sp.check_growth(lam, t)
+            else:
+                sp.check_growth(lam, t)
+
     def test_entry_boundedness(self):
         # no entry blow-up on a broad (k, t) sweep
         for k in (0.01, 0.1, 1.0, 10.0):
